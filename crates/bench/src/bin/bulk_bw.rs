@@ -5,7 +5,8 @@
 //! by the staging copy and per-fragment bookkeeping. Above
 //! `EndpointConfig::eager_threshold` the datapath switches lanes:
 //!
-//! * in-process backends carry shared [`Bytes`] slices end to end — the
+//! * in-process backends carry the shared [`Bytes`] end to end (whole, as
+//!   one descriptor, on threaded; per-MTU slices on inline-lossy) — the
 //!   initiator never copies the payload at all (copies/byte = 1: only the
 //!   receiver's gather into the epoch buffer remains);
 //! * the shared-memory backend's `put_at` reserves an extent in the

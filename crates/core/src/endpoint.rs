@@ -127,7 +127,8 @@ pub struct EndpointConfig {
     /// Largest put (bytes) that still takes the **eager** fragment path:
     /// the initiator stages a private copy of the payload and ships it in
     /// MTU-sized fragments. Anything larger switches to the zero-copy
-    /// lane — shared-`Bytes` slices on the in-process transports, the
+    /// lane — the shared `Bytes` itself on the in-process transports
+    /// (whole on threaded, per-MTU slices on inline-lossy), the
     /// bulk-region rendezvous handshake on the shared-memory transport
     /// (see DESIGN.md §13). `0` forces every non-empty put zero-copy;
     /// `usize::MAX` forces every put eager (the A/B baseline).

@@ -141,6 +141,13 @@ unsafe impl Send for WriteReservation {}
 /// Updated by the delivery path while it holds the mailbox lock; readable
 /// (e.g. from a polling application thread) without taking any lock. This
 /// is the software analogue of the NIC's memory-mapped counter pair.
+///
+/// The counters say what has been **counted** against the threshold, not
+/// what has been placed: the two-phase path bumps them when it reserves
+/// the range (`deliver_begin`), before the copy runs outside the lock, so
+/// they can lead the bytes actually in the buffer by every in-flight
+/// put — a whole rendezvous put each. They are a pacing signal. Only the
+/// threshold completion (the notification) certifies placement.
 #[derive(Debug, Default)]
 pub struct EpochProgress {
     bytes: AtomicU64,
@@ -149,12 +156,14 @@ pub struct EpochProgress {
 }
 
 impl EpochProgress {
-    /// Bytes landed in the active buffer so far this epoch.
+    /// Bytes counted against the active buffer's threshold so far this
+    /// epoch — reserved, not yet certified placed (see the type docs).
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Acquire)
     }
 
-    /// Operations landed against the active buffer so far this epoch.
+    /// Operations counted against the active buffer so far this epoch
+    /// (same caveat as [`bytes`](Self::bytes)).
     pub fn ops(&self) -> u64 {
         self.ops.load(Ordering::Acquire)
     }
@@ -282,12 +291,12 @@ impl Mailbox {
         self.closed
     }
 
-    /// Bytes landed in the active buffer so far this epoch.
+    /// Bytes counted so far this epoch ([`EpochProgress::bytes`]).
     pub fn bytes_this_epoch(&self) -> u64 {
         self.progress.bytes()
     }
 
-    /// Operations landed against the active buffer so far this epoch.
+    /// Operations counted so far this epoch ([`EpochProgress::ops`]).
     pub fn ops_this_epoch(&self) -> u64 {
         self.progress.ops()
     }
@@ -505,7 +514,8 @@ impl Mailbox {
                 ops_local += 1;
                 ops_delta += 1;
             } else {
-                // Multi-fragment op: rare on this path. Publish pending
+                // A fragment of a multi-MTU eager put — every such put
+                // takes this branch once per fragment. Publish pending
                 // deltas so the shared per-op bookkeeping stays exact.
                 self.flush_progress(&mut bytes_delta, &mut ops_delta);
                 let got = self.op_progress.entry(op_key).or_insert(0);

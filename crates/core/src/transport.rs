@@ -92,12 +92,17 @@ pub trait Transport: Send + Sync {
     ///
     /// Puts larger than the backend's configured
     /// [`eager_threshold`](crate::endpoint::EndpointConfig::eager_threshold)
-    /// take the zero-copy lane: fragments are offset/len slices of this
-    /// shared handle (or, on the shared-memory backend, the payload rides
-    /// a bulk-region extent), so no initiator-side staging copy is made.
-    /// Smaller puts keep the eager fragment path, byte-for-byte identical
-    /// to [`put_at`](Self::put_at). The default implementation *is* the
-    /// eager path — backends without a zero-copy lane stay correct.
+    /// take the zero-copy lane, which makes no initiator-side staging
+    /// copy. On the threaded and shared-memory backends that lane is a
+    /// rendezvous: the put travels as **one** descriptor (this shared
+    /// handle itself, or a bulk-region extent) and the target places it
+    /// with one gather — so it is accepted or refused whole, and faulted,
+    /// deduplicated and NACKed as a unit. The inline-lossy backend keeps
+    /// per-MTU slices of the handle, because per-packet loss recovery is
+    /// what it models. Smaller puts keep the eager fragment path,
+    /// byte-for-byte identical to [`put_at`](Self::put_at). The default
+    /// implementation *is* the eager path — backends without a zero-copy
+    /// lane stay correct.
     fn put_bytes_at(
         &self,
         dest: NodeAddr,

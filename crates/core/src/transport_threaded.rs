@@ -72,6 +72,10 @@
 //!   loop entirely: one pooled payload copy, one [`Fragment`], one channel
 //!   send — no intermediate `Vec`, no shuffle, no per-fragment `Arc`
 //!   clones.
+//! * **Rendezvous lane.** An owned payload above the endpoint config's
+//!   `eager_threshold` ([`AsyncInitiator::put_bytes_at`]) is never staged
+//!   and never cut at the MTU: the caller's `Bytes` crosses the ring as
+//!   one descriptor and the receiver gathers it with one copy.
 //! * **Payload pool.** Fragment payload storage is recycled through a
 //!   per-initiator [`PayloadPool`]: the copy every asynchronous put must
 //!   make lands in a reused allocation once the pool is warm
@@ -206,7 +210,8 @@ impl PutNotify {
 /// wire's final disposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutDelivery {
-    /// Fragments the put was split into.
+    /// Wire fragments the put travelled as: one per MTU on the eager
+    /// lane, 1 for a rendezvous put (one descriptor, whatever its length).
     pub fragments: u64,
     /// True when any fragment was NACKed (e.g. `NoSuchMailbox` after a
     /// crash fault); the NACK reasons themselves are in
@@ -275,8 +280,9 @@ impl std::fmt::Debug for PutFuture {
 }
 
 enum WireMsg {
-    /// A single fragment (the small-message inline fast path, and the
-    /// retransmission path of the fault layer).
+    /// A single fragment: the small-message inline fast path, a whole
+    /// rendezvous put (one descriptor, whatever its length), and the
+    /// retransmission path of the fault layer.
     Deliver {
         dest: NodeAddr,
         frag: Fragment,
@@ -604,9 +610,6 @@ fn deliver_many(
     (delivered, nack_count)
 }
 
-/// A retried message has been fully processed: release its slot in the
-/// pending-retry count `quiesce` waits on.
-#[inline]
 /// The quiesce barrier shared by [`AsyncNetwork::quiesce`] and the
 /// initiator-side [`Transport::flush`]: broadcast a flush marker to every
 /// worker ring, wait for all acks, and repeat while any link-level
@@ -628,6 +631,9 @@ fn quiesce_shared(shared: &Shared) {
     }
 }
 
+/// A retried message has been fully processed: release its slot in the
+/// pending-retry count `quiesce` waits on.
+#[inline]
 fn finish_retry(faults: Option<&FaultPlan>, attempt: u32) {
     if attempt > 0 {
         if let Some(plan) = faults {
@@ -1240,11 +1246,8 @@ impl AsyncInitiator {
         offset: usize,
         data: &[u8],
     ) -> Result<PutFuture> {
-        let fragments = if data.len() <= self.shared.mtu {
-            1
-        } else {
-            data.len().div_ceil(self.shared.mtu) as u64
-        };
+        // One wire fragment per MTU, and one for an empty put.
+        let fragments = data.len().div_ceil(self.shared.mtu).max(1) as u64;
         let notify = PutNotify::new(fragments);
         self.submit(dest, vaddr, offset, data, Some(notify.clone()))?;
         Ok(PutFuture { notify, fragments })
@@ -1254,12 +1257,16 @@ impl AsyncInitiator {
     ///
     /// At or below the endpoint config's `eager_threshold` this behaves
     /// exactly like [`put_at`](AsyncInitiator::put_at): the payload is
-    /// copied into pooled staging storage and the caller's `Bytes` is
-    /// dropped. Above the threshold the put goes **zero-copy**: every
-    /// fragment is an offset/len slice of `data`'s shared allocation, no
-    /// staging copy is made, and the receiver-side gather into the posted
-    /// window buffer is the put's only copy (so the transport's
-    /// copies-per-byte on this lane is exactly 1).
+    /// copied into pooled staging storage, cut at the MTU, and the
+    /// caller's `Bytes` is dropped. Above the threshold the put is a
+    /// **rendezvous**: the whole `Bytes` crosses the ring as one
+    /// descriptor — never sliced, whatever the MTU — and the receiver
+    /// places it with one reservation and one gather into the posted
+    /// buffer, the put's only copy (copies-per-byte on this lane is
+    /// exactly 1). The descriptor is the unit of everything downstream:
+    /// one roll of the fault dice, one dedup entry, one NACK, and an
+    /// overhanging put is refused whole — the same contract as the shm
+    /// backend's `REQ_BULK` lane.
     pub fn put_bytes_at(
         &self,
         dest: NodeAddr,
@@ -1273,9 +1280,11 @@ impl AsyncInitiator {
         self.submit_shared(dest, vaddr, offset, data, None)
     }
 
-    /// Notified zero-copy put: [`put_bytes_at`](AsyncInitiator::put_bytes_at)
-    /// returning a [`PutFuture`] that resolves when every fragment reaches
-    /// its final wire disposition.
+    /// Notified [`put_bytes_at`](AsyncInitiator::put_bytes_at): the
+    /// [`PutFuture`] resolves at the put's final wire disposition. A
+    /// rendezvous put is one descriptor and reports `fragments == 1`
+    /// (as `ShmClient::put_from_extent` does); an eager one reports its
+    /// MTU fragment count.
     pub fn put_bytes_notify_at(
         &self,
         dest: NodeAddr,
@@ -1283,24 +1292,21 @@ impl AsyncInitiator {
         offset: usize,
         data: Bytes,
     ) -> Result<PutFuture> {
-        let fragments = if data.len() <= self.shared.mtu {
-            1
-        } else {
-            data.len().div_ceil(self.shared.mtu) as u64
-        };
-        let notify = PutNotify::new(fragments);
         if data.len() <= self.shared.endpoint_config.eager_threshold {
-            self.submit(dest, vaddr, offset, &data, Some(notify.clone()))?;
-        } else {
-            self.submit_shared(dest, vaddr, offset, data, Some(notify.clone()))?;
+            return self.put_notify_at(dest, vaddr, offset, &data);
         }
-        Ok(PutFuture { notify, fragments })
+        let notify = PutNotify::new(1);
+        self.submit_shared(dest, vaddr, offset, data, Some(notify.clone()))?;
+        Ok(PutFuture {
+            notify,
+            fragments: 1,
+        })
     }
 
-    /// Zero-copy submission: fragments carry slices of the caller's
-    /// shared allocation instead of pooled copies. Mirrors
-    /// [`submit`](AsyncInitiator::submit) in every other respect
-    /// (routing, telemetry, shuffle, backpressure).
+    /// Rendezvous submission: the caller's shared allocation rides one
+    /// `WireMsg::Deliver` whole. There is no fragment vector and nothing
+    /// to shuffle on an `OutOfOrder` network — reordering happens between
+    /// descriptors (fault-layer retransmits), never inside one.
     fn submit_shared(
         &self,
         dest: NodeAddr,
@@ -1309,75 +1315,63 @@ impl AsyncInitiator {
         payload: Bytes,
         notify: Option<Arc<PutNotify>>,
     ) -> Result<()> {
+        let (queue_idx, op_id) = self.begin_op(dest, vaddr, payload.len())?;
+        let frag = Fragment {
+            initiator: self.src,
+            op_id,
+            dst_vaddr: vaddr,
+            op_total_len: payload.len() as u64,
+            offset,
+            data: payload,
+        };
+        self.push_one(queue_idx, dest, frag, notify)
+    }
+
+    /// Common head of every submission: resolve the worker queue, draw the
+    /// op id, stamp `Submit`.
+    #[inline]
+    fn begin_op(&self, dest: NodeAddr, vaddr: VirtAddr, len: usize) -> Result<(usize, u64)> {
         let queue_idx = self.resolve_route(dest, vaddr)?;
-        let queue = &self.shared.queues[queue_idx];
         let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(self.src.nid, self.src.pid);
         telemetry::record(
             &self.shared.telemetry,
             EventKind::Submit,
-            src_key,
+            telemetry::initiator_key(self.src.nid, self.src.pid),
             op_id,
-            payload.len() as u64,
+            len as u64,
         );
-        let mtu = self.shared.mtu;
-        if payload.len() <= mtu {
-            let frag = Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: payload.len() as u64,
-                offset,
-                data: payload,
-            };
-            queue
-                .push(WireMsg::Deliver {
-                    dest,
-                    frag,
-                    nacks: self.nacks.clone(),
-                    attempt: 0,
-                    notify,
-                })
-                .map_err(|_| RvmaError::UnknownDestination)?;
-            telemetry::record(
-                &self.shared.telemetry,
-                EventKind::RingEnqueue,
-                src_key,
-                op_id,
-                queue_idx as u64,
-            );
-            return Ok(());
-        }
-        let total = payload.len() as u64;
-        let mut frags: Vec<Fragment> = (0..payload.len())
-            .step_by(mtu)
-            .map(|start| {
-                let end = (start + mtu).min(payload.len());
-                Fragment {
-                    initiator: self.src,
-                    op_id,
-                    dst_vaddr: vaddr,
-                    op_total_len: total,
-                    offset: offset + start,
-                    data: payload.slice(start..end),
-                }
-            })
-            .collect();
-        if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
-            frags.shuffle(&mut *self.shared.rng.lock());
-        }
-        queue
-            .push(WireMsg::DeliverBatch {
+        Ok((queue_idx, op_id))
+    }
+
+    /// One ring crossing carrying one fragment — an eager put of at most
+    /// one MTU, or a whole rendezvous descriptor.
+    ///
+    /// The `nacks` Arc travels with the message because the wire worker
+    /// that eventually discards a fragment must publish the NACK into
+    /// *this* initiator's sink without holding any reference to the
+    /// initiator itself, which may be long gone by delivery time.
+    #[inline]
+    fn push_one(
+        &self,
+        queue_idx: usize,
+        dest: NodeAddr,
+        frag: Fragment,
+        notify: Option<Arc<PutNotify>>,
+    ) -> Result<()> {
+        let op_id = frag.op_id;
+        self.shared.queues[queue_idx]
+            .push(WireMsg::Deliver {
                 dest,
-                frags,
+                frag,
                 nacks: self.nacks.clone(),
+                attempt: 0,
                 notify,
             })
             .map_err(|_| RvmaError::UnknownDestination)?;
         telemetry::record(
             &self.shared.telemetry,
             EventKind::RingEnqueue,
-            src_key,
+            telemetry::initiator_key(self.src.nid, self.src.pid),
             op_id,
             queue_idx as u64,
         );
@@ -1392,24 +1386,8 @@ impl AsyncInitiator {
         data: &[u8],
         notify: Option<Arc<PutNotify>>,
     ) -> Result<()> {
-        let queue_idx = self.resolve_route(dest, vaddr)?;
-        let queue = &self.shared.queues[queue_idx];
-        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(self.src.nid, self.src.pid);
-        telemetry::record(
-            &self.shared.telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            data.len() as u64,
-        );
-        let mtu = self.shared.mtu;
-        // One `nacks` Arc clone per submission (it used to be one per
-        // fragment): the Arc travels with the message because the wire
-        // worker that eventually discards a fragment must publish the NACK
-        // into *this* initiator's sink without holding any reference to
-        // the initiator itself, which may be long gone by delivery time.
-        if data.len() <= mtu {
+        let (queue_idx, op_id) = self.begin_op(dest, vaddr, data.len())?;
+        if data.len() <= self.shared.mtu {
             // Inline fast path: one fragment, no fragment vector, no
             // shuffle. Zero-length puts take this path too.
             self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
@@ -1421,37 +1399,21 @@ impl AsyncInitiator {
                 offset,
                 data: self.pool.acquire(data),
             };
-            queue
-                .push(WireMsg::Deliver {
-                    dest,
-                    frag,
-                    nacks: self.nacks.clone(),
-                    attempt: 0,
-                    notify: notify.clone(),
-                })
-                .map_err(|_| RvmaError::UnknownDestination)?;
-            telemetry::record(
-                &self.shared.telemetry,
-                EventKind::RingEnqueue,
-                src_key,
-                op_id,
-                queue_idx as u64,
-            );
-            return Ok(());
+            return self.push_one(queue_idx, dest, frag, notify);
         }
         let frags = self.fragment(vaddr, op_id, offset, data);
-        queue
+        self.shared.queues[queue_idx]
             .push(WireMsg::DeliverBatch {
                 dest,
                 frags,
                 nacks: self.nacks.clone(),
-                notify: notify.clone(),
+                notify,
             })
             .map_err(|_| RvmaError::UnknownDestination)?;
         telemetry::record(
             &self.shared.telemetry,
             EventKind::RingEnqueue,
-            src_key,
+            telemetry::initiator_key(self.src.nid, self.src.pid),
             op_id,
             queue_idx as u64,
         );

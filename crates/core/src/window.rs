@@ -279,7 +279,7 @@ impl Window {
         self.mailbox.lock().retired_epoch(epoch)
     }
 
-    /// Bytes received so far in the currently progressing epoch. Useful for
+    /// Bytes counted so far in the currently progressing epoch. Useful for
     /// diagnostics; the in-progress epoch is otherwise deliberately hidden
     /// from the application.
     pub fn bytes_in_progress(&self) -> u64 {
@@ -289,7 +289,10 @@ impl Window {
     /// A lock-free handle to the mailbox's epoch-progress counters (bytes,
     /// ops, epoch). Polling it never touches the mailbox lock, so an
     /// application can watch threshold progress without perturbing the
-    /// delivery datapath.
+    /// delivery datapath. The counts are *counted, not yet certified
+    /// placed* — a pacing signal that can lead the buffer by the puts
+    /// still being copied; only the threshold completion certifies
+    /// placement.
     pub fn progress(&self) -> Arc<EpochProgress> {
         self.mailbox.lock().progress_handle()
     }

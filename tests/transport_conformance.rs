@@ -425,8 +425,9 @@ fn async_blocking_coexist_on_shm() {
 
 /// Lane forcing through [`EndpointConfig::eager_threshold`]: `usize::MAX`
 /// stages every put (the pre-rendezvous behaviour, the A/B baseline);
-/// `0` sends every non-empty put down the zero-copy lane (shared-`Bytes`
-/// slices in-process, bulk-extent rendezvous over shm).
+/// `0` sends every non-empty put down the zero-copy lane (the shared
+/// `Bytes` itself in-process — whole on threaded, per-MTU slices on
+/// inline-lossy — and bulk-extent rendezvous over shm).
 const LANES: [(&str, usize); 2] = [("eager", usize::MAX), ("zerocopy", 0)];
 
 /// 256 KiB puts through drop/dup/delay faults, byte-exact on every
@@ -634,6 +635,158 @@ fn copies_per_byte_accounting_per_lane() {
     }
 }
 
+/// A rendezvous put is one descriptor and one gather, whatever the MTU.
+/// With every non-empty put forced onto the zero-copy lane, a 16×MTU put
+/// costs the threaded and shm receivers exactly one LUT lookup and one
+/// accepted "fragment" of the full length. The inline-lossy backend
+/// deliberately keeps per-MTU slices — per-packet loss recovery is its
+/// whole point — so it pays 16 of each for the same bytes.
+#[test]
+fn rendezvous_put_is_one_gather() {
+    const MTU: usize = 64;
+    const LEN: usize = 16 * MTU;
+    let payload: Vec<u8> = (0..LEN).map(|i| (i % 251 + 1) as u8).collect();
+    let cfg = || EndpointConfig {
+        eager_threshold: 0,
+        ..faulted_cfg(FaultModel::NONE, 31)
+    };
+    // Post one LEN-byte epoch, run `put`, flush, and check the bytes and
+    // what the put cost the receiver.
+    let check = |label: &str,
+                 ep: &Arc<RvmaEndpoint>,
+                 gathers: u64,
+                 put: &mut dyn FnMut(rvma::core::Bytes)| {
+        let win = ep
+            .init_window(MAILBOX, Threshold::bytes(LEN as u64))
+            .unwrap();
+        let mut note = win.post_buffer(vec![0u8; LEN]).unwrap();
+        let before = ep.stats();
+        put(rvma::core::Bytes::copy_from_slice(&payload));
+        let buf = note
+            .poll()
+            .unwrap_or_else(|| panic!("[{label}] epoch incomplete after flush"));
+        assert_eq!(buf.data(), payload.as_slice(), "[{label}] bytes corrupted");
+        let after = ep.stats();
+        assert_eq!(
+            after.bytes_copied - before.bytes_copied,
+            LEN as u64,
+            "[{label}]"
+        );
+        assert_eq!(
+            after.fragments_accepted - before.fragments_accepted,
+            gathers,
+            "[{label}] gathers per put"
+        );
+        assert_eq!(
+            after.lut_hits - before.lut_hits,
+            gathers,
+            "[{label}] LUT lookups per put"
+        );
+    };
+
+    for backend in BACKENDS {
+        let Some((_h, ep, t)) = fixture(backend, MTU, cfg()) else {
+            continue;
+        };
+        let gathers = if backend == "inline-lossy" { 16 } else { 1 };
+        check(backend, &ep, gathers, &mut |data| {
+            t.put_bytes_at(SERVER, MAILBOX, 0, data).unwrap();
+            t.flush().unwrap();
+        });
+        if backend != "shm" {
+            assert_eq!(t.staged_bytes(), 0, "[{backend}] zero-copy lane staged");
+        }
+        assert!(t.take_nacks().is_empty(), "[{backend}]");
+    }
+
+    // The threaded initiator's notified entry reports the same geometry,
+    // and an adaptively-routed network changes nothing: there is no
+    // fragment order inside one descriptor to shuffle.
+    for order in [
+        DeliveryOrder::InOrder,
+        DeliveryOrder::OutOfOrder { seed: 7 },
+    ] {
+        let label = format!("threaded/{order:?}");
+        let net = AsyncNetwork::for_endpoint_config(MTU, order, Duration::ZERO, &cfg());
+        let ep = net.add_endpoint(SERVER);
+        let init = net.initiator(CLIENT);
+        check(&label, &ep, 1, &mut |data| {
+            let fut = init.put_bytes_notify_at(SERVER, MAILBOX, 0, data).unwrap();
+            let done = pollster::block_on(fut);
+            assert_eq!(done.fragments, 1, "[{label}] one descriptor per put");
+            assert!(!done.nacked, "[{label}]");
+        });
+        assert_eq!(init.staged_bytes(), 0, "[{label}]");
+        assert!(init.take_nacks().is_empty(), "[{label}]");
+    }
+
+    // At or below the threshold the notified entry is the eager lane and
+    // keeps its per-MTU fragment count.
+    let eager = EndpointConfig {
+        eager_threshold: LEN,
+        ..cfg()
+    };
+    let net =
+        AsyncNetwork::for_endpoint_config(MTU, DeliveryOrder::InOrder, Duration::ZERO, &eager);
+    let ep = net.add_endpoint(SERVER);
+    let win = ep
+        .init_window(MAILBOX, Threshold::bytes(LEN as u64))
+        .unwrap();
+    let mut note = win.post_buffer(vec![0u8; LEN]).unwrap();
+    let init = net.initiator(CLIENT);
+    let fut = init
+        .put_bytes_notify_at(SERVER, MAILBOX, 0, rvma::core::Bytes::from(payload.clone()))
+        .unwrap();
+    assert_eq!(pollster::block_on(fut).fragments, 16);
+    assert_eq!(note.poll().expect("eager epoch").data(), payload.as_slice());
+    assert_eq!(ep.stats().fragments_accepted, 16);
+    assert_eq!(init.staged_bytes(), LEN as u64);
+}
+
+/// The paper's "a duplicate never early-completes epoch N+1" litmus at
+/// whole-put granularity: every rendezvous descriptor is delivered twice
+/// (`dup_p = 1.0`), the dedup window absorbs the second copy, epoch N
+/// completes exactly once and the buffer posted for N+1 stays untouched.
+#[test]
+fn duplicated_rendezvous_descriptor_completes_one_epoch() {
+    const LEN: usize = 1024;
+    let model = FaultModel {
+        dup_p: 1.0,
+        ..FaultModel::NONE
+    };
+    let cfg = EndpointConfig {
+        eager_threshold: 0,
+        ..faulted_cfg(model, 0xD0B1)
+    };
+    let net = AsyncNetwork::for_endpoint_config(64, DeliveryOrder::InOrder, Duration::ZERO, &cfg);
+    let ep = net.add_endpoint(SERVER);
+    let win = ep
+        .init_window(MAILBOX, Threshold::bytes(LEN as u64))
+        .unwrap();
+    let mut first = win.post_buffer(vec![0u8; LEN]).unwrap();
+    let mut next = win.post_buffer(vec![0u8; LEN]).unwrap();
+    let init = net.initiator(CLIENT);
+    let payload = vec![0xA7u8; LEN];
+    let fut = init
+        .put_bytes_notify_at(SERVER, MAILBOX, 0, rvma::core::Bytes::from(payload.clone()))
+        .unwrap();
+    let done = pollster::block_on(fut);
+    assert_eq!((done.fragments, done.nacked), (1, false));
+    net.quiesce();
+
+    assert_eq!(first.poll().expect("epoch N").data(), payload.as_slice());
+    assert_eq!(net.fault_stats().unwrap().duplicated(), 1);
+    let stats = ep.stats();
+    assert_eq!(stats.duplicates_dropped, 1);
+    assert_eq!(stats.fragments_accepted, 1);
+    assert_eq!(stats.bytes_copied, LEN as u64);
+    assert_eq!(stats.epochs_completed, 1);
+    assert_eq!(win.epoch(), 1);
+    assert!(next.poll().is_none(), "duplicate completed epoch N+1");
+    assert_eq!(win.bytes_in_progress(), 0, "duplicate counted into N+1");
+    assert!(init.take_nacks().is_empty());
+}
+
 // ---------------------------------------------------------------------------
 // Epoch-buffer boundary audit (offset/overhang semantics, len > MTU).
 // ---------------------------------------------------------------------------
@@ -779,9 +932,9 @@ fn boundary_out_of_bounds_start_eager() {
 }
 
 /// Overhang on the zero-copy lane: whatever the fragment geometry (MTU
-/// slices in-process, one rendezvous gather over shm), the overhang is
-/// refused with `OutOfBounds` and the put never corrupts bytes past the
-/// buffer end.
+/// slices on inline-lossy, one rendezvous gather on threaded and shm),
+/// the overhang is refused with `OutOfBounds` and the put never corrupts
+/// bytes past the buffer end.
 #[test]
 fn boundary_overhang_zero_copy_refuses() {
     const LEN: usize = 3 * BOUND_MTU;

@@ -8,8 +8,9 @@
 //! entry placed at the list tail (the adversarial-but-common case of a
 //! receiver servicing its oldest posts first).
 
+use rvma_bench::matching::{MatchEntry, MatchList};
 use rvma_bench::{print_table, write_csv};
-use rvma_core::{MatchEntry, MatchList, NodeAddr, RvmaEndpoint, Threshold, VirtAddr};
+use rvma_core::{NodeAddr, RvmaEndpoint, Threshold, VirtAddr};
 use std::time::Instant;
 
 fn lut_lookup_cost(entries: u64, lookups: u64) -> f64 {

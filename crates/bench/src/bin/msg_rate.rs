@@ -1,26 +1,23 @@
-//! Small-message put rate: the batched submission path vs the seed path.
+//! Small-message put rate: doorbell-batched submission vs one put per
+//! ring crossing.
 //!
 //! RVMA's receive side amortizes per-message costs (one LUT lookup, one
 //! counter update — paper Fig. 6); this benchmark measures the matching
-//! initiator-side work. The seed/PR-1 submission path paid, per put: an
-//! endpoint-table `RwLock` read, a fresh payload allocation, a fragment
-//! vector, and one channel send + NACK-sink Arc clone per fragment. The
-//! batched path replaces those with a lock-free route cache, a recycling
-//! payload pool, an inline single-fragment fast path, and doorbell
-//! batching that crosses the channel once per batch.
+//! initiator-side work: a lock-free route cache, a recycling payload
+//! pool, an inline single-fragment fast path, and doorbell batching that
+//! crosses the ring once per batch.
 //!
 //! Setup: 8 sender threads, each streaming small puts (8–256 B, far below
 //! the MTU) to its own mailbox on one server endpoint, zero wire latency —
 //! so the measurement is pure per-message overhead. Each sender paces
 //! itself against its mailbox's lock-free epoch-progress counter to bound
-//! queue depth. Three submission paths share the identical delivery
+//! queue depth. Two submission paths share the identical delivery
 //! fabric:
 //!
-//! * `legacy`  — `put_at_legacy`, the seed/PR-1 path (the A/B baseline);
-//! * `put`     — the reworked `put_at` (route cache + pool + inline path);
+//! * `put`     — `put_at` (route cache + pool + inline path);
 //! * `batch`   — a `PutBatch` with the default doorbell threshold.
 //!
-//! `speedup` is against `legacy` at the same message size and worker
+//! `speedup` is against `put` at the same message size and worker
 //! count. Every (size, workers, path) cell is the **median of several
 //! interleaved trials**: with all sender and worker threads timesharing
 //! whatever cores the container grants, single-shot rates swing wildly
@@ -61,7 +58,6 @@ const SLOTS: usize = 2048;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
-    Legacy,
     Put,
     Batch,
 }
@@ -69,7 +65,6 @@ enum Path {
 impl Path {
     fn name(self) -> &'static str {
         match self {
-            Path::Legacy => "legacy",
             Path::Put => "put",
             Path::Batch => "batch",
         }
@@ -108,7 +103,6 @@ fn run_rate(msg_bytes: usize, puts: u64, workers: usize, path: Path) -> f64 {
                     }
                     let off = (k as usize % SLOTS) * msg_bytes;
                     match path {
-                        Path::Legacy => init.put_at_legacy(dest, vaddr, off, &payload),
                         Path::Put => init.put_at(dest, vaddr, off, &payload),
                         Path::Batch => batch.put_at(dest, vaddr, off, &payload),
                     }
@@ -373,12 +367,12 @@ fn main() {
              median of {trials} trial(s), MTU 1024, zero wire latency\n"
         );
 
-        const PATHS: [Path; 3] = [Path::Legacy, Path::Put, Path::Batch];
+        const PATHS: [Path; 2] = [Path::Put, Path::Batch];
         for &size in sizes {
             for workers in [1usize, 8] {
-                // Interleave: each trial round measures all three paths
+                // Interleave: each trial round measures both paths
                 // back-to-back so slow phases of the box hit them alike.
-                let mut samples: [Vec<f64>; 3] = Default::default();
+                let mut samples: [Vec<f64>; 2] = Default::default();
                 for _ in 0..trials {
                     for (p, &path) in PATHS.iter().enumerate() {
                         samples[p].push(run_rate(size, puts, workers, path));
@@ -400,10 +394,7 @@ fn main() {
             }
         }
         print_table(&headers, &rows);
-        println!(
-            "\nSame delivery fabric in every row; only the submission path differs.\n\
-             legacy = seed/PR-1 path (RwLock + alloc + send per fragment).\n"
-        );
+        println!("\nSame delivery fabric in every row; only the submission path differs.\n");
     }
 
     // ---- async receiver lane: completions/s per receiver thread ----

@@ -10,6 +10,7 @@
 //! [`IdleNode`](rvma_motifs::IdleNode)), and [`factor3`]/[`factor2`] shape
 //! the motif process grids.
 
+pub mod matching;
 pub mod report;
 pub mod sweep;
 

@@ -10,10 +10,10 @@
 //! RVMA deliberately rejects it: a mailbox lookup "always has a
 //! single-lookup response (item found or no item found)". This module
 //! implements the Portals-style engine faithfully enough to quantify that
-//! contrast (see the `lookup_ablation` bench target): [`MatchList`] here
-//! vs. [`Lut`](crate::lut::Lut) there.
+//! contrast (see `--bin ablation_lookup`, its only user): [`MatchList`] here
+//! vs. [`Lut`](rvma_core::lut::Lut) there.
 
-use crate::addr::NodeAddr;
+use rvma_core::NodeAddr;
 use std::collections::VecDeque;
 
 /// Wildcard source: match any initiator.

@@ -44,12 +44,45 @@ pub struct Fragment {
     pub data: Bytes,
 }
 
+/// The one MTU cut: the `(start, end)` byte ranges a `len`-byte put
+/// occupies on a wire carrying `mtu` payload bytes per fragment. A
+/// zero-byte put is one empty range — it still counts as one operation at
+/// the target (op-counted synchronization puts).
+pub(crate) fn mtu_ranges(len: usize, mtu: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
+    (0..len.max(1))
+        .step_by(mtu)
+        .map(move |start| (start, (start + mtu).min(len)))
+}
+
 impl Fragment {
     fn op_key(&self) -> OpKey {
         OpKey {
             op_id: self.op_id,
             initiator: ((self.initiator.nid as u64) << 32) | self.initiator.pid as u64,
         }
+    }
+
+    /// Cut one put into its wire fragments: one per [`mtu_ranges`] range,
+    /// each a zero-copy slice of `payload` placed at `offset + start`.
+    pub(crate) fn split(
+        initiator: NodeAddr,
+        op_id: u64,
+        dst_vaddr: VirtAddr,
+        offset: usize,
+        payload: &Bytes,
+        mtu: usize,
+    ) -> Vec<Fragment> {
+        let op_total_len = payload.len() as u64;
+        mtu_ranges(payload.len(), mtu)
+            .map(|(start, end)| Fragment {
+                initiator,
+                op_id,
+                dst_vaddr,
+                op_total_len,
+                offset: offset + start,
+                data: payload.slice(start..end),
+            })
+            .collect()
     }
 }
 
@@ -105,10 +138,6 @@ pub struct EndpointConfig {
     /// parks immediately — the wake-per-message behaviour of the old
     /// unbounded-channel datapath, kept reachable for A/B runs.
     pub wire_idle_yields: u32,
-    /// Build notification slots in pre-rework baseline mode (payload under
-    /// the mutex, unconditional broadcast on complete) — the completion
-    /// half of the `put_latency --baseline` configuration.
-    pub notify_baseline: bool,
     /// Enable op-level telemetry ([`crate::telemetry`]): every datapath
     /// layer stamps put-lifecycle events into a shared lock-free
     /// recorder, drained via `Telemetry::snapshot`. Off by default; the
@@ -164,7 +193,6 @@ impl Default for EndpointConfig {
             wire_queue_cap: DEFAULT_WIRE_QUEUE_CAP,
             wire_idle_spins: DEFAULT_WIRE_IDLE_SPINS,
             wire_idle_yields: DEFAULT_WIRE_IDLE_YIELDS,
-            notify_baseline: false,
             telemetry: false,
             shm_req_slots: DEFAULT_SHM_REQ_SLOTS,
             shm_rsp_slots: DEFAULT_SHM_RSP_SLOTS,
@@ -785,6 +813,42 @@ mod tests {
             op_total_len: total,
             offset: off,
             data: Bytes::from(data),
+        }
+    }
+
+    #[test]
+    fn split_cuts_at_the_mtu_and_keeps_an_empty_put_as_one_fragment() {
+        const MTU: usize = 64;
+        const BASE: usize = 40;
+        for (len, want) in [
+            (0, 1),
+            (1, 1),
+            (MTU - 1, 1),
+            (MTU, 1),
+            (MTU + 1, 2),
+            (3 * MTU, 3),
+        ] {
+            let payload = Bytes::from((0..len).map(|i| i as u8).collect::<Vec<u8>>());
+            let frags =
+                Fragment::split(NodeAddr::node(9), 7, VirtAddr::new(5), BASE, &payload, MTU);
+            assert_eq!(frags.len(), want, "len={len}");
+            assert_eq!(mtu_ranges(len, MTU).len(), want, "len={len}");
+            let whole = payload.as_ptr_range();
+            let mut next = 0;
+            for f in &frags {
+                assert_eq!(f.offset, BASE + next, "contiguous, no overlap (len={len})");
+                assert_eq!(f.op_total_len, len as u64);
+                assert!(f.data.len() <= MTU);
+                assert_eq!(&f.data[..], &payload[next..next + f.data.len()]);
+                // Above the `Bytes` inline cutoff a fragment must alias the
+                // input allocation: the split is zero-copy.
+                if len > MTU {
+                    let part = f.data.as_ptr_range();
+                    assert!(whole.start <= part.start && part.end <= whole.end);
+                }
+                next += f.data.len();
+            }
+            assert_eq!(next, len, "fragments cover the payload (len={len})");
         }
     }
 

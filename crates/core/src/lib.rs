@@ -62,7 +62,6 @@ pub mod endpoint;
 pub mod error;
 pub mod lut;
 pub mod mailbox;
-pub mod matching;
 pub mod mpix;
 pub mod notify;
 pub mod pool;
@@ -88,7 +87,6 @@ pub use endpoint::{
 pub use error::{NackReason, Result, RvmaError};
 pub use lut::LUT_SHARDS;
 pub use mailbox::{EpochProgress, Mailbox, MailboxMode, DEFAULT_RETAIN_EPOCHS};
-pub use matching::{MatchEntry, MatchList, MatchStats, ANY_SOURCE};
 pub use mpix::MpixWindow;
 pub use notify::{
     wait_all, wait_any, wait_any_timeout, AsyncNotifyStats, Notification, NotificationSlot,

@@ -9,10 +9,11 @@
 //! layer, rendered in software, in three pieces:
 //!
 //! * [`FaultModel`] / [`FaultInjector`] — a seeded, per-fragment fault
-//!   source (drop, duplicate, reorder, delay, endpoint crash) shared by
-//!   [`LossyNetwork`] and the fault-injected
-//!   [`AsyncNetwork`](crate::transport_threaded::AsyncNetwork) datapath,
-//!   with common counters in [`FaultStats`].
+//!   source (drop, duplicate, reorder, delay, endpoint crash) with common
+//!   counters in [`FaultStats`], shared by [`LossyNetwork`] (which exposes
+//!   the loss to its initiator) and by the link layer of the threaded and
+//!   shared-memory wire workers (which hides it — see
+//!   [the link discipline](#the-link-discipline)).
 //! * [`DedupWindow`] — the receiver-side half: a bounded memory of
 //!   `(initiator, op_id, offset)` triples already accepted by a mailbox.
 //!   A fragment's offset within its operation *is* its sequence number
@@ -29,6 +30,37 @@
 //!   retransmission inevitably creates, which is why
 //!   [`LossyNetwork::reliable_initiator`] requires it to be enabled.
 //!
+//! # The link discipline
+//!
+//! [`AsyncNetwork`](crate::transport_threaded::AsyncNetwork) and
+//! [`ShmServer`](crate::transport_shm::ShmServer) built with a non-trivial
+//! [`EndpointConfig::fault_model`](crate::endpoint::EndpointConfig) put one
+//! crate-private gate (`LinkFaults`) between each wire worker's queue and
+//! the endpoint. A backend only moves frames and reports their
+//! disposition; what the link does to a frame is decided here, once:
+//!
+//! * **zero-length units bypass the dice** — no payload a fabric could
+//!   corrupt;
+//! * **the attempt that reaches
+//!   [`retry_budget`](crate::endpoint::EndpointConfig) delivers
+//!   fault-free**, as does every unit drained at teardown — bounded
+//!   retransmission, no hang (a real NIC would declare the link dead; the
+//!   crash fault models that path);
+//! * **drop / defer = retransmit**: the unit is re-enqueued behind its
+//!   queue's younger traffic at `attempt + 1` (which is also how reorder
+//!   and delay manifest), and counted pending from *before* the re-enqueue
+//!   until the retried copy has been fully processed, so a flush barrier
+//!   polling the count never sees a transient zero;
+//! * **duplicate = two deliveries, one disposition** — one `WireDeliver`
+//!   event, one latency charge, one ack; the receiver's dedup window
+//!   absorbs the copy;
+//! * **crash = detach the destination**, so the crashing unit's retries
+//!   and all later traffic NACK `NoSuchMailbox` instead of hanging.
+//!
+//! The unit is whatever crosses the wire as one message: an MTU fragment,
+//! or a whole rendezvous descriptor. DESIGN.md §5 names the test that pins
+//! each rule.
+//!
 //! The recovery half for the *application* — rotating a partially-filled
 //! epoch after a timeout instead of wedging — lives in
 //! [`Window::recover_timeout`](crate::window::Window::recover_timeout) and
@@ -41,10 +73,10 @@
 //! [`RvmaError::RetryExhausted`]: crate::error::RvmaError::RetryExhausted
 
 use crate::addr::{NodeAddr, VirtAddr};
-use crate::endpoint::{DeliverResult, Fragment};
-use crate::error::{Result, RvmaError};
+use crate::endpoint::{mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
+use crate::error::{NackReason, Result, RvmaError};
 use crate::mailbox::OpKey;
-use crate::telemetry::{self, EventKind};
+use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport_lossy::{LossyNetwork, TransmitOutcome};
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -275,6 +307,142 @@ impl FaultInjector {
         }
         decision
     }
+}
+
+/// What [`LinkFaults::admit`] decided for one wire unit.
+pub(crate) enum Admit {
+    /// Dropped or deferred on the link: the caller re-enqueues the unit at
+    /// `attempt + 1` behind its queued traffic (which is also how reorder
+    /// and delay manifest) and then [`retire`](LinkFaults::retire)s the
+    /// attempt it just processed. Not a final disposition.
+    Retransmit,
+    /// Deliver now, `copies` times (2 = duplication fault). However many
+    /// copies, this is one unit with one final disposition.
+    Deliver { copies: u32 },
+}
+
+/// The link-level reliability layer under the threaded and shm wire
+/// workers — the module docs' link discipline, as code. Present only when
+/// the endpoint config carries a non-trivial [`FaultModel`].
+pub(crate) struct LinkFaults {
+    model: FaultModel,
+    budget: u32,
+    seed: u64,
+    stats: Arc<FaultStats>,
+    pending_retries: AtomicU64,
+    telemetry: Option<Arc<Telemetry>>,
+}
+
+impl LinkFaults {
+    pub(crate) fn from_config(
+        config: &EndpointConfig,
+        telemetry: &Option<Arc<Telemetry>>,
+    ) -> Option<LinkFaults> {
+        (!config.fault_model.is_none()).then(|| LinkFaults {
+            model: config.fault_model,
+            budget: config.retry_budget.max(1),
+            seed: config.fault_seed,
+            stats: Arc::new(FaultStats::default()),
+            pending_retries: AtomicU64::new(0),
+            telemetry: telemetry.clone(),
+        })
+    }
+
+    /// The network-wide fault counters every worker's injector shares.
+    pub(crate) fn stats(&self) -> Arc<FaultStats> {
+        self.stats.clone()
+    }
+
+    /// Retransmissions enqueued but not yet fully processed.
+    pub(crate) fn pending_retries(&self) -> u64 {
+        self.pending_retries.load(Ordering::Acquire)
+    }
+
+    /// Worker `idx`'s own seeded dice. The counters are shared, so
+    /// `crash_after_frags` keys off the network-wide transmit sequence.
+    pub(crate) fn injector(&self, idx: usize) -> FaultInjector {
+        let seed = self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        FaultInjector::new(self.model, seed, self.stats.clone())
+    }
+
+    /// Decide the fate of one wire unit of `len` payload bytes on its
+    /// `attempt`-th retransmission (`frag` names it for telemetry).
+    #[inline]
+    pub(crate) fn admit(
+        &self,
+        injector: &mut FaultInjector,
+        frag: &Fragment,
+        len: usize,
+        attempt: u32,
+        drain: bool,
+        on_crash: impl FnOnce(),
+    ) -> Admit {
+        if drain || len == 0 || attempt >= self.budget {
+            return Admit::Deliver { copies: 1 };
+        }
+        let d = injector.roll();
+        if d.crash {
+            on_crash();
+        }
+        if d.drop || d.defer_spans > 0 {
+            self.pending_retries.fetch_add(1, Ordering::AcqRel);
+            telemetry::record(
+                &self.telemetry,
+                EventKind::Retransmit,
+                telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
+                frag.op_id,
+                (attempt + 1) as u64,
+            );
+            return Admit::Retransmit;
+        }
+        Admit::Deliver {
+            copies: 1 + d.duplicate as u32,
+        }
+    }
+
+    /// The unit's `attempt`-th transmission has been fully processed
+    /// (delivered, NACKed, or re-enqueued at `attempt + 1`): a retried copy
+    /// releases its slot in the pending-retry count.
+    #[inline]
+    pub(crate) fn retire(&self, attempt: u32) {
+        if attempt > 0 {
+            self.pending_retries.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+}
+
+/// Final disposition of one admitted wire unit: one `WireDeliver` event
+/// however many copies the link made, a destination lookup miss is a
+/// `NoSuchMailbox` refusal, and every refusal goes to the caller's sink.
+/// Returns whether any copy was refused.
+#[inline]
+pub(crate) fn deliver_copies(
+    telemetry: &Option<Arc<Telemetry>>,
+    frag: &Fragment,
+    endpoint: Option<&RvmaEndpoint>,
+    copies: u32,
+    mut deliver: impl FnMut(&RvmaEndpoint) -> DeliverResult,
+    mut on_nack: impl FnMut(NackReason),
+) -> bool {
+    telemetry::record(
+        telemetry,
+        EventKind::WireDeliver,
+        telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
+        frag.op_id,
+        frag.offset as u64,
+    );
+    let Some(ep) = endpoint else {
+        on_nack(NackReason::NoSuchMailbox);
+        return true;
+    };
+    let mut nacked = false;
+    for _ in 0..copies {
+        if let DeliverResult::Nack(reason) = deliver(ep) {
+            on_nack(reason);
+            nacked = true;
+        }
+    }
+    nacked
 }
 
 /// Receiver-side duplicate suppression for one mailbox: a bounded memory
@@ -525,16 +693,7 @@ impl ReliableInitiator {
             payload.len() as u64,
         );
         let total = payload.len() as u64;
-        let mtu = self.net.mtu();
-        // A zero-byte put is a single empty fragment (one counted op).
-        let ranges: Vec<(usize, usize)> = if payload.is_empty() {
-            vec![(0, 0)]
-        } else {
-            (0..payload.len())
-                .step_by(mtu)
-                .map(|s| (s, (s + mtu).min(payload.len())))
-                .collect()
-        };
+        let ranges: Vec<(usize, usize)> = mtu_ranges(payload.len(), self.net.mtu()).collect();
         let mut acked = vec![false; ranges.len()];
         let mut transmissions = 0u64;
         let mut rounds = 0u32;

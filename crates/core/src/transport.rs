@@ -124,6 +124,15 @@ pub trait Transport: Send + Sync {
 
     /// Block until every previously submitted fragment reached its final
     /// disposition at the target (the quiesce/drain barrier).
+    ///
+    /// A backend that is gone cannot run the barrier, and says so instead
+    /// of waiting for acks nobody will send: the threaded backend returns
+    /// [`RvmaError::UnknownDestination`] once its `AsyncNetwork` has been
+    /// dropped (the same error a put into its closed rings gets); the shm
+    /// backend returns [`RvmaError::TransportFailed`] when the server
+    /// process is dead or dies before acking the marker; the inline
+    /// backend keeps its network alive through the channel itself, has no
+    /// peer to lose, and always returns `Ok`.
     fn flush(&self) -> Result<()>;
 
     /// Drain the asynchronously collected NACKs observed so far.
@@ -239,37 +248,7 @@ impl Initiator {
             .ok_or(RvmaError::UnknownDestination)?;
         let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
         let payload = Bytes::copy_from_slice(data);
-        let total = payload.len() as u64;
-
-        // Fragment at the MTU (zero-copy slices of the payload).
-        let mtu = self.net.mtu;
-        let mut frags: Vec<Fragment> = if payload.is_empty() {
-            // A zero-byte put is a single empty fragment: it still counts as
-            // one operation at the target (op-counted synchronization puts).
-            vec![Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: 0,
-                offset,
-                data: payload.clone(),
-            }]
-        } else {
-            (0..payload.len())
-                .step_by(mtu)
-                .map(|start| {
-                    let end = (start + mtu).min(payload.len());
-                    Fragment {
-                        initiator: self.src,
-                        op_id,
-                        dst_vaddr: vaddr,
-                        op_total_len: total,
-                        offset: offset + start,
-                        data: payload.slice(start..end),
-                    }
-                })
-                .collect()
-        };
+        let mut frags = Fragment::split(self.src, op_id, vaddr, offset, &payload, self.net.mtu);
 
         if let DeliveryOrder::OutOfOrder { .. } = self.net.order {
             frags.shuffle(&mut *self.net.rng.lock());

@@ -460,27 +460,8 @@ impl LossyInitiator {
         }
         let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
         let payload = Bytes::copy_from_slice(data);
-        let total = payload.len() as u64;
-        let mtu = self.net.mtu;
-        // A zero-byte put is one empty fragment (one countable op).
-        let ranges: Vec<(usize, usize)> = if payload.is_empty() {
-            vec![(0, 0)]
-        } else {
-            (0..payload.len())
-                .step_by(mtu)
-                .map(|s| (s, (s + mtu).min(payload.len())))
-                .collect()
-        };
         let mut delivered = 0u64;
-        for (s, e) in ranges {
-            let frag = Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: total,
-                offset: offset + s,
-                data: payload.slice(s..e),
-            };
+        for frag in Fragment::split(self.src, op_id, vaddr, offset, &payload, self.net.mtu) {
             match self.net.transmit(dest, frag) {
                 TransmitOutcome::Delivered(first, second) => {
                     for r in std::iter::once(first).chain(second) {

@@ -14,8 +14,9 @@
 //!
 //! Layering is the point: the server-side worker runs the *same*
 //! receiver datapath as the in-process transports — [`RvmaEndpoint`]
-//! delivery, dedup windows ([`crate::retry`]), seeded fault injection with
-//! link-level retransmission, op-level telemetry — and the client resolves
+//! delivery, dedup windows ([`crate::retry`]), seeded fault injection under
+//! the same [link discipline](crate::retry#the-link-discipline) as the
+//! threaded workers, op-level telemetry — and the client resolves
 //! the *same* [`PutFuture`] the threaded transport hands out, fed by acks
 //! crossing the segment instead of an in-process countdown. Nothing above
 //! the wire knows the peer is in another address space.
@@ -45,11 +46,11 @@
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::endpoint::{
-    DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
+    mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
     DEFAULT_WIRE_IDLE_YIELDS,
 };
 use crate::error::{NackReason, Result, RvmaError};
-use crate::retry::{FaultInjector, FaultStats};
+use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::Transport;
@@ -411,29 +412,22 @@ impl RawRing {
 // ---------------------------------------------------------------------------
 
 enum ServerMsg {
-    Frag {
+    /// One wire unit: an eager fragment, or a rendezvous RTS descriptor.
+    Put {
         dest: NodeAddr,
+        /// The unit's header and — on the eager lane — its payload, copied
+        /// out of the request slot. An RTS carries no payload here.
         frag: Fragment,
+        /// Rendezvous RTS: gather `frag.op_total_len` bytes straight out
+        /// of the bulk region at this offset (relative to the region base)
+        /// into the posted buffer — no slot copy, no `Bytes` allocation.
+        /// The client keeps the extent reserved until the `RSP_PUT_DONE`
+        /// ack, so a deferred (fault-injected) retry of this message reads
+        /// bytes that are still valid.
+        extent: Option<usize>,
         token: u32,
         /// Fault-layer attempts burned (0 = fresh off the wire). Only
         /// server-local retries raise it; it never crosses the segment.
-        attempt: u32,
-    },
-    /// Rendezvous RTS: gather `total_len` bytes straight out of the bulk
-    /// region at `ext_off` into the posted buffer — no slot copy, no
-    /// `Bytes` allocation. The client keeps the extent reserved until the
-    /// `RSP_PUT_DONE` ack, so a deferred (fault-injected) retry of this
-    /// message reads bytes that are still valid.
-    Bulk {
-        dest: NodeAddr,
-        initiator: NodeAddr,
-        op_id: u64,
-        vaddr: VirtAddr,
-        total_len: u64,
-        offset: usize,
-        /// Extent offset relative to the bulk region base.
-        ext_off: usize,
-        token: u32,
         attempt: u32,
     },
     Flush(u32),
@@ -461,25 +455,15 @@ fn rsp_hdr(seg: &ShmSegment, slot_off: usize) -> &RspHdr {
 // Server (receiver process)
 // ---------------------------------------------------------------------------
 
-/// Fault-injection state of a [`ShmServer`] (mirrors the threaded
-/// transport's plan; the injector itself lives on the worker thread).
-struct ShmFaultPlan {
-    model: crate::retry::FaultModel,
-    budget: u32,
-    seed: u64,
-    stats: Arc<FaultStats>,
-    /// Retransmissions parked in the worker's deferred queue. The flush
-    /// protocol re-defers its ack behind them while this is nonzero —
-    /// the shm half of the quiesce drain barrier.
-    pending_retries: AtomicU64,
-}
-
 struct ServerInner {
     seg: Arc<ShmSegment>,
     geo: SegGeometry,
     config: EndpointConfig,
     endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
-    fault: Option<ShmFaultPlan>,
+    /// The link-level reliability layer. The flush protocol re-defers its
+    /// ack while retransmissions are pending — the shm half of the quiesce
+    /// drain barrier.
+    fault: Option<LinkFaults>,
     telemetry: Option<Arc<Telemetry>>,
     stop: AtomicBool,
     delivered: AtomicU64,
@@ -490,6 +474,23 @@ struct ServerInner {
 }
 
 impl ServerInner {
+    /// The `len` bytes of the bulk region at `ext_off`, or `None` unless the
+    /// extent sits wholly inside the region — checked before the worker
+    /// dereferences anything a peer wrote into a descriptor.
+    fn bulk_extent(&self, ext_off: usize, len: usize) -> Option<&[u8]> {
+        let end = ext_off.checked_add(len)?;
+        if self.geo.bulk_bytes == 0 || end > self.geo.bulk_bytes {
+            return None;
+        }
+        // SAFETY: bounds validated against the bulk region above; the
+        // client keeps the extent reserved (and unwritten) until it sees
+        // our ack.
+        Some(unsafe {
+            let p = self.seg.as_ptr().add(self.geo.bulk_base + ext_off);
+            std::slice::from_raw_parts(p, len)
+        })
+    }
+
     fn req_ring(&self) -> RawRing {
         RawRing {
             seg: self.seg.clone(),
@@ -541,13 +542,7 @@ impl ShmServer {
         let seg = Arc::new(ShmSegment::create(path, geo.total)?);
 
         let telemetry = config.telemetry.then(|| Arc::new(Telemetry::new()));
-        let fault = (!config.fault_model.is_none()).then(|| ShmFaultPlan {
-            model: config.fault_model,
-            budget: config.retry_budget.max(1),
-            seed: config.fault_seed,
-            stats: Arc::new(FaultStats::default()),
-            pending_retries: AtomicU64::new(0),
-        });
+        let fault = LinkFaults::from_config(&config, &telemetry);
         let inner = Arc::new(ServerInner {
             seg: seg.clone(),
             geo,
@@ -641,7 +636,7 @@ impl ShmServer {
 
     /// Network-wide fault counters, when fault injection is active.
     pub fn fault_stats(&self) -> Option<Arc<FaultStats>> {
-        self.inner.fault.as_ref().map(|p| p.stats.clone())
+        self.inner.fault.as_ref().map(LinkFaults::stats)
     }
 
     /// Link-level retransmissions currently parked in the worker's
@@ -650,8 +645,7 @@ impl ShmServer {
         self.inner
             .fault
             .as_ref()
-            .map(|p| p.pending_retries.load(Ordering::Acquire))
-            .unwrap_or(0)
+            .map_or(0, LinkFaults::pending_retries)
     }
 
     /// Fragments delivered to endpoints so far.
@@ -696,20 +690,17 @@ fn shm_worker(inner: Arc<ServerInner>) {
     let req = inner.req_ring();
     let rsp = inner.rsp_ring();
     let hdr = header(&inner.seg);
-    let mut injector = inner
-        .fault
-        .as_ref()
-        .map(|p| FaultInjector::new(p.model, p.seed, p.stats.clone()));
+    let mut link = inner.fault.as_ref().map(|f| (f, f.injector(0)));
     let mut deferred: VecDeque<ServerMsg> = VecDeque::new();
     let idle_spins = inner.config.wire_idle_spins;
     let idle_yields = inner.config.wire_idle_yields;
     loop {
         if let Some(msg) = pop_req(&inner, &req) {
-            process_msg(&inner, &rsp, &mut injector, &mut deferred, msg, false);
+            process_msg(&inner, &rsp, &mut link, &mut deferred, msg, false);
             continue;
         }
         if let Some(msg) = deferred.pop_front() {
-            process_msg(&inner, &rsp, &mut injector, &mut deferred, msg, false);
+            process_msg(&inner, &rsp, &mut link, &mut deferred, msg, false);
             continue;
         }
         if inner.stop.load(Ordering::Acquire) {
@@ -743,7 +734,7 @@ fn shm_worker(inner: Arc<ServerInner>) {
                 None => break,
             },
         };
-        process_msg(&inner, &rsp, &mut injector, &mut deferred, msg, true);
+        process_msg(&inner, &rsp, &mut link, &mut deferred, msg, true);
     }
 }
 
@@ -775,41 +766,23 @@ fn pop_req(inner: &ServerInner, req: &RawRing) -> Option<ServerMsg> {
     let kind = h.kind.load(Ordering::Relaxed);
     let msg = if kind == REQ_FLUSH {
         ServerMsg::Flush(h.token.load(Ordering::Relaxed))
-    } else if kind == REQ_BULK {
-        // SAFETY: the producer wrote the 8-byte extent offset into the
-        // slot's payload region before the release-publish we acquired.
-        let ext_off = unsafe {
-            let p = inner.seg.as_ptr().add(off + 8 + REQ_HDR_SIZE);
-            std::ptr::read_unaligned(p as *const u64)
-        } as usize;
-        ServerMsg::Bulk {
-            dest: NodeAddr::new(
-                h.dest_nid.load(Ordering::Relaxed),
-                h.dest_pid.load(Ordering::Relaxed),
-            ),
-            initiator: NodeAddr::new(
-                h.init_nid.load(Ordering::Relaxed),
-                h.init_pid.load(Ordering::Relaxed),
-            ),
-            op_id: h.op_id.load(Ordering::Relaxed),
-            vaddr: VirtAddr::new(h.vaddr.load(Ordering::Relaxed)),
-            total_len: h.total_len.load(Ordering::Relaxed),
-            offset: h.offset.load(Ordering::Relaxed) as usize,
-            ext_off,
-            token: h.token.load(Ordering::Relaxed),
-            attempt: 0,
-        }
     } else {
-        let len = h.len.load(Ordering::Relaxed) as usize;
-        let len = len.min(inner.geo.mtu);
-        // SAFETY: payload region of a published slot; the producer wrote
-        // `len <= mtu` bytes there before the release-publish we acquired.
-        let data = unsafe {
-            let p = inner.seg.as_ptr().add(off + 8 + REQ_HDR_SIZE);
-            std::slice::from_raw_parts(p, len)
+        // SAFETY: in-bounds payload region of the published slot.
+        let payload = unsafe { inner.seg.as_ptr().add(off + 8 + REQ_HDR_SIZE) };
+        let (data, extent) = if kind == REQ_BULK {
+            // SAFETY: the producer wrote the 8-byte extent offset there
+            // before the release-publish we acquired.
+            let ext_off = unsafe { std::ptr::read_unaligned(payload as *const u64) };
+            (Bytes::new(), Some(ext_off as usize))
+        } else {
+            let len = (h.len.load(Ordering::Relaxed) as usize).min(inner.geo.mtu);
+            // SAFETY: the producer wrote `len <= mtu` bytes there before
+            // the release-publish we acquired.
+            let data = unsafe { std::slice::from_raw_parts(payload, len) };
+            inner.wire_copied.fetch_add(len as u64, Ordering::Relaxed);
+            (Bytes::copy_from_slice(data), None)
         };
-        inner.wire_copied.fetch_add(len as u64, Ordering::Relaxed);
-        ServerMsg::Frag {
+        ServerMsg::Put {
             dest: NodeAddr::new(
                 h.dest_nid.load(Ordering::Relaxed),
                 h.dest_pid.load(Ordering::Relaxed),
@@ -823,8 +796,9 @@ fn pop_req(inner: &ServerInner, req: &RawRing) -> Option<ServerMsg> {
                 dst_vaddr: VirtAddr::new(h.vaddr.load(Ordering::Relaxed)),
                 op_total_len: h.total_len.load(Ordering::Relaxed),
                 offset: h.offset.load(Ordering::Relaxed) as usize,
-                data: Bytes::copy_from_slice(data),
+                data,
             },
+            extent,
             token: h.token.load(Ordering::Relaxed),
             attempt: 0,
         }
@@ -836,301 +810,119 @@ fn pop_req(inner: &ServerInner, req: &RawRing) -> Option<ServerMsg> {
 fn process_msg(
     inner: &ServerInner,
     rsp: &RawRing,
-    injector: &mut Option<FaultInjector>,
+    link: &mut Option<(&LinkFaults, FaultInjector)>,
     deferred: &mut VecDeque<ServerMsg>,
     msg: ServerMsg,
     drain: bool,
 ) {
+    let respond = |kind, token, reason, nacked: bool, vaddr: VirtAddr| {
+        let msg = RspMsg {
+            kind,
+            token,
+            reason,
+            nacked: nacked as u32,
+            vaddr: vaddr.0,
+        };
+        push_rsp(inner, rsp, &msg);
+    };
     match msg {
         ServerMsg::Flush(token) => {
-            if !drain {
-                if let Some(plan) = &inner.fault {
-                    if plan.pending_retries.load(Ordering::Acquire) > 0 {
-                        // Fragments are parked in the deferred queue: the
-                        // drain barrier is not satisfied. Re-defer the
-                        // marker *behind* them (satellite of quiesce
-                        // correctness — the ack must account for the shm
-                        // ring/doorbell path's parked fragments the same
-                        // way the threaded barrier accounts for fault
-                        // re-enqueues).
-                        deferred.push_back(ServerMsg::Flush(token));
-                        return;
-                    }
-                }
+            if !drain
+                && inner
+                    .fault
+                    .as_ref()
+                    .is_some_and(|f| f.pending_retries() > 0)
+            {
+                // Fragments are parked in the deferred queue: the drain
+                // barrier is not satisfied. Re-defer the marker *behind*
+                // them — the ack must account for the shm ring/doorbell
+                // path's parked fragments the same way the threaded barrier
+                // accounts for fault re-enqueues.
+                deferred.push_back(ServerMsg::Flush(token));
+                return;
             }
-            push_rsp(
-                inner,
-                rsp,
-                &RspMsg {
-                    kind: RSP_FLUSH_ACK,
-                    token,
-                    reason: 0,
-                    nacked: 0,
-                    vaddr: 0,
-                },
-            );
+            respond(RSP_FLUSH_ACK, token, 0, false, VirtAddr(0));
         }
-        ServerMsg::Frag {
+        ServerMsg::Put {
             dest,
             frag,
+            extent,
             token,
             attempt,
         } => {
-            let mut copies = 1u32;
-            if !drain {
-                if let (Some(inj), Some(plan)) = (injector.as_mut(), inner.fault.as_ref()) {
-                    // Same dice discipline as the threaded worker:
-                    // zero-length fragments bypass the dice, and the
-                    // attempt that reaches the budget delivers fault-free.
-                    if !frag.data.is_empty() && attempt < plan.budget {
-                        let d = inj.roll();
-                        if d.crash {
-                            inner.endpoints.write().remove(&dest);
-                        }
-                        if d.drop || d.defer_spans > 0 {
-                            plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                            telemetry::record(
-                                &inner.telemetry,
-                                EventKind::Retransmit,
-                                telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-                                frag.op_id,
-                                (attempt + 1) as u64,
-                            );
-                            deferred.push_back(ServerMsg::Frag {
+            // An RTS descriptor's payload is its whole extent, and it goes
+            // through the link as one unit exactly like a put fragment.
+            let len = match extent {
+                Some(_) => frag.op_total_len as usize,
+                None => frag.data.len(),
+            };
+            let copies = match link {
+                None => 1,
+                Some((faults, injector)) => {
+                    let on_crash = || {
+                        inner.endpoints.write().remove(&dest);
+                    };
+                    match faults.admit(injector, &frag, len, attempt, drain, on_crash) {
+                        Admit::Deliver { copies } => copies,
+                        Admit::Retransmit => {
+                            // The server cannot produce into the client's
+                            // request ring: a retransmission parks in the
+                            // deferred list, which runs when the ring is dry.
+                            deferred.push_back(ServerMsg::Put {
                                 dest,
                                 frag,
+                                extent,
                                 token,
                                 attempt: attempt + 1,
                             });
-                            if attempt > 0 {
-                                plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                            }
+                            faults.retire(attempt);
                             return;
                         }
-                        if d.duplicate {
-                            copies = 2;
-                        }
                     }
                 }
-            }
-            telemetry::record(
+            };
+            let ep = inner.endpoints.read().get(&dest).cloned();
+            let nacked = deliver_copies(
                 &inner.telemetry,
-                EventKind::WireDeliver,
-                telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-                frag.op_id,
-                frag.offset as u64,
-            );
-            let mut nacked = false;
-            match inner.endpoints.read().get(&dest).cloned() {
-                Some(ep) => {
-                    for _ in 0..copies {
-                        if let DeliverResult::Nack(r) = ep.deliver(&frag) {
-                            push_rsp(
-                                inner,
-                                rsp,
-                                &RspMsg {
-                                    kind: RSP_NACK,
-                                    token: 0,
-                                    reason: encode_nack(r),
-                                    nacked: 1,
-                                    vaddr: frag.dst_vaddr.0,
-                                },
-                            );
-                            nacked = true;
-                        }
-                    }
-                }
-                None => {
-                    push_rsp(
-                        inner,
-                        rsp,
-                        &RspMsg {
-                            kind: RSP_NACK,
-                            token: 0,
-                            reason: encode_nack(NackReason::NoSuchMailbox),
-                            nacked: 1,
-                            vaddr: frag.dst_vaddr.0,
-                        },
-                    );
-                    nacked = true;
-                }
-            }
-            inner.delivered.fetch_add(1, Ordering::Relaxed);
-            if token != 0 {
-                push_rsp(
-                    inner,
-                    rsp,
-                    &RspMsg {
-                        kind: RSP_PUT_DONE,
-                        token,
-                        reason: 0,
-                        nacked: nacked as u32,
-                        vaddr: frag.dst_vaddr.0,
+                &frag,
+                ep.as_deref(),
+                copies,
+                |ep| match extent {
+                    None => ep.deliver(&frag),
+                    // A corrupt or hostile descriptor NACKs instead of
+                    // faulting the server process.
+                    Some(ext_off) => match inner.bulk_extent(ext_off, len) {
+                        Some(data) => ep.deliver_slice(
+                            frag.initiator,
+                            frag.op_id,
+                            frag.dst_vaddr,
+                            frag.op_total_len,
+                            frag.offset,
+                            data,
+                        ),
+                        None => DeliverResult::Nack(NackReason::OutOfBounds),
                     },
-                );
-            }
-            if attempt > 0 {
-                if let Some(plan) = &inner.fault {
-                    plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-        }
-        ServerMsg::Bulk {
-            dest,
-            initiator,
-            op_id,
-            vaddr,
-            total_len,
-            offset,
-            ext_off,
-            token,
-            attempt,
-        } => {
-            let len = total_len as usize;
-            let mut copies = 1u32;
-            if !drain {
-                if let (Some(inj), Some(plan)) = (injector.as_mut(), inner.fault.as_ref()) {
-                    // The RTS descriptor rolls the same dice as a put
-                    // fragment. A deferred copy stays valid because the
-                    // client holds the extent reserved until our ack; a
-                    // duplicated copy delivers twice and the dedup window
-                    // suppresses the second — exactly one ack either way.
-                    if len > 0 && attempt < plan.budget {
-                        let d = inj.roll();
-                        if d.crash {
-                            inner.endpoints.write().remove(&dest);
-                        }
-                        if d.drop || d.defer_spans > 0 {
-                            plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                            telemetry::record(
-                                &inner.telemetry,
-                                EventKind::Retransmit,
-                                telemetry::initiator_key(initiator.nid, initiator.pid),
-                                op_id,
-                                (attempt + 1) as u64,
-                            );
-                            deferred.push_back(ServerMsg::Bulk {
-                                dest,
-                                initiator,
-                                op_id,
-                                vaddr,
-                                total_len,
-                                offset,
-                                ext_off,
-                                token,
-                                attempt: attempt + 1,
-                            });
-                            if attempt > 0 {
-                                plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            return;
-                        }
-                        if d.duplicate {
-                            copies = 2;
-                        }
-                    }
-                }
-            }
-            let src_key = telemetry::initiator_key(initiator.nid, initiator.pid);
-            telemetry::record(
-                &inner.telemetry,
-                EventKind::WireDeliver,
-                src_key,
-                op_id,
-                offset as u64,
-            );
-            let mut nacked = false;
-            // The extent must sit wholly inside the bulk region before the
-            // worker dereferences it — a corrupt or hostile descriptor
-            // NACKs instead of faulting the server process.
-            let in_bounds = inner.geo.bulk_bytes > 0
-                && ext_off
-                    .checked_add(len)
-                    .is_some_and(|end| end <= inner.geo.bulk_bytes);
-            if !in_bounds {
-                push_rsp(
-                    inner,
-                    rsp,
-                    &RspMsg {
-                        kind: RSP_NACK,
-                        token: 0,
-                        reason: encode_nack(NackReason::OutOfBounds),
-                        nacked: 1,
-                        vaddr: vaddr.0,
-                    },
-                );
-                nacked = true;
-            } else {
-                match inner.endpoints.read().get(&dest).cloned() {
-                    Some(ep) => {
-                        // SAFETY: bounds validated against the bulk region
-                        // above; the client keeps the extent reserved (and
-                        // unwritten) until it sees our ack.
-                        let data = unsafe {
-                            let p = inner.seg.as_ptr().add(inner.geo.bulk_base + ext_off);
-                            std::slice::from_raw_parts(p, len)
-                        };
-                        telemetry::record(
-                            &inner.telemetry,
-                            EventKind::BulkDeliver,
-                            src_key,
-                            op_id,
-                            total_len,
-                        );
-                        for _ in 0..copies {
-                            if let DeliverResult::Nack(r) =
-                                ep.deliver_slice(initiator, op_id, vaddr, total_len, offset, data)
-                            {
-                                push_rsp(
-                                    inner,
-                                    rsp,
-                                    &RspMsg {
-                                        kind: RSP_NACK,
-                                        token: 0,
-                                        reason: encode_nack(r),
-                                        nacked: 1,
-                                        vaddr: vaddr.0,
-                                    },
-                                );
-                                nacked = true;
-                            }
-                        }
-                    }
-                    None => {
-                        push_rsp(
-                            inner,
-                            rsp,
-                            &RspMsg {
-                                kind: RSP_NACK,
-                                token: 0,
-                                reason: encode_nack(NackReason::NoSuchMailbox),
-                                nacked: 1,
-                                vaddr: vaddr.0,
-                            },
-                        );
-                        nacked = true;
-                    }
-                }
-            }
-            inner.delivered.fetch_add(1, Ordering::Relaxed);
-            // Rendezvous tokens are always nonzero: the ack doubles as the
-            // extent-release message, so it must flow even for
-            // fire-and-forget puts.
-            push_rsp(
-                inner,
-                rsp,
-                &RspMsg {
-                    kind: RSP_PUT_DONE,
-                    token,
-                    reason: 0,
-                    nacked: nacked as u32,
-                    vaddr: vaddr.0,
                 },
+                |reason| respond(RSP_NACK, 0, encode_nack(reason), true, frag.dst_vaddr),
             );
-            if attempt > 0 {
-                if let Some(plan) = &inner.fault {
-                    plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                }
+            if extent.is_some() && ep.is_some() {
+                telemetry::record(
+                    &inner.telemetry,
+                    EventKind::BulkDeliver,
+                    telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
+                    frag.op_id,
+                    frag.op_total_len,
+                );
+            }
+            inner.delivered.fetch_add(1, Ordering::Relaxed);
+            // Token 0 = fire-and-forget eager fragment. Rendezvous tokens
+            // are always nonzero: the ack doubles as the extent-release
+            // message, so it flows even for un-notified puts.
+            if token != 0 {
+                respond(RSP_PUT_DONE, token, 0, nacked, frag.dst_vaddr);
+            }
+            if let Some((faults, _)) = link {
+                faults.retire(attempt);
             }
         }
     }
@@ -1758,9 +1550,9 @@ impl ShmClient {
             return Ok(None);
         }
         let token = self.alloc_token();
-        // A put is at least one fragment even when empty — the countdown
-        // must resolve for zero-length puts (no-wire-payload audit).
-        let fragments = data.len().div_ceil(inner.geo.mtu).max(1) as u64;
+        // The countdown covers exactly the fragments `submit` will push —
+        // one even for an empty put, so its future resolves too.
+        let fragments = mtu_ranges(data.len(), inner.geo.mtu).len() as u64;
         let notify = PutNotify::new(fragments);
         inner.tokens.lock().insert(
             token,
@@ -1896,17 +1688,7 @@ impl ShmClient {
             op_id,
             data.len() as u64,
         );
-        // A zero-byte put is a single empty fragment (one counted op) —
-        // the same rule as every in-process initiator.
-        let ranges: Vec<(usize, usize)> = if data.is_empty() {
-            vec![(0, 0)]
-        } else {
-            (0..data.len())
-                .step_by(mtu)
-                .map(|s| (s, (s + mtu).min(data.len())))
-                .collect()
-        };
-        for &(s, e) in &ranges {
+        for (s, e) in mtu_ranges(data.len(), mtu) {
             telemetry::record(
                 &self.inner.telemetry,
                 EventKind::RingEnqueue,

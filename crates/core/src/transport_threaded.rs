@@ -103,35 +103,23 @@
 //! each wire worker into a lossy link with its own seeded
 //! [`FaultInjector`] (seeds derived from
 //! [`fault_seed`](crate::endpoint::EndpointConfig), counters shared in one
-//! [`FaultStats`]). A faulted fragment is handled
-//! the way a reliable link layer handles it:
-//!
-//! * **drop / defer** — the fragment is re-enqueued on the *same* worker
-//!   queue with its attempt counter bumped: the retransmitted copy lands
-//!   behind whatever is queued, which is also how reorder/delay manifest
-//!   on this transport.
-//! * **duplicate** — delivered twice; the receiver's dedup window (enable
-//!   [`EndpointConfig::dedup_window`](crate::endpoint::EndpointConfig)!)
-//!   suppresses the copy.
-//! * **crash** — the destination endpoint is removed from the network, so
-//!   the crashing fragment's retries and all later traffic surface
-//!   asynchronous `NoSuchMailbox` NACKs instead of hanging.
-//!
-//! Once a fragment has burned
-//! [`retry_budget`](crate::endpoint::EndpointConfig) attempts it is
-//! delivered fault-free — the zero-hang guarantee a link-level reliability
-//! layer provides (a real NIC would declare the link dead instead; the
-//! crash fault models that path). `quiesce` is retry-aware: it re-runs the
-//! flush barrier until no retransmission is pending, and teardown drains
-//! queues fault-free, so neither ever strands a fragment.
+//! [`FaultStats`]). What the link does to a fragment — and why neither
+//! `quiesce` nor teardown can strand one — is
+//! [the link discipline](crate::retry#the-link-discipline), shared with the
+//! shm backend. This transport contributes only the mechanism: a
+//! retransmission goes to the back of the *same* worker's ring (spilling to
+//! a worker-local list when the ring is full), a batch under faults travels
+//! as individual fragments, `quiesce` re-runs its flush barrier until no
+//! retransmission is pending, and a crash removes the endpoint from the
+//! network exactly as [`AsyncNetwork::remove_endpoint`] does.
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::csync::{self, AtomicU64 as CheckedU64, Mutation};
-use crate::endpoint::{DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
+use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
 use crate::notify::AtomicWaker;
 use crate::pool::{PayloadPool, PoolStats};
-use crate::retry::{FaultInjector, FaultModel, FaultStats};
+use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
 use crate::ring::{PushError, RingQueue, RingStats, RingStatsSnapshot};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::{DeliveryOrder, DEFAULT_MTU};
@@ -188,14 +176,10 @@ impl PutNotify {
         })
     }
 
-    /// `n` fragments reached their final disposition (0 is a no-op used by
-    /// batch passes whose every fragment was re-enqueued for retry).
+    /// `n > 0` fragments reached their final disposition.
     pub(crate) fn fragments_done(&self, n: u64, any_nacked: bool) {
         if any_nacked {
             self.nacked.store(true, Ordering::SeqCst);
-        }
-        if n == 0 {
-            return;
         }
         let prev = self.remaining.fetch_sub(n, Ordering::SeqCst);
         debug_assert!(prev >= n, "put_notify fragment countdown underflow");
@@ -315,25 +299,6 @@ enum WireMsg {
     Stop,
 }
 
-/// Fault-injection state of an [`AsyncNetwork`] (present only when the
-/// endpoint config carries a non-trivial [`FaultModel`]).
-struct FaultPlan {
-    model: FaultModel,
-    /// Per-fragment attempt budget; the attempt that reaches it delivers
-    /// fault-free (bounded zero-hang guarantee).
-    budget: u32,
-    /// Base seed; each worker's injector derives from it by index.
-    seed: u64,
-    /// Network-wide fault counters, shared by every worker's injector.
-    stats: Arc<FaultStats>,
-    /// Retransmissions enqueued but not yet fully processed. `quiesce`
-    /// repeats its barrier until this reaches zero; incremented *before*
-    /// the re-enqueue send and decremented only after the retried message
-    /// is completely processed, so it is never transiently zero while a
-    /// retry is in flight.
-    pending_retries: AtomicU64,
-}
-
 struct Shared {
     endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
     /// Bumped on every endpoint add/register/remove; route caches and the
@@ -351,22 +316,13 @@ struct Shared {
     /// Configuration applied to endpoints created by
     /// [`AsyncNetwork::add_endpoint`] (dedup window, fault model, …).
     endpoint_config: EndpointConfig,
-    faults: Option<FaultPlan>,
+    /// The link-level reliability layer (present only when the endpoint
+    /// config carries a non-trivial fault model).
+    faults: Option<LinkFaults>,
     /// Network-wide telemetry recorder (present when
     /// [`EndpointConfig::telemetry`] is set); attached to every endpoint
     /// the network creates or registers.
     telemetry: Option<Arc<Telemetry>>,
-}
-
-impl Shared {
-    /// Crash fault: the destination endpoint vanishes from the network.
-    /// Pending and future fragments to it NACK `NoSuchMailbox` the same
-    /// way [`AsyncNetwork::remove_endpoint`] makes them.
-    fn crash_endpoint(&self, dest: NodeAddr) {
-        if self.endpoints.write().remove(&dest).is_some() {
-            self.generation.fetch_add(1, Ordering::Release);
-        }
-    }
 }
 
 #[inline]
@@ -384,6 +340,17 @@ impl Shared {
     /// mailbox), so one mailbox's traffic always lands on one FIFO queue.
     fn queue_index(&self, dest: NodeAddr, vaddr: VirtAddr) -> usize {
         route_hash(pack_addr(dest), vaddr.raw()) as usize % self.queues.len()
+    }
+
+    /// Detach the endpoint at `addr` — [`AsyncNetwork::remove_endpoint`]
+    /// and the crash fault alike. The generation bump stales every cached
+    /// route; fragments already queued NACK `NoSuchMailbox` at the worker.
+    fn remove_endpoint(&self, addr: NodeAddr) -> bool {
+        let removed = self.endpoints.write().remove(&addr).is_some();
+        if removed {
+            self.generation.fetch_add(1, Ordering::Release);
+        }
+        removed
     }
 }
 
@@ -491,7 +458,7 @@ impl RouteStats {
 /// The asynchronous in-process network.
 pub struct AsyncNetwork {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<u64>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 /// A wire worker's generation-validated endpoint cache: steady-state
@@ -527,267 +494,102 @@ impl EndpointCache {
     }
 }
 
-/// Deliver one fragment `copies` times (2 = duplication fault), publishing
-/// any NACKs into the submitting initiator's sink. Returns whether any
-/// copy NACKed (the fragment's final disposition for a notified put).
-fn deliver_one(
-    shared: &Shared,
-    cache: &mut EndpointCache,
-    dest: NodeAddr,
-    frag: &Fragment,
-    nacks: &NackSink,
-    copies: u32,
-) -> bool {
-    telemetry::record(
-        &shared.telemetry,
-        EventKind::WireDeliver,
-        telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-        frag.op_id,
-        frag.offset as u64,
-    );
-    let mut nacked = false;
-    match cache.get(shared, dest) {
-        Some(ep) => {
-            for _ in 0..copies {
-                if let DeliverResult::Nack(r) = ep.deliver(frag) {
-                    nacks.lock().push((frag.dst_vaddr, r));
-                    nacked = true;
-                }
-            }
-        }
-        None => {
-            nacks
-                .lock()
-                .push((frag.dst_vaddr, NackReason::NoSuchMailbox));
-            nacked = true;
-        }
-    }
-    nacked
-}
-
-/// Deliver a batch through `RvmaEndpoint::deliver_batch` (one sink lock
-/// for all the batch's NACKs). Returns (fragments delivered, NACKs
-/// published for this batch).
-fn deliver_many(
-    shared: &Shared,
-    cache: &mut EndpointCache,
-    dest: NodeAddr,
-    frags: &[Fragment],
-    nacks: &NackSink,
-    scratch_nacks: &mut Vec<(VirtAddr, NackReason)>,
-) -> (u64, u64) {
-    let mut delivered = 0u64;
-    if shared.telemetry.is_some() {
-        for f in frags {
-            telemetry::record(
-                &shared.telemetry,
-                EventKind::WireDeliver,
-                telemetry::initiator_key(f.initiator.nid, f.initiator.pid),
-                f.op_id,
-                f.offset as u64,
-            );
-        }
-    }
-    match cache.get(shared, dest) {
-        Some(ep) => {
-            ep.deliver_batch(frags, &mut |vaddr, reason| {
-                scratch_nacks.push((vaddr, reason));
-            });
-            delivered += frags.len() as u64;
-        }
-        None => {
-            scratch_nacks.extend(
-                frags
-                    .iter()
-                    .map(|f| (f.dst_vaddr, NackReason::NoSuchMailbox)),
-            );
-        }
-    }
-    let nack_count = scratch_nacks.len() as u64;
-    if !scratch_nacks.is_empty() {
-        nacks.lock().append(scratch_nacks);
-    }
-    (delivered, nack_count)
-}
-
 /// The quiesce barrier shared by [`AsyncNetwork::quiesce`] and the
 /// initiator-side [`Transport::flush`]: broadcast a flush marker to every
-/// worker ring, wait for all acks, and repeat while any link-level
-/// retransmission is still pending (a faulted fragment's retries land
-/// behind the first barrier).
-fn quiesce_shared(shared: &Shared) {
+/// worker ring, wait for an ack per marker enqueued, and repeat while any
+/// link-level retransmission is still pending (a faulted fragment's retries
+/// land behind the first barrier). A closed ring — the network was dropped —
+/// takes no marker and will never ack one: that is an error, not a wait.
+///
+/// [`Transport::flush`]: crate::transport::Transport::flush
+fn quiesce_shared(shared: &Shared) -> Result<()> {
     loop {
         let acks = Arc::new(AtomicUsize::new(0));
+        let mut sent = 0;
         for q in &shared.queues {
-            let _ = q.push(WireMsg::Flush { acks: acks.clone() });
+            sent += q.push(WireMsg::Flush { acks: acks.clone() }).is_ok() as usize;
         }
-        while acks.load(Ordering::Acquire) < shared.queues.len() {
+        while acks.load(Ordering::Acquire) < sent {
             std::thread::yield_now();
         }
+        if sent < shared.queues.len() {
+            return Err(RvmaError::UnknownDestination);
+        }
         match &shared.faults {
-            Some(plan) if plan.pending_retries.load(Ordering::Acquire) > 0 => continue,
-            _ => break,
+            Some(faults) if faults.pending_retries() > 0 => continue,
+            _ => return Ok(()),
         }
     }
 }
 
-/// A retried message has been fully processed: release its slot in the
-/// pending-retry count `quiesce` waits on.
-#[inline]
-fn finish_retry(faults: Option<&FaultPlan>, attempt: u32) {
-    if attempt > 0 {
-        if let Some(plan) = faults {
-            plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
+/// One wire worker: the consumer of ring `idx`, its generation-validated
+/// endpoint cache, and — on a lossy link — its own seeded dice.
+struct WireWorker<'a> {
+    shared: &'a Shared,
+    ring: &'a RingQueue<WireMsg>,
+    latency: Duration,
+    cache: EndpointCache,
+    /// Link-level retransmissions the full ring could not take back (see
+    /// [`WireWorker::enqueue_retry`]).
+    deferred: VecDeque<WireMsg>,
+    link: Option<(&'a LinkFaults, FaultInjector)>,
+    /// NACKs of one batch collect here and publish with a single sink lock.
+    scratch_nacks: Vec<(VirtAddr, NackReason)>,
 }
 
-/// Queue a link-level retransmission on this worker's own ring without
-/// ever blocking on it: the worker IS the ring's consumer, so a blocking
-/// push on a full ring would deadlock the shard. Overflow spills into the
-/// worker-local `deferred` list, drained whenever the ring has room (or
-/// runs dry) and at Stop. `pending_retries` covers spilled messages the
-/// same as ringed ones, so `quiesce` still waits them out.
-fn enqueue_retry(ring: &RingQueue<WireMsg>, deferred: &mut VecDeque<WireMsg>, msg: WireMsg) {
-    if let Err(PushError::Full(m) | PushError::Closed(m)) = ring.try_push(msg) {
-        deferred.push_back(m);
+impl WireWorker<'_> {
+    /// Queue a link-level retransmission on this worker's own ring — the
+    /// FIFO that owns the fragment's mailbox — without ever blocking on it:
+    /// the worker IS the ring's consumer, so a blocking push on a full ring
+    /// would deadlock the shard. Overflow spills into `deferred`, drained
+    /// whenever the ring has room (or runs dry) and at Stop; the link's
+    /// pending-retry count covers spilled messages the same as ringed ones,
+    /// so `quiesce` still waits them out.
+    fn enqueue_retry(&mut self, msg: WireMsg) {
+        if let Err(PushError::Full(m) | PushError::Closed(m)) = self.ring.try_push(msg) {
+            self.deferred.push_back(m);
+        }
     }
-}
 
-/// The worker's receive step: ring first, spilled retransmissions when the
-/// ring runs dry, then the adaptive spin → yield → park idle progression.
-/// Returns `None` after a park wake-up (the caller re-polls).
-fn next_msg(
-    ring: &RingQueue<WireMsg>,
-    deferred: &mut VecDeque<WireMsg>,
-    idle_spins: u32,
-    idle_yields: u32,
-) -> Option<WireMsg> {
-    // Opportunistically migrate one spilled retransmission back onto the
-    // ring (behind the queued traffic, which is where a retransmitted copy
-    // belongs) so the spill list drains even while the shard stays busy.
-    if let Some(m) = deferred.pop_front() {
-        if let Err(PushError::Full(m) | PushError::Closed(m)) = ring.try_push(m) {
-            deferred.push_front(m);
-        }
-    }
-    if let Some(m) = ring.try_pop() {
-        return Some(m);
-    }
-    if let Some(m) = deferred.pop_front() {
-        return Some(m);
-    }
-    for _ in 0..idle_spins {
-        if let Some(m) = ring.try_pop() {
-            return Some(m);
-        }
-        std::hint::spin_loop();
-    }
-    for _ in 0..idle_yields {
-        if let Some(m) = ring.try_pop() {
-            return Some(m);
-        }
-        std::thread::yield_now();
-    }
-    ring.park_consumer();
-    None
-}
-
-fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
-    let mut delivered = 0u64;
-    let mut cache = EndpointCache::new();
-    // Retransmissions go to the back of this worker's own ring, keeping
-    // every retried fragment on the FIFO that owns its mailbox; `deferred`
-    // absorbs them when the ring is full (see `enqueue_retry`).
-    let ring = shared.queues[idx].clone();
-    ring.register_consumer();
-    let mut deferred: VecDeque<WireMsg> = VecDeque::new();
-    // Spinning only helps when producer and consumer can run in parallel.
-    // On a single-CPU host an idle-spinning worker *holds the core the
-    // producer needs*, turning every put into a scheduler-granularity
-    // stall — park immediately instead and let the doorbell's wakeup
-    // preemption provide the fast handoff.
-    let parallel = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        > 1;
-    let idle_spins = if parallel {
-        shared.endpoint_config.wire_idle_spins
-    } else {
-        0
-    };
-    let idle_yields = if parallel {
-        shared.endpoint_config.wire_idle_yields
-    } else {
-        0
-    };
-    // Each worker rolls its own seeded dice; the counters are shared, so
-    // `crash_after_frags` keys off the network-wide transmit sequence.
-    let mut injector = shared.faults.as_ref().map(|plan| {
-        let worker_seed = plan.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        FaultInjector::new(plan.model, worker_seed, plan.stats.clone())
-    });
-    // NACKs of one batch collect here and publish with a single sink lock.
-    let mut scratch_nacks: Vec<(VirtAddr, NackReason)> = Vec::new();
-    loop {
-        let Some(msg) = next_msg(&ring, &mut deferred, idle_spins, idle_yields) else {
-            continue; // woke from park: re-poll
-        };
-        match msg {
-            WireMsg::Stop => {
-                // Retransmissions re-enqueued (or spilled) behind the Stop
-                // marker must not be stranded: drain the ring and the spill
-                // list, delivering fault-free.
-                loop {
-                    let tail = match ring.try_pop() {
-                        Some(m) => m,
-                        None => match deferred.pop_front() {
-                            Some(m) => m,
-                            None => break,
-                        },
-                    };
-                    match tail {
-                        WireMsg::Deliver {
-                            dest,
-                            frag,
-                            nacks,
-                            attempt,
-                            notify,
-                        } => {
-                            let nacked = deliver_one(&shared, &mut cache, dest, &frag, &nacks, 1);
-                            delivered += 1;
-                            if let Some(n) = notify {
-                                n.fragments_done(1, nacked);
-                            }
-                            finish_retry(shared.faults.as_ref(), attempt);
-                        }
-                        WireMsg::DeliverBatch {
-                            dest,
-                            frags,
-                            nacks,
-                            notify,
-                        } => {
-                            let (n, nacked) = deliver_many(
-                                &shared,
-                                &mut cache,
-                                dest,
-                                &frags,
-                                &nacks,
-                                &mut scratch_nacks,
-                            );
-                            delivered += n;
-                            if let Some(pn) = notify {
-                                pn.fragments_done(frags.len() as u64, nacked > 0);
-                            }
-                        }
-                        WireMsg::Flush { acks } => {
-                            acks.fetch_add(1, Ordering::AcqRel);
-                        }
-                        WireMsg::Stop => {}
-                    }
-                }
-                break;
+    /// The receive step: ring first, spilled retransmissions when the ring
+    /// runs dry, then the adaptive spin → yield → park idle progression.
+    /// Returns `None` after a park wake-up (the caller re-polls).
+    fn next_msg(&mut self, idle_spins: u32, idle_yields: u32) -> Option<WireMsg> {
+        // Opportunistically migrate one spilled retransmission back onto the
+        // ring (behind the queued traffic, which is where a retransmitted
+        // copy belongs) so the spill list drains even while the shard stays
+        // busy.
+        if let Some(m) = self.deferred.pop_front() {
+            if let Err(PushError::Full(m) | PushError::Closed(m)) = self.ring.try_push(m) {
+                self.deferred.push_front(m);
             }
+        }
+        if let Some(m) = self.ring.try_pop().or_else(|| self.deferred.pop_front()) {
+            return Some(m);
+        }
+        for _ in 0..idle_spins {
+            if let Some(m) = self.ring.try_pop() {
+                return Some(m);
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..idle_yields {
+            if let Some(m) = self.ring.try_pop() {
+                return Some(m);
+            }
+            std::thread::yield_now();
+        }
+        self.ring.park_consumer();
+        None
+    }
+
+    /// Process one message. `drain` is the post-Stop teardown pass: the
+    /// link delivers fault-free and charges no wire latency, so nothing
+    /// re-enqueued (or spilled) behind the Stop marker is stranded.
+    #[inline]
+    fn handle(&mut self, msg: WireMsg, drain: bool) {
+        match msg {
+            WireMsg::Stop => {}
             WireMsg::Flush { acks } => {
                 acks.fetch_add(1, Ordering::AcqRel);
             }
@@ -797,144 +599,167 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
                 nacks,
                 attempt,
                 notify,
-            } => {
-                let mut copies = 1u32;
-                if let (Some(inj), Some(plan)) = (injector.as_mut(), shared.faults.as_ref()) {
-                    // Zero-length fragments carry no payload a fabric could
-                    // corrupt; they bypass the dice (same rule as
-                    // LossyNetwork). The attempt that reaches the budget
-                    // delivers fault-free: bounded retransmission, no hang.
-                    if !frag.data.is_empty() && attempt < plan.budget {
-                        let d = inj.roll();
-                        if d.crash {
-                            shared.crash_endpoint(dest);
-                        }
-                        if d.drop || d.defer_spans > 0 {
-                            // Link-level retransmit; a deferred fragment is
-                            // simply one that re-arrives behind the queue's
-                            // younger traffic. Not a final disposition: the
-                            // retried copy carries the put-notify countdown.
-                            plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                            telemetry::record(
-                                &shared.telemetry,
-                                EventKind::Retransmit,
-                                telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-                                frag.op_id,
-                                (attempt + 1) as u64,
-                            );
-                            enqueue_retry(
-                                &ring,
-                                &mut deferred,
-                                WireMsg::Deliver {
-                                    dest,
-                                    frag,
-                                    nacks,
-                                    attempt: attempt + 1,
-                                    notify,
-                                },
-                            );
-                            finish_retry(shared.faults.as_ref(), attempt);
-                            continue;
-                        }
-                        if d.duplicate {
-                            copies = 2;
-                        }
-                    }
-                }
-                if !latency.is_zero() {
-                    std::thread::sleep(latency);
-                }
-                let nacked = deliver_one(&shared, &mut cache, dest, &frag, &nacks, copies);
-                delivered += 1;
-                if let Some(n) = notify {
-                    n.fragments_done(1, nacked);
-                }
-                finish_retry(shared.faults.as_ref(), attempt);
-            }
+            } => self.deliver_unit(dest, frag, nacks, attempt, notify, drain),
             WireMsg::DeliverBatch {
                 dest,
                 frags,
                 nacks,
                 notify,
             } => {
-                // Fragments of this pass reaching their final disposition
-                // (a duplicated fragment still finalizes once; a retried
-                // one finalizes on a later pass).
-                let mut finalized = frags.len() as u64;
-                let frags = match (injector.as_mut(), shared.faults.as_ref()) {
-                    (Some(inj), Some(plan)) => {
-                        // Roll per fragment; survivors stay a batch, faulted
-                        // fragments retry individually (attempt 1: the
-                        // batch pass was their first transmission).
-                        let mut clean: Vec<Fragment> = Vec::with_capacity(frags.len());
-                        for frag in frags {
-                            if frag.data.is_empty() {
-                                clean.push(frag);
-                                continue;
-                            }
-                            let d = inj.roll();
-                            if d.crash {
-                                shared.crash_endpoint(dest);
-                            }
-                            if d.drop || d.defer_spans > 0 {
-                                plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                                telemetry::record(
-                                    &shared.telemetry,
-                                    EventKind::Retransmit,
-                                    telemetry::initiator_key(
-                                        frag.initiator.nid,
-                                        frag.initiator.pid,
-                                    ),
-                                    frag.op_id,
-                                    1,
-                                );
-                                enqueue_retry(
-                                    &ring,
-                                    &mut deferred,
-                                    WireMsg::Deliver {
-                                        dest,
-                                        frag,
-                                        nacks: nacks.clone(),
-                                        attempt: 1,
-                                        notify: notify.clone(),
-                                    },
-                                );
-                                finalized -= 1;
-                                continue;
-                            }
-                            if d.duplicate {
-                                clean.push(frag.clone());
-                            }
-                            clean.push(frag);
-                        }
-                        clean
+                if self.link.is_some() {
+                    // A lossy link carries fragments, not batches: each is
+                    // its own wire unit with its own roll and disposition.
+                    for frag in frags {
+                        self.deliver_unit(dest, frag, nacks.clone(), 0, notify.clone(), drain);
                     }
-                    _ => frags,
-                };
-                if frags.is_empty() {
-                    continue;
+                    return;
                 }
-                if !latency.is_zero() {
+                if !drain && !self.latency.is_zero() {
                     // Every fragment still pays the wire latency; a batch
                     // pays it as one sleep instead of N.
-                    std::thread::sleep(latency * frags.len() as u32);
+                    std::thread::sleep(self.latency * frags.len() as u32);
                 }
-                let (n, nack_count) = deliver_many(
-                    &shared,
-                    &mut cache,
-                    dest,
-                    &frags,
-                    &nacks,
-                    &mut scratch_nacks,
-                );
-                delivered += n;
-                if let Some(pn) = notify {
-                    pn.fragments_done(finalized, nack_count > 0);
+                let nacked = self.deliver_many(dest, &frags, &nacks);
+                if let Some(n) = notify {
+                    n.fragments_done(frags.len() as u64, nacked);
                 }
             }
         }
     }
-    delivered
+
+    /// One wire unit — a single fragment or a whole rendezvous descriptor —
+    /// through the link ([`LinkFaults::admit`]) to its final disposition.
+    #[inline]
+    fn deliver_unit(
+        &mut self,
+        dest: NodeAddr,
+        frag: Fragment,
+        nacks: NackSink,
+        attempt: u32,
+        notify: Option<Arc<PutNotify>>,
+        drain: bool,
+    ) {
+        let shared = self.shared;
+        let copies = match self.link.as_mut() {
+            None => 1,
+            Some((faults, injector)) => {
+                let on_crash = || {
+                    shared.remove_endpoint(dest);
+                };
+                match faults.admit(injector, &frag, frag.data.len(), attempt, drain, on_crash) {
+                    Admit::Deliver { copies } => copies,
+                    Admit::Retransmit => {
+                        // The retried copy carries the put-notify countdown on.
+                        self.enqueue_retry(WireMsg::Deliver {
+                            dest,
+                            frag,
+                            nacks,
+                            attempt: attempt + 1,
+                            notify,
+                        });
+                        self.retire(attempt);
+                        return;
+                    }
+                }
+            }
+        };
+        if !drain && !self.latency.is_zero() {
+            std::thread::sleep(self.latency);
+        }
+        let ep = self.cache.get(shared, dest);
+        let nacked = deliver_copies(
+            &shared.telemetry,
+            &frag,
+            ep.as_deref(),
+            copies,
+            |ep| ep.deliver(&frag),
+            |reason| nacks.lock().push((frag.dst_vaddr, reason)),
+        );
+        if let Some(n) = notify {
+            n.fragments_done(1, nacked);
+        }
+        self.retire(attempt);
+    }
+
+    /// This transmission of the unit is fully processed (see
+    /// [`LinkFaults::retire`]).
+    fn retire(&self, attempt: u32) {
+        if let Some((faults, _)) = &self.link {
+            faults.retire(attempt);
+        }
+    }
+
+    /// Deliver a fault-free batch through `RvmaEndpoint::deliver_batch`
+    /// (one sink lock for all the batch's NACKs). Returns whether any
+    /// fragment was refused.
+    fn deliver_many(&mut self, dest: NodeAddr, frags: &[Fragment], nacks: &NackSink) -> bool {
+        let shared = self.shared;
+        if shared.telemetry.is_some() {
+            for f in frags {
+                telemetry::record(
+                    &shared.telemetry,
+                    EventKind::WireDeliver,
+                    telemetry::initiator_key(f.initiator.nid, f.initiator.pid),
+                    f.op_id,
+                    f.offset as u64,
+                );
+            }
+        }
+        let scratch = &mut self.scratch_nacks;
+        match self.cache.get(shared, dest) {
+            Some(ep) => ep.deliver_batch(frags, &mut |vaddr, reason| scratch.push((vaddr, reason))),
+            None => scratch.extend(
+                frags
+                    .iter()
+                    .map(|f| (f.dst_vaddr, NackReason::NoSuchMailbox)),
+            ),
+        }
+        let nacked = !scratch.is_empty();
+        if nacked {
+            nacks.lock().append(scratch);
+        }
+        nacked
+    }
+}
+
+fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
+    let ring = &*shared.queues[idx];
+    ring.register_consumer();
+    // Spinning only helps when producer and consumer can run in parallel.
+    // On a single-CPU host an idle-spinning worker *holds the core the
+    // producer needs*, turning every put into a scheduler-granularity
+    // stall — park immediately instead and let the doorbell's wakeup
+    // preemption provide the fast handoff.
+    let parallel = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        > 1;
+    let (idle_spins, idle_yields) = if parallel {
+        let config = &shared.endpoint_config;
+        (config.wire_idle_spins, config.wire_idle_yields)
+    } else {
+        (0, 0)
+    };
+    let mut worker = WireWorker {
+        shared: &shared,
+        ring,
+        latency,
+        cache: EndpointCache::new(),
+        deferred: VecDeque::new(),
+        link: shared.faults.as_ref().map(|f| (f, f.injector(idx))),
+        scratch_nacks: Vec::new(),
+    };
+    loop {
+        match worker.next_msg(idle_spins, idle_yields) {
+            None => continue, // woke from park: re-poll
+            Some(WireMsg::Stop) => break,
+            Some(msg) => worker.handle(msg, false),
+        }
+    }
+    // Teardown: whatever was re-enqueued or spilled behind the Stop marker.
+    while let Some(msg) = ring.try_pop().or_else(|| worker.deferred.pop_front()) {
+        worker.handle(msg, true);
+    }
 }
 
 impl AsyncNetwork {
@@ -994,16 +819,10 @@ impl AsyncNetwork {
                 ))
             })
             .collect();
-        let faults = (!endpoint_config.fault_model.is_none()).then(|| FaultPlan {
-            model: endpoint_config.fault_model,
-            budget: endpoint_config.retry_budget.max(1),
-            seed: endpoint_config.fault_seed,
-            stats: Arc::new(FaultStats::default()),
-            pending_retries: AtomicU64::new(0),
-        });
         let telemetry = endpoint_config
             .telemetry
             .then(|| Arc::new(Telemetry::new()));
+        let faults = LinkFaults::from_config(&endpoint_config, &telemetry);
         let shared = Arc::new(Shared {
             endpoints: RwLock::new(HashMap::new()),
             generation: AtomicU64::new(1),
@@ -1073,11 +892,7 @@ impl AsyncNetwork {
     /// would on a real fabric: workers that process them afterwards publish
     /// asynchronous `NoSuchMailbox` NACKs.
     pub fn remove_endpoint(&self, addr: NodeAddr) -> bool {
-        let removed = self.shared.endpoints.write().remove(&addr).is_some();
-        if removed {
-            self.shared.generation.fetch_add(1, Ordering::Release);
-        }
-        removed
+        self.shared.remove_endpoint(addr)
     }
 
     /// An asynchronous initiator bound to `src`.
@@ -1104,12 +919,13 @@ impl AsyncNetwork {
     /// non-zero from before each re-enqueue until the retried copy is
     /// fully processed) proves they are done.
     pub fn quiesce(&self) {
-        quiesce_shared(&self.shared);
+        // The rings close only in `Drop`, so the barrier cannot fail here.
+        let _ = quiesce_shared(&self.shared);
     }
 
     /// The network-wide fault counters, when fault injection is active.
     pub fn fault_stats(&self) -> Option<Arc<FaultStats>> {
-        self.shared.faults.as_ref().map(|p| p.stats.clone())
+        self.shared.faults.as_ref().map(LinkFaults::stats)
     }
 
     /// The network-wide telemetry recorder, when
@@ -1246,8 +1062,7 @@ impl AsyncInitiator {
         offset: usize,
         data: &[u8],
     ) -> Result<PutFuture> {
-        // One wire fragment per MTU, and one for an empty put.
-        let fragments = data.len().div_ceil(self.shared.mtu).max(1) as u64;
+        let fragments = mtu_ranges(data.len(), self.shared.mtu).len() as u64;
         let notify = PutNotify::new(fragments);
         self.submit(dest, vaddr, offset, data, Some(notify.clone()))?;
         Ok(PutFuture { notify, fragments })
@@ -1425,105 +1240,11 @@ impl AsyncInitiator {
     fn fragment(&self, vaddr: VirtAddr, op_id: u64, offset: usize, data: &[u8]) -> Vec<Fragment> {
         self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
         let payload = self.pool.acquire(data);
-        let total = payload.len() as u64;
-        let mtu = self.shared.mtu;
-        let mut frags: Vec<Fragment> = (0..payload.len())
-            .step_by(mtu)
-            .map(|start| {
-                let end = (start + mtu).min(payload.len());
-                Fragment {
-                    initiator: self.src,
-                    op_id,
-                    dst_vaddr: vaddr,
-                    op_total_len: total,
-                    offset: offset + start,
-                    data: payload.slice(start..end),
-                }
-            })
-            .collect();
+        let mut frags = Fragment::split(self.src, op_id, vaddr, offset, &payload, self.shared.mtu);
         if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
             frags.shuffle(&mut *self.shared.rng.lock());
         }
         frags
-    }
-
-    /// The seed/PR-1 submission path, kept verbatim for A/B benchmarking
-    /// (`msg_rate --bin`): endpoint-table read lock per put, fresh payload
-    /// allocation, a fragment vector even for single-fragment puts, and
-    /// one channel send + one NACK-sink Arc clone *per fragment*.
-    pub fn put_at_legacy(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<()> {
-        if self.shared.endpoints.read().get(&dest).is_none() {
-            return Err(RvmaError::UnknownDestination);
-        }
-        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(self.src.nid, self.src.pid);
-        telemetry::record(
-            &self.shared.telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            data.len() as u64,
-        );
-        self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        let payload = Bytes::copy_from_slice(data);
-        let total = payload.len() as u64;
-        let mtu = self.shared.mtu;
-
-        let mut frags: Vec<Fragment> = if payload.is_empty() {
-            vec![Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: 0,
-                offset,
-                data: payload.clone(),
-            }]
-        } else {
-            (0..payload.len())
-                .step_by(mtu)
-                .map(|start| {
-                    let end = (start + mtu).min(payload.len());
-                    Fragment {
-                        initiator: self.src,
-                        op_id,
-                        dst_vaddr: vaddr,
-                        op_total_len: total,
-                        offset: offset + start,
-                        data: payload.slice(start..end),
-                    }
-                })
-                .collect()
-        };
-        if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
-            frags.shuffle(&mut *self.shared.rng.lock());
-        }
-        let queue_idx = self.shared.queue_index(dest, vaddr);
-        let queue = &self.shared.queues[queue_idx];
-        for frag in frags {
-            queue
-                .push(WireMsg::Deliver {
-                    dest,
-                    frag,
-                    nacks: self.nacks.clone(),
-                    attempt: 0,
-                    notify: None,
-                })
-                .map_err(|_| RvmaError::UnknownDestination)?;
-        }
-        telemetry::record(
-            &self.shared.telemetry,
-            EventKind::RingEnqueue,
-            src_key,
-            op_id,
-            queue_idx as u64,
-        );
-        Ok(())
     }
 
     /// Start a submission batch with the default doorbell threshold
@@ -1589,8 +1310,7 @@ impl crate::transport::Transport for AsyncInitiator {
     }
 
     fn flush(&self) -> Result<()> {
-        quiesce_shared(&self.shared);
-        Ok(())
+        quiesce_shared(&self.shared)
     }
 
     fn take_nacks(&self) -> Vec<(VirtAddr, NackReason)> {
@@ -1757,6 +1477,8 @@ mod tests {
     use super::*;
     use crate::buffer::Threshold;
     use crate::mailbox::MailboxMode;
+    use crate::retry::FaultModel;
+    use crate::transport::Transport;
 
     #[test]
     fn async_put_completes_cross_thread() {
@@ -1884,6 +1606,26 @@ mod tests {
             .put(NodeAddr::node(1), VirtAddr::new(5), &[1; 8])
             .unwrap();
         drop(net); // must not hang
+    }
+
+    #[test]
+    fn flush_after_network_drop_errors() {
+        // Once the network is gone its rings are closed: a flush marker
+        // cannot be enqueued and nobody is left to ack one, so the barrier
+        // must report the dead backend instead of waiting. Run on a helper
+        // thread so a regression shows as a failure, not a stuck job.
+        let net =
+            AsyncNetwork::with_options(DEFAULT_MTU, DeliveryOrder::InOrder, Duration::ZERO, 2);
+        let _server = net.add_endpoint(NodeAddr::node(1));
+        let client = net.initiator(NodeAddr::node(2));
+        drop(net);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(client.flush()));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("flush on a dropped network must return"),
+            Err(RvmaError::UnknownDestination)
+        );
     }
 
     #[test]
@@ -2209,7 +1951,7 @@ mod tests {
 
     #[test]
     fn zero_length_and_mtu_boundary_puts() {
-        // step_by(mtu) boundaries through both the inline fast path
+        // MTU-cut boundaries through both the inline fast path
         // (len <= mtu, including len == 0) and the batched fragment path
         // (len > mtu), via put_at and via PutBatch.
         const MTU: usize = 16;
@@ -2244,7 +1986,7 @@ mod tests {
     #[test]
     fn exactly_mtu_put_is_single_fragment() {
         // An exactly-MTU put must take the inline path: one fragment, not
-        // one full + one empty (the step_by off-by-one this test pins).
+        // one full + one empty (the MTU-cut off-by-one this test pins).
         const MTU: usize = 32;
         let net = AsyncNetwork::new(MTU, DeliveryOrder::InOrder, Duration::ZERO);
         let server = net.add_endpoint(NodeAddr::node(0));
@@ -2380,27 +2122,5 @@ mod tests {
         assert_eq!(note.wait().len(), 0);
         let stats = net.fault_stats().unwrap();
         assert_eq!(stats.transmitted(), 0, "the dice never rolled");
-    }
-
-    #[test]
-    fn legacy_path_still_delivers() {
-        // The PR-1 A/B baseline stays functional: same delivery semantics,
-        // just unbatched and uncached.
-        let net = AsyncNetwork::new(16, DeliveryOrder::InOrder, Duration::ZERO);
-        let server = net.add_endpoint(NodeAddr::node(0));
-        let client = net.initiator(NodeAddr::node(9));
-        let win = server
-            .init_window(VirtAddr::new(1), Threshold::bytes(64))
-            .unwrap();
-        let mut note = win.post_buffer(vec![0; 64]).unwrap();
-        let payload: Vec<u8> = (0..64u8).collect();
-        client
-            .put_at_legacy(NodeAddr::node(0), VirtAddr::new(1), 0, &payload)
-            .unwrap();
-        assert_eq!(note.wait().data(), payload.as_slice());
-        assert_eq!(
-            client.put_at_legacy(NodeAddr::node(7), VirtAddr::new(1), 0, &[0; 4]),
-            Err(RvmaError::UnknownDestination)
-        );
     }
 }

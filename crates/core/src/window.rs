@@ -90,7 +90,7 @@ impl Window {
     /// A fresh slot for one posted buffer, armed with the endpoint's async
     /// counters.
     fn new_slot(&self) -> Arc<NotificationSlot> {
-        let slot = NotificationSlot::with_baseline(self.endpoint.config().notify_baseline);
+        let slot = NotificationSlot::new();
         slot.arm_stats(self.async_stats.clone());
         slot
     }

@@ -27,9 +27,9 @@ use std::time::Duration;
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{
-    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, FaultModel, FaultStats, LossyNetwork,
-    NackReason, NodeAddr, RvmaEndpoint, RvmaError, ShmClient, Telemetry, Threshold, Transport,
-    VirtAddr,
+    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, EventKind, FaultModel, FaultStats,
+    LossyNetwork, NackReason, NodeAddr, RvmaEndpoint, RvmaError, ShmClient, Telemetry, Threshold,
+    Transport, VirtAddr,
 };
 
 const SERVER: NodeAddr = NodeAddr::node(0);
@@ -383,6 +383,113 @@ fn crash_during_quiesce_terminates_and_reports() {
                 .all(|(va, r)| *va == MAILBOX && *r == NackReason::NoSuchMailbox),
             "[{backend}] wrong NACK shape: {nacks:?}"
         );
+    }
+}
+
+/// The link layer is one discipline, not one per backend: the same seed
+/// over the same lockstep single-fragment traffic rolls the same dice on
+/// the threaded and the shm wire worker, so both report the same fault
+/// ledger and the same receiver-side accounting, and neither leaves a
+/// retransmission pending behind its final flush.
+#[test]
+fn link_fault_accounting_matches_across_wire_backends() {
+    // Four times `replay_run`'s eight epochs, so both seeds roll faults.
+    const EPOCHS: usize = 32;
+    const LEN: usize = 16;
+    let model = FaultModel {
+        drop_p: 0.10,
+        dup_p: 0.10,
+        ..FaultModel::NONE
+    };
+    for seed in SEEDS {
+        let mut ledgers = Vec::new();
+        for backend in ["threaded", "shm"] {
+            let Some((holder, ep, t)) = fixture(backend, LEN, faulted_cfg(model, seed)) else {
+                continue;
+            };
+            let win = ep
+                .init_window(MAILBOX, Threshold::bytes(LEN as u64))
+                .unwrap();
+            for e in 0..EPOCHS {
+                let mut note = win.post_buffer(vec![0u8; LEN]).unwrap();
+                t.put(SERVER, MAILBOX, &[(e + 1) as u8; LEN]).unwrap();
+                t.flush().unwrap();
+                note.poll().expect("epoch complete after flush");
+            }
+            match &holder {
+                Holder::Shm(server) => assert_eq!(server.pending_retries(), 0, "[shm]"),
+                // The threaded barrier has no counter to read: it loops
+                // until the count is zero, so an idle flush that returns
+                // (and rolls no further dice) is the same statement.
+                _ => t.flush().unwrap(),
+            }
+            let f = holder.fault_stats().expect("fault model is active");
+            let s = ep.stats();
+            assert!(f.transmitted() >= EPOCHS as u64, "[{backend}]");
+            let ledger = [
+                f.transmitted(),
+                f.dropped(),
+                f.duplicated(),
+                f.deferred(),
+                s.fragments_accepted,
+                s.duplicates_dropped,
+            ];
+            println!("[{backend} seed={seed:#x}] tx/drop/dup/defer/accepted/deduped = {ledger:?}");
+            ledgers.push(ledger);
+        }
+        if let [threaded, shm] = ledgers[..] {
+            assert_eq!(threaded, shm, "[seed={seed:#x}] threaded vs shm ledger");
+        }
+    }
+}
+
+/// A duplicated fragment is one wire unit however it was submitted: one
+/// `WireDeliver` event (and one latency charge) per `Submit`, two endpoint
+/// deliveries, the second absorbed by the dedup window.
+#[test]
+fn duplicated_fragment_is_one_wire_unit() {
+    const PUTS: usize = 4;
+    const LEN: usize = 16;
+    let model = FaultModel {
+        dup_p: 1.0,
+        ..FaultModel::NONE
+    };
+    for batched in [false, true] {
+        let mut cfg = faulted_cfg(model, 7);
+        cfg.telemetry = true;
+        let net =
+            AsyncNetwork::for_endpoint_config(LEN, DeliveryOrder::InOrder, Duration::ZERO, &cfg);
+        let ep = net.add_endpoint(SERVER);
+        let client = net.initiator(CLIENT);
+        let win = ep
+            .init_window(MAILBOX, Threshold::ops(PUTS as u64))
+            .unwrap();
+        let mut note = win.post_buffer(vec![0u8; PUTS * LEN]).unwrap();
+        let mut batch = client.batch();
+        for k in 0..PUTS {
+            let payload = [k as u8 + 1; LEN];
+            if batched {
+                batch.put_at(SERVER, MAILBOX, k * LEN, &payload).unwrap();
+            } else {
+                client.put_at(SERVER, MAILBOX, k * LEN, &payload).unwrap();
+            }
+        }
+        batch.flush().unwrap();
+        net.quiesce();
+        note.poll().expect("four ops complete the epoch");
+        let snap = net.telemetry().expect("telemetry on").snapshot();
+        assert_eq!(snap.count(EventKind::Submit), PUTS as u64);
+        assert_eq!(
+            snap.count(EventKind::WireDeliver),
+            snap.count(EventKind::Submit),
+            "[batched={batched}] one wire unit per put, whatever its copy count"
+        );
+        assert_eq!(
+            ep.stats().duplicates_dropped,
+            PUTS as u64,
+            "[batched={batched}]"
+        );
+        assert_eq!(win.epoch(), 1, "[batched={batched}] duplicates count once");
     }
 }
 

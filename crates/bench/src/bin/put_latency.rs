@@ -17,11 +17,11 @@
 //! * `async` — the same fabric, completing through the Future/Waker
 //!   path: the receiver pre-posts with `post_pooled_async` and
 //!   `block_on`s the returned future. Against `tuned` it bounds the async
-//!   machinery's single-op overhead — the waker handoff replaces the
-//!   notification slot's spin-then-park wait, so a lone blocking op may
-//!   pay one futex round-trip the spinning path avoids; the async lane
-//!   buys scalability (thousands of cheap parked futures), not single-op
-//!   latency.
+//!   machinery's single-op overhead: `block_on` spins on its wake word
+//!   under the same adaptive spin-then-park policy as
+//!   `Notification::wait`, so a lone op costs one waker handoff more, not
+//!   a futex round trip; the async lane buys scalability (thousands of
+//!   cheap parked futures), not single-op latency.
 //!
 //! A third lane, `--shm`, leaves the process: the receiver is this
 //! binary re-exec'd as a shared-memory [`ShmServer`] (`--shm-child`

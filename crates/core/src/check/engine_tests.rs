@@ -214,6 +214,66 @@ fn park_unpark_all_interleavings_terminate() {
     println!("park/unpark model: {} schedules", report.schedules);
 }
 
+/// `csync::thread::park_timeout` under the model, with an hour-long real
+/// deadline so only the model's rule can time it out: a permit delivered
+/// before the park and an unpark after it both return "not timed out";
+/// with no unparker it times out, and only once nothing else can run.
+#[test]
+fn timed_park_permit_wake_and_timeout() {
+    const HOUR: std::time::Duration = std::time::Duration::from_secs(3600);
+    // Permit first: the target only parks after the unpark landed.
+    explore(unbounded(), || {
+        let unparked = Arc::new(csync::AtomicBool::new(false));
+        let u = unparked.clone();
+        let t = spawn(move || {
+            while !u.load(Ordering::Acquire) {
+                csync::spin_loop();
+            }
+            csync::thread::park_timeout(HOUR)
+        });
+        unpark_model_thread(t.tid());
+        unparked.store(true, Ordering::Release);
+        assert!(!t.join(), "a pending permit must satisfy the timed park");
+    })
+    .expect("permit before park");
+    // Unpark after (or racing) the park: always a wake, never a timeout.
+    explore(unbounded(), || {
+        let parking = Arc::new(csync::AtomicBool::new(false));
+        let p = parking.clone();
+        let t = spawn(move || {
+            p.store(true, Ordering::Release);
+            csync::thread::park_timeout(HOUR)
+        });
+        while !parking.load(Ordering::Acquire) {
+            csync::spin_loop();
+        }
+        unpark_model_thread(t.tid());
+        assert!(!t.join(), "an unpark must wake the timed park");
+    })
+    .expect("unpark after park");
+    // Nobody unparks: the timeout fires, but only after every other
+    // thread's work is done and the main thread is blocked in join.
+    let report = explore(unbounded(), || {
+        let steps = Arc::new(csync::AtomicUsize::new(0));
+        let s = steps.clone();
+        let t = spawn(move || {
+            let timed_out = csync::thread::park_timeout(HOUR);
+            assert!(timed_out, "nothing unparks this thread");
+            assert_eq!(
+                s.load(Ordering::SeqCst),
+                3,
+                "timed out while others could run"
+            );
+        });
+        for _ in 0..3 {
+            steps.fetch_add(1, Ordering::SeqCst);
+        }
+        t.join();
+    })
+    .expect("timeout fires only when nothing else can run");
+    assert!(report.complete);
+}
+
 #[test]
 fn condvar_predicate_wait_never_hangs() {
     let report = explore(unbounded(), || {

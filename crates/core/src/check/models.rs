@@ -26,7 +26,7 @@ use crate::buffer::{CompletedBuffer, PostedBuffer, Threshold};
 use crate::cq::CompletionQueue;
 use crate::csync::{self, AtomicU64 as CheckedU64, AtomicUsize as CheckedUsize};
 use crate::mailbox::{DeliveryOutcome, Mailbox, MailboxMode, OpKey, DEFAULT_RETAIN_EPOCHS};
-use crate::notify::{Notification, NotificationSlot};
+use crate::notify::{wait_any, Notification, NotificationSlot};
 use crate::ring::{PushError, RingQueue};
 use crate::transport_threaded::RouteSlot;
 
@@ -193,7 +193,7 @@ pub(super) fn notify_wait_model() {
 }
 
 /// Completing write races `wait_timeout`. The deadline is far in the
-/// future in real time, and the modeled condvar only times out when no
+/// future in real time, and the modeled timed park only times out when no
 /// other thread can run, so this enumerates the timed park/wake handoff
 /// deterministically; the `None` arm keeps the program total either way.
 pub(super) fn notify_timeout_model() {
@@ -242,6 +242,37 @@ pub(super) fn notify_future_model() {
     };
     assert_eq!(buf.data(), &[7u8; 8]);
     completer.join();
+}
+
+/// Two completers race one `wait_any` consumer over both slots: spin,
+/// register one parking waker in each slot's cell, re-check, park,
+/// deregister. Each completion is returned exactly once, with its own
+/// bytes, and a third call reports exhaustion.
+pub(super) fn notify_wait_any_model() {
+    let slots = [NotificationSlot::new(), NotificationSlot::new()];
+    let completers: Vec<_> = slots
+        .iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            let slot = Arc::clone(slot);
+            spawn(move || slot.complete(demo_buf(i as u8 + 1)))
+        })
+        .collect();
+    let mut notes: Vec<_> = slots
+        .iter()
+        .map(|s| Notification::new(Arc::clone(s)))
+        .collect();
+    let mut seen = [false; 2];
+    for _ in 0..2 {
+        let (i, buf) = wait_any(&mut notes).expect("a completion is pending");
+        assert!(!seen[i], "slot {i} delivered twice");
+        seen[i] = true;
+        assert_eq!(buf.data(), &[i as u8 + 1; 8]);
+    }
+    assert!(wait_any(&mut notes).is_none(), "both consumed");
+    for c in completers {
+        c.join();
+    }
 }
 
 /// A future is polled once and dropped mid-flight while the completer
@@ -524,6 +555,11 @@ fn notify_poll_handoff() {
 #[test]
 fn notify_future_handoff() {
     run_exhaustive("notify_future", notify_future_model);
+}
+
+#[test]
+fn notify_wait_any_handoff() {
+    run_exhaustive("notify_wait_any", notify_wait_any_model);
 }
 
 #[test]

@@ -75,14 +75,15 @@ fn relaxed_completing_swap_is_caught() {
     );
 }
 
-/// Waiter count read *before* the completing swap: the classic Dekker
-/// inversion. A consumer that registers and parks in the window between
-/// the early read and the swap is never woken — a modeled deadlock.
+/// Waker cell drained *before* the completing swap: the classic Dekker
+/// inversion. A consumer that registers its parking waker and re-checks
+/// the state in the window between the early drain and the swap parks
+/// and is never woken — a modeled deadlock.
 #[test]
-fn waiters_check_before_swap_is_caught() {
+fn waker_drain_before_swap_is_caught() {
     expect_caught(
-        "waiters_check_before_swap",
-        Mutation::WaitersCheckBeforeSwap,
+        "waker_drain_before_swap",
+        Mutation::WakerDrainBeforeSwap,
         FailureKind::Deadlock,
         notify_wait_model,
     );

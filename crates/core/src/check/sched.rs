@@ -203,8 +203,9 @@ enum Block {
     /// Waiting on a condvar (`cv` address); `timed` waits may be woken by
     /// the timeout-resolution rule.
     Cond { cv: usize, timed: bool },
-    /// `thread::park()` without a pending permit.
-    Park,
+    /// `thread::park()` / `park_timeout` without a pending permit;
+    /// `timed` parks may be woken by the timeout-resolution rule.
+    Park { timed: bool },
     /// Joining model thread `tid`.
     Join(usize),
     /// Spin hint (`spin_loop`/`yield_now`): runnable again as soon as any
@@ -378,11 +379,14 @@ impl Eng {
         }
     }
 
-    /// No thread is runnable. Fire the canonical earliest timeout if one
-    /// exists; otherwise classify and record the stuck state.
+    /// No thread is runnable. Fire the canonical earliest timeout (timed
+    /// condvar wait or timed park) if one exists; otherwise classify and
+    /// record the stuck state.
     fn resolve_stuck(&mut self) -> Option<usize> {
         for (tid, t) in self.threads.iter_mut().enumerate() {
-            if let Run::Blocked(Block::Cond { timed: true, .. }) = t.state {
+            if let Run::Blocked(Block::Cond { timed: true, .. } | Block::Park { timed: true }) =
+                t.state
+            {
                 t.state = Run::Ready;
                 t.timed_out = true;
                 return Some(tid);
@@ -672,7 +676,9 @@ impl Execution {
 
     // -- park / unpark ----------------------------------------------------
 
-    pub(crate) fn park(self: &Arc<Self>, me: usize) {
+    /// Park `me` unless a permit is pending; returns true when a `timed`
+    /// park was woken by the timeout-resolution rule.
+    pub(crate) fn park(self: &Arc<Self>, me: usize, timed: bool) -> bool {
         self.schedule_point(me);
         let consumed_permit = {
             let mut g = self.lock_eng();
@@ -683,9 +689,7 @@ impl Execution {
                 false
             }
         };
-        if !consumed_permit {
-            self.block_on(me, Block::Park);
-        }
+        let timed_out = !consumed_permit && self.block_on(me, Block::Park { timed });
         // Synchronize with the unparker.
         let mut g = self.lock_eng();
         let Eng { shadow, views, .. } = &mut *g;
@@ -696,6 +700,7 @@ impl Execution {
             AtomKind::Load,
             Ordering::Acquire,
         );
+        timed_out
     }
 
     pub(crate) fn unpark(self: &Arc<Self>, me: usize, target: usize) {
@@ -709,7 +714,7 @@ impl Execution {
             AtomKind::Rmw,
             Ordering::AcqRel,
         );
-        if g.threads[target].state == Run::Blocked(Block::Park) {
+        if let Run::Blocked(Block::Park { .. }) = g.threads[target].state {
             g.threads[target].state = Run::Ready;
         } else {
             g.threads[target].park_permit = true;

@@ -33,10 +33,10 @@ pub enum Mutation {
     /// EMPTY→COMPLETE swap `Relaxed` instead of `SeqCst` — breaks the
     /// payload-publication happens-before edge.
     RelaxedCompletingSwap,
-    /// `NotificationSlot::complete`: read the waiter count *before* the
-    /// completing swap (inverting the Dekker store→load order) — a
-    /// waiter that registers between the two is never woken.
-    WaitersCheckBeforeSwap,
+    /// `NotificationSlot::complete`: drain the slot's `AtomicWaker`
+    /// *before* the completing swap (inverting the Dekker store→load
+    /// order) — a waiter that registers between the two is never woken.
+    WakerDrainBeforeSwap,
     /// `RingQueue::try_push`: publish the slot sequence `Relaxed`
     /// instead of `Release` — the consumer can read an unpublished
     /// payload.
@@ -72,11 +72,25 @@ mod imp {
 
     pub(crate) mod thread {
         pub(crate) use std::thread::{current, park, yield_now, Thread};
+
+        /// Park for at most `dur`; true when `dur` elapsed (the caller
+        /// still re-checks its condition — a wake may race the timeout).
+        pub(crate) fn park_timeout(dur: std::time::Duration) -> bool {
+            let start = std::time::Instant::now();
+            std::thread::park_timeout(dur);
+            start.elapsed() >= dur
+        }
     }
 
     #[inline(always)]
     pub(crate) fn spin_loop() {
         std::hint::spin_loop();
+    }
+
+    /// True on a thread inside an active checker execution; never here.
+    #[inline(always)]
+    pub(crate) fn modeled() -> bool {
+        false
     }
 
     /// Spin budgets shrink to near-zero under an active model (spinning
@@ -138,8 +152,13 @@ mod imp {
     }
 
     #[inline]
+    pub(crate) fn modeled() -> bool {
+        ctx().is_some()
+    }
+
+    #[inline]
     pub(crate) fn spin_budget(n: u32) -> u32 {
-        if ctx().is_some() {
+        if modeled() {
             n.min(2)
         } else {
             n
@@ -416,6 +435,7 @@ mod imp {
             self as *const _ as usize
         }
 
+        #[cfg_attr(not(test), allow(dead_code))]
         pub(crate) fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
             match ctx() {
                 Some((e, me)) if guard.model => {
@@ -502,8 +522,25 @@ mod imp {
 
         pub(crate) fn park() {
             match ctx() {
-                Some((e, me)) => e.park(me),
+                Some((e, me)) => {
+                    e.park(me, false);
+                }
                 None => std::thread::park(),
+            }
+        }
+
+        /// Timed park. Under the model the timeout fires only when no
+        /// other model thread can run (the timed-condvar rule), so a
+        /// timed park never masks a lost wakeup; returns true when it
+        /// fired. Outside, a real timed park.
+        pub(crate) fn park_timeout(dur: std::time::Duration) -> bool {
+            match ctx() {
+                Some((e, me)) => e.park(me, true),
+                None => {
+                    let start = std::time::Instant::now();
+                    std::thread::park_timeout(dur);
+                    start.elapsed() >= dur
+                }
             }
         }
 

@@ -284,8 +284,9 @@ pub struct StatsSnapshot {
     pub full_stalls: u64,
     /// Parked wire workers woken by the producers' doorbell.
     pub park_wakeups: u64,
-    /// Completing writes that actually woke a consumer (condvar waiter,
-    /// parked task waker, CQ consumer, or multi-slot eventcount).
+    /// Completing writes that actually woke a consumer: the waker parked
+    /// in the slot's cell (a pending future's task, or a blocking waiter
+    /// past its spin phase) or an attached CQ's consumer.
     pub notify_wakes: u64,
     /// Async polls that found a still-pending slot after a registration —
     /// the woken-but-nothing-ready metric.

@@ -7,27 +7,33 @@
 //! completion queue — a thread can wait on exactly the completions it cares
 //! about, using Monitor/MWait-style wake-on-write or plain polling.
 //!
-//! [`NotificationSlot`] is the software analogue, and after the latency
-//! rework it really is a completion *pointer*, not a mutex-wrapped mailbox:
+//! [`NotificationSlot`] is the software analogue: one cache line holding an
+//! atomic state word (`EMPTY → COMPLETE → TAKEN`) that guards an
+//! `UnsafeCell` payload, and one `AtomicWaker` cell. The completing write
+//! is a plain store, one `SeqCst` state swap and one drain of the waker
+//! cell (plus the ready-list push of a CQ-attached slot) — no lock, no
+//! allocation. The waker cell is the **only** way a completion reaches a
+//! waiter:
 //!
-//! * The payload lives in an `UnsafeCell`, guarded by a single atomic state
-//!   word (`EMPTY → COMPLETE → TAKEN`). The NIC's completing write is a
-//!   plain store followed by one release/`SeqCst` state transition — no
-//!   lock, no allocation.
-//! * The condvar slow path is armed only when a waiter has *registered*
-//!   (a waiter-count atomic, Dekker-paired with the completing write). A
-//!   pure-polling receiver costs the completer one relaxed-ish load; the
-//!   old path took a mutex and broadcast `notify_all` on every completion.
-//! * [`wait_any`] / [`wait_any_timeout`] park on one shared eventcount
-//!   instead of burning a core polling every slot; the completing write
-//!   bumps the eventcount only when a multi-slot waiter is parked.
+//! * [`NotifyFuture`] registers its task's waker there;
+//! * the blocking waits — [`Notification::wait`] /
+//!   [`wait_timeout`](Notification::wait_timeout), [`wait_any`] /
+//!   [`wait_any_timeout`] — share one waiter: spin on the state word(s)
+//!   (the Monitor/MWait fast path: a completion is one cache miss away),
+//!   then register a waker that unparks this thread in every pending
+//!   slot, re-check, and park. Deadlines are checked every
+//!   `YIELD_EVERY` spins, where the spin also yields.
 //!
-//! Waiters get the same menu as before:
-//!
-//! * [`Notification::poll`] — the polling idiom,
-//! * [`Notification::wait`] — the Monitor/MWait idiom: a bounded spin on the
-//!   state word (the mwait fast path, wake in ~one cache miss) followed by a
-//!   parked wait (the power-saving path).
+//! **Adaptive spin budget.** Spinning pays only while the completer runs
+//! on another core; when it needs the waiter's core (an oversubscribed
+//! host), spinning starves it (DESIGN.md §11). Each thread therefore keeps
+//! its own budget, starting at `SPIN_LIMIT`: a wait satisfied while
+//! spinning keeps it at ≥ 4× the state-word checks it used; a wait that
+//! runs out, or is only satisfied after one of the spin's yields (the
+//! completer needed this core), halves it (down to 0); and at 0 every
+//! `PROBE_EVERY`th wait probes with `PROBE_SPINS` spins so the budget can
+//! recover. The rule reads only whether spinning paid off on this thread —
+//! there is no knob.
 //!
 //! Ownership of the completed buffer transfers through the slot, which is
 //! the Rust-safe rendering of "the pointer to the data buffer is deposited
@@ -35,24 +41,30 @@
 
 use crate::buffer::CompletedBuffer;
 use crate::cq::CqAttachment;
-use crate::csync::{
-    self, AtomicBool, AtomicU32, AtomicU8, AtomicUsize, CheckCell, Condvar, Mutation, Mutex,
-};
+use crate::csync::{self, AtomicBool, AtomicU8, CheckCell, Mutation};
 use crate::telemetry::{self, EventKind, Telemetry};
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 const STATE_EMPTY: u8 = 0;
 const STATE_COMPLETE: u8 = 1;
 const STATE_TAKEN: u8 = 2;
 
-/// Spin iterations before falling back to parking — long enough to catch
-/// completions that are a cache-miss away, short enough not to burn a core.
+/// Every thread's starting spin budget, and its cap — long enough to
+/// catch completions that are a cache-miss away, short enough not to burn
+/// a core.
 const SPIN_LIMIT: u32 = 4096;
+/// Spins between yields (and deadline checks) in the spin phase: if the
+/// completer is runnable but not running, a yield hands it the core.
+const YIELD_EVERY: u32 = 256;
+/// At budget 0, every `PROBE_EVERY`th wait spins [`PROBE_SPINS`] times.
+const PROBE_EVERY: u32 = 64;
+const PROBE_SPINS: u32 = 256;
 
 const WAKER_IDLE: u8 = 0;
 const WAKER_REGISTERING: u8 = 0b01;
@@ -156,7 +168,8 @@ impl AtomicWaker {
         }
     }
 
-    /// Drop any parked waker without waking it (future cancellation).
+    /// Take back any parked waker without waking it (future cancellation,
+    /// a blocking waiter leaving its park phase).
     pub(crate) fn take(&self) -> Option<Waker> {
         if self
             .state
@@ -184,8 +197,9 @@ impl std::fmt::Debug for AtomicWaker {
 /// diagnostics, never synchronization.
 #[derive(Debug, Default)]
 pub struct AsyncNotifyStats {
-    /// Completing writes that actually woke someone (condvar waiter, parked
-    /// task waker, CQ consumer, or multi-slot eventcount).
+    /// Completing writes that actually woke someone: the waker parked in
+    /// the slot's cell (a pending future's task, or a blocking waiter past
+    /// its spin phase) or an attached CQ's consumer.
     pub(crate) notify_wakes: AtomicU64,
     /// Future polls that found the slot still pending after a previous
     /// registration — the woken-but-nothing-ready metric.
@@ -202,27 +216,14 @@ pub struct NotificationSlot {
     /// `STATE_EMPTY` until the NIC's single completing write flips it to
     /// `STATE_COMPLETE`; the consuming waiter retires it to `STATE_TAKEN`.
     state: AtomicU8,
-    /// Parked waiters registered on this slot. The completing write takes
-    /// the condvar path only when this is non-zero (Dekker-paired with the
-    /// state transition, both `SeqCst`).
-    waiters: AtomicU32,
     /// The completed buffer "pointer + length", transferred to the waiter.
     /// Guarded by `state`: written by the sole completer before the
     /// `COMPLETE` transition, read by the sole consumer after it.
     payload: CheckCell<Option<CompletedBuffer>>,
-    /// Pairs with `condvar` for the parked slow path. Never guards the
-    /// payload.
-    wake: Mutex<()>,
-    /// Wakes parked waiters (the Monitor/MWait slow path).
-    condvar: Condvar,
-    /// The async parking cell: [`NotifyFuture::poll`] registers here and the
-    /// completing write wakes it directly — no condvar, no spin.
+    /// The one handoff cell: a pending [`NotifyFuture`] or a parked
+    /// blocking waiter registers here, and the completing write drains it
+    /// (Dekker-paired with the state swap, both `SeqCst`).
     waker: AtomicWaker,
-    /// `wait_any`/`wait_any_timeout` callers parked on the shared eventcount
-    /// with this slot in their scan set. The completing write signals the
-    /// eventcount only when this is non-zero (Dekker-paired, both `SeqCst`),
-    /// so unrelated multi-slot waiters no longer take spurious wakeups.
-    multi_waiters: AtomicU32,
     /// Ready-list attachment: when set (always before posting, so never
     /// racing the completer), the completing write pushes the buffer into
     /// the attached [`CompletionQueue`](crate::cq::CompletionQueue).
@@ -247,12 +248,8 @@ impl NotificationSlot {
     pub fn new() -> Arc<Self> {
         Arc::new(NotificationSlot {
             state: AtomicU8::new(STATE_EMPTY),
-            waiters: AtomicU32::new(0),
             payload: CheckCell::new(None),
-            wake: Mutex::new(()),
-            condvar: Condvar::new(),
             waker: AtomicWaker::new(),
-            multi_waiters: AtomicU32::new(0),
             cq: OnceLock::new(),
             async_armed: AtomicBool::new(false),
             stats: OnceLock::new(),
@@ -286,10 +283,9 @@ impl NotificationSlot {
         debug_assert!(ok, "slot already attached to a completion queue");
     }
 
-    /// The NIC-side completing write. Stores the buffer, flips the state
-    /// word, and wakes parked waiters — touching the mutex/condvar only
-    /// when a waiter has actually registered. Must be called at most once
-    /// per slot; a second call panics in debug builds.
+    /// The NIC-side completing write: store the buffer, swap the state
+    /// word, drain the waker cell once, push to an attached CQ. Must be
+    /// called at most once per slot; a second call panics in debug builds.
     pub(crate) fn complete(&self, buf: CompletedBuffer) {
         // Clone for the CQ ready-list before publishing. The attachment is
         // made before posting, so it cannot race this read; the clone is an
@@ -303,59 +299,33 @@ impl NotificationSlot {
             "notification slot completed twice"
         );
         self.payload.with_mut(|p| unsafe { *p = Some(buf) });
-        // SeqCst, not just Release: Dekker with waiter registration. Either
-        // this store is ordered before the waiter's registration (then the
-        // waiter's post-registration state check sees COMPLETE and never
-        // parks), or the `waiters` load below sees the registration (and we
-        // take the condvar path). The same pairing covers the async waker
-        // (`NotifyFuture::poll` re-checks state after registering) and the
-        // `multi_waiters` eventcount scope.
+        // SeqCst, not just Release: Dekker with waker registration. Either
+        // this swap is ordered before the waiter's post-registration state
+        // re-check (which then sees COMPLETE and never parks), or the drain
+        // below sees the registered waker and wakes it. Future and blocking
+        // waiters register in the same cell, so one pairing covers both.
         //
         // The two `csync::mutation` branches are the seeded-bad-ordering
         // hooks for exactly the properties this comment argues: weakening
         // the swap loses the payload-publication edge (a data race the
-        // checker's vector clocks flag), and hoisting the waiter check
-        // above the swap re-opens the lost-wakeup window (a modeled
-        // deadlock). Both are `const false` outside `--features check`.
+        // checker's vector clocks flag), and draining the cell before the
+        // swap re-opens the lost-wakeup window (a modeled deadlock). Both
+        // are `const false` outside `--features check`.
         let completing_order = if csync::mutation(Mutation::RelaxedCompletingSwap) {
             Ordering::Relaxed
         } else {
             Ordering::SeqCst
         };
-        let waiters_early = if csync::mutation(Mutation::WaitersCheckBeforeSwap) {
-            Some(self.waiters.load(Ordering::SeqCst))
-        } else {
-            None
-        };
+        let early_drain =
+            csync::mutation(Mutation::WakerDrainBeforeSwap).then(|| self.waker.wake());
         let prev = self.state.swap(STATE_COMPLETE, completing_order);
         debug_assert_eq!(prev, STATE_EMPTY, "notification slot completed twice");
-        let mut woke = false;
-        let waiters_now = waiters_early.unwrap_or_else(|| self.waiters.load(Ordering::SeqCst));
-        if waiters_now > 0 {
-            // Lock-then-unlock before notifying: a waiter that observed
-            // EMPTY is either not yet inside `condvar.wait` (then it holds
-            // or will take `wake`, and its re-check under the lock sees
-            // COMPLETE) or already parked (then notify_all wakes it).
-            drop(self.wake.lock());
-            self.condvar.notify_all();
-            woke = true;
-        }
-        // The async handoff: one lock-free drain of the waker cell wakes the
-        // parked task directly.
-        if self.waker.wake() {
-            woke = true;
-        }
+        let mut woke = early_drain.unwrap_or_else(|| self.waker.wake());
         if let Some((att, buf)) = cq_entry {
             att.push(buf);
             if let Some(stats) = self.stats.get() {
                 stats.cq_completions.fetch_add(1, Ordering::Relaxed);
             }
-            woke = true;
-        }
-        // Scoped, not broadcast: only signal the process-wide eventcount
-        // when a `wait_any` caller actually registered on *this* slot.
-        if self.multi_waiters.load(Ordering::SeqCst) > 0 {
-            any_event().signal();
             woke = true;
         }
         if woke {
@@ -395,49 +365,6 @@ impl NotificationSlot {
                 .expect("COMPLETE slot with no payload"),
         )
     }
-
-    /// Parked wait until the completing write, with an optional deadline.
-    /// Returns `false` on timeout. Caller has already spun.
-    fn park_until(&self, deadline: Option<Instant>) -> bool {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        // Re-check after registering (the other half of the Dekker pair in
-        // `complete`): if the completing write already landed we must not
-        // sleep — its `waiters` load may have seen zero.
-        let mut completed = self.state.load(Ordering::SeqCst) == STATE_COMPLETE;
-        if !completed {
-            let mut guard = self.wake.lock();
-            loop {
-                if self.state.load(Ordering::SeqCst) == STATE_COMPLETE {
-                    completed = true;
-                    break;
-                }
-                match deadline {
-                    Some(d) => {
-                        if self.condvar.wait_until(&mut guard, d).timed_out() {
-                            completed = self.state.load(Ordering::SeqCst) == STATE_COMPLETE;
-                            break;
-                        }
-                    }
-                    None => self.condvar.wait(&mut guard),
-                }
-            }
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        completed
-    }
-}
-
-/// One iteration of the pre-park spin phase, yielding the CPU every
-/// 256 spins: if the completer is runnable but not running
-/// (oversubscribed or single-CPU host), a yield hands it the core
-/// instead of burning the rest of the spin budget against a state word
-/// that cannot change.
-fn spin_step(spins: u32) {
-    if spins % 256 == 255 {
-        csync::thread::yield_now();
-    } else {
-        csync::spin_loop();
-    }
 }
 
 impl std::fmt::Debug for NotificationSlot {
@@ -448,77 +375,176 @@ impl std::fmt::Debug for NotificationSlot {
     }
 }
 
-/// A shared eventcount: multi-slot waiters park here once instead of
-/// polling every slot. `signal` costs completers one `SeqCst` load while no
-/// waiter is parked.
-struct EventCount {
-    /// Bumped by every signal that found a registered waiter; waiters
-    /// sleep only while the epoch they captured is still current.
-    epoch: AtomicUsize,
-    /// Registered multi-slot waiters (parked or about to park).
-    waiters: AtomicUsize,
-    mutex: Mutex<()>,
-    condvar: Condvar,
+/// This thread's adaptive spin budget (see the module docs): the spin
+/// allowance of its next wait, and the waits it has made since the budget
+/// reached 0.
+#[derive(Clone, Copy)]
+struct SpinBudget {
+    spins: u32,
+    zero_waits: u32,
 }
 
-impl EventCount {
-    const fn new() -> Self {
-        EventCount {
-            epoch: AtomicUsize::new(0),
-            waiters: AtomicUsize::new(0),
-            mutex: Mutex::new(()),
-            condvar: Condvar::new(),
+thread_local! {
+    static SPIN: Cell<SpinBudget> = const {
+        Cell::new(SpinBudget {
+            spins: SPIN_LIMIT,
+            zero_waits: 0,
+        })
+    };
+}
+
+impl SpinBudget {
+    /// The spin allowance of this thread's next wait. Under an active
+    /// checker execution the adaptive state is neither read nor written
+    /// (so schedule IDs stay replayable) and spinning is clamped to the
+    /// model's budget.
+    fn allowance() -> u32 {
+        if csync::modeled() {
+            return csync::spin_budget(SPIN_LIMIT);
         }
+        SPIN.with(|c| {
+            let mut b = c.get();
+            if b.spins > 0 {
+                return b.spins;
+            }
+            b.zero_waits = b.zero_waits.wrapping_add(1);
+            c.set(b);
+            if b.zero_waits % PROBE_EVERY == 0 {
+                PROBE_SPINS
+            } else {
+                0
+            }
+        })
     }
 
-    /// Completer side. Dekker with `wait`: either the waiter's registration
-    /// is visible here (bump + broadcast), or the completing write is
-    /// visible to the waiter's post-registration rescan.
-    fn signal(&self) {
-        if self.waiters.load(Ordering::SeqCst) == 0 {
+    /// Feed one wait back: ready after `checks` state-word checks, or
+    /// (`None`) the allowance ran out. Ready only after a yield counts as
+    /// running out: the completer needed this core.
+    fn settle(allowance: u32, checks: Option<u32>) {
+        if allowance == 0 || csync::modeled() {
             return;
         }
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        drop(self.mutex.lock());
-        self.condvar.notify_all();
-    }
-
-    /// Waiter side: register, capture the epoch, let `rescan` run once, and
-    /// park until the epoch moves (or the deadline passes). Returns what
-    /// `rescan` returned; `None` means "parked and woke (or timed out),
-    /// rescan again".
-    fn wait_for<T>(
-        &self,
-        deadline: Option<Instant>,
-        mut rescan: impl FnMut() -> Option<T>,
-    ) -> Option<T> {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let epoch = self.epoch.load(Ordering::SeqCst);
-        let hit = rescan();
-        if hit.is_none() {
-            let mut guard = self.mutex.lock();
-            while self.epoch.load(Ordering::SeqCst) == epoch {
-                match deadline {
-                    Some(d) => {
-                        if self.condvar.wait_until(&mut guard, d).timed_out() {
-                            break;
-                        }
+        SPIN.with(|c| {
+            let mut b = c.get();
+            match checks {
+                Some(n) if n <= YIELD_EVERY => {
+                    b.spins = b.spins.max(n.saturating_mul(4).min(SPIN_LIMIT))
+                }
+                _ => {
+                    b.spins /= 2;
+                    if b.spins == 0 {
+                        b.zero_waits = 0;
                     }
-                    None => self.condvar.wait(&mut guard),
+                }
+            }
+            c.set(b);
+        });
+    }
+}
+
+/// One iteration of the spin phase: a spin hint, or every
+/// [`YIELD_EVERY`]th spin a yield, so a runnable-but-waiting completer
+/// (oversubscribed or single-CPU host) gets the core.
+fn spin_step(spins: u32) {
+    if spins % YIELD_EVERY == YIELD_EVERY - 1 {
+        csync::thread::yield_now();
+    } else {
+        csync::spin_loop();
+    }
+}
+
+/// A waker that unparks the calling thread — what a blocking waiter
+/// registers in its slots' cells. Built once per thread and cloned (a
+/// refcount bump) per park, so parking allocates nothing after a thread's
+/// first park. Under a checker execution a fresh one names the current
+/// model thread.
+fn park_waker() -> Waker {
+    struct Unpark(csync::thread::Thread);
+    impl Wake for Unpark {
+        fn wake(self: Arc<Self>) {
+            self.0.unpark();
+        }
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.unpark();
+        }
+    }
+    fn fresh() -> Waker {
+        Waker::from(Arc::new(Unpark(csync::thread::current())))
+    }
+    thread_local! {
+        static PARK_WAKER: Waker = fresh();
+    }
+    if csync::modeled() {
+        fresh()
+    } else {
+        // `try_with`: a wait from another thread-local's destructor runs
+        // after this one may have been torn down.
+        PARK_WAKER
+            .try_with(Waker::clone)
+            .unwrap_or_else(|_| fresh())
+    }
+}
+
+/// Index of the first unconsumed notification whose slot completed.
+fn first_complete(notes: &[Notification], order: Ordering) -> Option<usize> {
+    notes
+        .iter()
+        .position(|n| !n.consumed && n.slot.state.load(order) == STATE_COMPLETE)
+}
+
+/// The one blocking waiter behind [`Notification::wait`],
+/// [`Notification::wait_timeout`], [`wait_any`] and [`wait_any_timeout`].
+/// Spins on the pending slots' state words under this thread's adaptive
+/// budget, checking `deadline` every [`YIELD_EVERY`] spins; then registers
+/// this thread's parking waker in every pending slot, re-checks, and parks
+/// until a completing write drains one of them. Returns the index of a
+/// completed (not yet taken) notification, or `None` once `deadline`
+/// passes.
+fn block_until(notes: &[Notification], deadline: Option<Instant>) -> Option<usize> {
+    let allowance = SpinBudget::allowance();
+    let mut spins = 0;
+    loop {
+        if let Some(i) = first_complete(notes, Ordering::Acquire) {
+            SpinBudget::settle(allowance, Some(spins + 1));
+            return Some(i);
+        }
+        if spins % YIELD_EVERY == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        if spins >= allowance {
+            SpinBudget::settle(allowance, None);
+            break;
+        }
+        spin_step(spins);
+        spins += 1;
+    }
+    let waker = park_waker();
+    let pending = || notes.iter().filter(|n| !n.consumed);
+    for n in pending() {
+        n.slot.waker.register(&waker);
+    }
+    let hit = loop {
+        // SeqCst re-check after registering: the waiter half of the
+        // Dekker pair in `complete`. A spurious unpark lands back here.
+        if let Some(i) = first_complete(notes, Ordering::SeqCst) {
+            break Some(i);
+        }
+        match deadline {
+            None => csync::thread::park(),
+            Some(d) => {
+                let now = Instant::now();
+                if now >= d || csync::thread::park_timeout(d - now) {
+                    // One last look, so a completion racing the deadline
+                    // is not reported as a timeout.
+                    break first_complete(notes, Ordering::SeqCst);
                 }
             }
         }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        hit
+    };
+    for n in pending() {
+        drop(n.slot.waker.take());
     }
-}
-
-/// The process-wide eventcount shared by all slots. One static is enough:
-/// cross-slot spurious wakeups only cost a rescan, and missed wakeups are
-/// impossible (see `EventCount::signal`).
-fn any_event() -> &'static EventCount {
-    static EVENT: EventCount = EventCount::new();
-    &EVENT
+    hit
 }
 
 /// The application-side handle to one buffer's completion pointer, returned
@@ -596,46 +622,33 @@ impl Notification {
         self.consumed
     }
 
-    /// Block until the buffer completes (Monitor/MWait idiom: bounded spin,
-    /// then park). Panics if the completion was already consumed.
+    /// Block until the buffer completes (Monitor/MWait idiom: spin on the
+    /// state word under this thread's adaptive budget, then park). Panics
+    /// if the completion was already consumed.
     pub fn wait(&mut self) -> CompletedBuffer {
         assert!(!self.consumed, "notification already consumed");
-        // Fast path: spin on the state word (budget collapses to ~2 under
-        // an active checker execution — spinning is modeled as blocking).
-        for spins in 0..csync::spin_budget(SPIN_LIMIT) {
-            if self.slot.is_complete() {
-                return self.take();
-            }
-            spin_step(spins);
-        }
-        // Slow path: register and park.
-        self.slot.park_until(None);
+        block_until(std::slice::from_ref(self), None);
         self.take()
     }
 
     /// Like [`wait`](Notification::wait) but gives up after `timeout`,
-    /// returning `None` on expiry.
+    /// returning `None` on expiry. The deadline is checked during the spin
+    /// as well as the park, so a short timeout is not stretched by the
+    /// spin budget; a zero timeout is a single check.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<CompletedBuffer> {
         assert!(!self.consumed, "notification already consumed");
-        let deadline = Instant::now() + timeout;
-        for spins in 0..csync::spin_budget(SPIN_LIMIT) {
-            if self.slot.is_complete() {
-                return Some(self.take());
-            }
-            spin_step(spins);
-        }
-        if self.slot.park_until(Some(deadline)) {
-            Some(self.take())
-        } else {
-            None
-        }
+        block_until(
+            std::slice::from_ref(self),
+            Instant::now().checked_add(timeout),
+        )?;
+        Some(self.take())
     }
 
     /// Convert into the async waiting idiom: a future that resolves to the
     /// completed buffer when the completing write lands. The completing
     /// write wakes the registered task directly through the slot's
-    /// `AtomicWaker` — no condvar, no spin. Panics (when polled) if the
-    /// notification was already consumed.
+    /// `AtomicWaker`. Panics (when polled) if the notification was already
+    /// consumed.
     pub fn into_future(self) -> NotifyFuture {
         NotifyFuture {
             inner: self,
@@ -707,15 +720,6 @@ impl Drop for NotifyFuture {
     }
 }
 
-fn scan(notifications: &mut [Notification]) -> Option<(usize, CompletedBuffer)> {
-    for (i, n) in notifications.iter_mut().enumerate() {
-        if let Some(buf) = n.poll() {
-            return Some((i, buf));
-        }
-    }
-    None
-}
-
 /// Wait until *any* of the given notifications completes; returns the index
 /// of the winner and its buffer. This is the fine-grained completion story
 /// of paper Sec. IV-C: because every buffer has its own known notification
@@ -727,40 +731,11 @@ fn scan(notifications: &mut [Notification]) -> Option<(usize, CompletedBuffer)> 
 ///
 /// # Blocking
 /// Spins across the slots (each check is one atomic load — the multi-slot
-/// analogue of arming Monitor/MWait on several lines), then parks on a
-/// shared eventcount that every completing write signals — one park for the
-/// whole set, instead of a poll loop over every slot.
+/// analogue of arming Monitor/MWait on several lines), then registers one
+/// parking waker in every pending slot's cell and parks once for the whole
+/// set; whichever completing write lands first unparks it.
 pub fn wait_any(notifications: &mut [Notification]) -> Option<(usize, CompletedBuffer)> {
-    if notifications.iter().all(Notification::is_consumed) {
-        return None;
-    }
-    for spins in 0..csync::spin_budget(SPIN_LIMIT) {
-        if let Some(hit) = scan(notifications) {
-            return Some(hit);
-        }
-        if spins % 1024 == 1023 {
-            csync::thread::yield_now();
-        } else {
-            csync::spin_loop();
-        }
-    }
-    loop {
-        // Register interest on every slot in the set before the rescan, so
-        // completers signal the eventcount only for slots someone is
-        // actually parked on. Dekker: a completer that misses the
-        // registration is ordered before it, so the rescan (which runs
-        // after) observes the COMPLETE state.
-        for n in notifications.iter() {
-            n.slot.multi_waiters.fetch_add(1, Ordering::SeqCst);
-        }
-        let hit = any_event().wait_for(None, || scan(notifications));
-        for n in notifications.iter() {
-            n.slot.multi_waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-        if let Some(hit) = hit {
-            return Some(hit);
-        }
-    }
+    wait_any_until(notifications, None)
 }
 
 /// [`wait_any`] with a deadline: returns `None` once `timeout` elapses with
@@ -774,41 +749,21 @@ pub fn wait_any_timeout(
     notifications: &mut [Notification],
     timeout: Duration,
 ) -> Option<(usize, CompletedBuffer)> {
-    if notifications.iter().all(Notification::is_consumed) {
-        return None;
-    }
-    let deadline = Instant::now() + timeout;
-    for spins in 0..csync::spin_budget(SPIN_LIMIT) {
-        if let Some(hit) = scan(notifications) {
-            return Some(hit);
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        if spins % 1024 == 1023 {
-            csync::thread::yield_now();
-        } else {
-            csync::spin_loop();
+    wait_any_until(notifications, Instant::now().checked_add(timeout))
+}
+
+fn wait_any_until(
+    notes: &mut [Notification],
+    deadline: Option<Instant>,
+) -> Option<(usize, CompletedBuffer)> {
+    while !notes.iter().all(Notification::is_consumed) {
+        let i = block_until(notes, deadline)?;
+        // A lost take election spends that handle; keep waiting on the rest.
+        if let Some(buf) = notes[i].try_take() {
+            return Some((i, buf));
         }
     }
-    loop {
-        // Same scoped registration as `wait_any` (see the comment there).
-        for n in notifications.iter() {
-            n.slot.multi_waiters.fetch_add(1, Ordering::SeqCst);
-        }
-        let hit = any_event().wait_for(Some(deadline), || scan(notifications));
-        for n in notifications.iter() {
-            n.slot.multi_waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-        if let Some(hit) = hit {
-            return Some(hit);
-        }
-        if Instant::now() >= deadline {
-            // One last scan so a completion racing the deadline is not
-            // reported as a timeout.
-            return scan(notifications);
-        }
-    }
+    None
 }
 
 /// Collect the completions of *all* given notifications, blocking until
@@ -937,8 +892,8 @@ mod tests {
     #[test]
     fn wait_any_parks_and_wakes_after_spin_budget() {
         // Completion arrives long after the spin budget: the waiter must be
-        // parked on the eventcount by then, and the completing write must
-        // wake it.
+        // parked with its waker in both slots by then, and the completing
+        // write must wake it.
         let slots: Vec<_> = (0..2).map(|_| NotificationSlot::new()).collect();
         let mut ns: Vec<_> = slots.iter().map(|s| Notification::new(s.clone())).collect();
         let slot = slots[0].clone();
@@ -1022,5 +977,38 @@ mod tests {
         let mut got: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         got.sort();
         assert_eq!(got, (0..8).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn spin_budget_decays_on_slow_waits_and_recovers_through_the_probe() {
+        let budget = || SPIN.with(|c| c.get().spins);
+        assert_eq!(budget(), SPIN_LIMIT, "a fresh thread starts at the limit");
+        // Waits that always run out of spin halve the budget down to 0.
+        let mut slow_waits = 0;
+        while budget() > 0 {
+            slow_waits += 1;
+            assert!(slow_waits <= 64, "budget stuck at {}", budget());
+            let mut n = Notification::new(NotificationSlot::new());
+            assert!(n.wait_timeout(Duration::from_millis(2)).is_none());
+        }
+        assert!(slow_waits > SPIN_LIMIT.ilog2() as usize);
+        // At budget 0 a ready slot is taken on the first check, with no
+        // spin and no feedback ...
+        let ready = || {
+            let slot = NotificationSlot::new();
+            slot.complete(completed(1));
+            Notification::new(slot).wait()
+        };
+        for _ in 1..PROBE_EVERY {
+            ready();
+            assert_eq!(budget(), 0);
+        }
+        // ... until the probe wait, whose hit restores a spin budget.
+        ready();
+        assert_eq!(
+            budget(),
+            4,
+            "a first-check probe hit keeps 4x its one check"
+        );
     }
 }

@@ -128,8 +128,8 @@ impl Window {
 
     /// [`post_buffer`](Window::post_buffer), async flavour: returns a future
     /// resolving to the completed buffer. The completing write wakes the
-    /// awaiting task directly through the slot's waker cell — no condvar,
-    /// no spin-then-park.
+    /// awaiting task directly through the slot's waker cell, the same cell
+    /// a blocking wait parks on.
     pub fn post_buffer_async(&self, buf: Vec<u8>) -> Result<NotifyFuture> {
         let slot = self.new_slot();
         slot.arm_async();

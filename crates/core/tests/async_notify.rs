@@ -5,20 +5,23 @@
 //! "not complete yet" check and its waker registration. The delay sweeps
 //! here move the completing write across that window (completer running
 //! before the first poll, during it, and long after), asserting the future
-//! resolves exactly once in every interleaving.
+//! resolves exactly once in every interleaving. The blocking waits park on
+//! the same waker cell after their spin phase, so the sweep also runs over
+//! `Notification::wait`, `wait_timeout` and `wait_any`, each spanning both
+//! phases.
 
 use pollster::block_on;
 use rvma_core::api::{rvma_post_buffer_async, rvma_put_notify};
 use rvma_core::{
-    AsyncNetwork, CompletionQueue, DeliveryOrder, LoopbackNetwork, NodeAddr, Threshold, VirtAddr,
-    DEFAULT_MTU,
+    wait_any, AsyncNetwork, CompletedBuffer, CompletionQueue, DeliveryOrder, LoopbackNetwork,
+    NodeAddr, Notification, Threshold, VirtAddr, DEFAULT_MTU,
 };
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::task::{Context, Poll};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use waker_fn::waker_fn;
 
 /// Completer delays swept over every race-prone test: from "complete
@@ -51,6 +54,110 @@ fn future_resolves_across_completer_delay_sweep() {
         });
         assert_eq!(buf.data(), payload.as_slice(), "delay {delay}us");
     }
+}
+
+/// The same sweep for a blocking idiom. Each round posts two buffers on
+/// their own windows — `notes[0]` is never completed, `notes[1]` is
+/// completed by a second thread after the delay — and `wait` must return
+/// `notes[1]`'s bytes, exactly once, leaving `notes[0]` untouched. Returns
+/// the rounds whose completing write had to wake a parked waiter.
+fn blocking_delay_sweep(mut wait: impl FnMut(&mut [Notification]) -> CompletedBuffer) -> u64 {
+    let net = LoopbackNetwork::new();
+    let server = net.add_endpoint(NodeAddr::node(1));
+    for (i, &delay) in DELAYS_US.iter().enumerate() {
+        let idle = VirtAddr::new(0x100 + 2 * i as u64);
+        let hot = VirtAddr::new(0x101 + 2 * i as u64);
+        let mut notes = [idle, hot].map(|vaddr| {
+            server
+                .init_window(vaddr, Threshold::bytes(256))
+                .unwrap()
+                .post_buffer(vec![0u8; 256])
+                .unwrap()
+        });
+        let payload = vec![i as u8 + 1; 256];
+        let net = &net;
+        let sent = &payload;
+        // The completer is running before the wait starts, so the delay
+        // is not stretched by thread start-up.
+        let started = Barrier::new(2);
+        let buf = std::thread::scope(|s| {
+            s.spawn(|| {
+                let init = net.initiator(NodeAddr::node(2));
+                started.wait();
+                std::thread::sleep(Duration::from_micros(delay));
+                init.put(NodeAddr::node(1), hot, sent).unwrap();
+            });
+            started.wait();
+            wait(&mut notes)
+        });
+        assert_eq!(buf.data(), payload.as_slice(), "delay {delay}us");
+        assert!(notes[1].is_consumed(), "delay {delay}us");
+        assert!(notes[1].poll().is_none(), "delivered twice at {delay}us");
+        assert!(!notes[0].is_consumed() && !notes[0].is_complete());
+    }
+    server.stats().notify_wakes
+}
+
+/// The sweep must straddle the waiter's two phases: the short delays are
+/// caught while spinning (no wake), the 1 ms one only after parking.
+fn assert_spans_spin_and_park(idiom: &str, parked_rounds: u64) {
+    assert!(
+        (1..DELAYS_US.len() as u64).contains(&parked_rounds),
+        "{idiom}: {parked_rounds} of {} rounds parked",
+        DELAYS_US.len()
+    );
+}
+
+#[test]
+fn wait_resolves_across_completer_delay_sweep() {
+    let parked = blocking_delay_sweep(|notes| notes[1].wait());
+    assert_spans_spin_and_park("wait", parked);
+}
+
+#[test]
+fn wait_timeout_resolves_across_completer_delay_sweep() {
+    let parked = blocking_delay_sweep(|notes| {
+        notes[1]
+            .wait_timeout(Duration::from_secs(10))
+            .expect("completes well inside the timeout")
+    });
+    assert_spans_spin_and_park("wait_timeout", parked);
+}
+
+#[test]
+fn wait_any_resolves_across_completer_delay_sweep() {
+    let parked = blocking_delay_sweep(|notes| {
+        let (idx, buf) = wait_any(notes).expect("one completion pending");
+        assert_eq!(idx, 1, "only the hot window completes");
+        buf
+    });
+    assert_spans_spin_and_park("wait_any", parked);
+}
+
+/// A short deadline is honoured: the spin phase checks it, so a zero
+/// timeout on a pending slot is one look, not a whole spin budget.
+#[test]
+fn wait_timeout_honours_short_deadline() {
+    let net = LoopbackNetwork::new();
+    let server = net.add_endpoint(NodeAddr::node(1));
+    let win = server
+        .init_window(VirtAddr::new(0x30), Threshold::bytes(64))
+        .unwrap();
+    let mut note = win.post_buffer(vec![0u8; 64]).unwrap();
+    let mut took: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            assert!(note.wait_timeout(Duration::ZERO).is_none());
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_micros(25),
+        "wait_timeout(0) median {median:?}"
+    );
+    assert!(!note.is_consumed());
 }
 
 #[test]

@@ -379,7 +379,7 @@ impl std::fmt::Debug for NotificationSlot {
 /// allowance of its next wait, and the waits it has made since the budget
 /// reached 0.
 #[derive(Clone, Copy)]
-struct SpinBudget {
+pub(crate) struct SpinBudget {
     spins: u32,
     zero_waits: u32,
 }
@@ -398,7 +398,7 @@ impl SpinBudget {
     /// checker execution the adaptive state is neither read nor written
     /// (so schedule IDs stay replayable) and spinning is clamped to the
     /// model's budget.
-    fn allowance() -> u32 {
+    pub(crate) fn allowance() -> u32 {
         if csync::modeled() {
             return csync::spin_budget(SPIN_LIMIT);
         }
@@ -420,7 +420,7 @@ impl SpinBudget {
     /// Feed one wait back: ready after `checks` state-word checks, or
     /// (`None`) the allowance ran out. Ready only after a yield counts as
     /// running out: the completer needed this core.
-    fn settle(allowance: u32, checks: Option<u32>) {
+    pub(crate) fn settle(allowance: u32, checks: Option<u32>) {
         if allowance == 0 || csync::modeled() {
             return;
         }
@@ -445,7 +445,7 @@ impl SpinBudget {
 /// One iteration of the spin phase: a spin hint, or every
 /// [`YIELD_EVERY`]th spin a yield, so a runnable-but-waiting completer
 /// (oversubscribed or single-CPU host) gets the core.
-fn spin_step(spins: u32) {
+pub(crate) fn spin_step(spins: u32) {
     if spins % YIELD_EVERY == YIELD_EVERY - 1 {
         csync::thread::yield_now();
     } else {

@@ -8,9 +8,9 @@
 //!
 //! * the **request ring** (MPSC: any number of initiator threads → the
 //!   server's single wire worker) carries put fragments and flush markers;
-//! * the **response ring** (SPSC: wire worker → the client's response
-//!   pump) carries per-fragment delivery acks for notified puts, NACKs,
-//!   and flush acks.
+//! * the **response ring** (SPSC: wire worker → whichever client thread
+//!   holds the drain) carries per-fragment delivery acks for notified
+//!   puts, NACKs, and flush acks.
 //!
 //! Layering is the point: the server-side worker runs the *same*
 //! receiver datapath as the in-process transports — [`RvmaEndpoint`]
@@ -20,6 +20,13 @@
 //! the *same* [`PutFuture`] the threaded transport hands out, fed by acks
 //! crossing the segment instead of an in-process countdown. Nothing above
 //! the wire knows the peer is in another address space.
+//!
+//! ## Who drains the response ring
+//!
+//! The waiter: a [`PutFuture`] poll or [`ShmClient::flush`] drains it
+//! while the thread's adaptive spin budget lasts, then arms the client's
+//! otherwise parked response pump. A put blocked on a full request ring
+//! drains too. See DESIGN.md §12 for the whole progress rule.
 //!
 //! ## Quiesce over shared memory
 //!
@@ -45,23 +52,22 @@
 //! peer dies mid-conversation. See DESIGN.md §12.
 
 use crate::addr::{NodeAddr, VirtAddr};
-use crate::endpoint::{
-    mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
-    DEFAULT_WIRE_IDLE_YIELDS,
-};
+use crate::endpoint::{mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
+use crate::notify::{spin_step, SpinBudget};
 use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::Transport;
-use crate::transport_threaded::{PutFuture, PutNotify};
+use crate::transport_threaded::{Progress, PutFuture, PutNotify};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Segment magic ("RVMASHM1") — a peer mapping the wrong file fails fast.
@@ -96,6 +102,14 @@ const RSP_FLUSH_ACK: u32 = 3;
 /// this much latency, never a hang.
 const DOORBELL_WAIT: Duration = Duration::from_millis(20);
 
+/// How often an unarmed response pump wakes to drain acks nobody waits
+/// for (rendezvous extent releases, NACKs) and to probe the server.
+const PUMP_TICK: Duration = Duration::from_millis(10);
+
+/// A thread's drain probes the server's liveness on every this-many-th
+/// call, if that call finds the response ring empty (the probe is a `stat`).
+const PEER_CHECK_EVERY: u32 = 4096;
+
 /// How long `connect` waits for the server to initialise the segment.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -110,6 +124,15 @@ fn prev_pow2(n: usize) -> usize {
         0
     } else {
         1usize << (usize::BITS - 1 - n.leading_zeros())
+    }
+}
+
+/// The next token from `counter`. Token 0 means "no ack requested" (and
+/// no flush), so it is skipped on wrap.
+fn next_token(counter: &AtomicU32) -> u32 {
+    match counter.fetch_add(1, Ordering::Relaxed).wrapping_add(1) {
+        0 => counter.fetch_add(1, Ordering::Relaxed).wrapping_add(1),
+        token => token,
     }
 }
 
@@ -301,6 +324,30 @@ impl SegGeometry {
             total,
         }
     }
+
+    /// The request and response rings laid over `seg`.
+    fn rings(&self, seg: &Arc<ShmSegment>) -> (RawRing, RawRing) {
+        let ring = |ctrl, base, stride, cap| RawRing {
+            seg: seg.clone(),
+            ctrl,
+            base,
+            stride,
+            cap,
+        };
+        let req = ring(
+            self.req_ctrl,
+            self.req_base,
+            self.req_stride,
+            self.req_slots,
+        );
+        let rsp = ring(
+            self.rsp_ctrl,
+            self.rsp_base,
+            self.rsp_stride,
+            self.rsp_slots,
+        );
+        (req, rsp)
+    }
 }
 
 fn header(seg: &ShmSegment) -> &SegHeader {
@@ -377,13 +424,6 @@ impl RawRing {
 
     fn publish(&self, idx: usize, ticket: u64) {
         self.slot_seq(idx).store(ticket + 1, Ordering::Release);
-    }
-
-    /// True when the next slot is ready for the consumer.
-    fn can_pop(&self) -> bool {
-        let head = self.ctrl().head.load(Ordering::Relaxed);
-        let idx = (head % self.cap as u64) as usize;
-        self.slot_seq(idx).load(Ordering::Acquire) == head + 1
     }
 
     /// Single-consumer: claim the next filled slot for reading. Returns
@@ -490,26 +530,6 @@ impl ServerInner {
             std::slice::from_raw_parts(p, len)
         })
     }
-
-    fn req_ring(&self) -> RawRing {
-        RawRing {
-            seg: self.seg.clone(),
-            ctrl: self.geo.req_ctrl,
-            base: self.geo.req_base,
-            stride: self.geo.req_stride,
-            cap: self.geo.req_slots,
-        }
-    }
-
-    fn rsp_ring(&self) -> RawRing {
-        RawRing {
-            seg: self.seg.clone(),
-            ctrl: self.geo.rsp_ctrl,
-            base: self.geo.rsp_base,
-            stride: self.geo.rsp_stride,
-            cap: self.geo.rsp_slots,
-        }
-    }
 }
 
 /// The receiving (server) half of the shared-memory transport: owns the
@@ -555,8 +575,9 @@ impl ShmServer {
             wire_copied: AtomicU64::new(0),
         });
 
-        inner.req_ring().init_slots();
-        inner.rsp_ring().init_slots();
+        let (req, rsp) = geo.rings(&seg);
+        req.init_slots();
+        rsp.init_slots();
         let hdr = header(&seg);
         hdr.mtu.store(mtu as u64, Ordering::Relaxed);
         hdr.req_slots.store(req_slots as u64, Ordering::Relaxed);
@@ -663,11 +684,10 @@ impl ShmServer {
     /// and the deferred queue (the graceful analogue of `WireMsg::Stop`).
     /// Further client traffic fails with the server-gone state.
     pub fn stop(&mut self) {
-        header(&self.inner.seg)
-            .state
-            .store(STATE_SERVER_GONE, Ordering::SeqCst);
+        let hdr = header(&self.inner.seg);
+        hdr.state.store(STATE_SERVER_GONE, Ordering::SeqCst);
         self.inner.stop.store(true, Ordering::SeqCst);
-        header(&self.inner.seg).req_bell.ring();
+        hdr.req_bell.ring();
         if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
@@ -687,8 +707,7 @@ impl Drop for ShmServer {
 /// momentarily dry, so a retried fragment lands behind the queued traffic
 /// exactly as it does on the threaded transport.
 fn shm_worker(inner: Arc<ServerInner>) {
-    let req = inner.req_ring();
-    let rsp = inner.rsp_ring();
+    let (req, rsp) = inner.geo.rings(&inner.seg);
     let hdr = header(&inner.seg);
     let mut link = inner.fault.as_ref().map(|f| (f, f.injector(0)));
     let mut deferred: VecDeque<ServerMsg> = VecDeque::new();
@@ -718,7 +737,7 @@ fn shm_worker(inner: Arc<ServerInner>) {
             continue;
         }
         let seen = hdr.req_bell.prepare();
-        if req.can_pop() || inner.stop.load(Ordering::Acquire) {
+        if req.begin_pop().is_some() || inner.stop.load(Ordering::Acquire) {
             hdr.req_bell.cancel();
             continue;
         }
@@ -744,14 +763,14 @@ fn shm_worker(inner: Arc<ServerInner>) {
 /// instead of parking.
 fn idle_wait(ring: &RawRing, stop: &AtomicBool, spins: u32, yields: u32) -> bool {
     for _ in 0..spins {
-        if ring.can_pop() || stop.load(Ordering::Relaxed) {
+        if ring.begin_pop().is_some() || stop.load(Ordering::Relaxed) {
             return true;
         }
         std::hint::spin_loop();
     }
     for _ in 0..yields {
         std::thread::yield_now();
-        if ring.can_pop() || stop.load(Ordering::Relaxed) {
+        if ring.begin_pop().is_some() || stop.load(Ordering::Relaxed) {
             return true;
         }
     }
@@ -1135,6 +1154,14 @@ struct FlushState {
 struct ClientInner {
     seg: Arc<ShmSegment>,
     geo: SegGeometry,
+    req: RawRing,
+    rsp: RawRing,
+    /// Held by the one thread draining `rsp` (the ring's single consumer).
+    draining: AtomicBool,
+    /// Waiters (futures, flushers) that ran out of spin and handed the
+    /// drain to the pump; it sleeps on the response doorbell while > 0.
+    armed: AtomicU32,
+    pump: OnceLock<Thread>,
     src: NodeAddr,
     /// Lane policy published by the server in the segment header.
     eager_threshold: usize,
@@ -1159,24 +1186,61 @@ struct ClientInner {
 }
 
 impl ClientInner {
-    fn req_ring(&self) -> RawRing {
-        RawRing {
-            seg: self.seg.clone(),
-            ctrl: self.geo.req_ctrl,
-            base: self.geo.req_base,
-            stride: self.geo.req_stride,
-            cap: self.geo.req_slots,
+    /// The one response-ring drain: if no other thread holds the consumer
+    /// role, pop every ready ack into [`handle_rsp`]. When it finds the
+    /// ring empty and `check_peer` is set (or at a fixed cadence of a
+    /// thread's calls) it probes the server, and on death fails everything
+    /// outstanding. Returns whether it handled anything.
+    fn progress(&self, check_peer: bool) -> bool {
+        thread_local! {
+            static CALLS: Cell<u32> = const { Cell::new(0) };
         }
+        let check_peer = check_peer
+            || CALLS.with(|c| {
+                c.set(c.get().wrapping_add(1));
+                c.get() % PEER_CHECK_EVERY == 0
+            });
+        if !(check_peer || self.rsp.begin_pop().is_some())
+            || self.draining.swap(true, Ordering::Acquire)
+        {
+            return false;
+        }
+        let drain = || {
+            let mut n = 0;
+            while let Some(idx) = self.rsp.begin_pop() {
+                let h = rsp_hdr(&self.seg, self.rsp.slot_off(idx));
+                let msg = RspMsg {
+                    kind: h.kind.load(Ordering::Relaxed),
+                    token: h.token.load(Ordering::Relaxed),
+                    reason: h.reason.load(Ordering::Relaxed),
+                    nacked: h.nacked.load(Ordering::Relaxed),
+                    vaddr: h.vaddr.load(Ordering::Relaxed),
+                };
+                self.rsp.release_pop(idx);
+                handle_rsp(self, msg);
+                n += 1;
+            }
+            n
+        };
+        let handled = drain();
+        if handled == 0 && check_peer && self.server_dead() {
+            // Drain what the server managed to push before dying, then
+            // fail the rest.
+            drain();
+            self.fail_all_pending();
+        }
+        self.draining.store(false, Ordering::Release);
+        handled > 0
     }
 
-    fn rsp_ring(&self) -> RawRing {
-        RawRing {
-            seg: self.seg.clone(),
-            ctrl: self.geo.rsp_ctrl,
-            base: self.geo.rsp_base,
-            stride: self.geo.rsp_stride,
-            cap: self.geo.rsp_slots,
+    /// Reserve a bulk extent; when the region is exhausted, drain the acks
+    /// that release extents once and retry.
+    fn reserve_bulk(&self, len: usize) -> Option<(usize, u32)> {
+        let extent = self.bulk.lock().reserve(len);
+        if extent.is_some() || !self.progress(false) {
+            return extent;
         }
+        self.bulk.lock().reserve(len)
     }
 
     fn server_dead(&self) -> bool {
@@ -1188,6 +1252,12 @@ impl ClientInner {
         spid != 0 && !pid_alive(spid)
     }
 
+    /// Record one initiator-side telemetry event of this client.
+    fn record(&self, kind: EventKind, op_id: u64, arg: u64) {
+        let key = telemetry::initiator_key(self.src.nid, self.src.pid);
+        telemetry::record(&self.telemetry, kind, key, op_id, arg);
+    }
+
     /// Release a rendezvous extent (exactly once per reservation: the
     /// callers are the single ack-path removal, the submit error unwind,
     /// and the peer-death drain — mutually exclusive by token ownership).
@@ -1195,13 +1265,7 @@ impl ClientInner {
         self.bulk.lock().release(off, order);
         self.bulk_released.fetch_add(len as u64, Ordering::Relaxed);
         self.bulk_in_flight.fetch_sub(1, Ordering::Relaxed);
-        telemetry::record(
-            &self.telemetry,
-            EventKind::BulkRelease,
-            telemetry::initiator_key(self.src.nid, self.src.pid),
-            0,
-            off as u64,
-        );
+        self.record(EventKind::BulkRelease, 0, off as u64);
     }
 
     /// Resolve every outstanding future/flush as failed (peer death).
@@ -1216,17 +1280,33 @@ impl ClientInner {
                 self.release_extent(off, order, len);
             }
         }
-        let mut fs = self.flush_state.lock();
-        fs.dead = true;
-        drop(fs);
+        self.flush_state.lock().dead = true;
         self.flush_cv.notify_all();
     }
 }
 
+impl Progress for ClientInner {
+    fn drive(&self) {
+        self.progress(false);
+    }
+
+    fn arm(&self) {
+        self.armed.fetch_add(1, Ordering::SeqCst);
+        if let Some(pump) = self.pump.get() {
+            pump.unpark();
+        }
+    }
+
+    fn disarm(&self) {
+        self.armed.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// The initiating (client) half: maps a server's segment and speaks the
-/// wire protocol through it. All puts go through the request ring; a
-/// background response pump resolves [`PutFuture`]s, collects NACKs, and
-/// releases [`flush`](ShmClient::flush) barriers from the response ring.
+/// wire protocol through it. All puts go through the request ring; acks
+/// come back through the response ring, drained by whoever waits on them
+/// (a [`PutFuture`] poll, a [`flush`](ShmClient::flush)) and by a parked
+/// response pump only for a waiter that stopped spinning.
 pub struct ShmClient {
     inner: Arc<ClientInner>,
     pump: Option<JoinHandle<()>>,
@@ -1234,7 +1314,8 @@ pub struct ShmClient {
 
 impl ShmClient {
     /// Map the segment at `path` (waiting up to 10 s for the server to
-    /// initialise it) and start the response pump.
+    /// initialise it) and start the response pump, which stays parked
+    /// (ticking every 10 ms) while no waiter has armed it.
     pub fn connect(path: &Path, src: NodeAddr) -> Result<ShmClient> {
         ShmClient::connect_with(path, src, None)
     }
@@ -1315,9 +1396,16 @@ impl ShmClient {
             seg.prefault_writable(geo.bulk_base, geo.bulk_bytes);
         }
 
+        let seg = Arc::new(seg);
+        let (req, rsp) = geo.rings(&seg);
         let inner = Arc::new(ClientInner {
-            seg: Arc::new(seg),
+            req,
+            rsp,
+            seg,
             geo,
+            draining: AtomicBool::new(false),
+            armed: AtomicU32::new(0),
+            pump: OnceLock::new(),
             src,
             eager_threshold,
             next_op: AtomicU64::new(1),
@@ -1346,6 +1434,7 @@ impl ShmClient {
                 .spawn(move || rsp_pump(inner))
                 .expect("spawn shm response pump")
         };
+        let _ = inner.pump.set(pump.thread().clone());
         Ok(ShmClient {
             inner,
             pump: Some(pump),
@@ -1362,7 +1451,6 @@ impl ShmClient {
         self.inner.geo.mtu
     }
 
-    /// Fire-and-forget `RVMA_Put` at offset 0.
     /// The lane policy the server published in the segment header: puts
     /// longer than this take the rendezvous lane (0 forces it for every
     /// non-empty put, `usize::MAX` disables it).
@@ -1370,6 +1458,7 @@ impl ShmClient {
         self.inner.eager_threshold
     }
 
+    /// Fire-and-forget `RVMA_Put` at offset 0.
     pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<()> {
         self.put_at(dest, vaddr, 0, data)
     }
@@ -1417,20 +1506,14 @@ impl ShmClient {
     /// [`put_from_extent`](ShmClient::put_from_extent): no staging copy at
     /// all, the server gathers straight from the extent (one copy per
     /// byte, the one no lane can avoid). Returns `None` when the region
-    /// is exhausted or the rendezvous lane is disabled. The extent is
-    /// returned to the allocator on drop.
+    /// is exhausted (after draining pending acks once) or the rendezvous
+    /// lane is disabled. The extent is returned to the allocator on drop.
     pub fn reserve_extent(&self, len: usize) -> Option<BulkExtent> {
         let inner = &self.inner;
-        let (off, order) = inner.bulk.lock().reserve(len)?;
+        let (off, order) = inner.reserve_bulk(len)?;
         inner.bulk_reserved.fetch_add(len as u64, Ordering::Relaxed);
         inner.bulk_in_flight.fetch_add(1, Ordering::Relaxed);
-        telemetry::record(
-            &inner.telemetry,
-            EventKind::BulkReserve,
-            telemetry::initiator_key(inner.src.nid, inner.src.pid),
-            0,
-            off as u64,
-        );
+        inner.record(EventKind::BulkReserve, 0, off as u64);
         Some(BulkExtent {
             inner: self.inner.clone(),
             off,
@@ -1459,33 +1542,38 @@ impl ShmClient {
             "extent belongs to a different client"
         );
         let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(inner.src.nid, inner.src.pid);
-        telemetry::record(
-            &inner.telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            ext.len as u64,
-        );
-        let token = self.alloc_token();
+        inner.record(EventKind::Submit, op_id, ext.len as u64);
+        // The application owns the extent's lifetime: the ack resolves
+        // the future but releases nothing.
+        let notify = self.push_rts(dest, vaddr, offset, op_id, (ext.off, 0, ext.len), false)?;
+        Ok(self.future(notify, 1))
+    }
+
+    /// Push one rendezvous RTS descriptor for the extent `(off, order,
+    /// len)` under a fresh token, returning its one-fragment countdown.
+    /// With `owned`, the ack releases the extent; a descriptor that never
+    /// reaches the wire releases it here.
+    fn push_rts(
+        &self,
+        dest: NodeAddr,
+        vaddr: VirtAddr,
+        offset: usize,
+        op_id: u64,
+        (ext_off, order, len): (usize, u32, usize),
+        owned: bool,
+    ) -> Result<Arc<PutNotify>> {
+        let inner = &self.inner;
+        let token = next_token(&inner.next_token);
         let notify = PutNotify::new(1);
-        // `extent: None`: the application owns the extent's lifetime —
-        // the ack resolves the future but releases nothing.
         inner.tokens.lock().insert(
             token,
             PendingPut {
                 notify: notify.clone(),
                 remaining: 1,
-                extent: None,
+                extent: owned.then_some((ext_off, order, len)),
             },
         );
-        telemetry::record(
-            &inner.telemetry,
-            EventKind::RingEnqueue,
-            src_key,
-            op_id,
-            offset as u64,
-        );
+        inner.record(EventKind::RingEnqueue, op_id, offset as u64);
         let pushed = self.push_req(|h, payload| {
             h.kind.store(REQ_BULK, Ordering::Relaxed);
             h.len.store(8, Ordering::Relaxed);
@@ -1496,27 +1584,31 @@ impl ShmClient {
             h.token.store(token, Ordering::Relaxed);
             h.op_id.store(op_id, Ordering::Relaxed);
             h.vaddr.store(vaddr.0, Ordering::Relaxed);
-            h.total_len.store(ext.len as u64, Ordering::Relaxed);
+            h.total_len.store(len as u64, Ordering::Relaxed);
             h.offset.store(offset as u64, Ordering::Relaxed);
             // SAFETY: the payload region is at least MTU (> 8) bytes.
             unsafe {
-                std::ptr::write_unaligned(payload as *mut u64, ext.off as u64);
+                std::ptr::write_unaligned(payload as *mut u64, ext_off as u64);
             }
         });
         if let Err(e) = pushed {
-            inner.tokens.lock().remove(&token);
+            // Never reached the wire: unwind the token and reservation.
+            // (fail_all_pending may already have drained the token and
+            // released the extent — only release what we removed.)
+            if let Some(p) = inner.tokens.lock().remove(&token) {
+                if let Some((off, ord, len)) = p.extent {
+                    inner.release_extent(off, ord, len);
+                }
+            }
             return Err(e);
         }
-        Ok(PutFuture::from_notify(notify, 1))
+        Ok(notify)
     }
 
-    /// Token 0 means "no ack requested"; skip it on wrap.
-    fn alloc_token(&self) -> u32 {
-        let mut token = self.inner.next_token.fetch_add(1, Ordering::Relaxed) + 1;
-        if token == 0 {
-            token = self.inner.next_token.fetch_add(1, Ordering::Relaxed) + 1;
-        }
-        token
+    /// A future over `notify` that drains this client's response ring.
+    fn future(&self, notify: Arc<PutNotify>, fragments: u64) -> PutFuture {
+        let progress: Arc<dyn Progress> = self.inner.clone();
+        PutFuture::from_notify(notify, fragments, Some(progress))
     }
 
     /// One entry point for every put: picks the lane, owns the token
@@ -1532,24 +1624,39 @@ impl ShmClient {
         want_notify: bool,
     ) -> Result<Option<PutFuture>> {
         let inner = &self.inner;
-        if data.len() > inner.eager_threshold {
-            let extent = inner.bulk.lock().reserve(data.len());
-            match extent {
-                Some((ext_off, order)) => {
-                    return self.submit_bulk(dest, vaddr, offset, data, ext_off, order, want_notify)
-                }
-                // Region exhausted (or lane disabled): eager still works —
-                // rendezvous is an optimisation, never a requirement.
-                None => {
-                    inner.bulk_fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
+        let len = data.len();
+        let extent = (len > inner.eager_threshold).then(|| inner.reserve_bulk(len));
+        if let Some(Some((ext_off, order))) = extent {
+            // Rendezvous: one copy into the reserved extent, one RTS
+            // descriptor; a single logical fragment regardless of size.
+            inner.bulk_reserved.fetch_add(len as u64, Ordering::Relaxed);
+            inner.bulk_in_flight.fetch_add(1, Ordering::Relaxed);
+            let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
+            inner.record(EventKind::Submit, op_id, len as u64);
+            inner.record(EventKind::BulkReserve, op_id, ext_off as u64);
+            // The lane's single staging copy: caller buffer → extent. It
+            // must complete before the descriptor publishes (the ring
+            // slot's release store orders it for the server's acquire pop).
+            inner.staged.fetch_add(len as u64, Ordering::Relaxed);
+            // SAFETY: the extent was reserved from this segment's bulk
+            // region and covers `len` bytes by construction.
+            unsafe {
+                let dst = inner.seg.as_ptr().add(inner.geo.bulk_base + ext_off);
+                std::ptr::copy_nonoverlapping(data.as_ptr(), dst, len);
             }
+            let notify = self.push_rts(dest, vaddr, offset, op_id, (ext_off, order, len), true)?;
+            return Ok(want_notify.then(|| self.future(notify, 1)));
+        }
+        if extent.is_some() {
+            // Region exhausted (or lane disabled): eager still works —
+            // rendezvous is an optimisation, never a requirement.
+            inner.bulk_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         if !want_notify {
             self.submit(dest, vaddr, offset, data, 0)?;
             return Ok(None);
         }
-        let token = self.alloc_token();
+        let token = next_token(&inner.next_token);
         // The countdown covers exactly the fragments `submit` will push —
         // one even for an empty put, so its future resolves too.
         let fragments = mtu_ranges(data.len(), inner.geo.mtu).len() as u64;
@@ -1566,104 +1673,7 @@ impl ShmClient {
             inner.tokens.lock().remove(&token);
             return Err(e);
         }
-        Ok(Some(PutFuture::from_notify(notify, fragments)))
-    }
-
-    /// Rendezvous submission: one copy into the reserved extent, one RTS
-    /// descriptor through the request ring. The put is a single logical
-    /// fragment regardless of size.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_bulk(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-        ext_off: usize,
-        order: u32,
-        want_notify: bool,
-    ) -> Result<Option<PutFuture>> {
-        let inner = &self.inner;
-        inner
-            .bulk_reserved
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        inner.bulk_in_flight.fetch_add(1, Ordering::Relaxed);
-        let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(inner.src.nid, inner.src.pid);
-        telemetry::record(
-            &inner.telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            data.len() as u64,
-        );
-        telemetry::record(
-            &inner.telemetry,
-            EventKind::BulkReserve,
-            src_key,
-            op_id,
-            ext_off as u64,
-        );
-        // The lane's single staging copy: caller buffer → extent. It must
-        // complete before the descriptor publishes (the ring slot's
-        // release store orders it for the server's acquire pop).
-        inner.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        // SAFETY: the extent was reserved from this segment's bulk region
-        // and covers `data.len()` bytes by construction.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                data.as_ptr(),
-                inner.seg.as_ptr().add(inner.geo.bulk_base + ext_off),
-                data.len(),
-            );
-        }
-        let token = self.alloc_token();
-        let notify = PutNotify::new(1);
-        inner.tokens.lock().insert(
-            token,
-            PendingPut {
-                notify: notify.clone(),
-                remaining: 1,
-                extent: Some((ext_off, order, data.len())),
-            },
-        );
-        telemetry::record(
-            &inner.telemetry,
-            EventKind::RingEnqueue,
-            src_key,
-            op_id,
-            offset as u64,
-        );
-        let pushed = self.push_req(|h, payload| {
-            h.kind.store(REQ_BULK, Ordering::Relaxed);
-            h.len.store(8, Ordering::Relaxed);
-            h.dest_nid.store(dest.nid, Ordering::Relaxed);
-            h.dest_pid.store(dest.pid, Ordering::Relaxed);
-            h.init_nid.store(inner.src.nid, Ordering::Relaxed);
-            h.init_pid.store(inner.src.pid, Ordering::Relaxed);
-            h.token.store(token, Ordering::Relaxed);
-            h.op_id.store(op_id, Ordering::Relaxed);
-            h.vaddr.store(vaddr.0, Ordering::Relaxed);
-            h.total_len.store(data.len() as u64, Ordering::Relaxed);
-            h.offset.store(offset as u64, Ordering::Relaxed);
-            // SAFETY: the payload region is at least MTU (> 8) bytes.
-            unsafe {
-                std::ptr::write_unaligned(payload as *mut u64, ext_off as u64);
-            }
-        });
-        if let Err(e) = pushed {
-            // Never reached the wire: unwind reservation and token. (If
-            // push_req failed, fail_all_pending may already have drained
-            // the token and released the extent — only release what we
-            // removed ourselves.)
-            if let Some(p) = inner.tokens.lock().remove(&token) {
-                if let Some((off, ord, len)) = p.extent {
-                    inner.release_extent(off, ord, len);
-                }
-            }
-            return Err(e);
-        }
-        Ok(want_notify.then(|| PutFuture::from_notify(notify, 1)))
+        Ok(Some(self.future(notify, fragments)))
     }
 
     /// Fragment and push one put into the request ring.
@@ -1675,39 +1685,26 @@ impl ShmClient {
         data: &[u8],
         token: u32,
     ) -> Result<()> {
-        let mtu = self.inner.geo.mtu;
-        self.inner
-            .staged
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let op_id = self.inner.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(self.inner.src.nid, self.inner.src.pid);
-        telemetry::record(
-            &self.inner.telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            data.len() as u64,
-        );
-        for (s, e) in mtu_ranges(data.len(), mtu) {
-            telemetry::record(
-                &self.inner.telemetry,
-                EventKind::RingEnqueue,
-                src_key,
-                op_id,
-                (offset + s) as u64,
-            );
+        let inner = &self.inner;
+        let len = data.len();
+        inner.staged.fetch_add(len as u64, Ordering::Relaxed);
+        let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
+        inner.record(EventKind::Submit, op_id, len as u64);
+        for (s, e) in mtu_ranges(len, inner.geo.mtu) {
+            let at = (offset + s) as u64;
+            inner.record(EventKind::RingEnqueue, op_id, at);
             self.push_req(|h, payload| {
                 h.kind.store(REQ_PUT, Ordering::Relaxed);
                 h.len.store((e - s) as u32, Ordering::Relaxed);
                 h.dest_nid.store(dest.nid, Ordering::Relaxed);
                 h.dest_pid.store(dest.pid, Ordering::Relaxed);
-                h.init_nid.store(self.inner.src.nid, Ordering::Relaxed);
-                h.init_pid.store(self.inner.src.pid, Ordering::Relaxed);
+                h.init_nid.store(inner.src.nid, Ordering::Relaxed);
+                h.init_pid.store(inner.src.pid, Ordering::Relaxed);
                 h.token.store(token, Ordering::Relaxed);
                 h.op_id.store(op_id, Ordering::Relaxed);
                 h.vaddr.store(vaddr.0, Ordering::Relaxed);
-                h.total_len.store(data.len() as u64, Ordering::Relaxed);
-                h.offset.store((offset + s) as u64, Ordering::Relaxed);
+                h.total_len.store(len as u64, Ordering::Relaxed);
+                h.offset.store(at, Ordering::Relaxed);
                 // SAFETY: payload points at this slot's mtu-sized region
                 // and e - s <= mtu.
                 unsafe {
@@ -1719,10 +1716,12 @@ impl ShmClient {
     }
 
     /// Claim, fill, publish one request slot; blocks (bounded, liveness-
-    /// checked) while the ring is full — backpressure, never drops.
+    /// checked) while the ring is full — backpressure, never drops. Each
+    /// retry drains the response ring: a server blocked on a full
+    /// response ring stops consuming requests.
     fn push_req(&self, fill: impl FnOnce(&ReqHdr, *mut u8)) -> Result<()> {
         let inner = &self.inner;
-        let req = inner.req_ring();
+        let req = &inner.req;
         let hdr = header(&inner.seg);
         let mut fill = Some(fill);
         let mut tries = 0u32;
@@ -1738,6 +1737,7 @@ impl ShmClient {
                 return Ok(());
             }
             tries += 1;
+            inner.progress(false);
             if tries.is_multiple_of(1024) {
                 if inner.server_dead() {
                     inner.fail_all_pending();
@@ -1756,37 +1756,55 @@ impl ShmClient {
     /// reached its final disposition at the server — including link-level
     /// retransmissions parked in the server's deferred queue, which hold
     /// the ack back (see the module docs). Errors if the server dies.
+    ///
+    /// The caller drains the response ring itself while its adaptive spin
+    /// budget lasts, then arms the response pump and sleeps on a condvar.
     pub fn flush(&self) -> Result<()> {
-        let mut token = self.inner.next_flush.fetch_add(1, Ordering::Relaxed) + 1;
-        if token == 0 {
-            token = self.inner.next_flush.fetch_add(1, Ordering::Relaxed) + 1;
-        }
+        let inner = &self.inner;
+        let token = next_token(&inner.next_flush);
         self.push_req(|h, _payload| {
             h.kind.store(REQ_FLUSH, Ordering::Relaxed);
             h.len.store(0, Ordering::Relaxed);
             h.token.store(token, Ordering::Relaxed);
         })?;
-        let mut fs = self.inner.flush_state.lock();
-        loop {
+        let allowance = SpinBudget::allowance();
+        let (mut spins, mut armed) = (0, false);
+        let r = loop {
+            let mut fs = inner.flush_state.lock();
             if fs.acked.remove(&token) {
-                return Ok(());
+                break Ok(());
             }
             if fs.dead {
-                return Err(RvmaError::TransportFailed(
+                break Err(RvmaError::TransportFailed(
                     "server process gone (flush never acked)".into(),
                 ));
             }
-            let timed_out = self
-                .inner
-                .flush_cv
-                .wait_until(&mut fs, Instant::now() + Duration::from_millis(100))
-                .timed_out();
-            if timed_out && self.inner.server_dead() {
+            if armed {
+                let timed_out = inner
+                    .flush_cv
+                    .wait_until(&mut fs, Instant::now() + Duration::from_millis(100))
+                    .timed_out();
                 drop(fs);
-                self.inner.fail_all_pending();
-                fs = self.inner.flush_state.lock();
+                if timed_out && inner.server_dead() {
+                    inner.fail_all_pending();
+                }
+            } else if spins < allowance {
+                drop(fs);
+                spin_step(spins);
+                spins += 1;
+                inner.progress(false);
+            } else {
+                SpinBudget::settle(allowance, None);
+                armed = true;
+                inner.arm();
             }
+        };
+        if armed {
+            inner.disarm();
+        } else {
+            SpinBudget::settle(allowance, Some(spins + 1));
         }
+        r
     }
 
     /// Drain the asynchronously collected NACKs. Complete for everything
@@ -1820,6 +1838,8 @@ impl Drop for ShmClient {
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.pump.take() {
+            h.thread().unpark();
+            header(&self.inner.seg).rsp_bell.ring();
             let _ = h.join();
         }
     }
@@ -1847,72 +1867,33 @@ impl Transport for ShmClient {
     }
 }
 
-/// The client's response pump: single consumer of the response ring.
-/// Resolves put-notify countdowns, collects NACKs, releases flush
-/// barriers; on server death it fails everything outstanding so no
-/// future or flush ever hangs on a dead peer.
+/// The client's response pump: the fallback drainer. Parked, it ticks
+/// every [`PUMP_TICK`] to drain acks nobody waits for. Armed by a waiter
+/// that ran out of spin, it sleeps on the response doorbell and drains
+/// every ack, until no armed waiter is left. Either way it probes the
+/// server at most once a tick, and a dead server fails everything
+/// outstanding, so no future or flush ever hangs on a dead peer.
 fn rsp_pump(inner: Arc<ClientInner>) {
-    let rsp = inner.rsp_ring();
     let hdr = header(&inner.seg);
-    let mut dead_checks = 0u32;
-    loop {
-        if let Some(idx) = rsp.begin_pop() {
-            let off = rsp.slot_off(idx);
-            let h = rsp_hdr(&inner.seg, off);
-            let msg = RspMsg {
-                kind: h.kind.load(Ordering::Relaxed),
-                token: h.token.load(Ordering::Relaxed),
-                reason: h.reason.load(Ordering::Relaxed),
-                nacked: h.nacked.load(Ordering::Relaxed),
-                vaddr: h.vaddr.load(Ordering::Relaxed),
-            };
-            rsp.release_pop(idx);
-            handle_rsp(&inner, msg);
-            continue;
+    let armed = || inner.armed.load(Ordering::SeqCst) > 0;
+    let mut probed = Instant::now();
+    while !inner.stop.load(Ordering::Acquire) {
+        let probe = probed.elapsed() >= PUMP_TICK;
+        if probe {
+            probed = Instant::now();
         }
-        if inner.stop.load(Ordering::Acquire) {
-            break;
-        }
-        dead_checks += 1;
-        if dead_checks.is_multiple_of(8) && inner.server_dead() {
-            // Drain what the server managed to push before dying, then
-            // fail the rest.
-            while let Some(idx) = rsp.begin_pop() {
-                let off = rsp.slot_off(idx);
-                let h = rsp_hdr(&inner.seg, off);
-                let msg = RspMsg {
-                    kind: h.kind.load(Ordering::Relaxed),
-                    token: h.token.load(Ordering::Relaxed),
-                    reason: h.reason.load(Ordering::Relaxed),
-                    nacked: h.nacked.load(Ordering::Relaxed),
-                    vaddr: h.vaddr.load(Ordering::Relaxed),
-                };
-                rsp.release_pop(idx);
-                handle_rsp(&inner, msg);
+        let handled = inner.progress(probe);
+        if !armed() {
+            std::thread::park_timeout(PUMP_TICK);
+        } else if !handled {
+            let seen = hdr.rsp_bell.prepare();
+            if inner.rsp.begin_pop().is_some() || inner.stop.load(Ordering::Acquire) || !armed() {
+                hdr.rsp_bell.cancel();
+                std::thread::yield_now();
+                continue;
             }
-            inner.fail_all_pending();
-            break;
+            hdr.rsp_bell.wait(seen, DOORBELL_WAIT);
         }
-        // Same idle ladder as the server worker: acks stream one per
-        // rendezvous put, so parking per ack would cost a futex round
-        // trip per message. Defaults (the client has no EndpointConfig):
-        // the server publishes no idle policy in the header, and the
-        // pump's cadence only affects extent-release latency, which the
-        // allocator's depth absorbs.
-        if idle_wait(
-            &rsp,
-            &inner.stop,
-            DEFAULT_WIRE_IDLE_SPINS,
-            DEFAULT_WIRE_IDLE_YIELDS,
-        ) {
-            continue;
-        }
-        let seen = hdr.rsp_bell.prepare();
-        if rsp.can_pop() || inner.stop.load(Ordering::Acquire) {
-            hdr.rsp_bell.cancel();
-            continue;
-        }
-        hdr.rsp_bell.wait(seen, DOORBELL_WAIT);
     }
 }
 
@@ -1950,9 +1931,7 @@ fn handle_rsp(inner: &ClientInner, msg: RspMsg) {
                 .push((VirtAddr::new(msg.vaddr), decode_nack(msg.reason)));
         }
         RSP_FLUSH_ACK => {
-            let mut fs = inner.flush_state.lock();
-            fs.acked.insert(msg.token);
-            drop(fs);
+            inner.flush_state.lock().acked.insert(msg.token);
             inner.flush_cv.notify_all();
         }
         _ => {}

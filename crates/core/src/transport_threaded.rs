@@ -117,7 +117,7 @@ use crate::addr::{NodeAddr, VirtAddr};
 use crate::csync::{self, AtomicU64 as CheckedU64, Mutation};
 use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
-use crate::notify::AtomicWaker;
+use crate::notify::{spin_step, AtomicWaker, SpinBudget};
 use crate::pool::{PayloadPool, PoolStats};
 use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
 use crate::ring::{PushError, RingQueue, RingStats, RingStatsSnapshot};
@@ -133,7 +133,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -210,19 +210,95 @@ pub struct PutDelivery {
 /// paper's `RVMA_Put` buffer-reuse guarantee holds — not the receiver's
 /// threshold completion, which remains the notification machinery's job.
 /// The future is independent of any executor; poll it from one, or
-/// `block_on` it.
+/// `block_on` it. `poll` never blocks: a backend whose acks must be
+/// drained by the waiter (the shm client) is driven a step per poll, and
+/// the future wakes itself while it spins.
 #[must_use = "a PutFuture does nothing unless polled"]
 pub struct PutFuture {
     notify: Arc<PutNotify>,
     fragments: u64,
+    drain: Option<Drain>,
+}
+
+/// A backend whose completions advance only while someone drains them
+/// (the shm client's response ring). The waiter is its progress engine;
+/// a helper takes over only while some waiter has armed it.
+pub(crate) trait Progress: Send + Sync {
+    /// Drain whatever completions are ready, unless another thread is.
+    fn drive(&self);
+    /// The caller stops driving: the helper drains until the matching
+    /// [`disarm`](Progress::disarm).
+    fn arm(&self);
+    fn disarm(&self);
+}
+
+/// A driven [`PutFuture`]'s progress hook and how far its spin has got.
+struct Drain {
+    hook: Arc<dyn Progress>,
+    /// This wait's spin allowance, taken at its first pending poll.
+    allowance: Option<u32>,
+    spins: u32,
+    armed: bool,
+}
+
+impl Drain {
+    /// A poll found the put unresolved. While the thread's adaptive budget
+    /// lasts, spin one step and wake the task so it polls (and drives)
+    /// again; once it runs out, settle the wait as a miss and arm the
+    /// helper, whose drain wakes the registered waker.
+    fn pend(&mut self, waker: &Waker) {
+        if self.armed {
+            return;
+        }
+        let allowance = *self.allowance.get_or_insert_with(SpinBudget::allowance);
+        if self.spins < allowance {
+            spin_step(self.spins);
+            self.spins += 1;
+            waker.wake_by_ref();
+        } else {
+            SpinBudget::settle(allowance, None);
+            self.armed = true;
+            self.hook.arm();
+        }
+    }
+
+    /// The put resolved: credit the spin, or hand the helper back.
+    fn resolved(&mut self) {
+        if std::mem::take(&mut self.armed) {
+            self.hook.disarm();
+        } else if let Some(allowance) = self.allowance.take() {
+            SpinBudget::settle(allowance, Some(self.spins + 1));
+        }
+    }
+}
+
+impl Drop for Drain {
+    fn drop(&mut self) {
+        if self.armed {
+            self.hook.disarm();
+        }
+    }
 }
 
 impl PutFuture {
     /// Wrap a delivery countdown shared with a transport backend (the
-    /// threaded workers decrement it in-process; the shm client's response
-    /// pump decrements it from cross-process acks).
-    pub(crate) fn from_notify(notify: Arc<PutNotify>, fragments: u64) -> PutFuture {
-        PutFuture { notify, fragments }
+    /// threaded workers decrement it in-process; the shm client decrements
+    /// it from cross-process acks, drained through `progress`).
+    pub(crate) fn from_notify(
+        notify: Arc<PutNotify>,
+        fragments: u64,
+        progress: Option<Arc<dyn Progress>>,
+    ) -> PutFuture {
+        PutFuture {
+            notify,
+            fragments,
+            drain: progress.map(|hook| Drain {
+                hook,
+                allowance: None,
+                spins: 0,
+                armed: false,
+            }),
+        }
     }
 
     /// True once delivery finished (the future would resolve immediately).
@@ -235,22 +311,30 @@ impl Future for PutFuture {
     type Output = PutDelivery;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<PutDelivery> {
-        let report = |n: &PutNotify| PutDelivery {
-            fragments: self.fragments,
-            nacked: n.nacked.load(Ordering::SeqCst),
-        };
-        if self.notify.done.load(Ordering::SeqCst) {
-            return Poll::Ready(report(&self.notify));
+        let this = self.get_mut();
+        if let Some(d) = &this.drain {
+            d.hook.drive();
         }
-        self.notify.waker.register(cx.waker());
-        // Re-check after registration: a worker that published `done`
-        // between the first check and the register either saw the waker
-        // (and woke it) or lost the race to this load. Either way no wake
-        // is missed.
-        if self.notify.done.load(Ordering::SeqCst) {
-            return Poll::Ready(report(&self.notify));
+        if !this.notify.done.load(Ordering::SeqCst) {
+            this.notify.waker.register(cx.waker());
+            // Re-check after registration: a completer that published
+            // `done` between the first check and the register either saw
+            // the waker (and woke it) or lost the race to this load.
+            // Either way no wake is missed.
+            if !this.notify.done.load(Ordering::SeqCst) {
+                if let Some(d) = &mut this.drain {
+                    d.pend(cx.waker());
+                }
+                return Poll::Pending;
+            }
         }
-        Poll::Pending
+        if let Some(d) = &mut this.drain {
+            d.resolved();
+        }
+        Poll::Ready(PutDelivery {
+            fragments: this.fragments,
+            nacked: this.notify.nacked.load(Ordering::SeqCst),
+        })
     }
 }
 
@@ -1065,7 +1149,7 @@ impl AsyncInitiator {
         let fragments = mtu_ranges(data.len(), self.shared.mtu).len() as u64;
         let notify = PutNotify::new(fragments);
         self.submit(dest, vaddr, offset, data, Some(notify.clone()))?;
-        Ok(PutFuture { notify, fragments })
+        Ok(PutFuture::from_notify(notify, fragments, None))
     }
 
     /// `RVMA_Put` of an owned payload with a size-adaptive lane choice.
@@ -1112,10 +1196,7 @@ impl AsyncInitiator {
         }
         let notify = PutNotify::new(1);
         self.submit_shared(dest, vaddr, offset, data, Some(notify.clone()))?;
-        Ok(PutFuture {
-            notify,
-            fragments: 1,
-        })
+        Ok(PutFuture::from_notify(notify, 1, None))
     }
 
     /// Rendezvous submission: the caller's shared allocation rides one

@@ -6,9 +6,15 @@
 //! local application. Everything is thread-safe with no global lock: the
 //! LUT is internally sharded (see [`crate::lut`]) so lookups and even
 //! registration to different mailboxes never contend, each mailbox sits
-//! behind its own `Mutex`, and the payload copy happens *outside* that
-//! mutex via the mailbox's two-phase delivery — the traffic-stream
-//! separation the paper attributes to per-mailbox addressing.
+//! behind its own `Mutex` — the traffic-stream separation the paper
+//! attributes to per-mailbox addressing. A single [`deliver`] copies the
+//! payload *outside* that mutex via the mailbox's two-phase delivery;
+//! [`deliver_batch`] copies under it in bounded chunks, one lock hold per
+//! [`DELIVER_CHUNK`] fragments, because its callers (the threaded wire
+//! workers) are each a mailbox's only writer.
+//!
+//! [`deliver`]: RvmaEndpoint::deliver
+//! [`deliver_batch`]: RvmaEndpoint::deliver_batch
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::buffer::Threshold;
@@ -366,14 +372,15 @@ impl BatchCounters {
     fn discard(
         &mut self,
         nacks_enabled: bool,
+        index: usize,
         vaddr: VirtAddr,
         reason: NackReason,
-        on_nack: &mut dyn FnMut(VirtAddr, NackReason),
+        on_nack: &mut dyn FnMut(usize, VirtAddr, NackReason),
     ) {
         self.discarded += 1;
         if nacks_enabled {
             self.nacks += 1;
-            on_nack(vaddr, reason);
+            on_nack(index, vaddr, reason);
         }
     }
 
@@ -644,15 +651,26 @@ impl RvmaEndpoint {
     /// epoch rotation points, same `Managed`-cursor order, same
     /// last-writer-wins on overlapping ranges.
     ///
-    /// `on_nack` is invoked (in batch order) for every fragment that would
-    /// have produced [`DeliverResult::Nack`]; silent drops (NACKs disabled)
-    /// are counted but not reported, exactly as in the single-fragment
-    /// path.
+    /// `on_nack` is invoked (in batch order) with the index in `frags` of
+    /// every fragment that would have produced [`DeliverResult::Nack`], so
+    /// a caller whose batch mixes initiators or notified puts can route
+    /// each refusal to its own message; silent drops (NACKs disabled) are
+    /// counted but not reported, exactly as in the single-fragment path.
+    ///
+    /// The mailbox's [`EpochProgress`](crate::mailbox::EpochProgress)
+    /// counters publish once per chunk, so a reader polling them
+    /// ([`Window::progress`](crate::window::Window::progress)) sees them
+    /// stale by at most one chunk of the run being delivered. The threaded
+    /// wire workers deliver single eager puts through this path too.
     ///
     /// Contention against a *different* thread's in-flight copy (possible
     /// only for direct concurrent `deliver` callers, e.g. loopback
     /// senders) falls back to the same yield-retry as the single path.
-    pub fn deliver_batch(&self, frags: &[Fragment], on_nack: &mut dyn FnMut(VirtAddr, NackReason)) {
+    pub fn deliver_batch(
+        &self,
+        frags: &[Fragment],
+        on_nack: &mut dyn FnMut(usize, VirtAddr, NackReason),
+    ) {
         let mut acc = BatchCounters::default();
         let mut i = 0;
         while i < frags.len() {
@@ -661,18 +679,20 @@ impl RvmaEndpoint {
             while j < frags.len() && frags[j].dst_vaddr == vaddr {
                 j += 1;
             }
-            self.deliver_run(&frags[i..j], &mut acc, on_nack);
+            self.deliver_run(i, &frags[i..j], &mut acc, on_nack);
             i = j;
         }
         acc.publish(&self.stats);
     }
 
-    /// Deliver one run of fragments that all target `run[0].dst_vaddr`.
+    /// Deliver one run of fragments that all target `run[0].dst_vaddr`;
+    /// `base` is the run's index in the batch, for `on_nack`.
     fn deliver_run(
         &self,
+        base: usize,
         run: &[Fragment],
         acc: &mut BatchCounters,
-        on_nack: &mut dyn FnMut(VirtAddr, NackReason),
+        on_nack: &mut dyn FnMut(usize, VirtAddr, NackReason),
     ) {
         let vaddr = run[0].dst_vaddr;
         // One translation for the whole run (the batched analogue of the
@@ -689,9 +709,10 @@ impl RvmaEndpoint {
             }
         };
         let Some(mailbox) = mailbox else {
-            for _ in run {
+            for k in 0..run.len() {
                 acc.discard(
                     self.config.nacks_enabled,
+                    base + k,
                     vaddr,
                     NackReason::NoSuchMailbox,
                     on_nack,
@@ -711,16 +732,21 @@ impl RvmaEndpoint {
             // machinery. The chunk bounds the lock hold time.
             let chunk_end = (idx + DELIVER_CHUNK).min(run.len());
             let chunk = &run[idx..chunk_end];
+            // Outcomes arrive once per fragment, in order.
+            let mut at = base + idx;
             let fused = mb.deliver_run_exclusive(
                 chunk
                     .iter()
                     .map(|f| (f.op_key(), f.op_total_len, f.offset, &f.data[..])),
-                &mut |outcome, len| match outcome {
-                    DeliveryOutcome::Accepted | DeliveryOutcome::Completed => acc.accept(len),
-                    DeliveryOutcome::Duplicate => acc.dups += 1,
-                    DeliveryOutcome::Discarded(reason) => {
-                        acc.discard(nacks_enabled, vaddr, reason, on_nack);
+                &mut |outcome, len| {
+                    match outcome {
+                        DeliveryOutcome::Accepted | DeliveryOutcome::Completed => acc.accept(len),
+                        DeliveryOutcome::Duplicate => acc.dups += 1,
+                        DeliveryOutcome::Discarded(reason) => {
+                            acc.discard(nacks_enabled, at, vaddr, reason, on_nack);
+                        }
                     }
+                    at += 1;
                 },
             );
             if fused {
@@ -745,7 +771,7 @@ impl RvmaEndpoint {
                         idx += 1;
                     }
                     BeginOutcome::Done(DeliveryOutcome::Discarded(reason)) => {
-                        acc.discard(self.config.nacks_enabled, vaddr, reason, on_nack);
+                        acc.discard(nacks_enabled, base + idx, vaddr, reason, on_nack);
                         idx += 1;
                     }
                     BeginOutcome::Reserved(r) => {
@@ -1041,7 +1067,7 @@ mod tests {
             frag(5, 1, 8, 0, vec![1; 4]), // duplicated mid-batch
             frag(5, 1, 8, 4, vec![2; 4]),
         ];
-        ep.deliver_batch(&frags, &mut |_, _| panic!("no nacks expected"));
+        ep.deliver_batch(&frags, &mut |_, _, _| panic!("no nacks expected"));
         assert_eq!(n.poll().unwrap().data(), &[1, 1, 1, 1, 2, 2, 2, 2]);
         let s = ep.stats();
         assert_eq!(s.duplicates_dropped, 1);
@@ -1131,7 +1157,7 @@ mod tests {
             frag(2, 4, 4, 4, vec![0xD; 4]),
         ];
         let mut nacks = Vec::new();
-        ep.deliver_batch(&frags, &mut |va, r| nacks.push((va, r)));
+        ep.deliver_batch(&frags, &mut |_, va, r| nacks.push((va, r)));
         assert!(nacks.is_empty());
         assert_eq!(
             na.poll().unwrap().data(),
@@ -1162,7 +1188,7 @@ mod tests {
             frag(99, 3, 4, 0, vec![0; 4]),
         ];
         let mut nacks = Vec::new();
-        ep.deliver_batch(&frags, &mut |va, r| nacks.push((va, r)));
+        ep.deliver_batch(&frags, &mut |_, va, r| nacks.push((va, r)));
         assert_eq!(n.poll().unwrap().data(), &[7; 4]);
         assert_eq!(
             nacks,
@@ -1188,7 +1214,7 @@ mod tests {
         let mut n = win.post_buffer(vec![0; 8]).unwrap();
         let frags = vec![frag(1, 1, 8, 0, vec![1; 8]), frag(1, 2, 8, 0, vec![2; 8])];
         let mut nacks = Vec::new();
-        ep.deliver_batch(&frags, &mut |va, r| nacks.push((va, r)));
+        ep.deliver_batch(&frags, &mut |_, va, r| nacks.push((va, r)));
         assert!(nacks.is_empty());
         let buf = n.poll().expect("two ops counted");
         assert_eq!(buf.data(), &[2; 8], "batch order preserved on overlap");
@@ -1210,7 +1236,7 @@ mod tests {
             frag(1, 3, 4, 8, vec![3; 4]),
             frag(1, 4, 4, 12, vec![4; 4]),
         ];
-        ep.deliver_batch(&frags, &mut |_, _| panic!("no nacks expected"));
+        ep.deliver_batch(&frags, &mut |_, _, _| panic!("no nacks expected"));
         let b1 = n1.poll().expect("first epoch");
         let b2 = n2.poll().expect("second epoch");
         assert_eq!(&b1.full_buffer()[..8], &[1, 1, 1, 1, 2, 2, 2, 2]);
@@ -1225,7 +1251,7 @@ mod tests {
         let win = ep.init_window(VirtAddr::new(1), Threshold::ops(1)).unwrap();
         let mut n = win.post_buffer(vec![0; 8]).unwrap();
         let frags = vec![frag(1, 1, 0, 0, vec![])];
-        ep.deliver_batch(&frags, &mut |_, _| panic!("no nacks expected"));
+        ep.deliver_batch(&frags, &mut |_, _, _| panic!("no nacks expected"));
         assert_eq!(n.poll().unwrap().len(), 0);
         assert_eq!(ep.stats().epochs_completed, 1);
     }

@@ -35,6 +35,10 @@
 //! `BeginOutcome::Contended`; the caller drops the lock, yields, and
 //! retries (overlapping concurrent writes are already "not recommended"
 //! usage — the retry only serializes them instead of racing).
+//! A caller that is the mailbox's only writer — a threaded wire worker,
+//! through `RvmaEndpoint::deliver_batch` — skips the two phases:
+//! `Mailbox::deliver_run_exclusive` places a chunk of fragments under one
+//! lock hold.
 //! Epoch progress is mirrored into an [`EpochProgress`] that can be read
 //! lock-free while deliveries are in flight.
 
@@ -146,8 +150,12 @@ unsafe impl Send for WriteReservation {}
 /// what has been placed: the two-phase path bumps them when it reserves
 /// the range (`deliver_begin`), before the copy runs outside the lock, so
 /// they can lead the bytes actually in the buffer by every in-flight
-/// put — a whole rendezvous put each. They are a pacing signal. Only the
-/// threshold completion (the notification) certifies placement.
+/// put — a whole rendezvous put each. The batched path
+/// (`Mailbox::deliver_run_exclusive`, which the threaded wire workers
+/// use for every eager put) publishes them once per chunk, so they can
+/// also lag the buffer by at most one chunk of puts. They are a pacing
+/// signal. Only the threshold completion (the notification) certifies
+/// placement.
 #[derive(Debug, Default)]
 pub struct EpochProgress {
     bytes: AtomicU64,

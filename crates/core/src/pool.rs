@@ -22,8 +22,10 @@
 //! still observe. `PayloadPool` proves uniqueness with `Arc::get_mut`
 //! (the shelf holds the only reference); `BufferPool` receives allocations
 //! only from `CompletedBuffer`'s last-drop hook or an explicit
-//! [`BufferPool::recycle`]. Both are bounded: beyond
-//! [`MAX_SHELF`] entries, retiring allocations are simply freed.
+//! [`BufferPool::recycle`]. Both are bounded by entries and by bytes
+//! ([`PAYLOAD_SHELF_BYTES`] per payload class, [`BUFFER_SHELF_BYTES`] per
+//! buffer pool): beyond either bound, retiring allocations are simply
+//! freed.
 //!
 //! Hit/miss counters are exposed via [`PoolStats`]; the acceptance test for
 //! the batched submission path asserts a 100 % hit rate in steady state.
@@ -33,9 +35,16 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Maximum allocations a [`BufferPool`] retains; beyond this, retiring
-/// buffers drop. Epoch buffers are large, so the cap is kept tight.
-pub const MAX_SHELF: usize = 64;
+/// Maximum allocations a [`BufferPool`] retains. It must cover a window's
+/// whole in-flight set of small buffers (4096 one-op epochs under a
+/// completion queue), or most of them retire to the allocator and every
+/// re-post misses.
+pub const BUFFER_SHELF: usize = 8192;
+
+/// Retained-byte budget of a [`BufferPool`] (allocation capacities,
+/// summed). Large epoch buffers shelve only within it: a handful of
+/// 64 MiB epochs must not pin gigabytes after their window goes quiet.
+pub const BUFFER_SHELF_BYTES: usize = 64 << 20;
 
 /// Maximum entries one size class of a [`PayloadPool`] retains (small
 /// classes; large classes are further bounded by
@@ -258,9 +267,16 @@ fn fresh(class: usize, data: &[u8]) -> Bytes {
 /// [`take`](BufferPool::take), zeroed to the requested length.
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    shelf: Mutex<Vec<Vec<u8>>>,
+    shelf: Mutex<BufferShelf>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct BufferShelf {
+    bufs: Vec<Vec<u8>>,
+    /// Summed capacity of `bufs`, held within [`BUFFER_SHELF_BYTES`].
+    bytes: usize,
 }
 
 impl BufferPool {
@@ -274,10 +290,12 @@ impl BufferPool {
     pub fn take(&self, len: usize) -> Vec<u8> {
         let reused = {
             let mut shelf = self.shelf.lock();
-            shelf
-                .iter()
-                .position(|v| v.capacity() >= len)
-                .map(|i| shelf.swap_remove(i))
+            let found = shelf.bufs.iter().position(|v| v.capacity() >= len);
+            found.map(|i| {
+                let v = shelf.bufs.swap_remove(i);
+                shelf.bytes -= v.capacity();
+                v
+            })
         };
         match reused {
             Some(mut v) => {
@@ -293,15 +311,17 @@ impl BufferPool {
         }
     }
 
-    /// Return an allocation to the shelf (dropped if the shelf is full or
-    /// the allocation is empty).
+    /// Return an allocation to the shelf (dropped if it is empty or would
+    /// take the shelf past [`BUFFER_SHELF`] entries or
+    /// [`BUFFER_SHELF_BYTES`] bytes).
     pub fn recycle(&self, v: Vec<u8>) {
         if v.capacity() == 0 {
             return;
         }
         let mut shelf = self.shelf.lock();
-        if shelf.len() < MAX_SHELF {
-            shelf.push(v);
+        if shelf.bufs.len() < BUFFER_SHELF && shelf.bytes + v.capacity() <= BUFFER_SHELF_BYTES {
+            shelf.bytes += v.capacity();
+            shelf.bufs.push(v);
         }
     }
 
@@ -311,7 +331,7 @@ impl BufferPool {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inline: 0,
-            shelved: self.shelf.lock().len(),
+            shelved: self.shelf.lock().bufs.len(),
         }
     }
 }
@@ -439,10 +459,32 @@ mod tests {
 
     #[test]
     fn shelves_are_bounded() {
+        // Small buffers: a completion queue's 4096 in-flight 16 B epochs
+        // all shelve, and the entry bound still holds beyond that.
         let pool = BufferPool::new();
-        for _ in 0..(MAX_SHELF + 10) {
-            pool.recycle(vec![0; 8]);
+        for _ in 0..4096 {
+            pool.recycle(vec![0; 16]);
         }
-        assert_eq!(pool.stats().shelved, MAX_SHELF);
+        assert_eq!(pool.stats().shelved, 4096);
+        for _ in 0..BUFFER_SHELF {
+            pool.recycle(vec![0; 16]);
+        }
+        assert_eq!(pool.stats().shelved, BUFFER_SHELF);
+
+        // Large buffers: the byte budget caps them long before the entry
+        // bound, and a buffer larger than the budget never shelves.
+        const BIG: usize = 16 << 20;
+        let pool = BufferPool::new();
+        pool.recycle(vec![0; BUFFER_SHELF_BYTES + 1]);
+        assert_eq!(pool.stats().shelved, 0);
+        for _ in 0..64 {
+            pool.recycle(vec![0; BIG]);
+        }
+        assert_eq!(pool.stats().shelved, BUFFER_SHELF_BYTES / BIG);
+        // Taking one frees its share of the budget for the next recycle.
+        let v = pool.take(BIG);
+        assert_eq!(pool.stats().shelved, BUFFER_SHELF_BYTES / BIG - 1);
+        pool.recycle(v);
+        assert_eq!(pool.stats().shelved, BUFFER_SHELF_BYTES / BIG);
     }
 }

@@ -28,9 +28,9 @@
 //!   *not* preserved — by design; RVMA's threshold semantics never needed
 //!   it.
 //! * **Disjoint mailboxes scale.** An N-way incast to N distinct mailboxes
-//!   spreads across min(N, workers) queues; with the sharded LUT and the
-//!   mailbox's copy-outside-the-lock delivery there is no shared lock left
-//!   on the datapath, so workers proceed independently.
+//!   spreads across min(N, workers) queues; with the sharded LUT and each
+//!   mailbox owned by one worker there is no lock two workers contend on,
+//!   so workers proceed independently.
 //!
 //! **Backpressure contract.** Each ring holds at most
 //! [`EndpointConfig::wire_queue_cap`](crate::endpoint::EndpointConfig)
@@ -84,10 +84,20 @@
 //!   single `WireMsg` batch per (put × worker shard) instead of one send
 //!   per fragment, and [`AsyncInitiator::batch`] coalesces *many* puts
 //!   into one crossing, flushed explicitly or by an auto-flush doorbell
-//!   threshold. Wire workers deliver batches through
-//!   [`RvmaEndpoint::deliver_batch`], which amortizes LUT lookups, mailbox
-//!   lock acquisitions, stats updates — and NACK publication: one sink
-//!   lock per batch, not per fragment.
+//!   threshold.
+//! * **Receive runs.** The worker drains its ring the way a NIC drains a
+//!   receive queue: with a fault-free link, the eager message it pops and
+//!   the eager messages already queued behind it (up to a fixed fragment
+//!   bound; it never waits for more) are delivered as one run through
+//!   [`RvmaEndpoint::deliver_batch`]. That amortizes LUT lookups, mailbox
+//!   lock acquisitions (one per
+//!   [`DELIVER_CHUNK`](crate::endpoint::DELIVER_CHUNK) fragments instead
+//!   of two per fragment) and stats updates over single puts and batches
+//!   alike. Each message's NACKs still go to its own initiator's sink,
+//!   and its `PutFuture` countdown is settled once. Rendezvous
+//!   descriptors, every unit on a lossy link, and `Flush`/`Stop` markers
+//!   keep per-message handling; a marker popped while gathering is
+//!   processed right after the run.
 //!
 //! [`AsyncNetwork::quiesce`] broadcasts a flush barrier to every queue and
 //! waits for all workers to ack it; because queues are FIFO, every fragment
@@ -109,7 +119,8 @@
 //! shm backend. This transport contributes only the mechanism: a
 //! retransmission goes to the back of the *same* worker's ring (spilling to
 //! a worker-local list when the ring is full), a batch under faults travels
-//! as individual fragments, `quiesce` re-runs its flush barrier until no
+//! as individual fragments and no receive run is formed, `quiesce` re-runs
+//! its flush barrier until no
 //! retransmission is pending, and a crash removes the endpoint from the
 //! network exactly as [`AsyncNetwork::remove_endpoint`] does.
 
@@ -606,6 +617,126 @@ fn quiesce_shared(shared: &Shared) -> Result<()> {
     }
 }
 
+/// Most fragments one run gathers before it is delivered. A message is
+/// never split, so one large `DeliverBatch` may exceed it on its own.
+const RUN_FRAGS: usize = 256;
+
+/// Eager messages popped back to back and delivered as one
+/// [`RvmaEndpoint::deliver_batch`] call per same-destination stretch.
+/// Owned by the worker and emptied after each run, so steady state
+/// allocates nothing.
+#[derive(Default)]
+struct Run {
+    /// Every fragment of the run, in pop order.
+    frags: Vec<Fragment>,
+    /// One entry per message, in pop order.
+    units: Vec<RunUnit>,
+    /// The run's refusals, tagged with the refused fragment's index in
+    /// `frags` (ascending: `deliver_batch` reports in batch order).
+    nacks: Vec<(usize, VirtAddr, NackReason)>,
+}
+
+/// What a message of a run must get back: its NACKs and its countdown.
+struct RunUnit {
+    dest: NodeAddr,
+    /// One past the message's last fragment in [`Run::frags`].
+    end: usize,
+    nacks: NackSink,
+    notify: Option<Arc<PutNotify>>,
+}
+
+impl Run {
+    fn push(&mut self, msg: WireMsg) {
+        let (dest, nacks, notify) = match msg {
+            WireMsg::Deliver {
+                dest,
+                frag,
+                nacks,
+                notify,
+                ..
+            } => {
+                self.frags.push(frag);
+                (dest, nacks, notify)
+            }
+            WireMsg::DeliverBatch {
+                dest,
+                mut frags,
+                nacks,
+                notify,
+            } => {
+                self.frags.append(&mut frags);
+                (dest, nacks, notify)
+            }
+            WireMsg::Flush { .. } | WireMsg::Stop => {
+                unreachable!("control messages never join a run")
+            }
+        };
+        self.units.push(RunUnit {
+            dest,
+            end: self.frags.len(),
+            nacks,
+            notify,
+        });
+    }
+
+    /// Deliver the fragments, one `deliver_batch` per stretch of messages
+    /// to the same endpoint, collecting every refusal into `nacks`.
+    fn deliver(&mut self, shared: &Shared, cache: &mut EndpointCache) {
+        if shared.telemetry.is_some() {
+            for f in &self.frags {
+                telemetry::record(
+                    &shared.telemetry,
+                    EventKind::WireDeliver,
+                    telemetry::initiator_key(f.initiator.nid, f.initiator.pid),
+                    f.op_id,
+                    f.offset as u64,
+                );
+            }
+        }
+        let nacks = &mut self.nacks;
+        let mut start = 0;
+        for stretch in self.units.chunk_by(|a, b| a.dest == b.dest) {
+            let end = stretch[stretch.len() - 1].end;
+            let frags = &self.frags[start..end];
+            match cache.get(shared, stretch[0].dest) {
+                Some(ep) => ep.deliver_batch(frags, &mut |i, vaddr, reason| {
+                    nacks.push((start + i, vaddr, reason))
+                }),
+                None => nacks.extend(
+                    frags
+                        .iter()
+                        .enumerate()
+                        .map(|(i, f)| (start + i, f.dst_vaddr, NackReason::NoSuchMailbox)),
+                ),
+            }
+            start = end;
+        }
+        self.frags.clear();
+    }
+
+    /// Give each message its own NACKs — one sink lock per message that
+    /// has any — then its countdown, and empty the run for reuse.
+    fn settle(&mut self) {
+        let (mut start, mut k) = (0, 0);
+        for unit in self.units.drain(..) {
+            let first = k;
+            while k < self.nacks.len() && self.nacks[k].0 < unit.end {
+                k += 1;
+            }
+            let own = &self.nacks[first..k];
+            if !own.is_empty() {
+                let mut sink = unit.nacks.lock();
+                sink.extend(own.iter().map(|&(_, vaddr, reason)| (vaddr, reason)));
+            }
+            if let Some(n) = unit.notify {
+                n.fragments_done((unit.end - start) as u64, !own.is_empty());
+            }
+            start = unit.end;
+        }
+        self.nacks.clear();
+    }
+}
+
 /// One wire worker: the consumer of ring `idx`, its generation-validated
 /// endpoint cache, and — on a lossy link — its own seeded dice.
 struct WireWorker<'a> {
@@ -617,8 +748,11 @@ struct WireWorker<'a> {
     /// [`WireWorker::enqueue_retry`]).
     deferred: VecDeque<WireMsg>,
     link: Option<(&'a LinkFaults, FaultInjector)>,
-    /// NACKs of one batch collect here and publish with a single sink lock.
-    scratch_nacks: Vec<(VirtAddr, NackReason)>,
+    run: Run,
+    /// The message that ended the last run's gathering: it is the next one
+    /// processed, so a `Flush` or `Stop` still lands after everything
+    /// queued ahead of it.
+    held: Option<WireMsg>,
 }
 
 impl WireWorker<'_> {
@@ -635,9 +769,18 @@ impl WireWorker<'_> {
         }
     }
 
-    /// The receive step: ring first, spilled retransmissions when the ring
-    /// runs dry, then the adaptive spin → yield → park idle progression.
-    /// Returns `None` after a park wake-up (the caller re-polls).
+    /// The next message without waiting: the one the last run held back,
+    /// then the ring, then spilled retransmissions once the ring runs dry.
+    fn pop(&mut self) -> Option<WireMsg> {
+        self.held
+            .take()
+            .or_else(|| self.ring.try_pop())
+            .or_else(|| self.deferred.pop_front())
+    }
+
+    /// The receive step: [`pop`](Self::pop), then the adaptive spin →
+    /// yield → park idle progression. Returns `None` after a park wake-up
+    /// (the caller re-polls).
     fn next_msg(&mut self, idle_spins: u32, idle_yields: u32) -> Option<WireMsg> {
         // Opportunistically migrate one spilled retransmission back onto the
         // ring (behind the queued traffic, which is where a retransmitted
@@ -648,7 +791,7 @@ impl WireWorker<'_> {
                 self.deferred.push_front(m);
             }
         }
-        if let Some(m) = self.ring.try_pop().or_else(|| self.deferred.pop_front()) {
+        if let Some(m) = self.pop() {
             return Some(m);
         }
         for _ in 0..idle_spins {
@@ -677,6 +820,7 @@ impl WireWorker<'_> {
             WireMsg::Flush { acks } => {
                 acks.fetch_add(1, Ordering::AcqRel);
             }
+            msg if self.joins_run(&msg) => self.deliver_run(msg, drain),
             WireMsg::Deliver {
                 dest,
                 frag,
@@ -690,25 +834,53 @@ impl WireWorker<'_> {
                 nacks,
                 notify,
             } => {
-                if self.link.is_some() {
-                    // A lossy link carries fragments, not batches: each is
-                    // its own wire unit with its own roll and disposition.
-                    for frag in frags {
-                        self.deliver_unit(dest, frag, nacks.clone(), 0, notify.clone(), drain);
-                    }
-                    return;
-                }
-                if !drain && !self.latency.is_zero() {
-                    // Every fragment still pays the wire latency; a batch
-                    // pays it as one sleep instead of N.
-                    std::thread::sleep(self.latency * frags.len() as u32);
-                }
-                let nacked = self.deliver_many(dest, &frags, &nacks);
-                if let Some(n) = notify {
-                    n.fragments_done(frags.len() as u64, nacked);
+                // A lossy link carries fragments, not batches: each is its
+                // own wire unit with its own roll and disposition.
+                debug_assert!(self.link.is_some(), "a fault-free batch joins a run");
+                for frag in frags {
+                    self.deliver_unit(dest, frag, nacks.clone(), 0, notify.clone(), drain);
                 }
             }
         }
+    }
+
+    /// Whether `msg` is delivered in a run: eager traffic on a fault-free
+    /// link. A rendezvous descriptor (longer than one MTU) keeps the
+    /// two-phase path so its gather runs outside the mailbox lock.
+    fn joins_run(&self, msg: &WireMsg) -> bool {
+        self.link.is_none()
+            && match msg {
+                WireMsg::Deliver { frag, .. } => frag.data.len() <= self.shared.mtu,
+                WireMsg::DeliverBatch { .. } => true,
+                WireMsg::Flush { .. } | WireMsg::Stop => false,
+            }
+    }
+
+    /// Deliver `first` together with the eager messages already queued
+    /// behind it — never waiting for more — as one run: one LUT lookup per
+    /// same-mailbox stretch, one mailbox-lock hold per [`DELIVER_CHUNK`]
+    /// fragments, one stats publish per same-endpoint stretch. The first
+    /// message that cannot join is held back and processed next.
+    ///
+    /// [`DELIVER_CHUNK`]: crate::endpoint::DELIVER_CHUNK
+    fn deliver_run(&mut self, first: WireMsg, drain: bool) {
+        self.run.push(first);
+        while self.run.frags.len() < RUN_FRAGS {
+            match self.ring.try_pop() {
+                Some(msg) if self.joins_run(&msg) => self.run.push(msg),
+                other => {
+                    self.held = other;
+                    break;
+                }
+            }
+        }
+        if !drain && !self.latency.is_zero() {
+            // Every fragment still pays the wire latency; a run pays it as
+            // one sleep instead of N.
+            std::thread::sleep(self.latency * self.run.frags.len() as u32);
+        }
+        self.run.deliver(self.shared, &mut self.cache);
+        self.run.settle();
     }
 
     /// One wire unit — a single fragment or a whole rendezvous descriptor —
@@ -772,38 +944,6 @@ impl WireWorker<'_> {
             faults.retire(attempt);
         }
     }
-
-    /// Deliver a fault-free batch through `RvmaEndpoint::deliver_batch`
-    /// (one sink lock for all the batch's NACKs). Returns whether any
-    /// fragment was refused.
-    fn deliver_many(&mut self, dest: NodeAddr, frags: &[Fragment], nacks: &NackSink) -> bool {
-        let shared = self.shared;
-        if shared.telemetry.is_some() {
-            for f in frags {
-                telemetry::record(
-                    &shared.telemetry,
-                    EventKind::WireDeliver,
-                    telemetry::initiator_key(f.initiator.nid, f.initiator.pid),
-                    f.op_id,
-                    f.offset as u64,
-                );
-            }
-        }
-        let scratch = &mut self.scratch_nacks;
-        match self.cache.get(shared, dest) {
-            Some(ep) => ep.deliver_batch(frags, &mut |vaddr, reason| scratch.push((vaddr, reason))),
-            None => scratch.extend(
-                frags
-                    .iter()
-                    .map(|f| (f.dst_vaddr, NackReason::NoSuchMailbox)),
-            ),
-        }
-        let nacked = !scratch.is_empty();
-        if nacked {
-            nacks.lock().append(scratch);
-        }
-        nacked
-    }
 }
 
 fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
@@ -831,7 +971,8 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
         cache: EndpointCache::new(),
         deferred: VecDeque::new(),
         link: shared.faults.as_ref().map(|f| (f, f.injector(idx))),
-        scratch_nacks: Vec::new(),
+        run: Run::default(),
+        held: None,
     };
     loop {
         match worker.next_msg(idle_spins, idle_yields) {
@@ -841,7 +982,7 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
         }
     }
     // Teardown: whatever was re-enqueued or spilled behind the Stop marker.
-    while let Some(msg) = ring.try_pop().or_else(|| worker.deferred.pop_front()) {
+    while let Some(msg) = worker.pop() {
         worker.handle(msg, true);
     }
 }

@@ -291,8 +291,11 @@ impl Window {
     /// application can watch threshold progress without perturbing the
     /// delivery datapath. The counts are *counted, not yet certified
     /// placed* — a pacing signal that can lead the buffer by the puts
-    /// still being copied; only the threshold completion certifies
-    /// placement.
+    /// still being copied (a rendezvous put is counted before its gather),
+    /// or lag it by at most one chunk of the run a wire worker is
+    /// delivering, single eager puts included (see
+    /// [`RvmaEndpoint::deliver_batch`](crate::endpoint::RvmaEndpoint::deliver_batch)).
+    /// Only the threshold completion certifies placement.
     pub fn progress(&self) -> Arc<EpochProgress> {
         self.mailbox.lock().progress_handle()
     }

@@ -8,10 +8,13 @@
 //!   (`max_depth <= wire_queue_cap`), which bounds queue memory under any
 //!   incast pattern;
 //! * the stall and doorbell counters surface through `EndpointStats`;
-//! * a ring held at capacity deadlocks neither `quiesce` nor `Drop`.
+//! * a ring held at capacity deadlocks neither `quiesce` nor `Drop`;
+//! * a flush or stop marker is processed after the run it was popped
+//!   behind, never dropped.
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{AsyncNetwork, EndpointConfig, NodeAddr, Threshold, VirtAddr};
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 const RING_CAP: usize = 8;
@@ -118,6 +121,54 @@ fn parked_workers_wake_on_the_doorbell() {
         stats.park_wakeups > 0,
         "worker never parked/woke across {PUTS} paced puts"
     );
+}
+
+/// A wire worker gathers the puts queued behind the one it popped into a
+/// run, and pops the next `Flush` or `Stop` while gathering. Neither may
+/// be lost or jump the run: `quiesce` straight after a burst sees every
+/// put counted, and dropping the network with a burst still queued
+/// delivers all of it and joins. The rounds run on a helper thread so a
+/// swallowed marker fails the test instead of hanging it.
+#[test]
+fn markers_popped_behind_a_run_are_processed_after_it() {
+    const ROUNDS: u64 = 100;
+    const BURST: u64 = 64;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        for round in 0..ROUNDS {
+            let net = tiny_ring_net(1);
+            let server = net.add_endpoint(NodeAddr::node(0));
+            let vaddr = VirtAddr::new(round);
+            let win = server.init_window(vaddr, Threshold::ops(u64::MAX)).unwrap();
+            let _note = win.post_buffer(vec![0u8; 64]).unwrap();
+            let progress = win.progress();
+            let init = net.initiator(NodeAddr::node(1));
+            for _ in 0..BURST {
+                init.put_at(NodeAddr::node(0), vaddr, 0, &[1u8; 16])
+                    .unwrap();
+            }
+            net.quiesce();
+            assert_eq!(
+                progress.ops(),
+                BURST,
+                "round {round}: quiesce overtook a run"
+            );
+            for _ in 0..BURST {
+                init.put_at(NodeAddr::node(0), vaddr, 0, &[2u8; 16])
+                    .unwrap();
+            }
+            drop(net);
+            assert_eq!(progress.ops(), 2 * BURST, "round {round}: drop lost a run");
+        }
+        tx.send(()).unwrap();
+    });
+    // A failed assertion drops the sender: report the panic, not a hang.
+    if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(60)) {
+        panic!("a quiesce or a drop hung behind a run");
+    }
+    if let Err(panic) = rounds.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
 
 /// Drop the network while producers are mid-stream against a full ring:

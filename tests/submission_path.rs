@@ -3,7 +3,8 @@
 //! across the async wire-worker pool.
 
 use rvma::core::{
-    AsyncNetwork, DeliveryOrder, NodeAddr, Threshold, VirtAddr, DEFAULT_DOORBELL_FRAGS,
+    AsyncNetwork, Bytes, DeliveryOrder, NackReason, NodeAddr, Threshold, VirtAddr,
+    DEFAULT_DOORBELL_FRAGS,
 };
 use std::time::Duration;
 
@@ -96,6 +97,83 @@ fn doorbell_batches_deliver_across_shards() {
     assert_eq!(server.stats().epochs_completed, MAILBOXES);
     net.quiesce();
     assert!(client.take_nacks().is_empty());
+}
+
+/// A wire worker delivers the eager puts queued behind each other as one
+/// run. A run that mixes initiators, notified puts and a refused put
+/// must still hand every NACK to the sink of the put that caused it, in
+/// submission order, and resolve every `PutFuture` with its own outcome.
+#[test]
+fn one_run_routes_each_nack_and_countdown_to_its_own_put() {
+    const MTU: usize = 256;
+    let server_addr = NodeAddr::node(0);
+    let (open, evicted, gate) = (VirtAddr::new(1), VirtAddr::new(2), VirtAddr::new(3));
+    // One worker, so every put shares one ring.
+    let net = AsyncNetwork::new(MTU, DeliveryOrder::InOrder, Duration::ZERO);
+    let server = net.add_endpoint(server_addr);
+    let a = net.initiator(NodeAddr::node(1));
+    let b = net.initiator(NodeAddr::node(2));
+    let win = server.init_window(open, Threshold::ops(u64::MAX)).unwrap();
+    let _open_buf = win.post_buffer(vec![0; 4096]).unwrap();
+    let _evicted_win = server.init_window(evicted, Threshold::ops(1)).unwrap();
+    assert!(server.evict(evicted));
+    let gate_win = server.init_window(gate, Threshold::ops(1)).unwrap();
+    let mut gate_note = gate_win.post_buffer(vec![0; 16 << 10]).unwrap();
+    let before = server.stats();
+
+    // A rendezvous descriptor never joins a run: the worker delivers it
+    // alone, and holding its mailbox's lock holds the worker there while
+    // the rest queue behind it. Released, they are one run.
+    let gate_mailbox = server.mailbox(gate).unwrap();
+    let held = gate_mailbox.lock();
+    a.put_bytes_at(server_addr, gate, 0, Bytes::from(vec![7u8; 16 << 10]))
+        .unwrap();
+    a.put_at(server_addr, open, 0, &[1; 8]).unwrap();
+    b.put_at(server_addr, evicted, 0, &[2; 8]).unwrap();
+    let fb = b.put_notify_at(server_addr, open, 8, &[3; 600]).unwrap();
+    a.put_at(server_addr, open, 1 << 20, &[4; 8]).unwrap();
+    let fa = a.put_notify_at(server_addr, evicted, 8, &[5; 8]).unwrap();
+    b.put_at(server_addr, open, 1024, &[6; 8]).unwrap();
+    drop(held);
+
+    let fb = pollster::block_on(fb);
+    let fa = pollster::block_on(fa);
+    net.quiesce();
+    assert_eq!(gate_note.wait().len(), 16 << 10);
+    assert_eq!(
+        (fb.fragments, fb.nacked),
+        (3, false),
+        "b's notified put landed"
+    );
+    assert_eq!(
+        (fa.fragments, fa.nacked),
+        (1, true),
+        "a's notified put was refused"
+    );
+    assert_eq!(
+        a.take_nacks(),
+        vec![
+            (open, NackReason::OutOfBounds),
+            (evicted, NackReason::NoSuchMailbox),
+        ],
+        "a's refusals, in submission order"
+    );
+    assert_eq!(
+        b.take_nacks(),
+        vec![(evicted, NackReason::NoSuchMailbox)],
+        "b's refusal reaches b, not the run's first put"
+    );
+
+    // It was one run: one LUT lookup per same-mailbox stretch (open |
+    // evicted | open, open | evicted | open) after the gate's own lookup,
+    // where per-message delivery would look `open` up four times.
+    let after = server.stats();
+    assert_eq!(after.lut_hits - before.lut_hits, 1 + 3);
+    assert_eq!(after.lut_misses - before.lut_misses, 2);
+    assert_eq!(
+        after.fragments_accepted - before.fragments_accepted,
+        1 + 1 + 3 + 1
+    );
 }
 
 #[test]

@@ -32,7 +32,7 @@
 //!   completer wakes directly.
 
 use crate::buffer::CompletedBuffer;
-use crate::csync::{self, AtomicBool, AtomicU32, AtomicU64, Condvar, Mutation, Mutex};
+use crate::csync::{self, AtomicBool, AtomicU32, AtomicU64, Condvar, Idle, Mutation, Mutex};
 use crate::notify::AtomicWaker;
 use crate::ring::{PushError, RingQueue};
 use crate::telemetry::{self, EventKind, Histogram, Telemetry};
@@ -43,10 +43,6 @@ use std::sync::atomic::{AtomicU64 as CounterU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
-
-/// Pre-park spin budget of [`CompletionQueue::wait_batch`]; mirrors the
-/// notification slot's Monitor/MWait idiom (bounded spin, then park).
-const CQ_SPIN_LIMIT: u32 = 4096;
 
 /// One drained completion: the attachment's user tag plus the completed
 /// epoch buffer.
@@ -296,29 +292,24 @@ impl CompletionQueue {
         n
     }
 
-    /// Like [`poll_batch`](Self::poll_batch) but blocks — bounded spin then
-    /// park — until at least one completion arrives or `timeout` expires.
-    /// Returns the number drained (0 on timeout).
+    /// Like [`poll_batch`](Self::poll_batch) but blocks — a spin under the
+    /// thread's `Idle` budget, then the condvar — until at least one
+    /// completion arrives or `timeout` expires. Returns the number drained
+    /// (0 on timeout).
     pub fn wait_batch(&self, max: usize, out: &mut Vec<CqCompletion>, timeout: Duration) -> usize {
         let n = self.poll_batch(max, out);
         if n > 0 {
             return n;
         }
         let deadline = Instant::now() + timeout;
-        for spins in 0..csync::spin_budget(CQ_SPIN_LIMIT) {
+        let mut idle = Idle::new();
+        while !idle.past(deadline) && idle.spin() {
             if self.inner.entries.load(Ordering::SeqCst) > 0 {
                 let n = self.poll_batch(max, out);
                 if n > 0 {
+                    idle.done();
                     return n;
                 }
-            }
-            if spins % 256 == 255 {
-                if Instant::now() >= deadline {
-                    return 0;
-                }
-                csync::thread::yield_now();
-            } else {
-                csync::spin_loop();
             }
         }
         loop {

@@ -93,13 +93,6 @@ mod imp {
         false
     }
 
-    /// Spin budgets shrink to near-zero under an active model (spinning
-    /// is modeled as blocking); in real builds they pass through.
-    #[inline(always)]
-    pub(crate) fn spin_budget(n: u32) -> u32 {
-        n
-    }
-
     /// Seeded mutations never fire outside the checker.
     #[inline(always)]
     pub(crate) fn mutation(_m: super::Mutation) -> bool {
@@ -154,15 +147,6 @@ mod imp {
     #[inline]
     pub(crate) fn modeled() -> bool {
         ctx().is_some()
-    }
-
-    #[inline]
-    pub(crate) fn spin_budget(n: u32) -> u32 {
-        if modeled() {
-            n.min(2)
-        } else {
-            n
-        }
     }
 
     pub(crate) fn spin_loop() {
@@ -554,3 +538,208 @@ mod imp {
 }
 
 pub(crate) use imp::*;
+
+/// Every thread's starting spin budget, and its cap.
+const SPIN_LIMIT: u32 = 4096;
+/// Steps between yields: if the awaited thread is runnable but not
+/// running, a yield hands it the core.
+const YIELD_EVERY: u32 = 256;
+/// At budget 0, every `PROBE_EVERY`th wait spins [`PROBE_SPINS`] steps.
+const PROBE_EVERY: u32 = 64;
+const PROBE_SPINS: u32 = 256;
+
+/// This thread's adaptive spin budget (see [`Idle`]): the allowance of its
+/// next wait, and the waits it has made since the budget reached 0.
+#[derive(Clone, Copy)]
+struct SpinBudget {
+    spins: u32,
+    zero_waits: u32,
+}
+
+std::thread_local! {
+    static SPIN: std::cell::Cell<SpinBudget> = const {
+        std::cell::Cell::new(SpinBudget {
+            spins: SPIN_LIMIT,
+            zero_waits: 0,
+        })
+    };
+}
+
+impl SpinBudget {
+    /// The allowance of this thread's next wait. Under a checker execution
+    /// the budget is neither read nor written (schedule IDs stay
+    /// replayable) and a wait spins two steps, as spinning is modeled as
+    /// blocking.
+    fn allowance() -> u32 {
+        if modeled() {
+            return 2;
+        }
+        SPIN.with(|c| {
+            let mut b = c.get();
+            if b.spins > 0 {
+                return b.spins;
+            }
+            b.zero_waits = b.zero_waits.wrapping_add(1);
+            c.set(b);
+            if b.zero_waits % PROBE_EVERY == 0 {
+                PROBE_SPINS
+            } else {
+                0
+            }
+        })
+    }
+
+    /// Feed one wait back: satisfied after `checks` checks, or (`None`)
+    /// the allowance ran out. Satisfied only after a yield counts as
+    /// running out: the awaited thread needed this core.
+    fn settle(allowance: u32, checks: Option<u32>) {
+        if allowance == 0 || modeled() {
+            return;
+        }
+        SPIN.with(|c| {
+            let mut b = c.get();
+            match checks {
+                Some(n) if n <= YIELD_EVERY => {
+                    b.spins = (b.spins * 2).max(n * 4).min(SPIN_LIMIT);
+                }
+                _ => {
+                    b.spins /= 2;
+                    if b.spins == 0 {
+                        b.zero_waits = 0;
+                    }
+                }
+            }
+            c.set(b);
+        });
+    }
+}
+
+/// One wait under this thread's adaptive spin budget: the crate's single
+/// idle policy. Every waiter loops "check → [`spin`] → its own park" (a
+/// doorbell, a futex, a waker, a condvar); one with nothing to park on
+/// [`snooze`]s. A wait satisfied while spinning doubles the budget (to at
+/// least 4× its checks); one that runs out, or is satisfied only after a
+/// yield, halves it. DESIGN.md §11 states the rules and why they adapt.
+///
+/// The allowance is taken at the first step, so a wait satisfied at its
+/// first check costs nothing; an `Idle` dropped unsettled (a deadline
+/// passed mid-spin) leaves the budget as it was.
+///
+/// [`spin`]: Idle::spin
+/// [`snooze`]: Idle::snooze
+pub(crate) struct Idle {
+    /// Taken at the first step; 0 once the wait has settled as a miss.
+    allowance: Option<u32>,
+    steps: u32,
+}
+
+impl Idle {
+    pub(crate) const fn new() -> Idle {
+        Idle {
+            allowance: None,
+            steps: 0,
+        }
+    }
+
+    /// One step of the spin: a spin hint, or every `YIELD_EVERY`th step a
+    /// yield. Returns false — and settles the wait as a miss, once — when
+    /// the allowance is spent: time for the caller's park.
+    pub(crate) fn spin(&mut self) -> bool {
+        let allowance = *self.allowance.get_or_insert_with(SpinBudget::allowance);
+        if self.steps >= allowance {
+            SpinBudget::settle(allowance, None);
+            self.allowance = Some(0);
+            return false;
+        }
+        if self.steps % YIELD_EVERY == YIELD_EVERY - 1 {
+            thread::yield_now();
+        } else {
+            spin_loop();
+        }
+        self.steps += 1;
+        true
+    }
+
+    /// [`spin`](Idle::spin), or once the allowance is spent a bare yield:
+    /// the park of a waiter with no doorbell.
+    pub(crate) fn snooze(&mut self) {
+        if !self.spin() {
+            thread::yield_now();
+        }
+    }
+
+    /// The awaited event arrived: settle the wait as a hit (a miss if it
+    /// took a yield, or if the allowance was already spent) and start
+    /// afresh, so a loop can keep one `Idle` across its waits.
+    pub(crate) fn done(&mut self) {
+        if let Some(allowance) = self.allowance.take() {
+            SpinBudget::settle(allowance, Some(self.steps + 1));
+        }
+        self.steps = 0;
+    }
+
+    /// Whether `deadline` has passed, read from the clock only every
+    /// `YIELD_EVERY` steps (the first check included).
+    pub(crate) fn past(&self, deadline: std::time::Instant) -> bool {
+        self.steps.is_multiple_of(YIELD_EVERY) && std::time::Instant::now() >= deadline
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn budget() -> u32 {
+        SPIN.with(|c| c.get().spins)
+    }
+
+    #[test]
+    fn spin_budget_decays_on_slow_waits_and_recovers_through_the_probe() {
+        assert_eq!(budget(), SPIN_LIMIT, "a fresh thread starts at the limit");
+        // Waits that always run out of spin halve the budget down to 0.
+        let mut slow_waits = 0;
+        while budget() > 0 {
+            slow_waits += 1;
+            assert!(slow_waits <= 64, "budget stuck at {}", budget());
+            let mut idle = Idle::new();
+            while idle.spin() {}
+        }
+        assert!(slow_waits > SPIN_LIMIT.ilog2() as usize);
+        // At budget 0 a wait parks at once, with no spin and no feedback ...
+        for _ in 1..PROBE_EVERY {
+            let mut idle = Idle::new();
+            assert!(!idle.spin());
+            idle.done();
+            assert_eq!(budget(), 0);
+        }
+        // ... until the probe wait, whose hit restores a spin budget.
+        let mut idle = Idle::new();
+        assert!(idle.spin(), "the probe spins");
+        idle.done();
+        assert_eq!(budget(), 8, "a probe hit at its second check keeps 4x it");
+    }
+
+    #[test]
+    fn a_hit_after_a_yield_settles_as_a_miss() {
+        assert_eq!(budget(), SPIN_LIMIT);
+        // The last check before the first yield is still a hit.
+        let mut idle = Idle::new();
+        for _ in 1..YIELD_EVERY {
+            assert!(idle.spin());
+        }
+        idle.done();
+        assert_eq!(budget(), SPIN_LIMIT);
+        // One step more is the yield: the hit right after it is a miss.
+        for _ in 0..YIELD_EVERY {
+            assert!(idle.spin());
+        }
+        idle.done();
+        assert_eq!(budget(), SPIN_LIMIT / 2);
+        // A hit after the allowance ran out settled as a miss already.
+        let mut idle = Idle::new();
+        while idle.spin() {}
+        assert_eq!(budget(), SPIN_LIMIT / 4);
+        idle.done();
+        assert_eq!(budget(), SPIN_LIMIT / 4);
+    }
+}

@@ -18,6 +18,7 @@
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::buffer::Threshold;
+use crate::csync::Idle;
 use crate::error::{NackReason, Result, RvmaError};
 use crate::lut::Lut;
 use crate::mailbox::{
@@ -132,18 +133,6 @@ pub struct EndpointConfig {
     /// backpressure on submitters — `put` blocks until a slot frees, it
     /// never drops — so this also caps resident queue memory under incast.
     pub wire_queue_cap: usize,
-    /// Busy-poll iterations an idle wire worker spins on its ring before
-    /// it starts yielding. The spin phase is the latency fast path: a
-    /// fragment arriving within it is picked up without any scheduler
-    /// involvement. Both idle budgets are treated as 0 on a single-CPU
-    /// host, where an idle-spinning worker would hold the core its
-    /// producers need.
-    pub wire_idle_spins: u32,
-    /// `yield_now` rounds after the spin budget before the worker parks
-    /// (woken by the producers' doorbell). 0 with `wire_idle_spins` 0
-    /// parks immediately — the wake-per-message behaviour of the old
-    /// unbounded-channel datapath, kept reachable for A/B runs.
-    pub wire_idle_yields: u32,
     /// Enable op-level telemetry ([`crate::telemetry`]): every datapath
     /// layer stamps put-lifecycle events into a shared lock-free
     /// recorder, drained via `Telemetry::snapshot`. Off by default; the
@@ -176,12 +165,14 @@ pub struct EndpointConfig {
     pub shm_bulk_bytes: usize,
 }
 
-/// Default idle spin budget of a wire worker (see
-/// [`EndpointConfig::wire_idle_spins`]).
+/// The wire workers' former fixed idle spin count. Core no longer reads
+/// it (every waiter spins under one adaptive budget); it stays exported
+/// only for the benchmark report's `one_cpu_rule_zeroed_idle_budgets`
+/// stamp and goes with that key.
 pub const DEFAULT_WIRE_IDLE_SPINS: u32 = 4096;
 
-/// Default idle yield budget of a wire worker (see
-/// [`EndpointConfig::wire_idle_yields`]).
+/// The wire workers' former fixed idle yield count; see
+/// [`DEFAULT_WIRE_IDLE_SPINS`].
 pub const DEFAULT_WIRE_IDLE_YIELDS: u32 = 64;
 
 impl Default for EndpointConfig {
@@ -197,8 +188,6 @@ impl Default for EndpointConfig {
             fault_seed: 0x5EED,
             retry_budget: DEFAULT_RETRY_BUDGET,
             wire_queue_cap: DEFAULT_WIRE_QUEUE_CAP,
-            wire_idle_spins: DEFAULT_WIRE_IDLE_SPINS,
-            wire_idle_yields: DEFAULT_WIRE_IDLE_YIELDS,
             telemetry: false,
             shm_req_slots: DEFAULT_SHM_REQ_SLOTS,
             shm_rsp_slots: DEFAULT_SHM_RSP_SLOTS,
@@ -589,6 +578,7 @@ impl RvmaEndpoint {
             return self.discard(NackReason::NoSuchMailbox);
         };
 
+        let mut idle = Idle::new();
         let outcome = loop {
             let mut mb = mailbox.lock();
             match mb.deliver_begin(key, op_total_len, offset, data.len()) {
@@ -604,13 +594,14 @@ impl RvmaEndpoint {
                 BeginOutcome::Contended => {
                     // Overlaps a range another thread is copying into right
                     // now. Drop the lock and retry; overlapping concurrent
-                    // writers are rare (and discouraged) so this spin is
+                    // writers are rare (and discouraged) so this wait is
                     // cold.
                     drop(mb);
-                    std::thread::yield_now();
+                    idle.snooze();
                 }
             }
         };
+        idle.done();
         match outcome {
             DeliveryOutcome::Accepted => {
                 self.count_accept(data.len());
@@ -665,7 +656,7 @@ impl RvmaEndpoint {
     ///
     /// Contention against a *different* thread's in-flight copy (possible
     /// only for direct concurrent `deliver` callers, e.g. loopback
-    /// senders) falls back to the same yield-retry as the single path.
+    /// senders) falls back to the same wait-and-retry as the single path.
     pub fn deliver_batch(
         &self,
         frags: &[Fragment],
@@ -722,6 +713,7 @@ impl RvmaEndpoint {
         };
 
         let nacks_enabled = self.config.nacks_enabled;
+        let mut idle = Idle::new();
         let mut idx = 0;
         while idx < run.len() {
             let mut mb = mailbox.lock();
@@ -787,14 +779,15 @@ impl RvmaEndpoint {
                     }
                     BeginOutcome::Contended => {
                         // Overlap with another thread's in-flight copy: the
-                        // cold yield-retry of the single-fragment path.
+                        // cold wait-and-retry of the single-fragment path.
                         drop(mb);
-                        std::thread::yield_now();
+                        idle.snooze();
                         mb = mailbox.lock();
                     }
                 }
             }
         }
+        idle.done();
     }
 
     fn count_accept(&self, len: usize) {

@@ -103,7 +103,7 @@ pub(crate) enum BeginOutcome {
     /// fragment that needed no copy).
     Done(DeliveryOutcome),
     /// The fragment's range overlaps an in-flight reservation. Drop the
-    /// lock, yield, and retry `deliver_begin`.
+    /// lock, wait a step (`Idle::snooze`), and retry `deliver_begin`.
     Contended,
 }
 
@@ -126,18 +126,27 @@ impl WriteReservation {
     ///
     /// Call at most once, with `data.len()` equal to the reserved length,
     /// between the `deliver_begin` that produced this reservation and the
-    /// matching `deliver_finish`. The mailbox guarantees no other writer
-    /// holds an overlapping reservation and no reader observes the range
-    /// until `deliver_finish` retires it.
+    /// matching `deliver_finish`. The mailbox then guarantees the rest:
+    /// the range lies inside the active buffer (`deliver_begin` checked
+    /// `place_at + len <= buffer length`), the buffer stays allocated and
+    /// unpublished while `writers > 0`, and no other writer holds an
+    /// overlapping reservation (an overlap gets `Contended`, not a range).
     pub(crate) unsafe fn fill(&self, data: &[u8]) {
         debug_assert_eq!(data.len(), self.len);
+        // SAFETY: `self.ptr..self.ptr + self.len` is this reservation's
+        // exclusive, in-bounds, live range (see `# Safety`), and `data`
+        // cannot alias it: no reference into an active buffer is handed
+        // out before `deliver_finish` retires the range.
         unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr, self.len) };
     }
 }
 
-// The reservation is only ever used by the thread that called
-// `deliver_begin`, but endpoints are free to hand it across threads; the
-// range it points into is pinned by the mailbox's writer accounting.
+// SAFETY: the raw pointer is the only non-`Send` field. The range it
+// points into belongs to the mailbox's active buffer, a heap allocation
+// that does not move or free while this reservation is counted in
+// `writers` (close parks it in `draining` instead), and the `inflight`
+// overlap check makes the range this reservation's alone — so writing it
+// from whichever thread holds the reservation races nothing.
 unsafe impl Send for WriteReservation {}
 
 /// Lock-free observable progress of a mailbox's current epoch.
@@ -419,8 +428,10 @@ impl Mailbox {
         self.writers += 1;
         self.inflight.push((place_at, end));
         let active = self.queue.front_mut().expect("active checked above");
-        // Pointer into the active buffer's heap allocation; stable while
-        // writers > 0 (see WriteReservation docs).
+        // SAFETY: `place_at <= end <= buf_len` was checked above, so the
+        // offset stays inside (or one past) the active buffer's
+        // allocation. The pointer stays valid while `writers > 0`, which
+        // was just raised for this reservation (see `WriteReservation`).
         let ptr = unsafe { active.data.as_mut_ptr().add(place_at) };
         BeginOutcome::Reserved(WriteReservation {
             ptr,
@@ -620,8 +631,10 @@ impl Mailbox {
         match self.deliver_begin(op_key, op_total_len, offset, data.len()) {
             BeginOutcome::Done(outcome) => outcome,
             BeginOutcome::Reserved(reservation) => {
-                // Exclusive borrow: no other writer can exist, so the copy
-                // is race-free even without dropping any lock.
+                // SAFETY: filled once, with the reserved length, before the
+                // matching `deliver_finish` below. The exclusive borrow
+                // means no other writer exists, so the range is race-free
+                // even without dropping any lock.
                 unsafe { reservation.fill(data) };
                 self.deliver_finish(reservation)
             }

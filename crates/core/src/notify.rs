@@ -19,21 +19,10 @@
 //! * the blocking waits — [`Notification::wait`] /
 //!   [`wait_timeout`](Notification::wait_timeout), [`wait_any`] /
 //!   [`wait_any_timeout`] — share one waiter: spin on the state word(s)
-//!   (the Monitor/MWait fast path: a completion is one cache miss away),
-//!   then register a waker that unparks this thread in every pending
-//!   slot, re-check, and park. Deadlines are checked every
-//!   `YIELD_EVERY` spins, where the spin also yields.
-//!
-//! **Adaptive spin budget.** Spinning pays only while the completer runs
-//! on another core; when it needs the waiter's core (an oversubscribed
-//! host), spinning starves it (DESIGN.md §11). Each thread therefore keeps
-//! its own budget, starting at `SPIN_LIMIT`: a wait satisfied while
-//! spinning keeps it at ≥ 4× the state-word checks it used; a wait that
-//! runs out, or is only satisfied after one of the spin's yields (the
-//! completer needed this core), halves it (down to 0); and at 0 every
-//! `PROBE_EVERY`th wait probes with `PROBE_SPINS` spins so the budget can
-//! recover. The rule reads only whether spinning paid off on this thread —
-//! there is no knob.
+//!   (the Monitor/MWait fast path: a completion is one cache miss away)
+//!   under the crate's one adaptive idle policy, `csync::Idle`, then
+//!   register a waker that unparks this thread in every pending slot,
+//!   re-check, and park.
 //!
 //! Ownership of the completed buffer transfers through the slot, which is
 //! the Rust-safe rendering of "the pointer to the data buffer is deposited
@@ -43,7 +32,6 @@ use crate::buffer::CompletedBuffer;
 use crate::cq::CqAttachment;
 use crate::csync::{self, AtomicBool, AtomicU8, CheckCell, Mutation};
 use crate::telemetry::{self, EventKind, Telemetry};
-use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,17 +42,6 @@ use std::time::{Duration, Instant};
 const STATE_EMPTY: u8 = 0;
 const STATE_COMPLETE: u8 = 1;
 const STATE_TAKEN: u8 = 2;
-
-/// Every thread's starting spin budget, and its cap — long enough to
-/// catch completions that are a cache-miss away, short enough not to burn
-/// a core.
-const SPIN_LIMIT: u32 = 4096;
-/// Spins between yields (and deadline checks) in the spin phase: if the
-/// completer is runnable but not running, a yield hands it the core.
-const YIELD_EVERY: u32 = 256;
-/// At budget 0, every `PROBE_EVERY`th wait spins [`PROBE_SPINS`] times.
-const PROBE_EVERY: u32 = 64;
-const PROBE_SPINS: u32 = 256;
 
 const WAKER_IDLE: u8 = 0;
 const WAKER_REGISTERING: u8 = 0b01;
@@ -375,84 +352,6 @@ impl std::fmt::Debug for NotificationSlot {
     }
 }
 
-/// This thread's adaptive spin budget (see the module docs): the spin
-/// allowance of its next wait, and the waits it has made since the budget
-/// reached 0.
-#[derive(Clone, Copy)]
-pub(crate) struct SpinBudget {
-    spins: u32,
-    zero_waits: u32,
-}
-
-thread_local! {
-    static SPIN: Cell<SpinBudget> = const {
-        Cell::new(SpinBudget {
-            spins: SPIN_LIMIT,
-            zero_waits: 0,
-        })
-    };
-}
-
-impl SpinBudget {
-    /// The spin allowance of this thread's next wait. Under an active
-    /// checker execution the adaptive state is neither read nor written
-    /// (so schedule IDs stay replayable) and spinning is clamped to the
-    /// model's budget.
-    pub(crate) fn allowance() -> u32 {
-        if csync::modeled() {
-            return csync::spin_budget(SPIN_LIMIT);
-        }
-        SPIN.with(|c| {
-            let mut b = c.get();
-            if b.spins > 0 {
-                return b.spins;
-            }
-            b.zero_waits = b.zero_waits.wrapping_add(1);
-            c.set(b);
-            if b.zero_waits % PROBE_EVERY == 0 {
-                PROBE_SPINS
-            } else {
-                0
-            }
-        })
-    }
-
-    /// Feed one wait back: ready after `checks` state-word checks, or
-    /// (`None`) the allowance ran out. Ready only after a yield counts as
-    /// running out: the completer needed this core.
-    pub(crate) fn settle(allowance: u32, checks: Option<u32>) {
-        if allowance == 0 || csync::modeled() {
-            return;
-        }
-        SPIN.with(|c| {
-            let mut b = c.get();
-            match checks {
-                Some(n) if n <= YIELD_EVERY => {
-                    b.spins = b.spins.max(n.saturating_mul(4).min(SPIN_LIMIT))
-                }
-                _ => {
-                    b.spins /= 2;
-                    if b.spins == 0 {
-                        b.zero_waits = 0;
-                    }
-                }
-            }
-            c.set(b);
-        });
-    }
-}
-
-/// One iteration of the spin phase: a spin hint, or every
-/// [`YIELD_EVERY`]th spin a yield, so a runnable-but-waiting completer
-/// (oversubscribed or single-CPU host) gets the core.
-pub(crate) fn spin_step(spins: u32) {
-    if spins % YIELD_EVERY == YIELD_EVERY - 1 {
-        csync::thread::yield_now();
-    } else {
-        csync::spin_loop();
-    }
-}
-
 /// A waker that unparks the calling thread — what a blocking waiter
 /// registers in its slots' cells. Built once per thread and cloned (a
 /// refcount bump) per park, so parking allocates nothing after a thread's
@@ -494,29 +393,25 @@ fn first_complete(notes: &[Notification], order: Ordering) -> Option<usize> {
 
 /// The one blocking waiter behind [`Notification::wait`],
 /// [`Notification::wait_timeout`], [`wait_any`] and [`wait_any_timeout`].
-/// Spins on the pending slots' state words under this thread's adaptive
-/// budget, checking `deadline` every [`YIELD_EVERY`] spins; then registers
-/// this thread's parking waker in every pending slot, re-checks, and parks
-/// until a completing write drains one of them. Returns the index of a
-/// completed (not yet taken) notification, or `None` once `deadline`
-/// passes.
+/// Spins on the pending slots' state words under this thread's
+/// [`csync::Idle`] budget (checking `deadline` at its yield cadence); then
+/// registers this thread's parking waker in every pending slot, re-checks,
+/// and parks until a completing write drains one of them. Returns the
+/// index of a completed (not yet taken) notification, or `None` once
+/// `deadline` passes.
 fn block_until(notes: &[Notification], deadline: Option<Instant>) -> Option<usize> {
-    let allowance = SpinBudget::allowance();
-    let mut spins = 0;
+    let mut idle = csync::Idle::new();
     loop {
         if let Some(i) = first_complete(notes, Ordering::Acquire) {
-            SpinBudget::settle(allowance, Some(spins + 1));
+            idle.done();
             return Some(i);
         }
-        if spins % YIELD_EVERY == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+        if deadline.is_some_and(|d| idle.past(d)) {
             return None;
         }
-        if spins >= allowance {
-            SpinBudget::settle(allowance, None);
+        if !idle.spin() {
             break;
         }
-        spin_step(spins);
-        spins += 1;
     }
     let waker = park_waker();
     let pending = || notes.iter().filter(|n| !n.consumed);
@@ -977,38 +872,5 @@ mod tests {
         let mut got: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         got.sort();
         assert_eq!(got, (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn spin_budget_decays_on_slow_waits_and_recovers_through_the_probe() {
-        let budget = || SPIN.with(|c| c.get().spins);
-        assert_eq!(budget(), SPIN_LIMIT, "a fresh thread starts at the limit");
-        // Waits that always run out of spin halve the budget down to 0.
-        let mut slow_waits = 0;
-        while budget() > 0 {
-            slow_waits += 1;
-            assert!(slow_waits <= 64, "budget stuck at {}", budget());
-            let mut n = Notification::new(NotificationSlot::new());
-            assert!(n.wait_timeout(Duration::from_millis(2)).is_none());
-        }
-        assert!(slow_waits > SPIN_LIMIT.ilog2() as usize);
-        // At budget 0 a ready slot is taken on the first check, with no
-        // spin and no feedback ...
-        let ready = || {
-            let slot = NotificationSlot::new();
-            slot.complete(completed(1));
-            Notification::new(slot).wait()
-        };
-        for _ in 1..PROBE_EVERY {
-            ready();
-            assert_eq!(budget(), 0);
-        }
-        // ... until the probe wait, whose hit restores a spin budget.
-        ready();
-        assert_eq!(
-            budget(),
-            4,
-            "a first-check probe hit keeps 4x its one check"
-        );
     }
 }

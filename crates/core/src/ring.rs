@@ -8,9 +8,10 @@
 //!
 //! * **Bounded.** A power-of-two ring of slots ([Vyukov's bounded MPMC
 //!   design](https://www.1024cores.net), restricted to one consumer). A
-//!   full ring exerts **backpressure**: [`RingQueue::push`] spins, then
-//!   yields, until a slot frees — it never drops and never allocates. The
-//!   resident fragment count is therefore structurally ≤ the capacity.
+//!   full ring exerts **backpressure**: [`RingQueue::push`] spins under
+//!   the thread's idle budget, then yields, until a slot frees — it never
+//!   drops and never allocates. The resident fragment count is therefore
+//!   structurally ≤ the capacity.
 //! * **Doorbell wake.** The single consumer may park when idle
 //!   ([`RingQueue::park_consumer`]); a producer that observes the parked
 //!   flag after publishing rings the doorbell (`Thread::unpark`). The
@@ -29,7 +30,7 @@
 //! it, and the head/tail counters give each side exclusive ownership of
 //! the slot between those points.
 
-use crate::csync::{self, AtomicBool, AtomicUsize, CheckCell, Mutation, Mutex};
+use crate::csync::{self, AtomicBool, AtomicUsize, CheckCell, Idle, Mutation, Mutex};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,9 +39,6 @@ use std::sync::Arc;
 /// well-provisioned run never stalls, small enough that a wedged receiver
 /// caps resident queue memory.
 pub const DEFAULT_WIRE_QUEUE_CAP: usize = 4096;
-
-/// Producer spin iterations on a full ring before each yield.
-const FULL_SPIN: u32 = 64;
 
 /// Backpressure / depth counters, shared by all rings of one transport.
 #[derive(Debug, Default)]
@@ -222,9 +220,9 @@ impl<T> RingQueue<T> {
         }
     }
 
-    /// Blocking push: backpressure, never drop. Spins briefly, then
-    /// yields, until a slot frees. Fails only when the ring is closed
-    /// (the consumer exited), returning the value.
+    /// Blocking push: backpressure, never drop. Spins under the thread's
+    /// `Idle` budget, then yields, until a slot frees. Fails only when
+    /// the ring is closed (the consumer exited), returning the value.
     pub fn push(&self, value: T) -> Result<(), T> {
         let mut value = match self.try_push(value) {
             Ok(()) => return Ok(()),
@@ -232,17 +230,14 @@ impl<T> RingQueue<T> {
             Err(PushError::Full(v)) => v,
         };
         self.stats.full_stalls.fetch_add(1, Ordering::Relaxed);
-        let mut spins = 0u32;
+        let mut idle = Idle::new();
         loop {
-            if spins < csync::spin_budget(FULL_SPIN) {
-                spins += 1;
-                csync::spin_loop();
-            } else {
-                spins = 0;
-                csync::thread::yield_now();
-            }
+            idle.snooze();
             value = match self.try_push(value) {
-                Ok(()) => return Ok(()),
+                Ok(()) => {
+                    idle.done();
+                    return Ok(());
+                }
                 Err(PushError::Closed(v)) => return Err(v),
                 Err(PushError::Full(v)) => v,
             };

@@ -52,9 +52,9 @@
 //! peer dies mid-conversation. See DESIGN.md §12.
 
 use crate::addr::{NodeAddr, VirtAddr};
+use crate::csync::Idle;
 use crate::endpoint::{mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
-use crate::notify::{spin_step, SpinBudget};
 use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
@@ -711,29 +711,19 @@ fn shm_worker(inner: Arc<ServerInner>) {
     let hdr = header(&inner.seg);
     let mut link = inner.fault.as_ref().map(|f| (f, f.injector(0)));
     let mut deferred: VecDeque<ServerMsg> = VecDeque::new();
-    let idle_spins = inner.config.wire_idle_spins;
-    let idle_yields = inner.config.wire_idle_yields;
+    let mut idle = Idle::new();
     loop {
-        if let Some(msg) = pop_req(&inner, &req) {
-            process_msg(&inner, &rsp, &mut link, &mut deferred, msg, false);
-            continue;
-        }
-        if let Some(msg) = deferred.pop_front() {
+        if let Some(msg) = pop_req(&inner, &req).or_else(|| deferred.pop_front()) {
+            idle.done();
             process_msg(&inner, &rsp, &mut link, &mut deferred, msg, false);
             continue;
         }
         if inner.stop.load(Ordering::Acquire) {
             break;
         }
-        // Spin-then-yield-then-park (the threaded backend's §5 idle
-        // ladder). The yield rung matters most on starved boxes: while
-        // the worker is merely descheduled — not parked — a producer's
-        // push skips both the futex wake syscall and the wake-preemption,
-        // so a momentarily-dry ring refills into a batch instead of
-        // degenerating into one park/wake round trip per message (the
-        // rendezvous lane pushes one descriptor per *message*, so it has
-        // no ring backlog to absorb that churn, unlike the eager lane).
-        if idle_wait(&req, &inner.stop, idle_spins, idle_yields) {
+        // The crate's one idle policy (DESIGN.md §11): spin while this
+        // thread's budget lasts, then sleep on the request doorbell.
+        if idle.spin() {
             continue;
         }
         let seen = hdr.req_bell.prepare();
@@ -745,36 +735,9 @@ fn shm_worker(inner: Arc<ServerInner>) {
     }
     // Final drain, fault-free: retransmissions parked behind the stop and
     // fragments that raced the shutdown must not strand their futures.
-    loop {
-        let msg = match pop_req(&inner, &req) {
-            Some(m) => m,
-            None => match deferred.pop_front() {
-                Some(m) => m,
-                None => break,
-            },
-        };
+    while let Some(msg) = pop_req(&inner, &req).or_else(|| deferred.pop_front()) {
         process_msg(&inner, &rsp, &mut link, &mut deferred, msg, true);
     }
-}
-
-/// One pass of the pre-park idle ladder: spin `spins` times, then yield
-/// `yields` times, re-checking the ring (and the stop flag) at each rung.
-/// Returns true if work (or stop) appeared — the caller should re-loop
-/// instead of parking.
-fn idle_wait(ring: &RawRing, stop: &AtomicBool, spins: u32, yields: u32) -> bool {
-    for _ in 0..spins {
-        if ring.begin_pop().is_some() || stop.load(Ordering::Relaxed) {
-            return true;
-        }
-        std::hint::spin_loop();
-    }
-    for _ in 0..yields {
-        std::thread::yield_now();
-        if ring.begin_pop().is_some() || stop.load(Ordering::Relaxed) {
-            return true;
-        }
-    }
-    false
 }
 
 /// Deserialise the next request-ring slot into an owned message.
@@ -953,6 +916,7 @@ fn process_msg(
 fn push_rsp(inner: &ServerInner, rsp: &RawRing, msg: &RspMsg) {
     let hdr = header(&inner.seg);
     let mut tries = 0u32;
+    let mut idle = Idle::new();
     loop {
         if let Some((idx, ticket)) = rsp.begin_push() {
             let off = rsp.slot_off(idx);
@@ -964,9 +928,14 @@ fn push_rsp(inner: &ServerInner, rsp: &RawRing, msg: &RspMsg) {
             h.vaddr.store(msg.vaddr, Ordering::Relaxed);
             rsp.publish(idx, ticket);
             hdr.rsp_bell.ring();
+            idle.done();
             return;
         }
         hdr.rsp_bell.ring();
+        if idle.spin() {
+            continue;
+        }
+        // Budget spent: yield; every 1024th time, probe and back off.
         tries += 1;
         if tries.is_multiple_of(1024) {
             let cpid = hdr.client_pid.load(Ordering::SeqCst);
@@ -975,7 +944,7 @@ fn push_rsp(inner: &ServerInner, rsp: &RawRing, msg: &RspMsg) {
             }
             std::thread::sleep(Duration::from_micros(100));
         } else {
-            std::thread::yield_now();
+            idle.snooze();
         }
     }
 }
@@ -1725,6 +1694,7 @@ impl ShmClient {
         let hdr = header(&inner.seg);
         let mut fill = Some(fill);
         let mut tries = 0u32;
+        let mut idle = Idle::new();
         loop {
             if let Some((idx, ticket)) = req.begin_push() {
                 let off = req.slot_off(idx);
@@ -1734,10 +1704,15 @@ impl ShmClient {
                 (fill.take().expect("slot claimed once"))(h, payload);
                 req.publish(idx, ticket);
                 hdr.req_bell.ring();
+                idle.done();
                 return Ok(());
             }
-            tries += 1;
             inner.progress(false);
+            if idle.spin() {
+                continue;
+            }
+            // Budget spent: yield; every 1024th time, probe and back off.
+            tries += 1;
             if tries.is_multiple_of(1024) {
                 if inner.server_dead() {
                     inner.fail_all_pending();
@@ -1747,7 +1722,7 @@ impl ShmClient {
                 }
                 std::thread::sleep(Duration::from_micros(100));
             } else {
-                std::thread::yield_now();
+                idle.snooze();
             }
         }
     }
@@ -1767,8 +1742,8 @@ impl ShmClient {
             h.len.store(0, Ordering::Relaxed);
             h.token.store(token, Ordering::Relaxed);
         })?;
-        let allowance = SpinBudget::allowance();
-        let (mut spins, mut armed) = (0, false);
+        let mut idle = Idle::new();
+        let mut armed = false;
         let r = loop {
             let mut fs = inner.flush_state.lock();
             if fs.acked.remove(&token) {
@@ -1788,21 +1763,19 @@ impl ShmClient {
                 if timed_out && inner.server_dead() {
                     inner.fail_all_pending();
                 }
-            } else if spins < allowance {
-                drop(fs);
-                spin_step(spins);
-                spins += 1;
-                inner.progress(false);
             } else {
-                SpinBudget::settle(allowance, None);
-                armed = true;
-                inner.arm();
+                drop(fs);
+                if idle.spin() {
+                    inner.progress(false);
+                } else {
+                    armed = true;
+                    inner.arm();
+                }
             }
         };
+        idle.done();
         if armed {
             inner.disarm();
-        } else {
-            SpinBudget::settle(allowance, Some(spins + 1));
         }
         r
     }
@@ -1877,19 +1850,24 @@ fn rsp_pump(inner: Arc<ClientInner>) {
     let hdr = header(&inner.seg);
     let armed = || inner.armed.load(Ordering::SeqCst) > 0;
     let mut probed = Instant::now();
+    // Waits out another thread's hold on the drain while acks are queued.
+    let mut idle = Idle::new();
     while !inner.stop.load(Ordering::Acquire) {
         let probe = probed.elapsed() >= PUMP_TICK;
         if probe {
             probed = Instant::now();
         }
         let handled = inner.progress(probe);
+        if handled {
+            idle.done();
+        }
         if !armed() {
             std::thread::park_timeout(PUMP_TICK);
         } else if !handled {
             let seen = hdr.rsp_bell.prepare();
             if inner.rsp.begin_pop().is_some() || inner.stop.load(Ordering::Acquire) || !armed() {
                 hdr.rsp_bell.cancel();
-                std::thread::yield_now();
+                idle.snooze();
                 continue;
             }
             hdr.rsp_bell.wait(seen, DOORBELL_WAIT);

@@ -34,21 +34,20 @@
 //!
 //! **Backpressure contract.** Each ring holds at most
 //! [`EndpointConfig::wire_queue_cap`](crate::endpoint::EndpointConfig)
-//! messages. A submission finding its ring full **blocks** (spin, then
-//! yield) until the worker frees a slot — it never silently drops a
-//! fragment and never grows the queue. A slow receiver under incast
+//! messages. A submission finding its ring full **blocks** (spin under the
+//! idle budget, then yield) until the worker frees a slot — it never
+//! silently drops a fragment and never grows the queue. A slow receiver under incast
 //! therefore stalls its senders instead of swallowing unbounded memory;
 //! the stall count and high-water depth are observable through
 //! [`AsyncNetwork::queue_stats`] and the endpoint's `StatsSnapshot`.
 //!
-//! **Idle policy.** A worker that finds its ring empty runs an adaptive
-//! spin → yield → park progression
-//! ([`wire_idle_spins`](crate::endpoint::EndpointConfig) busy-poll
-//! iterations, then [`wire_idle_yields`](crate::endpoint::EndpointConfig)
-//! `yield_now` rounds, then `thread::park`). Producers ring a doorbell
-//! (one `SeqCst` flag check per push, `unpark` only when the worker is
-//! actually parked), so an idle worker costs nothing while a hot worker
-//! never takes a futex wake on the fragment path.
+//! **Idle policy.** A worker that finds its ring empty spins under its
+//! thread's adaptive budget — the crate's one idle policy (DESIGN.md §11),
+//! which drops to 0 wherever spinning does not pay, e.g. on one CPU — and
+//! then parks. Producers ring a doorbell (one `SeqCst` flag check per
+//! push, `unpark` only when the worker is actually parked), so an idle
+//! worker costs nothing while a hot worker never takes a futex wake on the
+//! fragment path.
 //!
 //! The worker count comes from [`AsyncNetwork::with_options`] (or
 //! [`EndpointConfig::wire_workers`](crate::endpoint::EndpointConfig) via
@@ -125,10 +124,10 @@
 //! network exactly as [`AsyncNetwork::remove_endpoint`] does.
 
 use crate::addr::{NodeAddr, VirtAddr};
-use crate::csync::{self, AtomicU64 as CheckedU64, Mutation};
+use crate::csync::{self, AtomicU64 as CheckedU64, Idle, Mutation};
 use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
-use crate::notify::{spin_step, AtomicWaker, SpinBudget};
+use crate::notify::AtomicWaker;
 use crate::pool::{PayloadPool, PoolStats};
 use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
 use crate::ring::{PushError, RingQueue, RingStats, RingStatsSnapshot};
@@ -246,39 +245,32 @@ pub(crate) trait Progress: Send + Sync {
 /// A driven [`PutFuture`]'s progress hook and how far its spin has got.
 struct Drain {
     hook: Arc<dyn Progress>,
-    /// This wait's spin allowance, taken at its first pending poll.
-    allowance: Option<u32>,
-    spins: u32,
+    idle: Idle,
     armed: bool,
 }
 
 impl Drain {
     /// A poll found the put unresolved. While the thread's adaptive budget
     /// lasts, spin one step and wake the task so it polls (and drives)
-    /// again; once it runs out, settle the wait as a miss and arm the
+    /// again; once it runs out (the wait settles as a miss), arm the
     /// helper, whose drain wakes the registered waker.
     fn pend(&mut self, waker: &Waker) {
         if self.armed {
             return;
         }
-        let allowance = *self.allowance.get_or_insert_with(SpinBudget::allowance);
-        if self.spins < allowance {
-            spin_step(self.spins);
-            self.spins += 1;
+        if self.idle.spin() {
             waker.wake_by_ref();
         } else {
-            SpinBudget::settle(allowance, None);
             self.armed = true;
             self.hook.arm();
         }
     }
 
-    /// The put resolved: credit the spin, or hand the helper back.
+    /// The put resolved: credit the spin, and hand the helper back.
     fn resolved(&mut self) {
+        self.idle.done();
         if std::mem::take(&mut self.armed) {
             self.hook.disarm();
-        } else if let Some(allowance) = self.allowance.take() {
-            SpinBudget::settle(allowance, Some(self.spins + 1));
         }
     }
 }
@@ -305,8 +297,7 @@ impl PutFuture {
             fragments,
             drain: progress.map(|hook| Drain {
                 hook,
-                allowance: None,
-                spins: 0,
+                idle: Idle::new(),
                 armed: false,
             }),
         }
@@ -604,9 +595,11 @@ fn quiesce_shared(shared: &Shared) -> Result<()> {
         for q in &shared.queues {
             sent += q.push(WireMsg::Flush { acks: acks.clone() }).is_ok() as usize;
         }
+        let mut idle = Idle::new();
         while acks.load(Ordering::Acquire) < sent {
-            std::thread::yield_now();
+            idle.snooze();
         }
+        idle.done();
         if sent < shared.queues.len() {
             return Err(RvmaError::UnknownDestination);
         }
@@ -778,10 +771,10 @@ impl WireWorker<'_> {
             .or_else(|| self.deferred.pop_front())
     }
 
-    /// The receive step: [`pop`](Self::pop), then the adaptive spin →
-    /// yield → park idle progression. Returns `None` after a park wake-up
-    /// (the caller re-polls).
-    fn next_msg(&mut self, idle_spins: u32, idle_yields: u32) -> Option<WireMsg> {
+    /// The receive step: [`pop`](Self::pop), spinning under the thread's
+    /// [`Idle`] budget and then parking on the ring's doorbell while there
+    /// is nothing to pop.
+    fn next_msg(&mut self) -> WireMsg {
         // Opportunistically migrate one spilled retransmission back onto the
         // ring (behind the queued traffic, which is where a retransmitted
         // copy belongs) so the spill list drains even while the shard stays
@@ -792,22 +785,20 @@ impl WireWorker<'_> {
             }
         }
         if let Some(m) = self.pop() {
-            return Some(m);
+            return m;
         }
-        for _ in 0..idle_spins {
+        // `held` and `deferred` are this worker's own: only the ring can
+        // fill while it idles.
+        let mut idle = Idle::new();
+        loop {
             if let Some(m) = self.ring.try_pop() {
-                return Some(m);
+                idle.done();
+                return m;
             }
-            std::hint::spin_loop();
-        }
-        for _ in 0..idle_yields {
-            if let Some(m) = self.ring.try_pop() {
-                return Some(m);
+            if !idle.spin() {
+                self.ring.park_consumer();
             }
-            std::thread::yield_now();
         }
-        self.ring.park_consumer();
-        None
     }
 
     /// Process one message. `drain` is the post-Stop teardown pass: the
@@ -949,21 +940,6 @@ impl WireWorker<'_> {
 fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
     let ring = &*shared.queues[idx];
     ring.register_consumer();
-    // Spinning only helps when producer and consumer can run in parallel.
-    // On a single-CPU host an idle-spinning worker *holds the core the
-    // producer needs*, turning every put into a scheduler-granularity
-    // stall — park immediately instead and let the doorbell's wakeup
-    // preemption provide the fast handoff.
-    let parallel = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        > 1;
-    let (idle_spins, idle_yields) = if parallel {
-        let config = &shared.endpoint_config;
-        (config.wire_idle_spins, config.wire_idle_yields)
-    } else {
-        (0, 0)
-    };
     let mut worker = WireWorker {
         shared: &shared,
         ring,
@@ -975,10 +951,9 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
         held: None,
     };
     loop {
-        match worker.next_msg(idle_spins, idle_yields) {
-            None => continue, // woke from park: re-poll
-            Some(WireMsg::Stop) => break,
-            Some(msg) => worker.handle(msg, false),
+        match worker.next_msg() {
+            WireMsg::Stop => break,
+            msg => worker.handle(msg, false),
         }
     }
     // Teardown: whatever was re-enqueued or spilled behind the Stop marker.

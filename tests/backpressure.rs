@@ -10,7 +10,9 @@
 //! * the stall and doorbell counters surface through `EndpointStats`;
 //! * a ring held at capacity deadlocks neither `quiesce` nor `Drop`;
 //! * a flush or stop marker is processed after the run it was popped
-//!   behind, never dropped.
+//!   behind, never dropped;
+//! * a depth-1 ping-pong does not stall on one CPU, where the idle budget
+//!   must park instead of spinning.
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{AsyncNetwork, EndpointConfig, NodeAddr, Threshold, VirtAddr};
@@ -203,4 +205,31 @@ fn drop_races_blocked_producers_without_deadlock() {
             drop(net);
         });
     }
+}
+
+/// Depth-1 ping-pong through one wire worker: 2,000 threaded 64 B
+/// put → `wait` round trips. On one CPU (CI runs this under `taskset -c
+/// 0`) a waiter that keeps spinning holds the core the other side needs,
+/// and each put stalls for a scheduler tick (~4 ms, so ~8 s in all). The
+/// idle budget must learn to park instead: a few µs per round trip.
+#[test]
+fn one_cpu_pingpong_does_not_stall() {
+    const ROUND_TRIPS: u32 = 2_000;
+    let net = tiny_ring_net(1);
+    let server = net.add_endpoint(NodeAddr::node(0));
+    let vaddr = VirtAddr::new(3);
+    let win = server.init_window(vaddr, Threshold::ops(1)).unwrap();
+    let init = net.initiator(NodeAddr::node(1));
+    let payload = [7u8; 64];
+    let start = std::time::Instant::now();
+    for _ in 0..ROUND_TRIPS {
+        let mut note = win.post_buffer(vec![0u8; 64]).unwrap();
+        init.put_at(NodeAddr::node(0), vaddr, 0, &payload).unwrap();
+        assert_eq!(note.wait().data(), payload.as_slice());
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "{ROUND_TRIPS} round trips took {elapsed:?}: the waiters stalled instead of parking"
+    );
 }

@@ -416,7 +416,7 @@ pub(super) fn cq_two_producer_model() {
 
 /// The PR-8 regression shape: an overflow episode is already open (ring
 /// full, one entry spilled) when a late producer pushes concurrently with
-/// the consumer draining. Global FIFO must hold across the episode — the
+/// the consumer's drain. Global FIFO must hold across the episode — the
 /// late push must never overtake the entry sitting in the spill queue.
 pub(super) fn cq_spill_episode_model() {
     let cq = Arc::new(CompletionQueue::new(2));

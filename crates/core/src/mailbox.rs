@@ -15,32 +15,20 @@
 //! * **Receiver-Managed** (the sockets-like mode): the receiver assigns
 //!   placement, appending arrivals at a cursor like a stream socket.
 //!
-//! # Two-phase delivery
+//! # One delivery path
 //!
-//! Delivery is split so the payload copy — the expensive part of the
-//! datapath — happens **outside** the mailbox's lock:
-//!
-//! 1. `Mailbox::deliver_begin` (under the lock): validate, reserve the
-//!    destination range `[place_at, end)`, bump the byte/op counters, and
-//!    record an in-flight writer.
-//! 2. The caller drops the lock and copies the payload through the returned
-//!    `WriteReservation` — concurrent fragments to *disjoint* ranges of
-//!    the same mailbox copy fully in parallel.
-//! 3. `Mailbox::deliver_finish` (under the lock): retire the reservation;
-//!    if the threshold was reached, the **last** in-flight writer completes
-//!    the epoch, so a completed buffer is never published while bytes are
-//!    still landing in it.
-//!
-//! A fragment whose range overlaps an in-flight reservation reports
-//! `BeginOutcome::Contended`; the caller drops the lock, yields, and
-//! retries (overlapping concurrent writes are already "not recommended"
-//! usage — the retry only serializes them instead of racing).
-//! A caller that is the mailbox's only writer — a threaded wire worker,
-//! through `RvmaEndpoint::deliver_batch` — skips the two phases:
-//! `Mailbox::deliver_run_exclusive` places a chunk of fragments under one
-//! lock hold.
+//! The paper's NIC is the only agent that writes a mailbox's active
+//! buffer: translate → place → count → at threshold, the completing
+//! write. Here that agent is whoever holds the mailbox lock, and every
+//! byte arrives through one call, `Mailbox::deliver_run`, which places a
+//! run of fragments under that one hold and completes the epoch in place
+//! when a fragment reaches the threshold. A buffer is therefore never
+//! published while bytes are still landing in it, and concurrent callers
+//! are serialised by the lock they already take.
 //! Epoch progress is mirrored into an [`EpochProgress`] that can be read
-//! lock-free while deliveries are in flight.
+//! lock-free while a run is being placed.
+
+#![forbid(unsafe_code)]
 
 use crate::addr::VirtAddr;
 use crate::buffer::{CompletedBuffer, EpochType, PostedBuffer};
@@ -93,78 +81,17 @@ pub enum DeliveryOutcome {
     Discarded(NackReason),
 }
 
-/// Result of `Mailbox::deliver_begin`.
-pub(crate) enum BeginOutcome {
-    /// A destination range was reserved: copy the payload through the
-    /// reservation *without* holding the mailbox lock, then call
-    /// `Mailbox::deliver_finish` under the lock.
-    Reserved(WriteReservation),
-    /// Delivery resolved entirely under the lock (discard, or a zero-length
-    /// fragment that needed no copy).
-    Done(DeliveryOutcome),
-    /// The fragment's range overlaps an in-flight reservation. Drop the
-    /// lock, wait a step (`Idle::snooze`), and retry `deliver_begin`.
-    Contended,
-}
-
-/// A reserved destination range in a mailbox's active buffer.
-///
-/// The pointed-to range stays valid until `Mailbox::deliver_finish` is
-/// called with this reservation: while any writer is in flight the mailbox
-/// neither completes nor frees its active buffer (close parks it in a
-/// draining slot instead).
-pub(crate) struct WriteReservation {
-    ptr: *mut u8,
-    len: usize,
-    start: usize,
-}
-
-impl WriteReservation {
-    /// Copy `data` into the reserved range.
-    ///
-    /// # Safety
-    ///
-    /// Call at most once, with `data.len()` equal to the reserved length,
-    /// between the `deliver_begin` that produced this reservation and the
-    /// matching `deliver_finish`. The mailbox then guarantees the rest:
-    /// the range lies inside the active buffer (`deliver_begin` checked
-    /// `place_at + len <= buffer length`), the buffer stays allocated and
-    /// unpublished while `writers > 0`, and no other writer holds an
-    /// overlapping reservation (an overlap gets `Contended`, not a range).
-    pub(crate) unsafe fn fill(&self, data: &[u8]) {
-        debug_assert_eq!(data.len(), self.len);
-        // SAFETY: `self.ptr..self.ptr + self.len` is this reservation's
-        // exclusive, in-bounds, live range (see `# Safety`), and `data`
-        // cannot alias it: no reference into an active buffer is handed
-        // out before `deliver_finish` retires the range.
-        unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr, self.len) };
-    }
-}
-
-// SAFETY: the raw pointer is the only non-`Send` field. The range it
-// points into belongs to the mailbox's active buffer, a heap allocation
-// that does not move or free while this reservation is counted in
-// `writers` (close parks it in `draining` instead), and the `inflight`
-// overlap check makes the range this reservation's alone — so writing it
-// from whichever thread holds the reservation races nothing.
-unsafe impl Send for WriteReservation {}
-
 /// Lock-free observable progress of a mailbox's current epoch.
 ///
 /// Updated by the delivery path while it holds the mailbox lock; readable
 /// (e.g. from a polling application thread) without taking any lock. This
 /// is the software analogue of the NIC's memory-mapped counter pair.
 ///
-/// The counters say what has been **counted** against the threshold, not
-/// what has been placed: the two-phase path bumps them when it reserves
-/// the range (`deliver_begin`), before the copy runs outside the lock, so
-/// they can lead the bytes actually in the buffer by every in-flight
-/// put — a whole rendezvous put each. The batched path
-/// (`Mailbox::deliver_run_exclusive`, which the threaded wire workers
-/// use for every eager put) publishes them once per chunk, so they can
-/// also lag the buffer by at most one chunk of puts. They are a pacing
-/// signal. Only the threshold completion (the notification) certifies
-/// placement.
+/// The counters publish after the copy they count, so they never lead
+/// the bytes placed in the buffer. `Mailbox::deliver_run` publishes them
+/// once per run (one chunk of at most `DELIVER_CHUNK` fragments), so they
+/// lag the buffer by at most one chunk of puts. They are a pacing signal.
+/// Only the threshold completion (the notification) certifies placement.
 #[derive(Debug, Default)]
 pub struct EpochProgress {
     bytes: AtomicU64,
@@ -174,7 +101,7 @@ pub struct EpochProgress {
 
 impl EpochProgress {
     /// Bytes counted against the active buffer's threshold so far this
-    /// epoch — reserved, not yet certified placed (see the type docs).
+    /// epoch — placed, not yet certified complete (see the type docs).
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Acquire)
     }
@@ -208,16 +135,6 @@ pub struct Mailbox {
     closed: bool,
     /// Stream cursor for `Managed` mode.
     cursor: usize,
-    /// Writers that called `deliver_begin` but not yet `deliver_finish`.
-    writers: usize,
-    /// Reserved `[start, end)` ranges of those writers.
-    inflight: Vec<(usize, usize)>,
-    /// Threshold was reached (or `inc_epoch` requested) while writers were
-    /// still copying; the last `deliver_finish` performs the completion.
-    pending_completion: bool,
-    /// Active buffer parked by `close()` while writers were still copying
-    /// into it; dropped when the last writer finishes.
-    draining: Option<PostedBuffer>,
     /// Receiver-side duplicate suppression (the reliability layer's dedup
     /// window), `None` when disabled. Deliberately *not* cleared on epoch
     /// rotation: a replayed final fragment of epoch N must be recognized
@@ -259,10 +176,6 @@ impl Mailbox {
             retain,
             closed: false,
             cursor: 0,
-            writers: 0,
-            inflight: Vec::new(),
-            pending_completion: false,
-            draining: None,
             dedup: (dedup_window > 0).then(|| DedupWindow::new(dedup_window)),
             completions: None,
             telemetry: None,
@@ -337,143 +250,32 @@ impl Mailbox {
         Ok(())
     }
 
-    /// Phase 1 of delivery (paper Fig. 3 steps 2–4 minus the payload
-    /// write): translate the placement, validate bounds, reserve the
-    /// destination range, and bump the threshold counters — all under the
-    /// caller's mailbox lock. The payload copy itself is the caller's,
-    /// performed lock-free through the returned reservation.
-    pub(crate) fn deliver_begin(
-        &mut self,
-        op_key: OpKey,
-        op_total_len: u64,
-        offset: usize,
-        data_len: usize,
-    ) -> BeginOutcome {
-        if self.closed {
-            return BeginOutcome::Done(DeliveryOutcome::Discarded(NackReason::WindowClosed));
-        }
-        // Dedup before any buffer-state check: a retransmitted copy of a
-        // fragment whose epoch already completed (and left no buffer
-        // posted) must report Duplicate, not a spurious NACK.
-        if let Some(d) = &self.dedup {
-            if d.is_duplicate(op_key, offset) {
-                return BeginOutcome::Done(DeliveryOutcome::Duplicate);
-            }
-        }
-        let (buf_len, threshold) = match self.queue.front() {
-            Some(active) => (active.data.len(), active.threshold),
-            None => {
-                return BeginOutcome::Done(DeliveryOutcome::Discarded(NackReason::NoBufferPosted))
-            }
-        };
-
-        // Placement.
-        let place_at = match self.mode {
-            MailboxMode::Steered => offset,
-            MailboxMode::Managed => self.cursor,
-        };
-        let end = match place_at.checked_add(data_len) {
-            Some(e) if e <= buf_len => e,
-            _ => return BeginOutcome::Done(DeliveryOutcome::Discarded(NackReason::OutOfBounds)),
-        };
-        if data_len > 0 && self.inflight.iter().any(|&(s, e)| place_at < e && s < end) {
-            return BeginOutcome::Contended;
-        }
-        if self.mode == MailboxMode::Managed {
-            self.cursor = end;
-        }
-        // Accepted: remember the fragment so a retransmitted copy is
-        // suppressed (recorded only now, after validation — a NACKed
-        // fragment must stay retryable).
-        if let Some(d) = &mut self.dedup {
-            d.record(op_key, offset);
-        }
-
-        // Counting. (In Managed mode the cursor reservation above already
-        // made concurrent ranges disjoint, so counting here is exact.)
-        self.progress
-            .bytes
-            .fetch_add(data_len as u64, Ordering::AcqRel);
-        if data_len as u64 >= op_total_len {
-            // Single-fragment op: count immediately, no tracking entry.
-            self.progress.ops.fetch_add(1, Ordering::AcqRel);
-        } else {
-            let got = self.op_progress.entry(op_key).or_insert(0);
-            *got += data_len as u64;
-            if *got >= op_total_len {
-                self.op_progress.remove(&op_key);
-                self.progress.ops.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-
-        // Threshold check. Completion is deferred to the last in-flight
-        // writer so the buffer is never published mid-copy.
-        let reached = match threshold.ty {
-            EpochType::Bytes => self.progress.bytes() >= threshold.count,
-            EpochType::Ops => self.progress.ops() >= threshold.count,
-        };
-        if reached {
-            self.pending_completion = true;
-        }
-
-        if data_len == 0 {
-            // Nothing to copy; resolve in place.
-            return BeginOutcome::Done(if self.try_complete() {
-                DeliveryOutcome::Completed
-            } else {
-                DeliveryOutcome::Accepted
-            });
-        }
-
-        self.writers += 1;
-        self.inflight.push((place_at, end));
-        let active = self.queue.front_mut().expect("active checked above");
-        // SAFETY: `place_at <= end <= buf_len` was checked above, so the
-        // offset stays inside (or one past) the active buffer's
-        // allocation. The pointer stays valid while `writers > 0`, which
-        // was just raised for this reservation (see `WriteReservation`).
-        let ptr = unsafe { active.data.as_mut_ptr().add(place_at) };
-        BeginOutcome::Reserved(WriteReservation {
-            ptr,
-            len: data_len,
-            start: place_at,
-        })
-    }
-
-    /// Deliver a run of fragments begin-to-finish in one call, bypassing
-    /// the two-phase reservation machinery. Only valid when no reservation
-    /// is outstanding (`writers == 0`): under that condition the caller's
-    /// exclusive borrow is the only writer, so every copy goes straight
-    /// into the active buffer through safe code — no writer count, no
-    /// in-flight range tracking, no raw-pointer reservations, and no
-    /// overlap scans (the in-flight list is necessarily empty). This is
-    /// the batched datapath's fast path: the wire-worker pool shards by
-    /// mailbox, so a worker delivering a batch under the mailbox lock
-    /// meets this condition on every fragment.
+    /// Place a run of fragments (paper Fig. 3 steps 2–5). For each one:
+    /// check the dedup window, translate the placement, validate bounds,
+    /// copy the payload into the active buffer, count it, and if it reaches
+    /// the threshold complete the epoch there, so the next fragment lands
+    /// in the next posted buffer. The caller's exclusive borrow (the
+    /// mailbox lock) makes it the buffer's only writer for the whole run.
     ///
-    /// Being the sole writer also makes the shared progress counters
-    /// single-writer for the duration, so the run accumulates byte/op
-    /// counts in locals and publishes them as **one atomic add per counter
-    /// per run** instead of per fragment — except at an epoch boundary,
-    /// where the pending deltas are published first (`complete_active`
-    /// computes the buffer's valid length from the shared counters).
-    /// Readers of the counters ([`EpochProgress`] pacing) see bounded
-    /// staleness: at most one run (≤ one batch chunk) of puts.
+    /// `frags` yields `(op_key, op_total_len, offset, data)`. `op_key`
+    /// identifies the whole operation and `op_total_len` is its full byte
+    /// count (fragments of one op share both). `offset` is the byte offset
+    /// into the active buffer, ignored (receiver-assigned) in `Managed`
+    /// mode.
+    ///
+    /// Being the only writer makes the shared progress counters
+    /// single-writer for the run too. The run sums byte/op counts in locals
+    /// and publishes them as one atomic add per counter per run, plus once
+    /// before each completion (`complete_active` computes the buffer's
+    /// valid length from the shared counters).
     ///
     /// Each fragment's outcome is reported through `on_outcome` together
-    /// with its payload length. Returns `false` without consuming anything
-    /// when a reservation *is* outstanding; the caller must fall back to
-    /// `deliver_begin`/`deliver_finish` (which also handles contention
-    /// against that reservation's range).
-    pub(crate) fn deliver_run_exclusive<'f>(
+    /// with its payload length.
+    pub(crate) fn deliver_run<'f>(
         &mut self,
         frags: impl Iterator<Item = (OpKey, u64, usize, &'f [u8])>,
         on_outcome: &mut dyn FnMut(DeliveryOutcome, usize),
-    ) -> bool {
-        if self.writers != 0 {
-            return false;
-        }
-        debug_assert!(self.inflight.is_empty(), "inflight range without writer");
+    ) {
         let mut bytes_local = self.progress.bytes();
         let mut ops_local = self.progress.ops();
         let (mut bytes_delta, mut ops_delta) = (0u64, 0u64);
@@ -551,24 +353,20 @@ impl Mailbox {
             };
             if reached {
                 self.flush_progress(&mut bytes_delta, &mut ops_delta);
-                self.pending_completion = true;
-                if self.try_complete() {
-                    on_outcome(DeliveryOutcome::Completed, data.len());
-                    // Completion reset the counters for the next epoch.
-                    bytes_local = self.progress.bytes();
-                    ops_local = self.progress.ops();
-                    continue;
-                }
+                self.complete_active();
+                on_outcome(DeliveryOutcome::Completed, data.len());
+                // Completion reset the counters for the next epoch.
+                (bytes_local, ops_local) = (0, 0);
+                continue;
             }
             on_outcome(DeliveryOutcome::Accepted, data.len());
         }
         self.dedup = dedup;
         self.flush_progress(&mut bytes_delta, &mut ops_delta);
-        true
     }
 
     /// Publish locally accumulated progress deltas (see
-    /// [`deliver_run_exclusive`](Self::deliver_run_exclusive)).
+    /// [`deliver_run`](Self::deliver_run)).
     fn flush_progress(&self, bytes_delta: &mut u64, ops_delta: &mut u64) {
         if *bytes_delta > 0 {
             self.progress
@@ -582,44 +380,9 @@ impl Mailbox {
         }
     }
 
-    /// Phase 2 of delivery: retire the reservation and, if this was the last
-    /// in-flight writer of an epoch whose threshold has been reached,
-    /// complete the epoch (paper Fig. 3 step 5).
-    pub(crate) fn deliver_finish(&mut self, reservation: WriteReservation) -> DeliveryOutcome {
-        debug_assert!(self.writers > 0, "finish without begin");
-        self.writers -= 1;
-        if let Some(pos) = self
-            .inflight
-            .iter()
-            .position(|&(s, _)| s == reservation.start)
-        {
-            self.inflight.swap_remove(pos);
-        }
-        if self.closed {
-            // Raced with close(): the copy landed in a buffer nobody will
-            // see. Drop the parked allocation once the last writer is out.
-            if self.writers == 0 {
-                self.draining = None;
-            }
-            return DeliveryOutcome::Accepted;
-        }
-        if self.try_complete() {
-            DeliveryOutcome::Completed
-        } else {
-            DeliveryOutcome::Accepted
-        }
-    }
-
-    /// Deliver one fragment of an operation, begin-to-finish, under the
-    /// caller's exclusive borrow. This is the single-threaded reference
-    /// semantics for the two-phase pair; the production datapath
-    /// (`RvmaEndpoint::deliver`) always goes through begin/finish so the
-    /// copy can run outside the mailbox lock.
-    ///
-    /// `op_key` identifies the whole operation, `op_total_len` its full byte
-    /// count (fragments of one op share both), `offset` is the byte offset
-    /// into the active buffer (ignored — receiver-assigned — in `Managed`
-    /// mode), and `data` the fragment payload.
+    /// Deliver one fragment: a run of one through
+    /// [`deliver_run`](Self::deliver_run), so unit tests and the checker's
+    /// models drive the production placement code.
     #[cfg(test)]
     pub(crate) fn deliver(
         &mut self,
@@ -628,26 +391,17 @@ impl Mailbox {
         offset: usize,
         data: &[u8],
     ) -> DeliveryOutcome {
-        match self.deliver_begin(op_key, op_total_len, offset, data.len()) {
-            BeginOutcome::Done(outcome) => outcome,
-            BeginOutcome::Reserved(reservation) => {
-                // SAFETY: filled once, with the reserved length, before the
-                // matching `deliver_finish` below. The exclusive borrow
-                // means no other writer exists, so the range is race-free
-                // even without dropping any lock.
-                unsafe { reservation.fill(data) };
-                self.deliver_finish(reservation)
-            }
-            BeginOutcome::Contended => {
-                unreachable!("overlap with in-flight writer under exclusive borrow")
-            }
-        }
+        let mut outcome = None;
+        self.deliver_run(
+            std::iter::once((op_key, op_total_len, offset, data)),
+            &mut |o, _| outcome = Some(o),
+        );
+        outcome.expect("one outcome per fragment")
     }
 
     /// Complete the active buffer *now*, regardless of threshold (paper:
     /// `RVMA_Win_inc_epoch` — hand a partial buffer to software, for
-    /// streams, unknown-size messages, or error recovery). If fragment
-    /// copies are in flight, completion happens when the last one finishes.
+    /// streams, unknown-size messages, or error recovery).
     pub(crate) fn inc_epoch(&mut self) -> Result<()> {
         if self.closed {
             return Err(RvmaError::WindowClosed(self.vaddr));
@@ -655,27 +409,11 @@ impl Mailbox {
         if self.queue.is_empty() {
             return Err(RvmaError::Nacked(NackReason::NoBufferPosted));
         }
-        self.pending_completion = true;
-        self.try_complete();
+        self.complete_active();
         Ok(())
     }
 
-    /// Complete the active epoch iff completion is pending and no writer is
-    /// mid-copy. Returns true when the completion happened here.
-    fn try_complete(&mut self) -> bool {
-        if !self.pending_completion || self.writers > 0 || self.closed {
-            return false;
-        }
-        self.pending_completion = false;
-        self.complete_active();
-        true
-    }
-
     fn complete_active(&mut self) {
-        debug_assert!(
-            self.inflight.is_empty(),
-            "completing with writers in flight"
-        );
         let buf = self.queue.pop_front().expect("active buffer present");
         // Valid length: in steered mode the highest byte written is unknown
         // without per-byte tracking; the hardware writes the *count* of bytes
@@ -731,17 +469,12 @@ impl Mailbox {
     }
 
     /// Close the mailbox (paper: `RVMA_Close_Win`). Subsequent operations
-    /// are discarded (optionally NACKed by the endpoint). Queued, never-
-    /// activated buffers are returned to the caller — as is the active
-    /// buffer, unless fragment copies are still in flight into it, in which
-    /// case it is parked and dropped when the last copy finishes.
+    /// are discarded (optionally NACKed by the endpoint). Every buffer that
+    /// has not completed, the active one included, is returned to the
+    /// caller in posting order; none of their notifications ever completes.
     pub(crate) fn close(&mut self) -> Vec<Vec<u8>> {
         self.closed = true;
         self.op_progress.clear();
-        self.pending_completion = false;
-        if self.writers > 0 {
-            self.draining = self.queue.pop_front();
-        }
         self.queue.drain(..).map(|b| b.data).collect()
     }
 
@@ -1073,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_applies_on_exclusive_run_path() {
+    fn dedup_applies_within_one_run() {
         let mut m = Mailbox::with_dedup(VirtAddr::new(0xAB), MailboxMode::Steered, 4, 8);
         let mut n = post(&mut m, 8, Threshold::bytes(8));
         let frags: Vec<(OpKey, u64, usize, &[u8])> = vec![
@@ -1082,7 +815,7 @@ mod tests {
             (key(1), 8, 4, &[2; 4]),
         ];
         let mut outcomes = Vec::new();
-        assert!(m.deliver_run_exclusive(frags.into_iter(), &mut |o, _| outcomes.push(o)));
+        m.deliver_run(frags.into_iter(), &mut |o, _| outcomes.push(o));
         assert_eq!(
             outcomes,
             vec![
@@ -1112,98 +845,15 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_defers_completion_to_last_writer() {
-        let mut m = mb(MailboxMode::Steered);
-        let mut n = post(&mut m, 8, Threshold::bytes(8));
-        let r1 = match m.deliver_begin(key(1), 8, 0, 4) {
-            BeginOutcome::Reserved(r) => r,
-            _ => panic!("expected reservation"),
-        };
-        let r2 = match m.deliver_begin(key(1), 8, 4, 4) {
-            BeginOutcome::Reserved(r) => r,
-            _ => panic!("expected reservation for disjoint range"),
-        };
-        // Threshold already reached by the counters, but nothing may
-        // complete while copies are in flight.
-        assert_eq!(m.bytes_this_epoch(), 8);
-        assert!(n.poll().is_none());
-        unsafe { r1.fill(&[1; 4]) };
-        assert_eq!(m.deliver_finish(r1), DeliveryOutcome::Accepted);
-        assert!(n.poll().is_none(), "one writer still in flight");
-        unsafe { r2.fill(&[2; 4]) };
-        assert_eq!(m.deliver_finish(r2), DeliveryOutcome::Completed);
-        assert_eq!(n.poll().unwrap().data(), &[1, 1, 1, 1, 2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn overlapping_reservation_reports_contended() {
-        let mut m = mb(MailboxMode::Steered);
-        let _n = post(&mut m, 16, Threshold::bytes(16));
-        let r1 = match m.deliver_begin(key(1), 16, 4, 8) {
-            BeginOutcome::Reserved(r) => r,
-            _ => panic!("expected reservation"),
-        };
-        assert!(matches!(
-            m.deliver_begin(key(2), 16, 8, 4),
-            BeginOutcome::Contended
-        ));
-        // Disjoint ranges on either side are fine.
-        let r3 = match m.deliver_begin(key(3), 16, 0, 4) {
-            BeginOutcome::Reserved(r) => r,
-            _ => panic!("disjoint range must not contend"),
-        };
-        unsafe { r1.fill(&[1; 8]) };
-        m.deliver_finish(r1);
-        // The overlapping range is free now.
-        let r2 = match m.deliver_begin(key(2), 16, 8, 4) {
-            BeginOutcome::Reserved(r) => r,
-            _ => panic!("range free after finish"),
-        };
-        unsafe { r2.fill(&[2; 4]) };
-        m.deliver_finish(r2);
-        unsafe { r3.fill(&[3; 4]) };
-        m.deliver_finish(r3);
-    }
-
-    #[test]
-    fn close_with_writer_in_flight_parks_active_buffer() {
+    fn close_returns_the_partially_filled_active_buffer() {
         let mut m = mb(MailboxMode::Steered);
         let mut n1 = post(&mut m, 8, Threshold::bytes(8));
         let _n2 = post(&mut m, 6, Threshold::bytes(6));
-        let r = match m.deliver_begin(key(1), 4, 0, 4) {
-            BeginOutcome::Reserved(r) => r,
-            _ => panic!("expected reservation"),
-        };
+        assert_eq!(m.deliver(key(1), 4, 0, &[9; 4]), DeliveryOutcome::Accepted);
         let returned = m.close();
-        // Only the queued (never-activated) buffer can be returned; the
-        // active one still has a copy in flight.
-        assert_eq!(returned.len(), 1);
-        assert_eq!(returned[0].len(), 6);
-        assert!(m.is_closed());
-        // The in-flight copy may still land (into the parked buffer)...
-        unsafe { r.fill(&[9; 4]) };
-        assert_eq!(m.deliver_finish(r), DeliveryOutcome::Accepted);
-        // ...but no completion is ever published for it.
-        assert!(n1.poll().is_none());
+        assert_eq!(returned, vec![vec![9, 9, 9, 9, 0, 0, 0, 0], vec![0; 6]]);
+        assert!(n1.poll().is_none(), "a closed buffer never completes");
         assert_eq!(m.posted_buffers(), 0);
-    }
-
-    #[test]
-    fn inc_epoch_waits_for_inflight_writer() {
-        let mut m = mb(MailboxMode::Steered);
-        let mut n = post(&mut m, 16, Threshold::bytes(16));
-        let r = match m.deliver_begin(key(1), 4, 0, 4) {
-            BeginOutcome::Reserved(r) => r,
-            _ => panic!("expected reservation"),
-        };
-        m.inc_epoch().expect("active buffer exists");
-        assert!(
-            n.poll().is_none(),
-            "completion deferred past in-flight copy"
-        );
-        unsafe { r.fill(&[7; 4]) };
-        assert_eq!(m.deliver_finish(r), DeliveryOutcome::Completed);
-        assert_eq!(n.poll().unwrap().data(), &[7; 4]);
     }
 
     #[test]

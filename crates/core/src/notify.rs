@@ -53,7 +53,7 @@ const WAKER_WAKING: u8 = 0b10;
 /// side.
 ///
 /// States: `IDLE` (cell quiescent), `REGISTERING` (consumer storing a
-/// waker), `WAKING` (producer draining the cell). The interesting race —
+/// waker), `WAKING` (producer emptying the cell). The interesting race —
 /// the completing write landing *while* the consumer is mid-registration —
 /// resolves by bit-marking: the producer sets the `WAKING` bit and walks
 /// away; the consumer's publish CAS fails, and it delivers the wake to
@@ -285,7 +285,7 @@ impl NotificationSlot {
         // The two `csync::mutation` branches are the seeded-bad-ordering
         // hooks for exactly the properties this comment argues: weakening
         // the swap loses the payload-publication edge (a data race the
-        // checker's vector clocks flag), and draining the cell before the
+        // checker's vector clocks flag), and emptying the cell before the
         // swap re-opens the lost-wakeup window (a modeled deadlock). Both
         // are `const false` outside `--features check`.
         let completing_order = if csync::mutation(Mutation::RelaxedCompletingSwap) {

@@ -1125,8 +1125,8 @@ struct ClientInner {
     geo: SegGeometry,
     req: RawRing,
     rsp: RawRing,
-    /// Held by the one thread draining `rsp` (the ring's single consumer).
-    draining: AtomicBool,
+    /// Held by the one thread emptying `rsp` (the ring's single consumer).
+    drain_claimed: AtomicBool,
     /// Waiters (futures, flushers) that ran out of spin and handed the
     /// drain to the pump; it sleeps on the response doorbell while > 0.
     armed: AtomicU32,
@@ -1170,7 +1170,7 @@ impl ClientInner {
                 c.get() % PEER_CHECK_EVERY == 0
             });
         if !(check_peer || self.rsp.begin_pop().is_some())
-            || self.draining.swap(true, Ordering::Acquire)
+            || self.drain_claimed.swap(true, Ordering::Acquire)
         {
             return false;
         }
@@ -1198,7 +1198,7 @@ impl ClientInner {
             drain();
             self.fail_all_pending();
         }
-        self.draining.store(false, Ordering::Release);
+        self.drain_claimed.store(false, Ordering::Release);
         handled > 0
     }
 
@@ -1372,7 +1372,7 @@ impl ShmClient {
             rsp,
             seg,
             geo,
-            draining: AtomicBool::new(false),
+            drain_claimed: AtomicBool::new(false),
             armed: AtomicU32::new(0),
             pump: OnceLock::new(),
             src,
@@ -1475,7 +1475,7 @@ impl ShmClient {
     /// [`put_from_extent`](ShmClient::put_from_extent): no staging copy at
     /// all, the server gathers straight from the extent (one copy per
     /// byte, the one no lane can avoid). Returns `None` when the region
-    /// is exhausted (after draining pending acks once) or the rendezvous
+    /// is exhausted (after one drain of pending acks) or the rendezvous
     /// lane is disabled. The extent is returned to the allocator on drop.
     pub fn reserve_extent(&self, len: usize) -> Option<BulkExtent> {
         let inner = &self.inner;

@@ -836,8 +836,10 @@ impl WireWorker<'_> {
     }
 
     /// Whether `msg` is delivered in a run: eager traffic on a fault-free
-    /// link. A rendezvous descriptor (longer than one MTU) keeps the
-    /// two-phase path so its gather runs outside the mailbox lock.
+    /// link. A rendezvous descriptor (longer than one MTU) is a run of its
+    /// own, one lock hold and one gather, so `EpochProgress` still paces
+    /// per descriptor: folded into a run it advanced 8 MiB at a time and
+    /// `bulk_large` p99 went from 140 to about 1,000 µs.
     fn joins_run(&self, msg: &WireMsg) -> bool {
         self.link.is_none()
             && match msg {
@@ -1276,7 +1278,7 @@ impl AsyncInitiator {
     /// caller's `Bytes` is dropped. Above the threshold the put is a
     /// **rendezvous**: the whole `Bytes` crosses the ring as one
     /// descriptor — never sliced, whatever the MTU — and the receiver
-    /// places it with one reservation and one gather into the posted
+    /// places it with one lock hold and one gather into the posted
     /// buffer, the put's only copy (copies-per-byte on this lane is
     /// exactly 1). The descriptor is the unit of everything downstream:
     /// one roll of the fault dice, one dedup entry, one NACK, and an

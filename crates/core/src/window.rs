@@ -255,8 +255,9 @@ impl Window {
     }
 
     /// Close the window (paper: `RVMA_Close_Win`). Further operations to the
-    /// address are discarded (NACKed per endpoint policy). Returns the
-    /// never-activated queued buffers to the caller. The LUT entry remains
+    /// address are discarded (NACKed per endpoint policy). Returns every
+    /// buffer that has not completed, the active one included, in posting
+    /// order; their notifications never complete. The LUT entry remains
     /// (reporting `WindowClosed`) until `RvmaEndpoint::evict` reclaims it.
     pub fn close(&self) -> Vec<Vec<u8>> {
         self.mailbox.lock().close()

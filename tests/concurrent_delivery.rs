@@ -1,15 +1,23 @@
 //! Multi-threaded stress of the sharded datapath: many senders through
-//! `AsyncNetwork` worker pools, to disjoint and to shared mailboxes.
+//! `AsyncNetwork` worker pools, to disjoint and to shared mailboxes, and
+//! direct `RvmaEndpoint::deliver` callers racing into one mailbox.
 //!
 //! Invariants checked:
 //! * no lost bytes — every completed buffer carries exactly the payload the
 //!   senders submitted;
 //! * no double completions — epochs advance exactly once per threshold, and
 //!   endpoint stats agree with the submitted totals;
-//! * per-mailbox ordering survives the worker pool (Managed-mode stream).
+//! * per-mailbox ordering survives the worker pool (Managed-mode stream);
+//! * one delivery path — direct callers are serialised by the mailbox lock,
+//!   so overlapping writes never tear and `close` accounts for every buffer.
 
 use rvma::core::transport::DeliveryOrder;
-use rvma::core::{AsyncNetwork, MailboxMode, NodeAddr, Threshold, VirtAddr};
+use rvma::core::{
+    AsyncNetwork, Bytes, DeliverResult, Fragment, MailboxMode, NackReason, NodeAddr, RvmaEndpoint,
+    Threshold, VirtAddr,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 const SENDERS: usize = 8;
@@ -64,8 +72,8 @@ fn disjoint_mailboxes_lose_nothing() {
 }
 
 /// 8 senders converging on ONE shared mailbox at disjoint offsets, through
-/// an 8-worker pool: the copies overlap outside the mailbox lock, yet the
-/// epoch completes exactly once with every region intact.
+/// an 8-worker pool that shards by mailbox, so one worker places every
+/// put: the epoch completes exactly once with every region intact.
 #[test]
 fn shared_mailbox_disjoint_offsets() {
     const REGION: usize = 4096; // per-sender slice of the shared buffer
@@ -186,4 +194,148 @@ fn managed_stream_order_survives_worker_pool() {
             .unwrap();
     }
     assert_eq!(note.wait().data(), expected.as_slice());
+}
+
+fn direct_frag(vaddr: u64, op_id: u64, offset: usize, data: Vec<u8>) -> Fragment {
+    Fragment {
+        initiator: NodeAddr::node(1),
+        op_id,
+        dst_vaddr: VirtAddr::new(vaddr),
+        op_total_len: data.len() as u64,
+        offset,
+        data: Bytes::from(data),
+    }
+}
+
+/// N direct callers each deliver one full-range fragment of their own byte
+/// pattern into ONE mailbox, round after round. The mailbox lock
+/// serialises the copies: each round completes exactly once, and its
+/// buffer holds exactly one writer's pattern, never a mix.
+#[test]
+fn overlapping_direct_delivers_never_tear() {
+    const WRITERS: usize = 4;
+    const ROUNDS: usize = 16;
+    const LEN: usize = 256 << 10;
+    let ep = RvmaEndpoint::new(NodeAddr::node(0));
+    let win = ep
+        .init_window(VirtAddr::new(9), Threshold::ops(WRITERS as u64))
+        .unwrap();
+    let mut notes = win.post_buffers(vec![vec![0u8; LEN]; ROUNDS]).unwrap();
+    let barrier = Barrier::new(WRITERS);
+
+    let completions: usize = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                let (ep, barrier) = (&ep, &barrier);
+                s.spawn(move || {
+                    let mut completed = 0;
+                    for r in 0..ROUNDS {
+                        barrier.wait();
+                        let op_id = (r * WRITERS + t) as u64;
+                        let f = direct_frag(9, op_id, 0, vec![t as u8 + 1; LEN]);
+                        match ep.deliver(&f) {
+                            DeliverResult::Ok { completed_epoch } => {
+                                completed += completed_epoch as usize
+                            }
+                            other => panic!("round {r}, writer {t}: {other:?}"),
+                        }
+                        // Nobody starts round r + 1 before round r is placed.
+                        barrier.wait();
+                    }
+                    completed
+                })
+            })
+            .collect();
+        writers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+
+    assert_eq!(completions, ROUNDS, "one completion per round");
+    assert_eq!(ep.stats().epochs_completed, ROUNDS as u64);
+    for (r, n) in notes.iter_mut().enumerate() {
+        let buf = n.poll().expect("round completed");
+        let first = buf.data()[0];
+        assert!(
+            (1..=WRITERS as u8).contains(&first) && buf.data().iter().all(|&b| b == first),
+            "round {r}: the buffer mixes writers' bytes"
+        );
+    }
+}
+
+/// 4 direct callers stream fragments into a mailbox with K buffers posted
+/// while the host closes it mid-stream. The callers carry at most K/2
+/// epochs of bytes, so half the buffers at least are left for `close`.
+/// Every buffer is either completed or handed back by `close` (the
+/// active one included), and no notification still pending when `close`
+/// returns ever completes. Repeated, because the close has to land
+/// while a copy is in flight to test anything.
+#[test]
+fn close_racing_direct_delivers_accounts_for_every_buffer() {
+    for _ in 0..16 {
+        close_race_trial();
+    }
+}
+
+fn close_race_trial() {
+    const K: usize = 32;
+    const FRAG: usize = 128 << 10;
+    const THREADS: usize = 4;
+    let ep = RvmaEndpoint::new(NodeAddr::node(0));
+    let win = ep
+        .init_window(VirtAddr::new(5), Threshold::bytes((THREADS * FRAG) as u64))
+        .unwrap();
+    let notes = win
+        .post_buffers(vec![vec![0u8; THREADS * FRAG]; K])
+        .unwrap();
+
+    let finished = AtomicUsize::new(0);
+    let (returned, pending) = std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (ep, finished) = (&ep, &finished);
+            s.spawn(move || {
+                // Deliver until the window reports closed.
+                for k in 0..(K / 2) as u64 {
+                    let f = direct_frag(
+                        5,
+                        k * THREADS as u64 + t as u64,
+                        t * FRAG,
+                        vec![t as u8; FRAG],
+                    );
+                    match ep.deliver(&f) {
+                        DeliverResult::Nack(NackReason::WindowClosed) => break,
+                        DeliverResult::Ok { .. } => {}
+                        other => panic!("writer {t}: {other:?}"),
+                    }
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        // Close mid-stream, once a quarter of the buffers have completed
+        // (or every writer is done, so a stalled epoch fails, not hangs).
+        while ep.stats().epochs_completed < (K / 4) as u64
+            && finished.load(Ordering::Relaxed) < THREADS
+        {
+            std::thread::yield_now();
+        }
+        let returned = win.close();
+        let pending: Vec<usize> = (0..K).filter(|&i| !notes[i].is_complete()).collect();
+        (returned, pending)
+    });
+
+    let completed = notes.iter().filter(|n| n.is_complete()).count();
+    assert_eq!(
+        completed + returned.len(),
+        K,
+        "a buffer was neither completed nor returned by close"
+    );
+    assert_eq!(
+        pending.len(),
+        returned.len(),
+        "close did not hand back every pending buffer"
+    );
+    assert!(
+        pending.iter().all(|&i| !notes[i].is_complete()),
+        "a notification pending at close completed afterwards"
+    );
+    assert!(returned.iter().all(|b| b.len() == THREADS * FRAG));
+    assert_eq!(ep.stats().epochs_completed, completed as u64);
 }

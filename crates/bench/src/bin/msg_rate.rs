@@ -202,7 +202,8 @@ enum RecvLane {
     /// Blocking notifications, discovered by `wait_any` over all
     /// outstanding handles: O(in-flight) per consumed completion.
     WaitAny,
-    /// One `CompletionQueue` over the same slots: O(1) per completion.
+    /// The same epochs posted into one `CompletionQueue` (no notification
+    /// slots): O(1) per completion.
     Cq,
 }
 
@@ -441,7 +442,7 @@ fn main() {
     println!(
         "\nrecv_wait_any = blocking wait_any over all outstanding handles \
          (O(in-flight) discovery per completion);\n\
-         recv_cq = one CompletionQueue over the same slots (O(1)). \
+         recv_cq = the same epochs posted into one CompletionQueue, no slots (O(1)). \
          speedup_vs_base = vs recv_wait_any at the same in-flight window."
     );
 

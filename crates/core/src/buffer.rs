@@ -8,6 +8,7 @@
 //! pointer is written, and the mailbox rotates to the next posted buffer.
 
 use crate::addr::VirtAddr;
+use crate::cq::CqAttachment;
 use crate::error::{Result, RvmaError};
 use crate::notify::NotificationSlot;
 use crate::pool::BufferPool;
@@ -68,40 +69,45 @@ impl Threshold {
     }
 }
 
+/// Where a posted buffer's completing write goes.
+pub(crate) enum CompletionSink {
+    /// A per-buffer completion pointer (`Notification`/`NotifyFuture`).
+    Slot(Arc<NotificationSlot>),
+    /// A completion queue's ready-list (`post_*_cq`): the completing write
+    /// is one push, and no slot exists.
+    Cq(CqAttachment),
+}
+
+impl From<Arc<NotificationSlot>> for CompletionSink {
+    fn from(slot: Arc<NotificationSlot>) -> Self {
+        CompletionSink::Slot(slot)
+    }
+}
+
 /// A receiver-posted buffer waiting in (or active at the head of) a
 /// mailbox's bucket. Internal to the crate; applications hand over a
 /// `Vec<u8>` via `Window::post_buffer` and get ownership back through the
-/// notification when the epoch completes.
+/// notification (or the completion queue) when the epoch completes.
 pub(crate) struct PostedBuffer {
     pub(crate) data: Vec<u8>,
     pub(crate) threshold: Threshold,
-    pub(crate) notify: Arc<NotificationSlot>,
+    pub(crate) sink: CompletionSink,
     /// Pool the allocation returns to when the completed buffer's last
     /// owner drops it (None = caller keeps ownership, the seed behaviour).
     pub(crate) pool: Option<Arc<BufferPool>>,
 }
 
 impl PostedBuffer {
-    pub(crate) fn new(data: Vec<u8>, threshold: Threshold, notify: Arc<NotificationSlot>) -> Self {
-        PostedBuffer {
-            data,
-            threshold,
-            notify,
-            pool: None,
-        }
-    }
-
-    pub(crate) fn pooled(
+    pub(crate) fn new(
         data: Vec<u8>,
         threshold: Threshold,
-        notify: Arc<NotificationSlot>,
-        pool: Arc<BufferPool>,
+        sink: impl Into<CompletionSink>,
     ) -> Self {
         PostedBuffer {
             data,
             threshold,
-            notify,
-            pool: Some(pool),
+            sink: sink.into(),
+            pool: None,
         }
     }
 }

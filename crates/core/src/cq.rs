@@ -20,10 +20,11 @@
 //!   list, so delivery order stays enqueue order across the spill. The
 //!   spill is counted and only ever taken on the exceptional path, so the
 //!   completion hot path stays lock-free when the queue is sized sanely.
-//! * Slots attach **before posting** (`Window::post_*_cq`), so the
-//!   attachment can never race the completing write.
+//! * A CQ post (`Window::post_*_cq`) carries its [`CqAttachment`], not a
+//!   notification slot: the completing write is one push, and a completion
+//!   allocates only its `CompletedBuffer` record.
 //! * Exactly-once: each completion pushes exactly one entry, and the ring's
-//!   single-consumer pop delivers it exactly once. CQ-attached posts return
+//!   single-consumer pop delivers it exactly once. CQ posts return
 //!   no [`Notification`](crate::notify::Notification) handle — the queue is
 //!   the sole consumer of those completions (no stolen events).
 //! * Waiting is layered like the slot itself: non-blocking `poll_batch`,
@@ -236,8 +237,8 @@ impl CompletionQueue {
         }
     }
 
-    /// A producer handle tagged with `user`, for wiring into a slot before
-    /// posting (`Window::post_*_cq` does this).
+    /// A producer handle tagged with `user`, carried by a posted buffer
+    /// (`Window::post_*_cq` does this).
     pub(crate) fn attachment(&self, user: u64) -> CqAttachment {
         CqAttachment {
             inner: self.inner.clone(),
@@ -246,9 +247,9 @@ impl CompletionQueue {
     }
 
     /// Stamp non-empty `poll_batch` drains into `telemetry` as `CqPoll`
-    /// events (first recorder wins; windows arm this on CQ-attached posts).
-    pub(crate) fn trace_into(&self, telemetry: Arc<Telemetry>) {
-        let _ = self.inner.telemetry.set(telemetry);
+    /// events. The first recorder arms the queue; later calls are one load.
+    pub(crate) fn trace_into(&self, telemetry: &Arc<Telemetry>) {
+        self.inner.telemetry.get_or_init(|| telemetry.clone());
     }
 
     /// Entries currently queued.
@@ -386,19 +387,17 @@ impl Future for CqReady<'_> {
     }
 }
 
-/// A producer handle: routes one slot's completing write into the queue,
-/// tagged with the attachment's `user` value. Created by
-/// `CompletionQueue::attachment` and installed into a slot before posting.
+/// A producer handle: routes one posted buffer's completing write into the
+/// queue, tagged with `user`. Carried by the posted buffer; a buffer that
+/// `close()` returns drops it without pushing.
 pub struct CqAttachment {
     inner: Arc<CqInner>,
     user: u64,
 }
 
 impl CqAttachment {
-    /// Called by the completing write ([`NotificationSlot::complete`]):
+    /// The completing write of a CQ post (the mailbox's `complete_active`):
     /// enqueue the finished buffer and wake the consumer.
-    ///
-    /// [`NotificationSlot::complete`]: crate::notify::NotificationSlot
     pub(crate) fn push(&self, buffer: CompletedBuffer) {
         self.inner.push(CqEntry {
             user: self.user,
@@ -419,16 +418,13 @@ impl std::fmt::Debug for CqAttachment {
 mod tests {
     use super::*;
     use crate::addr::VirtAddr;
-    use crate::notify::NotificationSlot;
 
     fn completed(tag: u8) -> CompletedBuffer {
         CompletedBuffer::new(vec![tag; 8], 8, 0, VirtAddr::new(tag as u64))
     }
 
     fn complete_attached(cq: &CompletionQueue, user: u64, tag: u8) {
-        let slot = NotificationSlot::new();
-        slot.attach_cq(cq.attachment(user));
-        slot.complete(completed(tag));
+        cq.attachment(user).push(completed(tag));
     }
 
     #[test]

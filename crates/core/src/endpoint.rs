@@ -249,7 +249,7 @@ pub struct EndpointStats {
     /// as accepted nor as discarded).
     pub duplicates_dropped: AtomicU64,
     /// Async completion counters (wakes, spurious polls, dropped futures,
-    /// CQ routings). Shared with every slot this endpoint's windows post.
+    /// CQ pushes), shared with every slot its windows post and every mailbox.
     pub async_notify: Arc<AsyncNotifyStats>,
 }
 
@@ -476,8 +476,8 @@ impl RvmaEndpoint {
         self.telemetry.lock().clone()
     }
 
-    /// The shared async-completion counters, armed into every slot this
-    /// endpoint's windows post.
+    /// The shared async-completion counters, armed into every notification
+    /// slot this endpoint's windows post.
     pub(crate) fn async_notify_stats(&self) -> Arc<AsyncNotifyStats> {
         self.stats.async_notify.clone()
     }
@@ -513,7 +513,7 @@ impl RvmaEndpoint {
             self.config.retain_epochs,
             self.config.dedup_window,
         );
-        mb.count_completions_in(self.stats.epochs_completed.clone());
+        mb.count_completions_in(&self.stats);
         if let Some(t) = self.telemetry() {
             mb.trace_into(t);
         }

@@ -31,8 +31,10 @@
 #![forbid(unsafe_code)]
 
 use crate::addr::VirtAddr;
-use crate::buffer::{CompletedBuffer, EpochType, PostedBuffer};
+use crate::buffer::{CompletedBuffer, CompletionSink, EpochType, PostedBuffer};
+use crate::endpoint::EndpointStats;
 use crate::error::{NackReason, Result, RvmaError};
+use crate::notify::AsyncNotifyStats;
 use crate::retry::DedupWindow;
 use crate::telemetry::{self, EventKind, Telemetry};
 use std::collections::{HashMap, VecDeque};
@@ -145,6 +147,9 @@ pub struct Mailbox {
     /// always observes the epoch already counted. `None` for standalone
     /// mailboxes (tests).
     completions: Option<Arc<AtomicU64>>,
+    /// The owning endpoint's async counters: a CQ push counts into
+    /// `cq_completions` and `notify_wakes` (a slot counts its own wakes).
+    async_stats: Option<Arc<AsyncNotifyStats>>,
     /// Op-level event recorder: `complete_active` stamps
     /// `EpochComplete` just before the completing write. `None` unless
     /// the owning endpoint enabled telemetry.
@@ -178,16 +183,19 @@ impl Mailbox {
             cursor: 0,
             dedup: (dedup_window > 0).then(|| DedupWindow::new(dedup_window)),
             completions: None,
+            async_stats: None,
             telemetry: None,
         }
     }
 
-    /// Count every epoch completion into `counter` (the endpoint's
-    /// `epochs_completed`). The increment is sequenced *before* the
-    /// completing write, so it is visible to any thread the completion
-    /// wakes — `wait()` returning implies the counter includes this epoch.
-    pub(crate) fn count_completions_in(&mut self, counter: Arc<AtomicU64>) {
-        self.completions = Some(counter);
+    /// Count every epoch completion into the endpoint's `epochs_completed`
+    /// and every CQ push into its async counters. The increments are
+    /// sequenced *before* the completing write, so they are visible to any
+    /// thread the completion wakes — `wait()` returning implies the counter
+    /// includes this epoch.
+    pub(crate) fn count_completions_in(&mut self, stats: &EndpointStats) {
+        self.completions = Some(stats.epochs_completed.clone());
+        self.async_stats = Some(stats.async_notify.clone());
     }
 
     /// Stamp this mailbox's epoch completions into `telemetry` (the
@@ -445,13 +453,25 @@ impl Mailbox {
             valid as u64,
         );
 
-        // The completing write to the completion pointer.
-        buf.notify.complete(completed);
-        // Async-armed slots (async posts, CQ attachments) stamp the wake
-        // here rather than inside `complete`: the armed flag is fixed at
-        // post time and this runs under the mailbox lock, so the event's
-        // seq order is stable for deterministic replay.
-        if buf.notify.is_async_armed() {
+        // The completing write: to the buffer's completion pointer, or one
+        // push onto its completion queue (counted first, like `completions`).
+        // `NotifyWake` is stamped here, under the mailbox lock, so the
+        // event's seq order is stable for deterministic replay.
+        let async_wake = match buf.sink {
+            CompletionSink::Slot(slot) => {
+                slot.complete(completed);
+                slot.is_async_armed()
+            }
+            CompletionSink::Cq(att) => {
+                if let Some(stats) = &self.async_stats {
+                    stats.cq_completions.fetch_add(1, Ordering::Relaxed);
+                    stats.notify_wakes.fetch_add(1, Ordering::Relaxed);
+                }
+                att.push(completed);
+                true
+            }
+        };
+        if async_wake {
             telemetry::record(
                 &self.telemetry,
                 EventKind::NotifyWake,

@@ -11,9 +11,10 @@
 //! atomic state word (`EMPTY → COMPLETE → TAKEN`) that guards an
 //! `UnsafeCell` payload, and one `AtomicWaker` cell. The completing write
 //! is a plain store, one `SeqCst` state swap and one drain of the waker
-//! cell (plus the ready-list push of a CQ-attached slot) — no lock, no
-//! allocation. The waker cell is the **only** way a completion reaches a
-//! waiter:
+//! cell — no lock, no allocation. A buffer posted into a
+//! [`CompletionQueue`](crate::cq::CompletionQueue) has no slot: its
+//! completing write is the queue push. The waker cell is the **only** way a
+//! completion reaches a waiter:
 //!
 //! * [`NotifyFuture`] registers its task's waker there;
 //! * the blocking waits — [`Notification::wait`] /
@@ -29,7 +30,6 @@
 //! into the notification address".
 
 use crate::buffer::CompletedBuffer;
-use crate::cq::CqAttachment;
 use crate::csync::{self, AtomicBool, AtomicU8, CheckCell, Mutation};
 use crate::telemetry::{self, EventKind, Telemetry};
 use std::future::Future;
@@ -170,20 +170,21 @@ impl std::fmt::Debug for AtomicWaker {
 }
 
 /// Counters for the async completion path, owned by the endpoint
-/// (`EndpointStats`) and armed into every slot its windows post. All relaxed:
-/// diagnostics, never synchronization.
+/// (`EndpointStats`), armed into every slot its windows post and held by
+/// every mailbox, which counts its CQ pushes. All relaxed: diagnostics,
+/// never synchronization.
 #[derive(Debug, Default)]
 pub struct AsyncNotifyStats {
     /// Completing writes that actually woke someone: the waker parked in
     /// the slot's cell (a pending future's task, or a blocking waiter past
-    /// its spin phase) or an attached CQ's consumer.
+    /// its spin phase), or a CQ push (each counts as one wake).
     pub(crate) notify_wakes: AtomicU64,
     /// Future polls that found the slot still pending after a previous
     /// registration — the woken-but-nothing-ready metric.
     pub(crate) spurious_polls: AtomicU64,
     /// `NotifyFuture`s dropped before consuming their completion.
     pub(crate) futures_dropped: AtomicU64,
-    /// Completions routed into an attached `CompletionQueue`.
+    /// Completions pushed onto a `CompletionQueue`.
     pub(crate) cq_completions: AtomicU64,
 }
 
@@ -201,13 +202,9 @@ pub struct NotificationSlot {
     /// blocking waiter registers here, and the completing write drains it
     /// (Dekker-paired with the state swap, both `SeqCst`).
     waker: AtomicWaker,
-    /// Ready-list attachment: when set (always before posting, so never
-    /// racing the completer), the completing write pushes the buffer into
-    /// the attached [`CompletionQueue`](crate::cq::CompletionQueue).
-    cq: OnceLock<CqAttachment>,
-    /// True for slots posted through an async-aware path (`post_*_async`,
-    /// CQ-attached posts). Set before posting, so the mailbox's completion
-    /// funnel can record `NotifyWake` deterministically.
+    /// True for slots posted through `post_*_async`. Set before posting, so
+    /// the mailbox's completion funnel can record `NotifyWake`
+    /// deterministically.
     async_armed: AtomicBool,
     /// Endpoint-level async counters, armed by the posting window.
     stats: OnceLock<Arc<AsyncNotifyStats>>,
@@ -227,7 +224,6 @@ impl NotificationSlot {
             state: AtomicU8::new(STATE_EMPTY),
             payload: CheckCell::new(None),
             waker: AtomicWaker::new(),
-            cq: OnceLock::new(),
             async_armed: AtomicBool::new(false),
             stats: OnceLock::new(),
         })
@@ -249,25 +245,10 @@ impl NotificationSlot {
         self.async_armed.load(Ordering::Acquire)
     }
 
-    /// Route this slot's completion into a [`CompletionQueue`] ready-list.
-    /// Must be called before posting (the `OnceLock` is written exactly
-    /// once, and the completer only reads it after the slot was posted).
-    ///
-    /// [`CompletionQueue`]: crate::cq::CompletionQueue
-    pub(crate) fn attach_cq(&self, att: CqAttachment) {
-        self.async_armed.store(true, Ordering::Release);
-        let ok = self.cq.set(att).is_ok();
-        debug_assert!(ok, "slot already attached to a completion queue");
-    }
-
     /// The NIC-side completing write: store the buffer, swap the state
-    /// word, drain the waker cell once, push to an attached CQ. Must be
-    /// called at most once per slot; a second call panics in debug builds.
+    /// word, drain the waker cell once. Must be called at most once per
+    /// slot; a second call panics in debug builds.
     pub(crate) fn complete(&self, buf: CompletedBuffer) {
-        // Clone for the CQ ready-list before publishing. The attachment is
-        // made before posting, so it cannot race this read; the clone is an
-        // Arc bump on the buffer's shared inner.
-        let cq_entry = self.cq.get().map(|att| (att, buf.clone()));
         // SAFETY: sole completer (mailbox lock serialises delivery; debug
         // assert below catches double-complete). No consumer reads the
         // payload until the SeqCst transition publishes it.
@@ -297,15 +278,7 @@ impl NotificationSlot {
             csync::mutation(Mutation::WakerDrainBeforeSwap).then(|| self.waker.wake());
         let prev = self.state.swap(STATE_COMPLETE, completing_order);
         debug_assert_eq!(prev, STATE_EMPTY, "notification slot completed twice");
-        let mut woke = early_drain.unwrap_or_else(|| self.waker.wake());
-        if let Some((att, buf)) = cq_entry {
-            att.push(buf);
-            if let Some(stats) = self.stats.get() {
-                stats.cq_completions.fetch_add(1, Ordering::Relaxed);
-            }
-            woke = true;
-        }
-        if woke {
+        if early_drain.unwrap_or_else(|| self.waker.wake()) {
             if let Some(stats) = self.stats.get() {
                 stats.notify_wakes.fetch_add(1, Ordering::Relaxed);
             }

@@ -90,8 +90,8 @@ pub enum EventKind {
     /// A waiter took the completion pointer. `key`/`id` = mailbox
     /// vaddr/epoch, `arg` = valid bytes.
     NotifyHandoff,
-    /// An async-armed slot's completing write published to the async side
-    /// (task waker and/or completion queue). Recorded in the mailbox's
+    /// An async-armed slot's completing write, or a CQ post's queue push,
+    /// published to the async side. Recorded in the mailbox's
     /// completion funnel — under the mailbox lock, so seq order is stable
     /// for replay. `key`/`id` = mailbox vaddr/epoch, `arg` = valid bytes.
     NotifyWake,

@@ -7,7 +7,7 @@
 //! extension of Sec. IV-F.
 
 use crate::addr::VirtAddr;
-use crate::buffer::{CompletedBuffer, PostedBuffer, Threshold};
+use crate::buffer::{CompletedBuffer, CompletionSink, PostedBuffer, Threshold};
 use crate::cq::CompletionQueue;
 use crate::endpoint::RvmaEndpoint;
 use crate::error::Result;
@@ -63,7 +63,7 @@ pub struct Window {
     /// telemetry is enabled.
     telemetry: Option<Arc<Telemetry>>,
     /// The endpoint's async-completion counters, armed into every posted
-    /// slot (cached at creation, same reason as `telemetry`).
+    /// notification slot (cached at creation, same reason as `telemetry`).
     async_stats: Arc<AsyncNotifyStats>,
 }
 
@@ -144,12 +144,7 @@ impl Window {
     pub fn post_pooled_async(&self, len: usize) -> Result<NotifyFuture> {
         let slot = self.new_slot();
         slot.arm_async();
-        self.mailbox.lock().post(PostedBuffer::pooled(
-            self.pool.take(len),
-            self.threshold,
-            slot.clone(),
-            self.pool.clone(),
-        ))?;
+        self.post_from_pool(len, self.threshold, slot.clone())?;
         Ok(self.notification(slot).into_future())
     }
 
@@ -157,34 +152,44 @@ impl Window {
     /// `user`, instead of through a per-buffer [`Notification`] — the
     /// epoll-style idiom for multiplexing many windows onto one consumer.
     /// No notification handle is returned: the queue is the sole consumer
-    /// of this completion (exactly-once delivery).
+    /// of this completion (exactly-once delivery). The posted buffer
+    /// carries the queue itself, not a notification slot, so the
+    /// completing write is one queue push and a steady-state completion
+    /// allocates only its completed-buffer record.
     pub fn post_buffer_cq(&self, buf: Vec<u8>, cq: &CompletionQueue, user: u64) -> Result<()> {
-        let slot = self.new_slot();
-        slot.attach_cq(cq.attachment(user));
-        if let Some(t) = &self.telemetry {
-            cq.trace_into(t.clone());
-        }
+        let sink = self.cq_sink(cq, user);
         self.mailbox
             .lock()
-            .post(PostedBuffer::new(buf, self.threshold, slot))?;
-        Ok(())
+            .post(PostedBuffer::new(buf, self.threshold, sink))
     }
 
     /// [`post_pooled`](Window::post_pooled) routed into a completion queue;
     /// see [`post_buffer_cq`](Window::post_buffer_cq).
     pub fn post_pooled_cq(&self, len: usize, cq: &CompletionQueue, user: u64) -> Result<()> {
-        let slot = self.new_slot();
-        slot.attach_cq(cq.attachment(user));
+        self.post_from_pool(len, self.threshold, self.cq_sink(cq, user))
+    }
+
+    /// Post a `len`-byte buffer from the window's pool, its completion
+    /// routed to `sink`; the allocation returns to the pool when the
+    /// completed buffer's last owner drops it.
+    fn post_from_pool(
+        &self,
+        len: usize,
+        threshold: Threshold,
+        sink: impl Into<CompletionSink>,
+    ) -> Result<()> {
+        let mut buf = PostedBuffer::new(self.pool.take(len), threshold, sink);
+        buf.pool = Some(self.pool.clone());
+        self.mailbox.lock().post(buf)
+    }
+
+    /// The completion sink of a CQ post, arming the queue's recorder with
+    /// the window's (once per queue) when telemetry is on.
+    fn cq_sink(&self, cq: &CompletionQueue, user: u64) -> CompletionSink {
         if let Some(t) = &self.telemetry {
-            cq.trace_into(t.clone());
+            cq.trace_into(t);
         }
-        self.mailbox.lock().post(PostedBuffer::pooled(
-            self.pool.take(len),
-            self.threshold,
-            slot,
-            self.pool.clone(),
-        ))?;
-        Ok(())
+        CompletionSink::Cq(cq.attachment(user))
     }
 
     /// Wrap a slot in a notification, armed with the window's recorder.
@@ -211,12 +216,7 @@ impl Window {
     /// threshold override.
     pub fn post_pooled_with(&self, len: usize, threshold: Threshold) -> Result<Notification> {
         let slot = self.new_slot();
-        self.mailbox.lock().post(PostedBuffer::pooled(
-            self.pool.take(len),
-            threshold,
-            slot.clone(),
-            self.pool.clone(),
-        ))?;
+        self.post_from_pool(len, threshold, slot.clone())?;
         Ok(self.notification(slot))
     }
 

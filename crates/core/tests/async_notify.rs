@@ -13,8 +13,9 @@
 use pollster::block_on;
 use rvma_core::api::{rvma_post_buffer_async, rvma_put_notify};
 use rvma_core::{
-    wait_any, AsyncNetwork, CompletedBuffer, CompletionQueue, DeliveryOrder, LoopbackNetwork,
-    NodeAddr, Notification, Threshold, VirtAddr, DEFAULT_MTU,
+    wait_any, AsyncNetwork, CompletedBuffer, CompletionQueue, DeliverResult, DeliveryOrder,
+    LoopbackNetwork, NackReason, NodeAddr, Notification, RvmaEndpoint, Threshold, VirtAddr,
+    DEFAULT_MTU,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -351,6 +352,84 @@ fn cq_delivers_exactly_once_under_producer_stress() {
         server.stats().cq_completions,
         (PRODUCERS as u64) * PUTS_PER_PRODUCER
     );
+}
+
+/// Every CQ completion counts once into each of the endpoint's
+/// `cq_completions` and `notify_wakes` and the queue's `enqueued`, with no
+/// notification slot in between.
+#[test]
+fn cq_completions_count_into_endpoint_and_queue_stats() {
+    const N: u64 = 100;
+    let ep = RvmaEndpoint::new(NodeAddr::node(1));
+    let vaddr = VirtAddr::new(0x30);
+    let win = ep.init_window(vaddr, Threshold::ops(1)).unwrap();
+    let cq = CompletionQueue::new(256);
+    for k in 0..N {
+        if k % 2 == 0 {
+            win.post_pooled_cq(8, &cq, k).unwrap();
+        } else {
+            win.post_buffer_cq(vec![0u8; 8], &cq, k).unwrap();
+        }
+    }
+    for k in 0..N {
+        let r = ep.deliver_slice(NodeAddr::node(2), k, vaddr, 8, 0, &[k as u8; 8]);
+        assert_eq!(
+            r,
+            DeliverResult::Ok {
+                completed_epoch: true
+            }
+        );
+    }
+    let mut out = Vec::new();
+    assert_eq!(cq.poll_batch(2 * N as usize, &mut out), N as usize);
+    for (k, c) in out.iter().enumerate() {
+        assert_eq!(c.user, k as u64, "FIFO across the two CQ post kinds");
+        assert_eq!(c.buffer.data(), &[k as u8; 8]);
+    }
+    let stats = ep.stats();
+    assert_eq!(stats.cq_completions, N);
+    assert_eq!(stats.notify_wakes, N);
+    assert_eq!(stats.epochs_completed, N);
+    assert_eq!(cq.stats().enqueued, N);
+}
+
+/// Closing a window with CQ posts outstanding hands their buffers back,
+/// later puts NACK `WindowClosed`, and nothing ever reaches the queue.
+#[test]
+fn close_returns_cq_posts_without_pushing() {
+    const K: usize = 5;
+    let ep = RvmaEndpoint::new(NodeAddr::node(1));
+    let vaddr = VirtAddr::new(0x40);
+    let win = ep.init_window(vaddr, Threshold::bytes(8)).unwrap();
+    let cq = CompletionQueue::new(16);
+    for k in 0..K as u64 {
+        win.post_buffer_cq(vec![k as u8; 8], &cq, k).unwrap();
+    }
+    // A partial put into the active buffer: it is returned too.
+    assert_eq!(
+        ep.deliver_slice(NodeAddr::node(2), 1, vaddr, 4, 0, &[9; 4]),
+        DeliverResult::Ok {
+            completed_epoch: false
+        }
+    );
+    let bufs = win.close();
+    assert_eq!(bufs.len(), K);
+    assert_eq!(bufs[0], [9, 9, 9, 9, 0, 0, 0, 0]);
+    for (k, b) in bufs.iter().enumerate().skip(1) {
+        assert_eq!(b, &vec![k as u8; 8], "posting order");
+    }
+    assert_eq!(
+        ep.deliver_slice(NodeAddr::node(2), 2, vaddr, 8, 0, &[1; 8]),
+        DeliverResult::Nack(NackReason::WindowClosed)
+    );
+    assert!(win.post_pooled_cq(8, &cq, 99).is_err());
+    let mut out = Vec::new();
+    assert_eq!(cq.poll_batch(16, &mut out), 0);
+    assert_eq!(cq.depth(), 0);
+    assert_eq!(cq.stats().enqueued, 0);
+    let stats = ep.stats();
+    assert_eq!(stats.cq_completions, 0);
+    assert_eq!(stats.notify_wakes, 0);
 }
 
 #[test]

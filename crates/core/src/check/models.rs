@@ -24,7 +24,7 @@ use super::{explore, explore_random, spawn, with_active, JoinHandle, Options, Re
 use crate::addr::VirtAddr;
 use crate::buffer::{CompletedBuffer, PostedBuffer, Threshold};
 use crate::cq::CompletionQueue;
-use crate::csync::{self, AtomicU64 as CheckedU64, AtomicUsize as CheckedUsize};
+use crate::csync::{self, AtomicU64 as CheckedU64};
 use crate::mailbox::{DeliveryOutcome, Mailbox, MailboxMode, OpKey, DEFAULT_RETAIN_EPOCHS};
 use crate::notify::{wait_any, Notification, NotificationSlot};
 use crate::ring::{PushError, RingQueue};
@@ -89,71 +89,58 @@ fn run_exhaustive(name: &str, model: fn()) -> Report {
 // Ring: push vs close vs single-consumer pop
 // ---------------------------------------------------------------------------
 
-/// Two producers race `try_push` against a single consumer that closes
-/// the ring after its first successful pop. Ported invariants
-/// (`tests/ring_interleave.rs`): delivered ∪ rejected exactly partitions
-/// the pushed set, and per-producer order survives into the delivered
-/// sequence. Producers are asymmetric (two ops vs. one) and non-blocking
-/// — the blocking `push` retry loop multiplies schedules far past the
-/// exhaustive budget without adding orderings `try_push` doesn't hit
-/// (its full/closed rejections exercise the same claim/publish races).
+/// Two producers race `try_push` against a single consumer that pops at
+/// most once, closes the ring, and then drains it to the final index the
+/// close fixed — the wire worker's teardown. Ported invariants
+/// (`tests/ring_interleave.rs`): every push that returned `Ok` is popped
+/// exactly once (none strands behind the drain), delivered ∪ rejected
+/// exactly partitions the pushed set, and per-producer order survives
+/// into the delivered sequence. Producers are asymmetric (two ops vs.
+/// one) and non-blocking — the blocking `push` retry loop multiplies
+/// schedules far past the exhaustive budget without adding orderings
+/// `try_push` doesn't hit (its full/closed rejections exercise the same
+/// claim/publish races).
 pub(super) fn ring_partition_model() {
     const PRODUCERS: usize = 2;
     const OPS: [u64; PRODUCERS] = [2, 1];
     let ring = Arc::new(RingQueue::<u64>::new(2));
-    let done = Arc::new(CheckedUsize::new(0));
     let handles: Vec<_> = (0..PRODUCERS)
         .map(|p| {
             let ring = Arc::clone(&ring);
-            let done = Arc::clone(&done);
             spawn(move || {
-                let mut rejected = Vec::new();
+                let (mut pushed, mut rejected) = (Vec::new(), Vec::new());
                 for i in 0..OPS[p] {
-                    if let Err(PushError::Full(v) | PushError::Closed(v)) = ring.try_push(tag(p, i))
-                    {
-                        rejected.push(v);
+                    match ring.try_push(tag(p, i)) {
+                        Ok(()) => pushed.push(tag(p, i)),
+                        Err(PushError::Full(v) | PushError::Closed(v)) => rejected.push(v),
                     }
                 }
-                done.fetch_add(1, Ordering::Release);
-                rejected
+                (pushed, rejected)
             })
         })
         .collect();
 
-    let mut delivered = Vec::new();
-    let mut closed = false;
-    loop {
+    let mut delivered: Vec<u64> = ring.try_pop().into_iter().collect();
+    ring.close();
+    while !ring.is_drained() {
         match ring.try_pop() {
-            Some(v) => {
-                delivered.push(v);
-                if !closed {
-                    ring.close();
-                    closed = true;
-                }
-            }
-            None => {
-                if done.load(Ordering::Acquire) == PRODUCERS {
-                    // Producers are finished and their pushes happen-before
-                    // the counter reads; one final drain empties the ring.
-                    while let Some(v) = ring.try_pop() {
-                        delivered.push(v);
-                    }
-                    break;
-                }
-                csync::spin_loop();
-            }
+            Some(v) => delivered.push(v),
+            None => csync::spin_loop(),
         }
     }
-    if !closed {
-        ring.close();
-    }
 
-    let mut rejected = Vec::new();
+    let (mut pushed, mut rejected) = (Vec::new(), Vec::new());
     for h in handles {
-        rejected.extend(h.join());
+        let (p, r) = h.join();
+        pushed.extend(p);
+        rejected.extend(r);
     }
 
-    let mut all: Vec<u64> = delivered.iter().chain(rejected.iter()).copied().collect();
+    let mut popped = delivered.clone();
+    popped.sort_unstable();
+    pushed.sort_unstable();
+    assert_eq!(popped, pushed, "every Ok push is popped exactly once");
+    let mut all: Vec<u64> = pushed.iter().chain(rejected.iter()).copied().collect();
     all.sort_unstable();
     let mut expect: Vec<u64> = (0..PRODUCERS)
         .flat_map(|p| (0..OPS[p]).map(move |i| tag(p, i)))

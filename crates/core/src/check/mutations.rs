@@ -127,3 +127,18 @@ fn cq_spill_bypass_is_caught() {
         cq_spill_episode_model,
     );
 }
+
+/// Closed flag tested apart from the claim CAS (the order before close
+/// became the linearisation point): a producer that passed the test
+/// claims a slot after the consumer closed and drained to its final
+/// index, so an `Ok` push is never popped and the model's exactly-once
+/// assertion fires.
+#[test]
+fn ring_closed_apart_from_claim_is_caught() {
+    expect_caught(
+        "ring_closed_apart_from_claim",
+        Mutation::RingClosedApartFromClaim,
+        FailureKind::Panic,
+        ring_partition_model,
+    );
+}

@@ -48,6 +48,10 @@ pub enum Mutation {
     /// straight to the ring — re-creates the pre-PR-8 FIFO inversion
     /// across overflow episodes.
     CqSpillBypass,
+    /// `RingQueue::try_push`: test the closed flag once, before the claim
+    /// loop, instead of inside the claim CAS — a push racing `close` can
+    /// succeed behind the consumer's final index and never be popped.
+    RingClosedApartFromClaim,
 }
 
 impl Mutation {

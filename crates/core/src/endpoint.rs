@@ -550,9 +550,10 @@ impl RvmaEndpoint {
     }
 
     /// [`deliver`](Self::deliver) over a borrowed payload slice — the
-    /// rendezvous gather path: the shared-memory server points this at
-    /// the initiator's bulk extent and the payload lands in the posted
-    /// buffer with **one** copy and no intermediate `Bytes` allocation.
+    /// rendezvous gather path: a wire worker points this at a descriptor's
+    /// payload (on shm, the initiator's bulk extent) and it lands in the
+    /// posted buffer with **one** copy and no intermediate `Bytes`
+    /// allocation.
     #[allow(clippy::too_many_arguments)]
     pub fn deliver_slice(
         &self,
@@ -611,8 +612,9 @@ impl RvmaEndpoint {
     /// The mailbox's [`EpochProgress`](crate::mailbox::EpochProgress)
     /// counters publish once per chunk, so a reader polling them
     /// ([`Window::progress`](crate::window::Window::progress)) sees them
-    /// stale by at most one chunk of the run being delivered. The threaded
-    /// wire workers deliver single eager puts through this path too.
+    /// stale by at most one chunk of the run being delivered. The wire
+    /// workers (threaded and shm) deliver single eager puts through this
+    /// path too.
     pub fn deliver_batch(
         &self,
         frags: &[Fragment],

@@ -74,6 +74,7 @@ pub mod transport_lossy;
 pub mod transport_shm;
 pub mod transport_threaded;
 pub mod window;
+pub(crate) mod wire;
 
 pub use addr::{NodeAddr, VirtAddr};
 pub use buffer::{CompletedBuffer, EpochType, Threshold};

@@ -36,21 +36,23 @@
 //! [`ShmServer`](crate::transport_shm::ShmServer) built with a non-trivial
 //! [`EndpointConfig::fault_model`](crate::endpoint::EndpointConfig) put one
 //! crate-private gate (`LinkFaults`) between each wire worker's queue and
-//! the endpoint. A backend only moves frames and reports their
-//! disposition; what the link does to a frame is decided here, once:
+//! the endpoint. Both backends run the same wire worker (`crate::wire`),
+//! which calls the gate once per wire unit; what the link does to a
+//! frame is decided here, once:
 //!
 //! * **zero-length units bypass the dice** — no payload a fabric could
 //!   corrupt;
 //! * **the attempt that reaches
 //!   [`retry_budget`](crate::endpoint::EndpointConfig) delivers
-//!   fault-free**, as does every unit drained at teardown — bounded
-//!   retransmission, no hang (a real NIC would declare the link dead; the
+//!   fault-free** — bounded retransmission, so neither a flush nor the
+//!   teardown drain can hang (a real NIC would declare the link dead; the
 //!   crash fault models that path);
 //! * **drop / defer = retransmit**: the unit is re-enqueued behind its
 //!   queue's younger traffic at `attempt + 1` (which is also how reorder
-//!   and delay manifest), and counted pending from *before* the re-enqueue
-//!   until the retried copy has been fully processed, so a flush barrier
-//!   polling the count never sees a transient zero;
+//!   and delay manifest). It counts as pending — on its own worker, which
+//!   holds flush markers behind it, and network-wide — from *before* the
+//!   re-enqueue until the retried copy has been fully processed, so a
+//!   flush never sees a transient zero;
 //! * **duplicate = two deliveries, one disposition** — one `WireDeliver`
 //!   event, one latency charge, one ack; the receiver's dedup window
 //!   absorbs the copy;
@@ -73,8 +75,8 @@
 //! [`RvmaError::RetryExhausted`]: crate::error::RvmaError::RetryExhausted
 
 use crate::addr::{NodeAddr, VirtAddr};
-use crate::endpoint::{mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
-use crate::error::{NackReason, Result, RvmaError};
+use crate::endpoint::{mtu_ranges, DeliverResult, EndpointConfig, Fragment};
+use crate::error::{Result, RvmaError};
 use crate::mailbox::OpKey;
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport_lossy::{LossyNetwork, TransmitOutcome};
@@ -353,7 +355,7 @@ impl LinkFaults {
         self.stats.clone()
     }
 
-    /// Retransmissions enqueued but not yet fully processed.
+    /// Retransmissions enqueued but not yet fully processed, network-wide.
     pub(crate) fn pending_retries(&self) -> u64 {
         self.pending_retries.load(Ordering::Acquire)
     }
@@ -374,10 +376,9 @@ impl LinkFaults {
         frag: &Fragment,
         len: usize,
         attempt: u32,
-        drain: bool,
         on_crash: impl FnOnce(),
     ) -> Admit {
-        if drain || len == 0 || attempt >= self.budget {
+        if len == 0 || attempt >= self.budget {
             return Admit::Deliver { copies: 1 };
         }
         let d = injector.roll();
@@ -409,40 +410,6 @@ impl LinkFaults {
             self.pending_retries.fetch_sub(1, Ordering::AcqRel);
         }
     }
-}
-
-/// Final disposition of one admitted wire unit: one `WireDeliver` event
-/// however many copies the link made, a destination lookup miss is a
-/// `NoSuchMailbox` refusal, and every refusal goes to the caller's sink.
-/// Returns whether any copy was refused.
-#[inline]
-pub(crate) fn deliver_copies(
-    telemetry: &Option<Arc<Telemetry>>,
-    frag: &Fragment,
-    endpoint: Option<&RvmaEndpoint>,
-    copies: u32,
-    mut deliver: impl FnMut(&RvmaEndpoint) -> DeliverResult,
-    mut on_nack: impl FnMut(NackReason),
-) -> bool {
-    telemetry::record(
-        telemetry,
-        EventKind::WireDeliver,
-        telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-        frag.op_id,
-        frag.offset as u64,
-    );
-    let Some(ep) = endpoint else {
-        on_nack(NackReason::NoSuchMailbox);
-        return true;
-    };
-    let mut nacked = false;
-    for _ in 0..copies {
-        if let DeliverResult::Nack(reason) = deliver(ep) {
-            on_nack(reason);
-            nacked = true;
-        }
-    }
-    nacked
 }
 
 /// Receiver-side duplicate suppression for one mailbox: a bounded memory

@@ -19,6 +19,13 @@
 //!   either the producer sees the flag, or the consumer's post-flag
 //!   emptiness re-check sees the element — a wakeup can never be lost).
 //!   A *hot* consumer never parks, so the fragment path takes no futex.
+//! * **Close is the linearisation point.** The closed flag lives in the
+//!   tail word, so [`RingQueue::close`] and a producer's claim CAS are
+//!   ordered against each other: a push either claimed its slot before
+//!   the close — and the consumer, which learns the exact final index
+//!   from the close, pops it — or fails with [`PushError::Closed`].
+//!   A separate read-mostly copy of the flag lets an idle consumer poll
+//!   for the close without reading the producers' tail line.
 //! * **Observable.** [`RingStats`] (shared by every ring of one network)
 //!   counts the high-water depth, full-ring producer stalls, and consumer
 //!   park wakeups, surfaced through `AsyncNetwork::queue_stats()` and the
@@ -95,6 +102,10 @@ struct Slot<T> {
 #[repr(align(64))]
 struct Padded<T>(T);
 
+/// The tail word's top bit: set by [`RingQueue::close`]. The rest of the
+/// word is the claim index.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
 /// A bounded multi-producer / **single-consumer** ring queue.
 ///
 /// The consumer side (`try_pop`, `park_consumer`, `register_consumer`) must
@@ -103,14 +114,14 @@ struct Padded<T>(T);
 pub struct RingQueue<T> {
     slots: Box<[Slot<T>]>,
     mask: usize,
+    /// The next claim index, with [`CLOSED`] folded in.
     tail: Padded<AtomicUsize>,
     head: Padded<AtomicUsize>,
     /// True while the consumer is parked (or committing to park).
     parked: AtomicBool,
     /// The consumer thread's handle, registered once at worker start.
     consumer: Mutex<Option<csync::thread::Thread>>,
-    /// Set after the consumer has exited; pushes fail instead of spinning
-    /// forever on a ring nobody will ever drain.
+    /// Set after [`CLOSED`] is folded into `tail`: what the consumer polls.
     closed: AtomicBool,
     stats: Arc<RingStats>,
 }
@@ -164,7 +175,7 @@ impl<T> RingQueue<T> {
 
     /// Elements currently resident (approximate under concurrency).
     pub fn depth(&self) -> usize {
-        let tail = self.tail.0.load(Ordering::Relaxed);
+        let tail = self.tail.0.load(Ordering::Relaxed) & !CLOSED;
         let head = self.head.0.load(Ordering::Relaxed);
         tail.saturating_sub(head)
     }
@@ -177,18 +188,29 @@ impl<T> RingQueue<T> {
     /// Non-blocking push. On success the doorbell is rung if the consumer
     /// is parked.
     pub fn try_push(&self, value: T) -> Result<(), PushError<T>> {
-        if self.closed.load(Ordering::Acquire) {
+        let mut word = self.tail.0.load(Ordering::Relaxed);
+        // Seeded mutation (checker builds only): test the closed flag once,
+        // apart from the claim — a push that passes the test and then
+        // claims a slot after the close lands behind the consumer's final
+        // index. `check::mutations` proves the model flags this.
+        let apart = csync::mutation(Mutation::RingClosedApartFromClaim);
+        if apart && word & CLOSED != 0 {
             return Err(PushError::Closed(value));
         }
-        let mut tail = self.tail.0.load(Ordering::Relaxed);
         loop {
+            if word & CLOSED != 0 && !apart {
+                return Err(PushError::Closed(value));
+            }
+            let tail = word & !CLOSED;
             let slot = &self.slots[tail & self.mask];
             let seq = slot.seq.load(Ordering::Acquire);
             let diff = seq as isize - tail as isize;
             if diff == 0 {
+                // The CAS expects the whole word, so it fails once a close
+                // has set the flag: the claim and the close are ordered.
                 match self.tail.0.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
+                    word,
+                    word.wrapping_add(1),
                     Ordering::Relaxed,
                     Ordering::Relaxed,
                 ) {
@@ -210,19 +232,19 @@ impl<T> RingQueue<T> {
                         self.ring_doorbell();
                         return Ok(());
                     }
-                    Err(t) => tail = t,
+                    Err(w) => word = w,
                 }
             } else if diff < 0 {
                 return Err(PushError::Full(value));
             } else {
-                tail = self.tail.0.load(Ordering::Relaxed);
+                word = self.tail.0.load(Ordering::Relaxed);
             }
         }
     }
 
     /// Blocking push: backpressure, never drop. Spins under the thread's
     /// `Idle` budget, then yields, until a slot frees. Fails only when
-    /// the ring is closed (the consumer exited), returning the value.
+    /// the ring is closed, returning the value.
     pub fn push(&self, value: T) -> Result<(), T> {
         let mut value = match self.try_push(value) {
             Ok(()) => return Ok(()),
@@ -279,8 +301,8 @@ impl<T> RingQueue<T> {
         csync::fence(Ordering::SeqCst);
         // Dekker re-check: a producer either sees `parked == true` after
         // its publish (and unparks us), or its publish is visible to this
-        // emptiness check (and we bail out).
-        if !self.is_empty() || self.closed.load(Ordering::SeqCst) {
+        // emptiness check (and we bail out). A closed ring never parks.
+        if self.tail.0.load(Ordering::SeqCst) != self.head.0.load(Ordering::SeqCst) {
             self.parked.store(false, Ordering::SeqCst);
             return;
         }
@@ -294,8 +316,16 @@ impl<T> RingQueue<T> {
     /// written", not just "an entry is poppable".
     pub(crate) fn is_empty(&self) -> bool {
         let head = self.head.0.load(Ordering::SeqCst);
-        let tail = self.tail.0.load(Ordering::SeqCst);
+        let tail = self.tail.0.load(Ordering::SeqCst) & !CLOSED;
         tail == head
+    }
+
+    /// Closed, and every value claimed before the close popped (one still
+    /// being written keeps this false): the consumer's exit test. Until
+    /// the close it reads only the read-mostly `closed` flag.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+            && self.tail.0.load(Ordering::Acquire) == CLOSED | self.head.0.load(Ordering::Relaxed)
     }
 
     fn ring_doorbell(&self) {
@@ -307,10 +337,13 @@ impl<T> RingQueue<T> {
         }
     }
 
-    /// Mark the ring closed: subsequent pushes fail instead of spinning on
-    /// a ring whose consumer has exited. Call after joining the consumer.
+    /// Mark the ring closed: subsequent pushes fail. Every push that
+    /// succeeded claimed its slot before this call, so a consumer that
+    /// keeps popping until every claimed slot is popped misses none.
+    /// Wakes a parked consumer.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
+        self.tail.0.fetch_or(CLOSED, Ordering::SeqCst);
+        self.closed.store(true, Ordering::Release);
         self.ring_doorbell();
     }
 }

@@ -12,12 +12,15 @@
 //!   holds the drain) carries per-fragment delivery acks for notified
 //!   puts, NACKs, and flush acks.
 //!
-//! Layering is the point: the server-side worker runs the *same*
-//! receiver datapath as the in-process transports — [`RvmaEndpoint`]
-//! delivery, dedup windows ([`crate::retry`]), seeded fault injection under
-//! the same [link discipline](crate::retry#the-link-discipline) as the
-//! threaded workers, op-level telemetry — and the client resolves
-//! the *same* [`PutFuture`] the threaded transport hands out, fed by acks
+//! Layering is the point: the server thread *is* a wire worker, the same
+//! receive loop the threaded transport runs per ring — receive runs,
+//! dedup windows ([`crate::retry`]), seeded fault injection under the
+//! same [link discipline](crate::retry#the-link-discipline), the same
+//! flush rule and teardown, op-level telemetry. This module supplies only
+//! its wire: popping and decoding request slots, sleeping on the request
+//! doorbell, pushing NACKs and acks onto the response ring, and gathering
+//! rendezvous descriptors from the bulk region. The client resolves the
+//! *same* [`PutFuture`] the threaded transport hands out, fed by acks
 //! crossing the segment instead of an in-process countdown. Nothing above
 //! the wire knows the peer is in another address space.
 //!
@@ -31,12 +34,13 @@
 //! ## Quiesce over shared memory
 //!
 //! [`ShmClient::flush`] pushes a tokened flush marker through the request
-//! ring. The worker acks it only when no link-level retransmission is
-//! parked in its deferred queue (`pending_retries == 0`); otherwise the
-//! marker is re-deferred *behind* the parked fragments, so the ack proves
-//! every fragment submitted before the flush — including fault re-enqueues
-//! and anything parked in the shm ring/doorbell path — reached its final
-//! disposition. This is the same drain-barrier contract as
+//! ring. The worker acks it under the wire worker's one flush rule: only
+//! once none of its link-level retransmissions is pending (the server
+//! cannot produce into the request ring, so they wait in the worker's
+//! deferred queue, and so does the marker behind them). The ack therefore
+//! proves every fragment submitted before the flush reached its final
+//! disposition, and — the response ring being FIFO — every NACK of that
+//! traffic precedes it. This is the same drain-barrier contract as
 //! `AsyncNetwork::quiesce`, kept honest by the bounded retry budget.
 //!
 //! ## Peer death
@@ -53,17 +57,18 @@
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::csync::Idle;
-use crate::endpoint::{mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
+use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
-use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
+use crate::retry::{FaultStats, LinkFaults};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::Transport;
 use crate::transport_threaded::{Progress, PutFuture, PutNotify};
+use crate::wire::{Fabric, Wire, WireMsg, WireWorker};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -447,32 +452,7 @@ impl RawRing {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Wire messages (deserialised owned forms)
-// ---------------------------------------------------------------------------
-
-enum ServerMsg {
-    /// One wire unit: an eager fragment, or a rendezvous RTS descriptor.
-    Put {
-        dest: NodeAddr,
-        /// The unit's header and — on the eager lane — its payload, copied
-        /// out of the request slot. An RTS carries no payload here.
-        frag: Fragment,
-        /// Rendezvous RTS: gather `frag.op_total_len` bytes straight out
-        /// of the bulk region at this offset (relative to the region base)
-        /// into the posted buffer — no slot copy, no `Bytes` allocation.
-        /// The client keeps the extent reserved until the `RSP_PUT_DONE`
-        /// ack, so a deferred (fault-injected) retry of this message reads
-        /// bytes that are still valid.
-        extent: Option<usize>,
-        token: u32,
-        /// Fault-layer attempts burned (0 = fresh off the wire). Only
-        /// server-local retries raise it; it never crosses the segment.
-        attempt: u32,
-    },
-    Flush(u32),
-}
-
+/// A response slot, as the client decodes it.
 struct RspMsg {
     kind: u32,
     token: u32,
@@ -495,16 +475,14 @@ fn rsp_hdr(seg: &ShmSegment, slot_off: usize) -> &RspHdr {
 // Server (receiver process)
 // ---------------------------------------------------------------------------
 
+/// The server's state, and — by reference — its [`Wire`]: single consumer
+/// of the request ring, single producer of the response ring.
 struct ServerInner {
     seg: Arc<ShmSegment>,
     geo: SegGeometry,
-    config: EndpointConfig,
-    endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
-    /// The link-level reliability layer. The flush protocol re-defers its
-    /// ack while retransmissions are pending — the shm half of the quiesce
-    /// drain barrier.
-    fault: Option<LinkFaults>,
-    telemetry: Option<Arc<Telemetry>>,
+    req: RawRing,
+    rsp: RawRing,
+    fabric: Fabric,
     stop: AtomicBool,
     delivered: AtomicU64,
     /// Payload bytes the worker copied out of request slots into owned
@@ -513,30 +491,10 @@ struct ServerInner {
     wire_copied: AtomicU64,
 }
 
-impl ServerInner {
-    /// The `len` bytes of the bulk region at `ext_off`, or `None` unless the
-    /// extent sits wholly inside the region — checked before the worker
-    /// dereferences anything a peer wrote into a descriptor.
-    fn bulk_extent(&self, ext_off: usize, len: usize) -> Option<&[u8]> {
-        let end = ext_off.checked_add(len)?;
-        if self.geo.bulk_bytes == 0 || end > self.geo.bulk_bytes {
-            return None;
-        }
-        // SAFETY: bounds validated against the bulk region above; the
-        // client keeps the extent reserved (and unwritten) until it sees
-        // our ack.
-        Some(unsafe {
-            let p = self.seg.as_ptr().add(self.geo.bulk_base + ext_off);
-            std::slice::from_raw_parts(p, len)
-        })
-    }
-}
-
 /// The receiving (server) half of the shared-memory transport: owns the
-/// segment, hosts [`RvmaEndpoint`]s, and runs one wire-worker thread that
-/// pops fragments off the request ring and drives the standard receiver
-/// datapath — dedup, fault injection, telemetry, notification — exactly as
-/// the in-process transports do.
+/// segment, hosts [`RvmaEndpoint`]s, and runs one wire-worker thread on
+/// the request ring — the threaded transport's receive loop (runs, dedup,
+/// fault injection, telemetry, notification) over this wire.
 pub struct ShmServer {
     inner: Arc<ServerInner>,
     worker: Option<JoinHandle<()>>,
@@ -561,30 +519,28 @@ impl ShmServer {
         let geo = SegGeometry::new(mtu, req_slots, rsp_slots, bulk_bytes);
         let seg = Arc::new(ShmSegment::create(path, geo.total)?);
 
-        let telemetry = config.telemetry.then(|| Arc::new(Telemetry::new()));
-        let fault = LinkFaults::from_config(&config, &telemetry);
+        let (req, rsp) = geo.rings(&seg);
+        req.init_slots();
+        rsp.init_slots();
         let inner = Arc::new(ServerInner {
             seg: seg.clone(),
             geo,
-            config,
-            endpoints: RwLock::new(HashMap::new()),
-            fault,
-            telemetry,
+            req,
+            rsp,
+            fabric: Fabric::new(config),
             stop: AtomicBool::new(false),
             delivered: AtomicU64::new(0),
             wire_copied: AtomicU64::new(0),
         });
-
-        let (req, rsp) = geo.rings(&seg);
-        req.init_slots();
-        rsp.init_slots();
         let hdr = header(&seg);
         hdr.mtu.store(mtu as u64, Ordering::Relaxed);
         hdr.req_slots.store(req_slots as u64, Ordering::Relaxed);
         hdr.rsp_slots.store(rsp_slots as u64, Ordering::Relaxed);
         hdr.bulk_bytes.store(bulk_bytes as u64, Ordering::Relaxed);
-        hdr.eager_threshold
-            .store(inner.config.eager_threshold as u64, Ordering::Relaxed);
+        hdr.eager_threshold.store(
+            inner.fabric.config.eager_threshold as u64,
+            Ordering::Relaxed,
+        );
         hdr.version.store(SHM_VERSION, Ordering::Relaxed);
         hdr.server_pid.store(std::process::id(), Ordering::Relaxed);
         hdr.magic.store(SHM_MAGIC, Ordering::Relaxed);
@@ -596,7 +552,7 @@ impl ShmServer {
             let inner = inner.clone();
             std::thread::Builder::new()
                 .name("rvma-shm-wire".into())
-                .spawn(move || shm_worker(inner))
+                .spawn(move || WireWorker::new(&*inner, &inner.fabric, 0, Duration::ZERO).run())
                 .expect("spawn shm wire worker")
         };
         Ok(ShmServer {
@@ -624,47 +580,39 @@ impl ShmServer {
     /// Create and host an endpoint at `addr` (the shm analogue of
     /// `AsyncNetwork::add_endpoint`).
     pub fn add_endpoint(&self, addr: NodeAddr) -> Arc<RvmaEndpoint> {
-        let ep = RvmaEndpoint::with_config(addr, self.inner.config.clone());
-        if let Some(t) = &self.inner.telemetry {
-            ep.attach_telemetry(t.clone());
-        }
-        self.inner.endpoints.write().insert(addr, ep.clone());
+        let ep = RvmaEndpoint::with_config(addr, self.inner.fabric.config.clone());
+        self.register(ep.clone());
         ep
     }
 
     /// Attach an existing endpoint.
     pub fn register(&self, endpoint: Arc<RvmaEndpoint>) {
-        if let Some(t) = &self.inner.telemetry {
-            endpoint.attach_telemetry(t.clone());
-        }
-        self.inner
-            .endpoints
-            .write()
-            .insert(endpoint.addr(), endpoint);
+        self.inner.fabric.register(endpoint);
     }
 
     /// Detach the endpoint at `addr`; queued fragments NACK with
     /// `NoSuchMailbox` when the worker reaches them — the crash-fault
     /// behaviour, triggerable explicitly.
     pub fn remove_endpoint(&self, addr: NodeAddr) -> bool {
-        self.inner.endpoints.write().remove(&addr).is_some()
+        self.inner.fabric.remove(addr)
     }
 
     /// The server-side telemetry recorder, when enabled.
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.inner.telemetry.clone()
+        self.inner.fabric.telemetry.clone()
     }
 
     /// Network-wide fault counters, when fault injection is active.
     pub fn fault_stats(&self) -> Option<Arc<FaultStats>> {
-        self.inner.fault.as_ref().map(LinkFaults::stats)
+        self.inner.fabric.fault_stats()
     }
 
-    /// Link-level retransmissions currently parked in the worker's
-    /// deferred queue (nonzero ⇒ a flush ack is being held back).
+    /// Link-level retransmissions not yet fully processed (nonzero ⇒ a
+    /// flush ack is being held back).
     pub fn pending_retries(&self) -> u64 {
         self.inner
-            .fault
+            .fabric
+            .faults
             .as_ref()
             .map_or(0, LinkFaults::pending_retries)
     }
@@ -680,9 +628,9 @@ impl ShmServer {
         self.inner.wire_copied.load(Ordering::Relaxed)
     }
 
-    /// Stop the worker after a final fault-free drain of the request ring
-    /// and the deferred queue (the graceful analogue of `WireMsg::Stop`).
-    /// Further client traffic fails with the server-gone state.
+    /// Close the wire: the worker drains the request ring and its
+    /// deferred queue, then exits and is joined. Further client traffic
+    /// fails with the server-gone state.
     pub fn stop(&mut self) {
         let hdr = header(&self.inner.seg);
         hdr.state.store(STATE_SERVER_GONE, Ordering::SeqCst);
@@ -701,251 +649,183 @@ impl Drop for ShmServer {
     }
 }
 
-/// The server's wire worker: single consumer of the request ring, single
-/// producer of the response ring. Ring traffic takes priority; deferred
-/// retransmissions (and re-deferred flush markers) run when the ring is
-/// momentarily dry, so a retried fragment lands behind the queued traffic
-/// exactly as it does on the threaded transport.
-fn shm_worker(inner: Arc<ServerInner>) {
-    let (req, rsp) = inner.geo.rings(&inner.seg);
-    let hdr = header(&inner.seg);
-    let mut link = inner.fault.as_ref().map(|f| (f, f.injector(0)));
-    let mut deferred: VecDeque<ServerMsg> = VecDeque::new();
-    let mut idle = Idle::new();
-    loop {
-        if let Some(msg) = pop_req(&inner, &req).or_else(|| deferred.pop_front()) {
-            idle.done();
-            process_msg(&inner, &rsp, &mut link, &mut deferred, msg, false);
-            continue;
-        }
-        if inner.stop.load(Ordering::Acquire) {
-            break;
-        }
-        // The crate's one idle policy (DESIGN.md §11): spin while this
-        // thread's budget lasts, then sleep on the request doorbell.
-        if idle.spin() {
-            continue;
-        }
-        let seen = hdr.req_bell.prepare();
-        if req.begin_pop().is_some() || inner.stop.load(Ordering::Acquire) {
-            hdr.req_bell.cancel();
-            continue;
-        }
-        hdr.req_bell.wait(seen, DOORBELL_WAIT);
-    }
-    // Final drain, fault-free: retransmissions parked behind the stop and
-    // fragments that raced the shutdown must not strand their futures.
-    while let Some(msg) = pop_req(&inner, &req).or_else(|| deferred.pop_front()) {
-        process_msg(&inner, &rsp, &mut link, &mut deferred, msg, true);
-    }
-}
+type ShmMsg<'a> = WireMsg<&'a ServerInner>;
 
-/// Deserialise the next request-ring slot into an owned message.
-fn pop_req(inner: &ServerInner, req: &RawRing) -> Option<ServerMsg> {
-    let idx = req.begin_pop()?;
-    let off = req.slot_off(idx);
-    let h = req_hdr(&inner.seg, off);
-    let kind = h.kind.load(Ordering::Relaxed);
-    let msg = if kind == REQ_FLUSH {
-        ServerMsg::Flush(h.token.load(Ordering::Relaxed))
-    } else {
-        // SAFETY: in-bounds payload region of the published slot.
-        let payload = unsafe { inner.seg.as_ptr().add(off + 8 + REQ_HDR_SIZE) };
-        let (data, extent) = if kind == REQ_BULK {
-            // SAFETY: the producer wrote the 8-byte extent offset there
-            // before the release-publish we acquired.
-            let ext_off = unsafe { std::ptr::read_unaligned(payload as *const u64) };
-            (Bytes::new(), Some(ext_off as usize))
-        } else {
-            let len = (h.len.load(Ordering::Relaxed) as usize).min(inner.geo.mtu);
-            // SAFETY: the producer wrote `len <= mtu` bytes there before
-            // the release-publish we acquired.
-            let data = unsafe { std::slice::from_raw_parts(payload, len) };
-            inner.wire_copied.fetch_add(len as u64, Ordering::Relaxed);
-            (Bytes::copy_from_slice(data), None)
-        };
-        ServerMsg::Put {
-            dest: NodeAddr::new(
-                h.dest_nid.load(Ordering::Relaxed),
-                h.dest_pid.load(Ordering::Relaxed),
-            ),
-            frag: Fragment {
-                initiator: NodeAddr::new(
-                    h.init_nid.load(Ordering::Relaxed),
-                    h.init_pid.load(Ordering::Relaxed),
-                ),
-                op_id: h.op_id.load(Ordering::Relaxed),
-                dst_vaddr: VirtAddr::new(h.vaddr.load(Ordering::Relaxed)),
-                op_total_len: h.total_len.load(Ordering::Relaxed),
-                offset: h.offset.load(Ordering::Relaxed) as usize,
-                data,
-            },
-            extent,
-            token: h.token.load(Ordering::Relaxed),
-            attempt: 0,
-        }
-    };
-    req.release_pop(idx);
-    Some(msg)
-}
-
-fn process_msg(
-    inner: &ServerInner,
-    rsp: &RawRing,
-    link: &mut Option<(&LinkFaults, FaultInjector)>,
-    deferred: &mut VecDeque<ServerMsg>,
-    msg: ServerMsg,
-    drain: bool,
-) {
-    let respond = |kind, token, reason, nacked: bool, vaddr: VirtAddr| {
-        let msg = RspMsg {
-            kind,
-            token,
-            reason,
-            nacked: nacked as u32,
-            vaddr: vaddr.0,
-        };
-        push_rsp(inner, rsp, &msg);
-    };
-    match msg {
-        ServerMsg::Flush(token) => {
-            if !drain
-                && inner
-                    .fault
-                    .as_ref()
-                    .is_some_and(|f| f.pending_retries() > 0)
-            {
-                // Fragments are parked in the deferred queue: the drain
-                // barrier is not satisfied. Re-defer the marker *behind*
-                // them — the ack must account for the shm ring/doorbell
-                // path's parked fragments the same way the threaded barrier
-                // accounts for fault re-enqueues.
-                deferred.push_back(ServerMsg::Flush(token));
+impl ServerInner {
+    /// Push one response slot. Acks must not drop while the client lives:
+    /// a full ring kicks the pump's doorbell and backs off; if the client
+    /// process is gone the response is dropped (nobody is left to read it).
+    fn respond(&self, kind: u32, token: u32, reason: u32, nacked: bool, vaddr: VirtAddr) {
+        let hdr = header(&self.seg);
+        let mut tries = 0u32;
+        let mut idle = Idle::new();
+        loop {
+            if let Some((idx, ticket)) = self.rsp.begin_push() {
+                let h = rsp_hdr(&self.seg, self.rsp.slot_off(idx));
+                h.kind.store(kind, Ordering::Relaxed);
+                h.token.store(token, Ordering::Relaxed);
+                h.reason.store(reason, Ordering::Relaxed);
+                h.nacked.store(nacked as u32, Ordering::Relaxed);
+                h.vaddr.store(vaddr.0, Ordering::Relaxed);
+                self.rsp.publish(idx, ticket);
+                hdr.rsp_bell.ring();
+                idle.done();
                 return;
             }
-            respond(RSP_FLUSH_ACK, token, 0, false, VirtAddr(0));
+            hdr.rsp_bell.ring();
+            if idle.spin() {
+                continue;
+            }
+            // Budget spent: yield; every 1024th time, probe and back off.
+            tries += 1;
+            if tries.is_multiple_of(1024) {
+                let cpid = hdr.client_pid.load(Ordering::SeqCst);
+                if cpid != 0 && !pid_alive(cpid) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_micros(100));
+            } else {
+                idle.snooze();
+            }
         }
-        ServerMsg::Put {
-            dest,
-            frag,
-            extent,
-            token,
-            attempt,
-        } => {
-            // An RTS descriptor's payload is its whole extent, and it goes
-            // through the link as one unit exactly like a put fragment.
-            let len = match extent {
-                Some(_) => frag.op_total_len as usize,
-                None => frag.data.len(),
-            };
-            let copies = match link {
-                None => 1,
-                Some((faults, injector)) => {
-                    let on_crash = || {
-                        inner.endpoints.write().remove(&dest);
-                    };
-                    match faults.admit(injector, &frag, len, attempt, drain, on_crash) {
-                        Admit::Deliver { copies } => copies,
-                        Admit::Retransmit => {
-                            // The server cannot produce into the client's
-                            // request ring: a retransmission parks in the
-                            // deferred list, which runs when the ring is dry.
-                            deferred.push_back(ServerMsg::Put {
-                                dest,
-                                frag,
-                                extent,
-                                token,
-                                attempt: attempt + 1,
-                            });
-                            faults.retire(attempt);
-                            return;
-                        }
+    }
+}
+
+impl<'a> Wire for &'a ServerInner {
+    /// A rendezvous RTS descriptor's extent: its offset in the bulk
+    /// region. The client keeps the extent reserved until the
+    /// `RSP_PUT_DONE` ack, so a retransmitted descriptor still reads valid
+    /// bytes.
+    type Desc = usize;
+    /// The put's token (0 = fire-and-forget eager fragment).
+    type Reply = u32;
+    /// The flush marker's token.
+    type Ack = u32;
+
+    /// Decode the next request slot into an owned message. The decode is
+    /// total: a slot of unknown kind is released undelivered, and acked as
+    /// refused when it carries a token, so no countdown hangs on it.
+    fn pop(&mut self) -> Option<ShmMsg<'a>> {
+        let seg = &self.seg;
+        let (u, w) = (
+            |a: &AtomicU32| a.load(Ordering::Relaxed),
+            |a: &AtomicU64| a.load(Ordering::Relaxed),
+        );
+        loop {
+            let idx = self.req.begin_pop()?;
+            let off = self.req.slot_off(idx);
+            let h = req_hdr(seg, off);
+            let (kind, token, vaddr) = (u(&h.kind), u(&h.token), VirtAddr::new(w(&h.vaddr)));
+            // SAFETY: in-bounds payload region of the published slot.
+            let payload = unsafe { seg.as_ptr().add(off + 8 + REQ_HDR_SIZE) };
+            let (data, desc) = match kind {
+                REQ_FLUSH => {
+                    self.req.release_pop(idx);
+                    return Some(WireMsg::Flush(token));
+                }
+                REQ_PUT => {
+                    let len = (u(&h.len) as usize).min(self.geo.mtu);
+                    // SAFETY: the producer wrote `len <= mtu` bytes there
+                    // before the release-publish we acquired.
+                    let data = unsafe { std::slice::from_raw_parts(payload, len) };
+                    self.wire_copied.fetch_add(len as u64, Ordering::Relaxed);
+                    (Bytes::copy_from_slice(data), None)
+                }
+                // SAFETY: the producer wrote the 8-byte extent offset there
+                // before the release-publish we acquired.
+                REQ_BULK => (
+                    Bytes::new(),
+                    Some(unsafe { std::ptr::read_unaligned(payload as *const u64) } as usize),
+                ),
+                _ => {
+                    self.req.release_pop(idx);
+                    if token != 0 {
+                        self.respond(RSP_PUT_DONE, token, 0, true, vaddr);
                     }
+                    continue;
                 }
             };
-            let ep = inner.endpoints.read().get(&dest).cloned();
-            let nacked = deliver_copies(
-                &inner.telemetry,
-                &frag,
-                ep.as_deref(),
-                copies,
-                |ep| match extent {
-                    None => ep.deliver(&frag),
-                    // A corrupt or hostile descriptor NACKs instead of
-                    // faulting the server process.
-                    Some(ext_off) => match inner.bulk_extent(ext_off, len) {
-                        Some(data) => ep.deliver_slice(
-                            frag.initiator,
-                            frag.op_id,
-                            frag.dst_vaddr,
-                            frag.op_total_len,
-                            frag.offset,
-                            data,
-                        ),
-                        None => DeliverResult::Nack(NackReason::OutOfBounds),
-                    },
+            let msg = WireMsg::Deliver {
+                dest: NodeAddr::new(u(&h.dest_nid), u(&h.dest_pid)),
+                frag: Fragment {
+                    initiator: NodeAddr::new(u(&h.init_nid), u(&h.init_pid)),
+                    op_id: w(&h.op_id),
+                    dst_vaddr: vaddr,
+                    op_total_len: w(&h.total_len),
+                    offset: w(&h.offset) as usize,
+                    data,
                 },
-                |reason| respond(RSP_NACK, 0, encode_nack(reason), true, frag.dst_vaddr),
-            );
-            if extent.is_some() && ep.is_some() {
-                telemetry::record(
-                    &inner.telemetry,
-                    EventKind::BulkDeliver,
-                    telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-                    frag.op_id,
-                    frag.op_total_len,
-                );
-            }
-            inner.delivered.fetch_add(1, Ordering::Relaxed);
-            // Token 0 = fire-and-forget eager fragment. Rendezvous tokens
-            // are always nonzero: the ack doubles as the extent-release
-            // message, so it flows even for un-notified puts.
-            if token != 0 {
-                respond(RSP_PUT_DONE, token, 0, nacked, frag.dst_vaddr);
-            }
-            if let Some((faults, _)) = link {
-                faults.retire(attempt);
-            }
+                desc,
+                reply: token,
+                attempt: 0,
+            };
+            self.req.release_pop(idx);
+            return Some(msg);
         }
     }
-}
 
-/// Blocking response push: acks must not drop while the client lives. A
-/// full ring kicks the pump's doorbell and backs off; if the client
-/// process is gone the response is dropped (nobody is left to read it).
-fn push_rsp(inner: &ServerInner, rsp: &RawRing, msg: &RspMsg) {
-    let hdr = header(&inner.seg);
-    let mut tries = 0u32;
-    let mut idle = Idle::new();
-    loop {
-        if let Some((idx, ticket)) = rsp.begin_push() {
-            let off = rsp.slot_off(idx);
-            let h = rsp_hdr(&inner.seg, off);
-            h.kind.store(msg.kind, Ordering::Relaxed);
-            h.token.store(msg.token, Ordering::Relaxed);
-            h.reason.store(msg.reason, Ordering::Relaxed);
-            h.nacked.store(msg.nacked, Ordering::Relaxed);
-            h.vaddr.store(msg.vaddr, Ordering::Relaxed);
-            rsp.publish(idx, ticket);
-            hdr.rsp_bell.ring();
-            idle.done();
+    /// Sleep on the request doorbell: advertise, re-check, bounded wait.
+    fn park(&mut self) {
+        let bell = &header(&self.seg).req_bell;
+        let seen = bell.prepare();
+        if self.req.begin_pop().is_some() || self.stop.load(Ordering::Acquire) {
+            bell.cancel();
             return;
         }
-        hdr.rsp_bell.ring();
-        if idle.spin() {
-            continue;
+        bell.wait(seen, DOORBELL_WAIT);
+    }
+
+    fn closed(&self) -> bool {
+        self.stop.load(Ordering::Acquire) && self.req.begin_pop().is_none()
+    }
+
+    /// The server cannot produce into the client's request ring: a
+    /// retransmission waits in the worker's deferred queue.
+    fn requeue(&mut self, msg: ShmMsg<'a>) -> std::result::Result<(), ShmMsg<'a>> {
+        Err(msg)
+    }
+
+    fn reply(&self, token: u32, frags: usize, nacks: &[(usize, VirtAddr, NackReason)]) {
+        for &(_, vaddr, reason) in nacks {
+            self.respond(RSP_NACK, 0, encode_nack(reason), true, vaddr);
         }
-        // Budget spent: yield; every 1024th time, probe and back off.
-        tries += 1;
-        if tries.is_multiple_of(1024) {
-            let cpid = hdr.client_pid.load(Ordering::SeqCst);
-            if cpid != 0 && !pid_alive(cpid) {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        } else {
-            idle.snooze();
+        self.delivered.fetch_add(frags as u64, Ordering::Relaxed);
+        // Rendezvous tokens are always nonzero: the ack doubles as the
+        // extent-release message, so it flows even for un-notified puts.
+        if token != 0 {
+            self.respond(RSP_PUT_DONE, token, 0, !nacks.is_empty(), VirtAddr(0));
         }
+    }
+
+    fn flush_ack(&self, token: u32) {
+        self.respond(RSP_FLUSH_ACK, token, 0, false, VirtAddr(0));
+    }
+
+    /// The extent, or `None` unless it sits wholly inside the bulk region:
+    /// checked before anything a peer wrote into a descriptor is
+    /// dereferenced.
+    fn gather<'w>(&'w self, frag: &'w Fragment, &ext_off: &'w usize) -> Option<&'w [u8]> {
+        let key = telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid);
+        let len = frag.op_total_len;
+        telemetry::record(
+            &self.fabric.telemetry,
+            EventKind::BulkDeliver,
+            key,
+            frag.op_id,
+            len,
+        );
+        let geo = &self.geo;
+        let end = ext_off.checked_add(len as usize)?;
+        if geo.bulk_bytes == 0 || end > geo.bulk_bytes {
+            return None;
+        }
+        // SAFETY: bounds validated against the bulk region above; the
+        // client keeps the extent reserved (and unwritten) until it sees
+        // our ack.
+        Some(unsafe {
+            let p = self.seg.as_ptr().add(geo.bulk_base + ext_off);
+            std::slice::from_raw_parts(p, len as usize)
+        })
     }
 }
 
@@ -2086,6 +1966,59 @@ mod tests {
         let nacks = client.take_nacks();
         assert_eq!(nacks.len(), 1);
         assert_eq!(nacks[0], (VirtAddr::new(0x999), NackReason::NoSuchMailbox));
+    }
+
+    #[test]
+    fn unknown_request_kind_is_released_undelivered_and_acked_refused() {
+        if !shm_supported() {
+            return;
+        }
+        let (server, client) = shm_pair(64, EndpointConfig::default(), CLIENT).unwrap();
+        let ep = server.add_endpoint(SERVER);
+        let win = ep
+            .init_window(VirtAddr::new(0x80), Threshold::ops(1))
+            .unwrap();
+        let mut note = win.post_buffer(vec![0u8; 64]).unwrap();
+        // A tokened slot of a kind no server speaks, addressed to a live
+        // mailbox: it must not be delivered, and its countdown must end.
+        let token = next_token(&client.inner.next_token);
+        let notify = PutNotify::new(1);
+        client.inner.tokens.lock().insert(
+            token,
+            PendingPut {
+                notify: notify.clone(),
+                remaining: 1,
+                extent: None,
+            },
+        );
+        client
+            .push_req(|h, payload| {
+                h.kind.store(0x7F, Ordering::Relaxed);
+                h.len.store(8, Ordering::Relaxed);
+                h.dest_nid.store(SERVER.nid, Ordering::Relaxed);
+                h.dest_pid.store(SERVER.pid, Ordering::Relaxed);
+                h.init_nid.store(CLIENT.nid, Ordering::Relaxed);
+                h.init_pid.store(CLIENT.pid, Ordering::Relaxed);
+                h.token.store(token, Ordering::Relaxed);
+                h.op_id.store(1, Ordering::Relaxed);
+                h.vaddr.store(0x80, Ordering::Relaxed);
+                h.total_len.store(8, Ordering::Relaxed);
+                h.offset.store(0, Ordering::Relaxed);
+                // SAFETY: the payload region is at least MTU (> 8) bytes.
+                unsafe { std::ptr::write_bytes(payload, 0xEE, 8) };
+            })
+            .unwrap();
+        let done = pollster::block_on(client.future(notify, 1));
+        assert!(done.nacked, "the unknown slot is acked as refused");
+        client.flush().unwrap();
+        assert_eq!(ep.stats().fragments_accepted, 0, "nothing was delivered");
+        assert_eq!(server.delivered(), 0);
+        assert!(note.poll().is_none());
+        assert!(client.take_nacks().is_empty());
+        // The ring carries on: the next put lands.
+        client.put(SERVER, VirtAddr::new(0x80), &[1; 8]).unwrap();
+        client.flush().unwrap();
+        assert_eq!(note.poll().expect("epoch complete").data(), &[1; 8]);
     }
 
     #[test]

@@ -84,44 +84,30 @@
 //!   per fragment, and [`AsyncInitiator::batch`] coalesces *many* puts
 //!   into one crossing, flushed explicitly or by an auto-flush doorbell
 //!   threshold.
-//! * **Receive runs.** The worker drains its ring the way a NIC drains a
-//!   receive queue: with a fault-free link, the eager message it pops and
-//!   the eager messages already queued behind it (up to a fixed fragment
-//!   bound; it never waits for more) are delivered as one run through
-//!   [`RvmaEndpoint::deliver_batch`]. That amortizes LUT lookups, mailbox
-//!   lock acquisitions (one per
-//!   [`DELIVER_CHUNK`](crate::endpoint::DELIVER_CHUNK) fragments instead
-//!   of two per fragment) and stats updates over single puts and batches
-//!   alike. Each message's NACKs still go to its own initiator's sink,
-//!   and its `PutFuture` countdown is settled once. Rendezvous
-//!   descriptors, every unit on a lossy link, and `Flush`/`Stop` markers
-//!   keep per-message handling; a marker popped while gathering is
-//!   processed right after the run.
+//! * **Receive runs.** Each worker is a wire worker (`crate::wire`) on its
+//!   ring: the eager messages queued behind the one it pops are delivered
+//!   as one [`RvmaEndpoint::deliver_batch`] run, and each message's NACKs
+//!   and `PutFuture` countdown still reach its own initiator.
 //!
 //! [`AsyncNetwork::quiesce`] broadcasts a flush barrier to every queue and
 //! waits for all workers to ack it; because queues are FIFO, every fragment
 //! submitted before the call is delivered when it returns. Dropping the
-//! network enqueues a stop marker *behind* any in-flight traffic on every
-//! queue and joins each worker, so shutdown deterministically drains all
-//! shards — no fragment accepted by `put` is ever dropped by teardown.
+//! network closes every ring first and then joins each worker, which
+//! drains its ring to the index the close fixed: a put racing the drop is
+//! either refused or delivered, never accepted and stranded.
 //!
 //! # Fault injection (the link-level reliability layer)
 //!
 //! [`AsyncNetwork::for_endpoint_config`] with a non-trivial
 //! [`EndpointConfig::fault_model`](crate::endpoint::EndpointConfig) turns
-//! each wire worker into a lossy link with its own seeded
-//! [`FaultInjector`] (seeds derived from
-//! [`fault_seed`](crate::endpoint::EndpointConfig), counters shared in one
-//! [`FaultStats`]). What the link does to a fragment — and why neither
-//! `quiesce` nor teardown can strand one — is
-//! [the link discipline](crate::retry#the-link-discipline), shared with the
-//! shm backend. This transport contributes only the mechanism: a
-//! retransmission goes to the back of the *same* worker's ring (spilling to
-//! a worker-local list when the ring is full), a batch under faults travels
-//! as individual fragments and no receive run is formed, `quiesce` re-runs
-//! its flush barrier until no
-//! retransmission is pending, and a crash removes the endpoint from the
-//! network exactly as [`AsyncNetwork::remove_endpoint`] does.
+//! each wire worker into a lossy link with its own seeded dice (seeds
+//! derived from [`fault_seed`](crate::endpoint::EndpointConfig), counters
+//! shared in one [`FaultStats`]), under
+//! [the link discipline](crate::retry#the-link-discipline) shared with the
+//! shm backend. This transport's part is only that a retransmission goes
+//! to the back of the *same* worker's ring (kept by the worker while the
+//! ring is full), and that a crash removes the endpoint from the network
+//! exactly as [`AsyncNetwork::remove_endpoint`] does.
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::csync::{self, AtomicU64 as CheckedU64, Idle, Mutation};
@@ -129,16 +115,16 @@ use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
 use crate::notify::AtomicWaker;
 use crate::pool::{PayloadPool, PoolStats};
-use crate::retry::{deliver_copies, Admit, FaultInjector, FaultStats, LinkFaults};
+use crate::retry::FaultStats;
 use crate::ring::{PushError, RingQueue, RingStats, RingStatsSnapshot};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::{DeliveryOrder, DEFAULT_MTU};
+use crate::wire::{Fabric, Wire, WireMsg, WireWorker};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -349,66 +335,80 @@ impl std::fmt::Debug for PutFuture {
     }
 }
 
-enum WireMsg {
-    /// A single fragment: the small-message inline fast path, a whole
-    /// rendezvous put (one descriptor, whatever its length), and the
-    /// retransmission path of the fault layer.
-    Deliver {
-        dest: NodeAddr,
-        frag: Fragment,
-        nacks: NackSink,
-        /// Fault-layer attempts already burned on this fragment (0 for a
-        /// fresh submission). Once it reaches the retry budget the
-        /// fragment is delivered without rolling the fault dice.
-        attempt: u32,
-        /// Delivery countdown of a notified put; retransmissions carry it
-        /// forward so the decrement happens exactly once per fragment.
-        notify: Option<Arc<PutNotify>>,
-    },
-    /// A submission batch for one destination endpoint: the fragments of
-    /// one multi-fragment put, or many coalesced puts from a
-    /// [`PutBatch`]. One channel crossing and one NACK-sink reference for
-    /// the whole batch.
-    DeliverBatch {
-        dest: NodeAddr,
-        frags: Vec<Fragment>,
-        nacks: NackSink,
-        /// Delivery countdown when the batch is one notified put's
-        /// fragments ([`PutBatch`] coalesced batches carry `None`).
-        notify: Option<Arc<PutNotify>>,
-    },
-    /// Quiesce barrier: the worker bumps the counter when every message
-    /// queued before this one has been processed.
-    Flush {
-        acks: Arc<AtomicUsize>,
-    },
-    Stop,
+/// Where a threaded message's NACKs and delivery countdown go.
+///
+/// The `nacks` Arc travels with the message because the wire worker that
+/// eventually discards a fragment must publish the NACK into *its
+/// initiator's* sink without holding any reference to the initiator
+/// itself, which may be long gone by delivery time.
+#[derive(Clone)]
+struct Reply {
+    nacks: NackSink,
+    /// Delivery countdown of a notified put; retransmissions carry it
+    /// forward so the decrement happens exactly once per fragment.
+    notify: Option<Arc<PutNotify>>,
+}
+
+type RingMsg = WireMsg<RingWire>;
+
+/// The threaded backend's [`Wire`]: one worker's bounded ring.
+struct RingWire(Arc<RingQueue<RingMsg>>);
+
+impl Wire for RingWire {
+    /// A rendezvous put carries the caller's shared allocation whole as
+    /// its `frag.data`; the marker only says it is a descriptor.
+    type Desc = ();
+    type Reply = Reply;
+    /// The quiesce barrier's ack counter.
+    type Ack = Arc<AtomicUsize>;
+
+    fn pop(&mut self) -> Option<RingMsg> {
+        self.0.try_pop()
+    }
+
+    fn park(&mut self) {
+        self.0.park_consumer();
+    }
+
+    fn closed(&self) -> bool {
+        self.0.is_drained()
+    }
+
+    fn requeue(&mut self, msg: RingMsg) -> std::result::Result<(), RingMsg> {
+        self.0
+            .try_push(msg)
+            .map_err(|(PushError::Full(m) | PushError::Closed(m))| m)
+    }
+
+    fn reply(&self, reply: Reply, frags: usize, nacks: &[(usize, VirtAddr, NackReason)]) {
+        if !nacks.is_empty() {
+            let mut sink = reply.nacks.lock();
+            sink.extend(nacks.iter().map(|&(_, vaddr, reason)| (vaddr, reason)));
+        }
+        if let Some(n) = reply.notify {
+            n.fragments_done(frags as u64, !nacks.is_empty());
+        }
+    }
+
+    fn flush_ack(&self, ack: Arc<AtomicUsize>) {
+        ack.fetch_add(1, Ordering::AcqRel);
+    }
+
+    fn gather<'w>(&'w self, frag: &'w Fragment, _: &()) -> Option<&'w [u8]> {
+        Some(&frag.data)
+    }
 }
 
 struct Shared {
-    endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
-    /// Bumped on every endpoint add/register/remove; route caches and the
-    /// workers' endpoint caches revalidate against it. Starts at 1 so a
-    /// zeroed route-cache slot can never spuriously match.
-    generation: AtomicU64,
+    fabric: Fabric,
     mtu: usize,
     order: DeliveryOrder,
     rng: Mutex<StdRng>,
     /// One bounded FIFO ring per wire worker (see the module docs'
     /// backpressure contract).
-    queues: Vec<Arc<RingQueue<WireMsg>>>,
+    queues: Vec<Arc<RingQueue<RingMsg>>>,
     /// Depth/backpressure counters shared by every ring of this network.
     ring_stats: Arc<RingStats>,
-    /// Configuration applied to endpoints created by
-    /// [`AsyncNetwork::add_endpoint`] (dedup window, fault model, …).
-    endpoint_config: EndpointConfig,
-    /// The link-level reliability layer (present only when the endpoint
-    /// config carries a non-trivial fault model).
-    faults: Option<LinkFaults>,
-    /// Network-wide telemetry recorder (present when
-    /// [`EndpointConfig::telemetry`] is set); attached to every endpoint
-    /// the network creates or registers.
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 #[inline]
@@ -426,17 +426,6 @@ impl Shared {
     /// mailbox), so one mailbox's traffic always lands on one FIFO queue.
     fn queue_index(&self, dest: NodeAddr, vaddr: VirtAddr) -> usize {
         route_hash(pack_addr(dest), vaddr.raw()) as usize % self.queues.len()
-    }
-
-    /// Detach the endpoint at `addr` — [`AsyncNetwork::remove_endpoint`]
-    /// and the crash fault alike. The generation bump stales every cached
-    /// route; fragments already queued NACK `NoSuchMailbox` at the worker.
-    fn remove_endpoint(&self, addr: NodeAddr) -> bool {
-        let removed = self.endpoints.write().remove(&addr).is_some();
-        if removed {
-            self.generation.fetch_add(1, Ordering::Release);
-        }
-        removed
     }
 }
 
@@ -547,421 +536,35 @@ pub struct AsyncNetwork {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// A wire worker's generation-validated endpoint cache: steady-state
-/// delivery resolves destinations from a thread-local map instead of the
-/// shared `RwLock`ed table. Negative results are not cached.
-struct EndpointCache {
-    generation: u64,
-    map: HashMap<NodeAddr, Arc<RvmaEndpoint>>,
-}
-
-impl EndpointCache {
-    fn new() -> Self {
-        EndpointCache {
-            generation: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, shared: &Shared, dest: NodeAddr) -> Option<Arc<RvmaEndpoint>> {
-        let current = shared.generation.load(Ordering::Acquire);
-        if current != self.generation {
-            self.map.clear();
-            self.generation = current;
-        }
-        if let Some(ep) = self.map.get(&dest) {
-            return Some(ep.clone());
-        }
-        let ep = shared.endpoints.read().get(&dest).cloned();
-        if let Some(ep) = &ep {
-            self.map.insert(dest, ep.clone());
-        }
-        ep
-    }
-}
-
 /// The quiesce barrier shared by [`AsyncNetwork::quiesce`] and the
 /// initiator-side [`Transport::flush`]: broadcast a flush marker to every
-/// worker ring, wait for an ack per marker enqueued, and repeat while any
-/// link-level retransmission is still pending (a faulted fragment's retries
-/// land behind the first barrier). A closed ring — the network was dropped —
-/// takes no marker and will never ack one: that is an error, not a wait.
+/// worker ring and wait for an ack per marker enqueued. A worker acks only
+/// once its own link-level retransmissions are done (the wire worker's
+/// flush rule), so one round covers them. A closed ring — the network was
+/// dropped — takes no marker: that is an error, not a wait.
 ///
 /// [`Transport::flush`]: crate::transport::Transport::flush
 fn quiesce_shared(shared: &Shared) -> Result<()> {
-    loop {
-        let acks = Arc::new(AtomicUsize::new(0));
-        let mut sent = 0;
-        for q in &shared.queues {
-            sent += q.push(WireMsg::Flush { acks: acks.clone() }).is_ok() as usize;
-        }
-        let mut idle = Idle::new();
-        while acks.load(Ordering::Acquire) < sent {
-            idle.snooze();
-        }
-        idle.done();
-        if sent < shared.queues.len() {
-            return Err(RvmaError::UnknownDestination);
-        }
-        match &shared.faults {
-            Some(faults) if faults.pending_retries() > 0 => continue,
-            _ => return Ok(()),
-        }
+    let acks = Arc::new(AtomicUsize::new(0));
+    let mut sent = 0;
+    for q in &shared.queues {
+        sent += q.push(WireMsg::Flush(acks.clone())).is_ok() as usize;
     }
-}
-
-/// Most fragments one run gathers before it is delivered. A message is
-/// never split, so one large `DeliverBatch` may exceed it on its own.
-const RUN_FRAGS: usize = 256;
-
-/// Eager messages popped back to back and delivered as one
-/// [`RvmaEndpoint::deliver_batch`] call per same-destination stretch.
-/// Owned by the worker and emptied after each run, so steady state
-/// allocates nothing.
-#[derive(Default)]
-struct Run {
-    /// Every fragment of the run, in pop order.
-    frags: Vec<Fragment>,
-    /// One entry per message, in pop order.
-    units: Vec<RunUnit>,
-    /// The run's refusals, tagged with the refused fragment's index in
-    /// `frags` (ascending: `deliver_batch` reports in batch order).
-    nacks: Vec<(usize, VirtAddr, NackReason)>,
-}
-
-/// What a message of a run must get back: its NACKs and its countdown.
-struct RunUnit {
-    dest: NodeAddr,
-    /// One past the message's last fragment in [`Run::frags`].
-    end: usize,
-    nacks: NackSink,
-    notify: Option<Arc<PutNotify>>,
-}
-
-impl Run {
-    fn push(&mut self, msg: WireMsg) {
-        let (dest, nacks, notify) = match msg {
-            WireMsg::Deliver {
-                dest,
-                frag,
-                nacks,
-                notify,
-                ..
-            } => {
-                self.frags.push(frag);
-                (dest, nacks, notify)
-            }
-            WireMsg::DeliverBatch {
-                dest,
-                mut frags,
-                nacks,
-                notify,
-            } => {
-                self.frags.append(&mut frags);
-                (dest, nacks, notify)
-            }
-            WireMsg::Flush { .. } | WireMsg::Stop => {
-                unreachable!("control messages never join a run")
-            }
-        };
-        self.units.push(RunUnit {
-            dest,
-            end: self.frags.len(),
-            nacks,
-            notify,
-        });
+    let mut idle = Idle::new();
+    while acks.load(Ordering::Acquire) < sent {
+        idle.snooze();
     }
-
-    /// Deliver the fragments, one `deliver_batch` per stretch of messages
-    /// to the same endpoint, collecting every refusal into `nacks`.
-    fn deliver(&mut self, shared: &Shared, cache: &mut EndpointCache) {
-        if shared.telemetry.is_some() {
-            for f in &self.frags {
-                telemetry::record(
-                    &shared.telemetry,
-                    EventKind::WireDeliver,
-                    telemetry::initiator_key(f.initiator.nid, f.initiator.pid),
-                    f.op_id,
-                    f.offset as u64,
-                );
-            }
-        }
-        let nacks = &mut self.nacks;
-        let mut start = 0;
-        for stretch in self.units.chunk_by(|a, b| a.dest == b.dest) {
-            let end = stretch[stretch.len() - 1].end;
-            let frags = &self.frags[start..end];
-            match cache.get(shared, stretch[0].dest) {
-                Some(ep) => ep.deliver_batch(frags, &mut |i, vaddr, reason| {
-                    nacks.push((start + i, vaddr, reason))
-                }),
-                None => nacks.extend(
-                    frags
-                        .iter()
-                        .enumerate()
-                        .map(|(i, f)| (start + i, f.dst_vaddr, NackReason::NoSuchMailbox)),
-                ),
-            }
-            start = end;
-        }
-        self.frags.clear();
+    idle.done();
+    if sent < shared.queues.len() {
+        return Err(RvmaError::UnknownDestination);
     }
-
-    /// Give each message its own NACKs — one sink lock per message that
-    /// has any — then its countdown, and empty the run for reuse.
-    fn settle(&mut self) {
-        let (mut start, mut k) = (0, 0);
-        for unit in self.units.drain(..) {
-            let first = k;
-            while k < self.nacks.len() && self.nacks[k].0 < unit.end {
-                k += 1;
-            }
-            let own = &self.nacks[first..k];
-            if !own.is_empty() {
-                let mut sink = unit.nacks.lock();
-                sink.extend(own.iter().map(|&(_, vaddr, reason)| (vaddr, reason)));
-            }
-            if let Some(n) = unit.notify {
-                n.fragments_done((unit.end - start) as u64, !own.is_empty());
-            }
-            start = unit.end;
-        }
-        self.nacks.clear();
-    }
-}
-
-/// One wire worker: the consumer of ring `idx`, its generation-validated
-/// endpoint cache, and — on a lossy link — its own seeded dice.
-struct WireWorker<'a> {
-    shared: &'a Shared,
-    ring: &'a RingQueue<WireMsg>,
-    latency: Duration,
-    cache: EndpointCache,
-    /// Link-level retransmissions the full ring could not take back (see
-    /// [`WireWorker::enqueue_retry`]).
-    deferred: VecDeque<WireMsg>,
-    link: Option<(&'a LinkFaults, FaultInjector)>,
-    run: Run,
-    /// The message that ended the last run's gathering: it is the next one
-    /// processed, so a `Flush` or `Stop` still lands after everything
-    /// queued ahead of it.
-    held: Option<WireMsg>,
-}
-
-impl WireWorker<'_> {
-    /// Queue a link-level retransmission on this worker's own ring — the
-    /// FIFO that owns the fragment's mailbox — without ever blocking on it:
-    /// the worker IS the ring's consumer, so a blocking push on a full ring
-    /// would deadlock the shard. Overflow spills into `deferred`, drained
-    /// whenever the ring has room (or runs dry) and at Stop; the link's
-    /// pending-retry count covers spilled messages the same as ringed ones,
-    /// so `quiesce` still waits them out.
-    fn enqueue_retry(&mut self, msg: WireMsg) {
-        if let Err(PushError::Full(m) | PushError::Closed(m)) = self.ring.try_push(msg) {
-            self.deferred.push_back(m);
-        }
-    }
-
-    /// The next message without waiting: the one the last run held back,
-    /// then the ring, then spilled retransmissions once the ring runs dry.
-    fn pop(&mut self) -> Option<WireMsg> {
-        self.held
-            .take()
-            .or_else(|| self.ring.try_pop())
-            .or_else(|| self.deferred.pop_front())
-    }
-
-    /// The receive step: [`pop`](Self::pop), spinning under the thread's
-    /// [`Idle`] budget and then parking on the ring's doorbell while there
-    /// is nothing to pop.
-    fn next_msg(&mut self) -> WireMsg {
-        // Opportunistically migrate one spilled retransmission back onto the
-        // ring (behind the queued traffic, which is where a retransmitted
-        // copy belongs) so the spill list drains even while the shard stays
-        // busy.
-        if let Some(m) = self.deferred.pop_front() {
-            if let Err(PushError::Full(m) | PushError::Closed(m)) = self.ring.try_push(m) {
-                self.deferred.push_front(m);
-            }
-        }
-        if let Some(m) = self.pop() {
-            return m;
-        }
-        // `held` and `deferred` are this worker's own: only the ring can
-        // fill while it idles.
-        let mut idle = Idle::new();
-        loop {
-            if let Some(m) = self.ring.try_pop() {
-                idle.done();
-                return m;
-            }
-            if !idle.spin() {
-                self.ring.park_consumer();
-            }
-        }
-    }
-
-    /// Process one message. `drain` is the post-Stop teardown pass: the
-    /// link delivers fault-free and charges no wire latency, so nothing
-    /// re-enqueued (or spilled) behind the Stop marker is stranded.
-    #[inline]
-    fn handle(&mut self, msg: WireMsg, drain: bool) {
-        match msg {
-            WireMsg::Stop => {}
-            WireMsg::Flush { acks } => {
-                acks.fetch_add(1, Ordering::AcqRel);
-            }
-            msg if self.joins_run(&msg) => self.deliver_run(msg, drain),
-            WireMsg::Deliver {
-                dest,
-                frag,
-                nacks,
-                attempt,
-                notify,
-            } => self.deliver_unit(dest, frag, nacks, attempt, notify, drain),
-            WireMsg::DeliverBatch {
-                dest,
-                frags,
-                nacks,
-                notify,
-            } => {
-                // A lossy link carries fragments, not batches: each is its
-                // own wire unit with its own roll and disposition.
-                debug_assert!(self.link.is_some(), "a fault-free batch joins a run");
-                for frag in frags {
-                    self.deliver_unit(dest, frag, nacks.clone(), 0, notify.clone(), drain);
-                }
-            }
-        }
-    }
-
-    /// Whether `msg` is delivered in a run: eager traffic on a fault-free
-    /// link. A rendezvous descriptor (longer than one MTU) is a run of its
-    /// own, one lock hold and one gather, so `EpochProgress` still paces
-    /// per descriptor: folded into a run it advanced 8 MiB at a time and
-    /// `bulk_large` p99 went from 140 to about 1,000 µs.
-    fn joins_run(&self, msg: &WireMsg) -> bool {
-        self.link.is_none()
-            && match msg {
-                WireMsg::Deliver { frag, .. } => frag.data.len() <= self.shared.mtu,
-                WireMsg::DeliverBatch { .. } => true,
-                WireMsg::Flush { .. } | WireMsg::Stop => false,
-            }
-    }
-
-    /// Deliver `first` together with the eager messages already queued
-    /// behind it — never waiting for more — as one run: one LUT lookup per
-    /// same-mailbox stretch, one mailbox-lock hold per [`DELIVER_CHUNK`]
-    /// fragments, one stats publish per same-endpoint stretch. The first
-    /// message that cannot join is held back and processed next.
-    ///
-    /// [`DELIVER_CHUNK`]: crate::endpoint::DELIVER_CHUNK
-    fn deliver_run(&mut self, first: WireMsg, drain: bool) {
-        self.run.push(first);
-        while self.run.frags.len() < RUN_FRAGS {
-            match self.ring.try_pop() {
-                Some(msg) if self.joins_run(&msg) => self.run.push(msg),
-                other => {
-                    self.held = other;
-                    break;
-                }
-            }
-        }
-        if !drain && !self.latency.is_zero() {
-            // Every fragment still pays the wire latency; a run pays it as
-            // one sleep instead of N.
-            std::thread::sleep(self.latency * self.run.frags.len() as u32);
-        }
-        self.run.deliver(self.shared, &mut self.cache);
-        self.run.settle();
-    }
-
-    /// One wire unit — a single fragment or a whole rendezvous descriptor —
-    /// through the link ([`LinkFaults::admit`]) to its final disposition.
-    #[inline]
-    fn deliver_unit(
-        &mut self,
-        dest: NodeAddr,
-        frag: Fragment,
-        nacks: NackSink,
-        attempt: u32,
-        notify: Option<Arc<PutNotify>>,
-        drain: bool,
-    ) {
-        let shared = self.shared;
-        let copies = match self.link.as_mut() {
-            None => 1,
-            Some((faults, injector)) => {
-                let on_crash = || {
-                    shared.remove_endpoint(dest);
-                };
-                match faults.admit(injector, &frag, frag.data.len(), attempt, drain, on_crash) {
-                    Admit::Deliver { copies } => copies,
-                    Admit::Retransmit => {
-                        // The retried copy carries the put-notify countdown on.
-                        self.enqueue_retry(WireMsg::Deliver {
-                            dest,
-                            frag,
-                            nacks,
-                            attempt: attempt + 1,
-                            notify,
-                        });
-                        self.retire(attempt);
-                        return;
-                    }
-                }
-            }
-        };
-        if !drain && !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-        let ep = self.cache.get(shared, dest);
-        let nacked = deliver_copies(
-            &shared.telemetry,
-            &frag,
-            ep.as_deref(),
-            copies,
-            |ep| ep.deliver(&frag),
-            |reason| nacks.lock().push((frag.dst_vaddr, reason)),
-        );
-        if let Some(n) = notify {
-            n.fragments_done(1, nacked);
-        }
-        self.retire(attempt);
-    }
-
-    /// This transmission of the unit is fully processed (see
-    /// [`LinkFaults::retire`]).
-    fn retire(&self, attempt: u32) {
-        if let Some((faults, _)) = &self.link {
-            faults.retire(attempt);
-        }
-    }
+    Ok(())
 }
 
 fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
-    let ring = &*shared.queues[idx];
+    let ring = shared.queues[idx].clone();
     ring.register_consumer();
-    let mut worker = WireWorker {
-        shared: &shared,
-        ring,
-        latency,
-        cache: EndpointCache::new(),
-        deferred: VecDeque::new(),
-        link: shared.faults.as_ref().map(|f| (f, f.injector(idx))),
-        run: Run::default(),
-        held: None,
-    };
-    loop {
-        match worker.next_msg() {
-            WireMsg::Stop => break,
-            msg => worker.handle(msg, false),
-        }
-    }
-    // Teardown: whatever was re-enqueued or spilled behind the Stop marker.
-    while let Some(msg) = worker.pop() {
-        worker.handle(msg, true);
-    }
+    WireWorker::new(RingWire(ring), &shared.fabric, idx, latency).run();
 }
 
 impl AsyncNetwork {
@@ -1013,7 +616,7 @@ impl AsyncNetwork {
             DeliveryOrder::InOrder => 0,
         };
         let ring_stats = Arc::new(RingStats::default());
-        let queues: Vec<Arc<RingQueue<WireMsg>>> = (0..workers)
+        let queues: Vec<Arc<RingQueue<RingMsg>>> = (0..workers)
             .map(|_| {
                 Arc::new(RingQueue::with_stats(
                     endpoint_config.wire_queue_cap,
@@ -1021,21 +624,13 @@ impl AsyncNetwork {
                 ))
             })
             .collect();
-        let telemetry = endpoint_config
-            .telemetry
-            .then(|| Arc::new(Telemetry::new()));
-        let faults = LinkFaults::from_config(&endpoint_config, &telemetry);
         let shared = Arc::new(Shared {
-            endpoints: RwLock::new(HashMap::new()),
-            generation: AtomicU64::new(1),
+            fabric: Fabric::new(endpoint_config),
             mtu,
             order,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             queues,
             ring_stats,
-            endpoint_config,
-            faults,
-            telemetry,
         });
         let workers = (0..shared.queues.len())
             .map(|i| {
@@ -1065,27 +660,15 @@ impl AsyncNetwork {
     /// passed to [`for_endpoint_config`](AsyncNetwork::for_endpoint_config)
     /// applies to every endpoint of the network).
     pub fn add_endpoint(&self, addr: NodeAddr) -> Arc<RvmaEndpoint> {
-        let ep = RvmaEndpoint::with_config(addr, self.shared.endpoint_config.clone());
-        ep.attach_wire_stats(self.shared.ring_stats.clone());
-        if let Some(t) = &self.shared.telemetry {
-            ep.attach_telemetry(t.clone());
-        }
-        self.shared.endpoints.write().insert(addr, ep.clone());
-        self.shared.generation.fetch_add(1, Ordering::Release);
+        let ep = RvmaEndpoint::with_config(addr, self.shared.fabric.config.clone());
+        self.register(ep.clone());
         ep
     }
 
     /// Attach an existing endpoint.
     pub fn register(&self, endpoint: Arc<RvmaEndpoint>) {
         endpoint.attach_wire_stats(self.shared.ring_stats.clone());
-        if let Some(t) = &self.shared.telemetry {
-            endpoint.attach_telemetry(t.clone());
-        }
-        self.shared
-            .endpoints
-            .write()
-            .insert(endpoint.addr(), endpoint);
-        self.shared.generation.fetch_add(1, Ordering::Release);
+        self.shared.fabric.register(endpoint);
     }
 
     /// Detach the endpoint at `addr`. Bumps the route generation, so every
@@ -1094,7 +677,7 @@ impl AsyncNetwork {
     /// would on a real fabric: workers that process them afterwards publish
     /// asynchronous `NoSuchMailbox` NACKs.
     pub fn remove_endpoint(&self, addr: NodeAddr) -> bool {
-        self.shared.remove_endpoint(addr)
+        self.shared.fabric.remove(addr)
     }
 
     /// An asynchronous initiator bound to `src`.
@@ -1115,11 +698,9 @@ impl AsyncNetwork {
     /// Block until every fragment submitted so far has been delivered:
     /// a flush barrier is broadcast to every worker queue (each is FIFO,
     /// so the ack implies everything ahead of it was processed). With
-    /// fault injection active the barrier repeats until no link-level
-    /// retransmission is pending — a faulted fragment's retries land
-    /// *behind* the first barrier, and only the pending-retry count (held
-    /// non-zero from before each re-enqueue until the retried copy is
-    /// fully processed) proves they are done.
+    /// fault injection active a worker holds its ack until its own
+    /// link-level retransmissions — which land *behind* the marker — are
+    /// done.
     pub fn quiesce(&self) {
         // The rings close only in `Drop`, so the barrier cannot fail here.
         let _ = quiesce_shared(&self.shared);
@@ -1127,14 +708,14 @@ impl AsyncNetwork {
 
     /// The network-wide fault counters, when fault injection is active.
     pub fn fault_stats(&self) -> Option<Arc<FaultStats>> {
-        self.shared.faults.as_ref().map(LinkFaults::stats)
+        self.shared.fabric.fault_stats()
     }
 
     /// The network-wide telemetry recorder, when
     /// [`EndpointConfig::telemetry`] is enabled. Drain it with
     /// [`Telemetry::snapshot`] after a [`quiesce`](AsyncNetwork::quiesce).
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.telemetry.clone()
+        self.shared.fabric.telemetry.clone()
     }
 
     /// Point-in-time wire-queue counters (high-water ring depth,
@@ -1148,18 +729,14 @@ impl AsyncNetwork {
 
 impl Drop for AsyncNetwork {
     fn drop(&mut self) {
-        // A Stop marker lands behind all previously queued traffic on each
-        // FIFO ring, so every shard drains fully before its worker exits.
+        // Close first: a submission racing this drop either claimed its
+        // slot before the close, and its worker drains it before exiting,
+        // or fails fast. No accepted fragment is stranded.
         for q in &self.shared.queues {
-            let _ = q.push(WireMsg::Stop);
+            q.close();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
-        }
-        // Only now close the rings: a submitter racing this drop stops
-        // blocking on the (now consumer-less) ring and fails fast.
-        for q in &self.shared.queues {
-            q.close();
         }
     }
 }
@@ -1200,14 +777,14 @@ impl AsyncInitiator {
     /// never depends on the initiator-side existence check.
     fn resolve_route(&self, dest: NodeAddr, vaddr: VirtAddr) -> Result<usize> {
         let packed = pack_addr(dest);
-        let generation = self.shared.generation.load(Ordering::Acquire);
+        let generation = self.shared.fabric.generation();
         let slot = self.routes.slot(packed, vaddr.raw());
         if let Some(queue) = slot.read(packed, vaddr.raw(), generation) {
             self.route_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(queue);
         }
         self.route_misses.fetch_add(1, Ordering::Relaxed);
-        if self.shared.endpoints.read().get(&dest).is_none() {
+        if !self.shared.fabric.contains(dest) {
             return Err(RvmaError::UnknownDestination);
         }
         let queue = self.shared.queue_index(dest, vaddr);
@@ -1291,7 +868,7 @@ impl AsyncInitiator {
         offset: usize,
         data: Bytes,
     ) -> Result<()> {
-        if data.len() <= self.shared.endpoint_config.eager_threshold {
+        if data.len() <= self.shared.fabric.config.eager_threshold {
             return self.submit(dest, vaddr, offset, &data, None);
         }
         self.submit_shared(dest, vaddr, offset, data, None)
@@ -1309,7 +886,7 @@ impl AsyncInitiator {
         offset: usize,
         data: Bytes,
     ) -> Result<PutFuture> {
-        if data.len() <= self.shared.endpoint_config.eager_threshold {
+        if data.len() <= self.shared.fabric.config.eager_threshold {
             return self.put_notify_at(dest, vaddr, offset, &data);
         }
         let notify = PutNotify::new(1);
@@ -1318,9 +895,10 @@ impl AsyncInitiator {
     }
 
     /// Rendezvous submission: the caller's shared allocation rides one
-    /// `WireMsg::Deliver` whole. There is no fragment vector and nothing
-    /// to shuffle on an `OutOfOrder` network — reordering happens between
-    /// descriptors (fault-layer retransmits), never inside one.
+    /// `WireMsg::Deliver` whole, as its descriptor. There is no fragment
+    /// vector and nothing to shuffle on an `OutOfOrder` network —
+    /// reordering happens between descriptors (fault-layer retransmits),
+    /// never inside one.
     fn submit_shared(
         &self,
         dest: NodeAddr,
@@ -1338,7 +916,7 @@ impl AsyncInitiator {
             offset,
             data: payload,
         };
-        self.push_one(queue_idx, dest, frag, notify)
+        self.push_one(queue_idx, dest, frag, Some(()), notify)
     }
 
     /// Common head of every submission: resolve the worker queue, draw the
@@ -1348,7 +926,7 @@ impl AsyncInitiator {
         let queue_idx = self.resolve_route(dest, vaddr)?;
         let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
         telemetry::record(
-            &self.shared.telemetry,
+            &self.shared.fabric.telemetry,
             EventKind::Submit,
             telemetry::initiator_key(self.src.nid, self.src.pid),
             op_id,
@@ -1357,19 +935,23 @@ impl AsyncInitiator {
         Ok((queue_idx, op_id))
     }
 
-    /// One ring crossing carrying one fragment — an eager put of at most
-    /// one MTU, or a whole rendezvous descriptor.
-    ///
-    /// The `nacks` Arc travels with the message because the wire worker
-    /// that eventually discards a fragment must publish the NACK into
-    /// *this* initiator's sink without holding any reference to the
-    /// initiator itself, which may be long gone by delivery time.
+    /// Where this initiator's messages report back.
+    fn reply(&self, notify: Option<Arc<PutNotify>>) -> Reply {
+        Reply {
+            nacks: self.nacks.clone(),
+            notify,
+        }
+    }
+
+    /// One ring crossing carrying one unit — an eager put of at most one
+    /// MTU, or (with `desc`) a whole rendezvous descriptor.
     #[inline]
     fn push_one(
         &self,
         queue_idx: usize,
         dest: NodeAddr,
         frag: Fragment,
+        desc: Option<()>,
         notify: Option<Arc<PutNotify>>,
     ) -> Result<()> {
         let op_id = frag.op_id;
@@ -1377,13 +959,13 @@ impl AsyncInitiator {
             .push(WireMsg::Deliver {
                 dest,
                 frag,
-                nacks: self.nacks.clone(),
+                desc,
+                reply: self.reply(notify),
                 attempt: 0,
-                notify,
             })
             .map_err(|_| RvmaError::UnknownDestination)?;
         telemetry::record(
-            &self.shared.telemetry,
+            &self.shared.fabric.telemetry,
             EventKind::RingEnqueue,
             telemetry::initiator_key(self.src.nid, self.src.pid),
             op_id,
@@ -1413,19 +995,18 @@ impl AsyncInitiator {
                 offset,
                 data: self.pool.acquire(data),
             };
-            return self.push_one(queue_idx, dest, frag, notify);
+            return self.push_one(queue_idx, dest, frag, None, notify);
         }
         let frags = self.fragment(vaddr, op_id, offset, data);
         self.shared.queues[queue_idx]
             .push(WireMsg::DeliverBatch {
                 dest,
                 frags,
-                nacks: self.nacks.clone(),
-                notify,
+                reply: self.reply(notify),
             })
             .map_err(|_| RvmaError::UnknownDestination)?;
         telemetry::record(
-            &self.shared.telemetry,
+            &self.shared.fabric.telemetry,
             EventKind::RingEnqueue,
             telemetry::initiator_key(self.src.nid, self.src.pid),
             op_id,
@@ -1560,7 +1141,7 @@ impl PutBatch<'_> {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        let generation = self.init.shared.generation.load(Ordering::Acquire);
+        let generation = self.init.shared.fabric.generation();
         let group_idx = match self.memo {
             Some((d, v, g, _, gi)) if d == dest && v == vaddr && g == generation => gi,
             _ => {
@@ -1582,7 +1163,7 @@ impl PutBatch<'_> {
         };
         let op_id = self.init.next_op.fetch_add(1, Ordering::Relaxed);
         telemetry::record(
-            &self.init.shared.telemetry,
+            &self.init.shared.fabric.telemetry,
             EventKind::Submit,
             telemetry::initiator_key(self.init.src.nid, self.init.src.pid),
             op_id,
@@ -1635,13 +1216,13 @@ impl PutBatch<'_> {
             // One RingEnqueue per op: a multi-fragment op's fragments sit
             // contiguously in the group, so deduping consecutive op ids
             // yields exactly one event per put crossing the ring.
-            if self.init.shared.telemetry.is_some() {
+            if self.init.shared.fabric.telemetry.is_some() {
                 let mut last = None;
                 for f in &batch {
                     let key = telemetry::initiator_key(f.initiator.nid, f.initiator.pid);
                     if last != Some((key, f.op_id)) {
                         telemetry::record(
-                            &self.init.shared.telemetry,
+                            &self.init.shared.fabric.telemetry,
                             EventKind::RingEnqueue,
                             key,
                             f.op_id,
@@ -1654,8 +1235,7 @@ impl PutBatch<'_> {
             let sent = self.init.shared.queues[*queue_idx].push(WireMsg::DeliverBatch {
                 dest: *dest,
                 frags: batch,
-                nacks: self.init.nacks.clone(),
-                notify: None,
+                reply: self.init.reply(None),
             });
             if sent.is_err() && result.is_ok() {
                 result = Err(RvmaError::UnknownDestination);
@@ -1909,9 +1489,9 @@ mod tests {
 
     #[test]
     fn drop_drains_all_shard_queues() {
-        // Queue traffic across a 4-worker pool, then drop immediately: the
-        // Stop markers sit behind the traffic, so every fragment still
-        // delivers before the workers exit.
+        // Queue traffic across a 4-worker pool, then drop immediately: each
+        // worker drains its closed ring to the final index, so every
+        // fragment still delivers before the workers exit.
         let server;
         {
             let net = AsyncNetwork::with_options(

@@ -9,15 +9,21 @@
 //!   incast pattern;
 //! * the stall and doorbell counters surface through `EndpointStats`;
 //! * a ring held at capacity deadlocks neither `quiesce` nor `Drop`;
-//! * a flush or stop marker is processed after the run it was popped
-//!   behind, never dropped;
+//! * a flush marker is processed after the run it was popped behind, on
+//!   both wire backends, and teardown drains a run still queued;
+//! * close is teardown's linearisation point: a put racing the drop is
+//!   either refused or delivered, never accepted and stranded;
 //! * a depth-1 ping-pong does not stall on one CPU, where the idle budget
 //!   must park instead of spinning.
 
 use rvma::core::transport::DeliveryOrder;
-use rvma::core::{AsyncNetwork, EndpointConfig, NodeAddr, Threshold, VirtAddr};
+use rvma::core::{
+    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, NodeAddr, RvmaEndpoint, RvmaError,
+    ShmServer, Threshold, Transport, VirtAddr,
+};
 use std::sync::mpsc::RecvTimeoutError;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const RING_CAP: usize = 8;
 
@@ -125,57 +131,151 @@ fn parked_workers_wake_on_the_doorbell() {
     );
 }
 
+/// One wire worker behind a ring of [`RING_CAP`] slots, on either
+/// backend: a one-worker threaded network, or a shm server (whose request
+/// ring is the wire) with one client.
+enum TinyWire {
+    Threaded(AsyncNetwork),
+    Shm(ShmServer),
+}
+
+impl TinyWire {
+    fn new(shm: bool) -> (TinyWire, Arc<RvmaEndpoint>, Box<dyn Transport>) {
+        let (wire, init): (TinyWire, Box<dyn Transport>) = if shm {
+            let config = EndpointConfig {
+                shm_req_slots: RING_CAP,
+                ..EndpointConfig::default()
+            };
+            let (server, client) = shm_pair(256, config, NodeAddr::node(1)).unwrap();
+            (TinyWire::Shm(server), Box::new(client))
+        } else {
+            let net = tiny_ring_net(1);
+            let init = net.initiator(NodeAddr::node(1));
+            (TinyWire::Threaded(net), Box::new(init))
+        };
+        let server = match &wire {
+            TinyWire::Threaded(net) => net.add_endpoint(NodeAddr::node(0)),
+            TinyWire::Shm(server) => server.add_endpoint(NodeAddr::node(0)),
+        };
+        (wire, server, init)
+    }
+}
+
 /// A wire worker gathers the puts queued behind the one it popped into a
-/// run, and pops the next `Flush` or `Stop` while gathering. Neither may
-/// be lost or jump the run: `quiesce` straight after a burst sees every
-/// put counted, and dropping the network with a burst still queued
-/// delivers all of it and joins. The rounds run on a helper thread so a
-/// swallowed marker fails the test instead of hanging it.
-#[test]
-fn markers_popped_behind_a_run_are_processed_after_it() {
+/// run, and pops the next flush marker while gathering. It may neither be
+/// lost nor jump the run: a flush straight after a burst sees every put
+/// counted and every NACK in, and dropping the network (stopping the shm
+/// server) with a burst still queued delivers all of it and joins. The
+/// rounds run on a helper thread so a swallowed marker fails the test
+/// instead of hanging it.
+fn markers_behind_runs(shm: bool) {
     const ROUNDS: u64 = 100;
     const BURST: u64 = 64;
+    const REFUSED_EVERY: u64 = 8;
     let (tx, rx) = std::sync::mpsc::channel();
     let rounds = std::thread::spawn(move || {
         for round in 0..ROUNDS {
-            let net = tiny_ring_net(1);
-            let server = net.add_endpoint(NodeAddr::node(0));
+            let (wire, server, init) = TinyWire::new(shm);
             let vaddr = VirtAddr::new(round);
             let win = server.init_window(vaddr, Threshold::ops(u64::MAX)).unwrap();
             let _note = win.post_buffer(vec![0u8; 64]).unwrap();
             let progress = win.progress();
-            let init = net.initiator(NodeAddr::node(1));
-            for _ in 0..BURST {
+            for k in 0..BURST {
                 init.put_at(NodeAddr::node(0), vaddr, 0, &[1u8; 16])
                     .unwrap();
+                if k % REFUSED_EVERY == 0 {
+                    // No mailbox there: a NACK inside the run.
+                    init.put_at(NodeAddr::node(0), VirtAddr::new(u64::MAX), 0, &[1u8; 16])
+                        .unwrap();
+                }
             }
-            net.quiesce();
+            init.flush().unwrap();
             assert_eq!(
                 progress.ops(),
                 BURST,
-                "round {round}: quiesce overtook a run"
+                "round {round}: the flush overtook a run"
+            );
+            assert_eq!(
+                init.take_nacks().len() as u64,
+                BURST / REFUSED_EVERY,
+                "round {round}: a NACK landed after the flush ack"
             );
             for _ in 0..BURST {
                 init.put_at(NodeAddr::node(0), vaddr, 0, &[2u8; 16])
                     .unwrap();
             }
-            drop(net);
+            drop(wire);
             assert_eq!(progress.ops(), 2 * BURST, "round {round}: drop lost a run");
         }
         tx.send(()).unwrap();
     });
     // A failed assertion drops the sender: report the panic, not a hang.
     if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(60)) {
-        panic!("a quiesce or a drop hung behind a run");
+        panic!("a flush or a drop hung behind a run");
     }
     if let Err(panic) = rounds.join() {
         std::panic::resume_unwind(panic);
     }
 }
 
+#[test]
+fn markers_popped_behind_a_run_are_processed_after_it() {
+    markers_behind_runs(false);
+}
+
+#[test]
+fn markers_popped_behind_a_run_are_processed_after_it_shm() {
+    if shm_supported() {
+        markers_behind_runs(true);
+    }
+}
+
+/// A thread spams notified puts while the network is dropped. Every put
+/// whose submission returned `Ok` resolves — its worker drains it before
+/// exiting, because the rings close first and a push either claimed its
+/// slot before the close or fails — and every refusal is
+/// `UnknownDestination`.
+#[test]
+fn drop_racing_put_notify_resolves_every_accepted_put() {
+    for round in 0..32u64 {
+        let net = tiny_ring_net(2);
+        let server = net.add_endpoint(NodeAddr::node(0));
+        let vaddr = VirtAddr::new(round);
+        let win = server.init_window(vaddr, Threshold::ops(u64::MAX)).unwrap();
+        let _note = win.post_buffer(vec![0u8; 64]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let (futures, refusal) = std::thread::scope(|s| {
+            let spammer = s.spawn(|| {
+                let mut futures = Vec::new();
+                loop {
+                    match init.put_notify(NodeAddr::node(0), vaddr, &[3u8; 16]) {
+                        Ok(f) => futures.push(f),
+                        Err(e) => return (futures, e),
+                    }
+                }
+            });
+            std::thread::sleep(Duration::from_micros(50 * round));
+            drop(net);
+            spammer.join().unwrap()
+        });
+        assert_eq!(refusal, RvmaError::UnknownDestination, "round {round}");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for (i, f) in futures.iter().enumerate() {
+            while !f.is_done() {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: accepted put {i} of {} never resolved",
+                    futures.len()
+                );
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
 /// Drop the network while producers are mid-stream against a full ring:
-/// blocked `push` calls must resolve (the rings close only after the
-/// workers drain and join), not deadlock. Losing a racing put to the
+/// blocked `push` calls must resolve (the rings close first, and a push
+/// that finds its ring closed fails), not deadlock. Losing a racing put to the
 /// closed network is acceptable; hanging is not.
 #[test]
 fn drop_races_blocked_producers_without_deadlock() {

@@ -8,16 +8,19 @@
 //! * no double completions — epochs advance exactly once per threshold, and
 //!   endpoint stats agree with the submitted totals;
 //! * per-mailbox ordering survives the worker pool (Managed-mode stream);
+//! * threads sharing one initiator handle — an `AsyncInitiator` over a
+//!   worker pool, or a `ShmClient` over its MPSC request ring — lose
+//!   nothing and NACK nothing;
 //! * one delivery path — direct callers are serialised by the mailbox lock,
 //!   so overlapping writes never tear and `close` accounts for every buffer.
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{
-    AsyncNetwork, Bytes, DeliverResult, Fragment, MailboxMode, NackReason, NodeAddr, RvmaEndpoint,
-    Threshold, VirtAddr,
+    shm_pair, shm_supported, AsyncNetwork, Bytes, DeliverResult, EndpointConfig, Fragment,
+    MailboxMode, NackReason, NodeAddr, RvmaEndpoint, Threshold, Transport, VirtAddr,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const SENDERS: usize = 8;
@@ -194,6 +197,84 @@ fn managed_stream_order_survives_worker_pool() {
             .unwrap();
     }
     assert_eq!(note.wait().data(), expected.as_slice());
+}
+
+/// T threads put through ONE initiator handle into shared mailboxes at
+/// disjoint offsets, epoch by epoch (a barrier between epochs keeps each
+/// epoch's puts ahead of the next one's on the wire). Every epoch must
+/// complete byte-exact, `fragments_accepted` must be exact, and nothing
+/// may NACK.
+fn concurrent_puts_through_one_initiator(server: &Arc<RvmaEndpoint>, init: &dyn Transport) {
+    const THREADS: usize = 4;
+    const MAILBOXES: u64 = 4;
+    const EPOCHS: usize = 8;
+    const SLICE: usize = 96; // one fragment at MTU 256
+    let byte = |t: usize, e: usize, m: u64| (t * 61 + e * 7 + m as usize * 3 + 1) as u8;
+    let mut notes = Vec::new();
+    for m in 0..MAILBOXES {
+        let win = server
+            .init_window(VirtAddr::new(m), Threshold::bytes((THREADS * SLICE) as u64))
+            .unwrap();
+        notes.push(
+            win.post_buffers(vec![vec![0u8; THREADS * SLICE]; EPOCHS])
+                .unwrap(),
+        );
+    }
+    let before = server.stats();
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let barrier = &barrier;
+            s.spawn(move || {
+                for e in 0..EPOCHS {
+                    for m in 0..MAILBOXES {
+                        init.put_at(
+                            server.addr(),
+                            VirtAddr::new(m),
+                            t * SLICE,
+                            &[byte(t, e, m); SLICE],
+                        )
+                        .unwrap();
+                    }
+                    barrier.wait();
+                }
+            });
+        }
+    });
+    init.flush().unwrap();
+    for (m, epochs) in notes.iter_mut().enumerate() {
+        for (e, n) in epochs.iter_mut().enumerate() {
+            let buf = n.poll().expect("the flush saw every epoch complete");
+            assert_eq!(buf.epoch(), e as u64, "double or skipped completion");
+            for t in 0..THREADS {
+                assert_eq!(
+                    &buf.data()[t * SLICE..(t + 1) * SLICE],
+                    [byte(t, e, m as u64); SLICE].as_slice(),
+                    "thread {t}'s slice of mailbox {m}, epoch {e}"
+                );
+            }
+        }
+    }
+    let after = server.stats();
+    let puts = (THREADS * EPOCHS) as u64 * MAILBOXES;
+    assert_eq!(after.fragments_accepted - before.fragments_accepted, puts);
+    assert_eq!(
+        after.epochs_completed - before.epochs_completed,
+        EPOCHS as u64 * MAILBOXES
+    );
+    assert!(init.take_nacks().is_empty(), "no put may be refused");
+}
+
+#[test]
+fn concurrent_initiators_share_one_transport() {
+    let net = AsyncNetwork::with_options(256, DeliveryOrder::InOrder, Duration::ZERO, 2);
+    let server = net.add_endpoint(NodeAddr::node(0));
+    concurrent_puts_through_one_initiator(&server, &net.initiator(NodeAddr::node(1)));
+    if shm_supported() {
+        let (shm, client) = shm_pair(256, EndpointConfig::default(), NodeAddr::node(1)).unwrap();
+        let server = shm.add_endpoint(NodeAddr::node(0));
+        concurrent_puts_through_one_initiator(&server, &client);
+    }
 }
 
 fn direct_frag(vaddr: u64, op_id: u64, offset: usize, data: Vec<u8>) -> Fragment {

@@ -3,9 +3,11 @@
 //! across the async wire-worker pool.
 
 use rvma::core::{
-    AsyncNetwork, Bytes, DeliveryOrder, NackReason, NodeAddr, Threshold, VirtAddr,
-    DEFAULT_DOORBELL_FRAGS,
+    shm_pair, shm_supported, AsyncInitiator, AsyncNetwork, Bytes, DeliveryOrder, EndpointConfig,
+    NackReason, NodeAddr, PutFuture, Result, RvmaEndpoint, ShmClient, Threshold, Transport,
+    VirtAddr, DEFAULT_DOORBELL_FRAGS,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -99,22 +101,42 @@ fn doorbell_batches_deliver_across_shards() {
     assert!(client.take_nacks().is_empty());
 }
 
+/// What the receive-run test needs of an initiator, on either backend.
+trait RunInitiator: Transport {
+    fn put_notify_at(
+        &self,
+        dest: NodeAddr,
+        vaddr: VirtAddr,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<PutFuture>;
+}
+
+impl RunInitiator for AsyncInitiator {
+    fn put_notify_at(&self, d: NodeAddr, v: VirtAddr, o: usize, data: &[u8]) -> Result<PutFuture> {
+        AsyncInitiator::put_notify_at(self, d, v, o, data)
+    }
+}
+
+impl RunInitiator for ShmClient {
+    fn put_notify_at(&self, d: NodeAddr, v: VirtAddr, o: usize, data: &[u8]) -> Result<PutFuture> {
+        ShmClient::put_notify_at(self, d, v, o, data)
+    }
+}
+
+const RUN_MTU: usize = 256;
+
 /// A wire worker delivers the eager puts queued behind each other as one
 /// run. A run that mixes initiators, notified puts and a refused put
 /// must still hand every NACK to the sink of the put that caused it, in
-/// submission order, and resolve every `PutFuture` with its own outcome.
-#[test]
-fn one_run_routes_each_nack_and_countdown_to_its_own_put() {
-    const MTU: usize = 256;
-    let server_addr = NodeAddr::node(0);
+/// submission order, and resolve every `PutFuture` with its own outcome;
+/// every NACK must be in before the flush that covers it returns. `a` and
+/// `b` may be one initiator (one sink).
+fn one_run_routes(server: &Arc<RvmaEndpoint>, a: &dyn RunInitiator, b: &dyn RunInitiator) {
+    let server_addr = server.addr();
     let (open, evicted, gate) = (VirtAddr::new(1), VirtAddr::new(2), VirtAddr::new(3));
-    // One worker, so every put shares one ring.
-    let net = AsyncNetwork::new(MTU, DeliveryOrder::InOrder, Duration::ZERO);
-    let server = net.add_endpoint(server_addr);
-    let a = net.initiator(NodeAddr::node(1));
-    let b = net.initiator(NodeAddr::node(2));
     let win = server.init_window(open, Threshold::ops(u64::MAX)).unwrap();
-    let _open_buf = win.post_buffer(vec![0; 4096]).unwrap();
+    let _open_buf = win.post_buffer(vec![0; 64 << 10]).unwrap();
     let _evicted_win = server.init_window(evicted, Threshold::ops(1)).unwrap();
     assert!(server.evict(evicted));
     let gate_win = server.init_window(gate, Threshold::ops(1)).unwrap();
@@ -123,7 +145,8 @@ fn one_run_routes_each_nack_and_countdown_to_its_own_put() {
 
     // A rendezvous descriptor never joins a run: the worker delivers it
     // alone, and holding its mailbox's lock holds the worker there while
-    // the rest queue behind it. Released, they are one run.
+    // the rest queue behind it. Released, the eager puts up to the next
+    // descriptor are one run.
     let gate_mailbox = server.mailbox(gate).unwrap();
     let held = gate_mailbox.lock();
     a.put_bytes_at(server_addr, gate, 0, Bytes::from(vec![7u8; 16 << 10]))
@@ -134,11 +157,44 @@ fn one_run_routes_each_nack_and_countdown_to_its_own_put() {
     a.put_at(server_addr, open, 1 << 20, &[4; 8]).unwrap();
     let fa = a.put_notify_at(server_addr, evicted, 8, &[5; 8]).unwrap();
     b.put_at(server_addr, open, 1024, &[6; 8]).unwrap();
+    // A descriptor queued between eager puts: placed alone, it ends the
+    // run, and the put behind it starts the next one.
+    a.put_bytes_at(
+        server_addr,
+        open,
+        32 << 10,
+        Bytes::from(vec![8u8; 16 << 10]),
+    )
+    .unwrap();
+    b.put_at(server_addr, open, 2048, &[9; 8]).unwrap();
     drop(held);
 
-    let fb = pollster::block_on(fb);
-    let fa = pollster::block_on(fa);
-    net.quiesce();
+    // The flush returns only after every NACK of the traffic before it.
+    a.flush().unwrap();
+    let (a_nacks, b_nacks) = (a.take_nacks(), b.take_nacks());
+    let (oob, gone) = (
+        (open, NackReason::OutOfBounds),
+        (evicted, NackReason::NoSuchMailbox),
+    );
+    if std::ptr::addr_eq(a, b) {
+        assert_eq!(a_nacks, vec![gone, oob, gone], "one sink, submission order");
+    } else {
+        assert_eq!(
+            a_nacks,
+            vec![oob, gone],
+            "a's refusals, in submission order"
+        );
+        assert_eq!(
+            b_nacks,
+            vec![gone],
+            "b's refusal reaches b, not the run's first put"
+        );
+    }
+    assert!(
+        fa.is_done() && fb.is_done(),
+        "the flush settled both futures"
+    );
+    let (fa, fb) = (pollster::block_on(fa), pollster::block_on(fb));
     assert_eq!(gate_note.wait().len(), 16 << 10);
     assert_eq!(
         (fb.fragments, fb.nacked),
@@ -150,30 +206,46 @@ fn one_run_routes_each_nack_and_countdown_to_its_own_put() {
         (1, true),
         "a's notified put was refused"
     );
-    assert_eq!(
-        a.take_nacks(),
-        vec![
-            (open, NackReason::OutOfBounds),
-            (evicted, NackReason::NoSuchMailbox),
-        ],
-        "a's refusals, in submission order"
-    );
-    assert_eq!(
-        b.take_nacks(),
-        vec![(evicted, NackReason::NoSuchMailbox)],
-        "b's refusal reaches b, not the run's first put"
-    );
 
     // It was one run: one LUT lookup per same-mailbox stretch (open |
     // evicted | open, open | evicted | open) after the gate's own lookup,
-    // where per-message delivery would look `open` up four times.
+    // where per-message delivery would look `open` up four times. Then
+    // the descriptor's own lookup, and the last put's run of one.
     let after = server.stats();
-    assert_eq!(after.lut_hits - before.lut_hits, 1 + 3);
+    assert_eq!(after.lut_hits - before.lut_hits, 1 + 3 + 1 + 1);
     assert_eq!(after.lut_misses - before.lut_misses, 2);
     assert_eq!(
         after.fragments_accepted - before.fragments_accepted,
-        1 + 1 + 3 + 1
+        1 + 1 + 3 + 1 + 1 + 1
     );
+    assert_eq!(
+        after.bytes_accepted - before.bytes_accepted,
+        2 * (16 << 10) + 8 + 600 + 8 + 8,
+        "both descriptors placed their whole payload"
+    );
+}
+
+#[test]
+fn one_run_routes_each_nack_and_countdown_to_its_own_put() {
+    // One worker, so every put shares one ring.
+    let net = AsyncNetwork::new(RUN_MTU, DeliveryOrder::InOrder, Duration::ZERO);
+    let server = net.add_endpoint(NodeAddr::node(0));
+    let (a, b) = (
+        net.initiator(NodeAddr::node(1)),
+        net.initiator(NodeAddr::node(2)),
+    );
+    one_run_routes(&server, &a, &b);
+}
+
+#[test]
+fn one_run_routes_each_nack_and_countdown_to_its_own_put_shm() {
+    if !shm_supported() {
+        return;
+    }
+    // The shm server's one worker pops the one request ring of one client.
+    let (shm, client) = shm_pair(RUN_MTU, EndpointConfig::default(), NodeAddr::node(1)).unwrap();
+    let server = shm.add_endpoint(NodeAddr::node(0));
+    one_run_routes(&server, &client, &client);
 }
 
 #[test]

@@ -1,17 +1,18 @@
 //! Checked models of the crate's lock-free structures.
 //!
 //! Each model is a tiny, self-checking concurrent program over the
-//! *production* types — the shipping `RingQueue`, `NotificationSlot`,
-//! `CompletionQueue`, `RouteSlot` and `Mailbox` — sized so that
+//! *production* types — the shipping `RingQueue` and `SegmentRing`,
+//! `NotificationSlot`, `CompletionQueue`, `RouteSlot` and `Mailbox` — sized
+//! so that
 //! [`explore`] exhaustively enumerates every preemption-bounded schedule
 //! within the CI budget. The invariants are ported from the stress suites
 //! in `tests/ring_interleave.rs` and `tests/notify_handoff.rs`: there they
 //! are sampled under real contention; here every interleaving in the
 //! bound is executed.
 //!
-//! The model functions are plain `fn`s (not closures) so the mutation
-//! suite in [`super::mutations`] can re-explore the identical programs
-//! with a seeded bad ordering switched on.
+//! The models are plain functions (the segment ring's takes its segment)
+//! so the mutation suite in [`super::mutations`] can re-explore the
+//! identical programs with a seeded bad ordering switched on.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -24,10 +25,11 @@ use super::{explore, explore_random, spawn, with_active, JoinHandle, Options, Re
 use crate::addr::VirtAddr;
 use crate::buffer::{CompletedBuffer, PostedBuffer, Threshold};
 use crate::cq::CompletionQueue;
-use crate::csync::{self, AtomicU64 as CheckedU64};
+use crate::csync::{self, AtomicU64 as CheckedU64, CheckCell};
 use crate::mailbox::{DeliveryOutcome, Mailbox, MailboxMode, OpKey, DEFAULT_RETAIN_EPOCHS};
 use crate::notify::{wait_any, Notification, NotificationSlot};
-use crate::ring::{PushError, RingQueue};
+use crate::ring::{PushError, Ring, RingQueue, SegmentRing};
+use crate::shm::{default_segment_path, shm_supported, ShmSegment};
 use crate::transport_threaded::RouteSlot;
 
 // ---------------------------------------------------------------------------
@@ -70,7 +72,7 @@ fn model_tid() -> usize {
 
 /// Explore every schedule within the default preemption bound and insist
 /// the space was exhausted (not truncated by a schedule or step cap).
-fn run_exhaustive(name: &str, model: fn()) -> Report {
+fn run_exhaustive(name: &str, model: impl Fn()) -> Report {
     let report = explore(Options::default(), model)
         .unwrap_or_else(|failure| panic!("{name}: counterexample found: {failure:?}"));
     assert!(
@@ -86,8 +88,87 @@ fn run_exhaustive(name: &str, model: fn()) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// Ring: push vs close vs single-consumer pop
+// Ring: push vs close vs single-consumer pop, on either storage
 // ---------------------------------------------------------------------------
+
+/// What the partition model drives: a two-slot ring of `u64`s.
+pub(super) trait PartitionRing: Send + Sync + 'static {
+    fn try_push(&self, v: u64) -> Result<(), PushError<u64>>;
+    fn try_pop(&self) -> Option<u64>;
+    fn close(&self);
+    fn is_drained(&self) -> bool;
+}
+
+impl PartitionRing for RingQueue<u64> {
+    fn try_push(&self, v: u64) -> Result<(), PushError<u64>> {
+        RingQueue::try_push(self, v)
+    }
+    fn try_pop(&self) -> Option<u64> {
+        RingQueue::try_pop(self)
+    }
+    fn close(&self) {
+        RingQueue::close(self)
+    }
+    fn is_drained(&self) -> bool {
+        Ring::is_drained(self)
+    }
+}
+
+/// A segment ring whose slot payload is one race-checked `u64` cell.
+struct SegmentU64(SegmentRing, Arc<ShmSegment>);
+
+impl SegmentU64 {
+    fn cell(&self, pos: usize) -> &CheckCell<u64> {
+        // SAFETY: the payload offset is in the mapping and 8-aligned, and
+        // `CheckCell` is transparent over the `u64` the zeroed bytes hold.
+        unsafe { self.1.at(self.0.payload(pos)) }
+    }
+}
+
+impl PartitionRing for SegmentU64 {
+    fn try_push(&self, v: u64) -> Result<(), PushError<u64>> {
+        let pos = match self.0.claim() {
+            Ok(pos) => pos,
+            Err(PushError::Full(())) => return Err(PushError::Full(v)),
+            Err(PushError::Closed(())) => return Err(PushError::Closed(v)),
+        };
+        // SAFETY: the claim grants exclusive access until the publish.
+        self.cell(pos).with_mut(|p| unsafe { *p = v });
+        self.0.publish(pos);
+        Ok(())
+    }
+    fn try_pop(&self) -> Option<u64> {
+        // SAFETY: the consumer owns a popped slot until its recycle.
+        self.0
+            .pop_with(|idx| self.cell(idx).with(|p| unsafe { *p }))
+    }
+    fn close(&self) {
+        self.0.close()
+    }
+    fn is_drained(&self) -> bool {
+        self.0.is_drained()
+    }
+}
+
+/// The partition model over a fresh heap ring.
+pub(super) fn ring_partition_heap() {
+    ring_partition_model(Arc::new(RingQueue::<u64>::new(2)));
+}
+
+/// A segment for one two-slot ring (cursor block, then 64-byte slots),
+/// created once per test; `None` where segments are unsupported.
+pub(super) fn partition_segment() -> Option<Arc<ShmSegment>> {
+    shm_supported().then(|| {
+        Arc::new(ShmSegment::create(&default_segment_path("check"), 256).expect("segment"))
+    })
+}
+
+/// The partition model over `seg`'s ring, re-initialised per execution.
+pub(super) fn ring_partition_segment(seg: &Arc<ShmSegment>) {
+    let ring = SegmentRing::new(seg, 0, 64, 2).expect("two slots fit");
+    ring.init();
+    ring_partition_model(Arc::new(SegmentU64(ring, seg.clone())));
+}
 
 /// Two producers race `try_push` against a single consumer that pops at
 /// most once, closes the ring, and then drains it to the final index the
@@ -100,10 +181,9 @@ fn run_exhaustive(name: &str, model: fn()) -> Report {
 /// schedules far past the exhaustive budget without adding orderings
 /// `try_push` doesn't hit (its full/closed rejections exercise the same
 /// claim/publish races).
-pub(super) fn ring_partition_model() {
+pub(super) fn ring_partition_model<R: PartitionRing>(ring: Arc<R>) {
     const PRODUCERS: usize = 2;
     const OPS: [u64; PRODUCERS] = [2, 1];
-    let ring = Arc::new(RingQueue::<u64>::new(2));
     let handles: Vec<_> = (0..PRODUCERS)
         .map(|p| {
             let ring = Arc::clone(&ring);
@@ -521,7 +601,14 @@ pub(super) fn mailbox_dedup_rotation_model() {
 
 #[test]
 fn ring_push_close_pop_partition() {
-    run_exhaustive("ring_partition", ring_partition_model);
+    run_exhaustive("ring_partition", ring_partition_heap);
+}
+
+#[test]
+fn ring_push_close_pop_partition_in_segment() {
+    if let Some(seg) = partition_segment() {
+        run_exhaustive("ring_partition_segment", || ring_partition_segment(&seg));
+    }
 }
 
 #[test]
@@ -592,7 +679,7 @@ fn randomized_schedule_smoke() {
         preemption_bound: None,
         ..Options::default()
     };
-    let report = explore_random(opts, seed, 128, ring_partition_model)
+    let report = explore_random(opts, seed, 128, ring_partition_heap)
         .unwrap_or_else(|f| panic!("randomized smoke (seed {seed}): {f:?}"));
     println!(
         "randomized smoke: {} schedules sampled ({} steps)",

@@ -12,8 +12,8 @@
 //! counterexample would go through.
 
 use super::models::{
-    cq_spill_episode_model, notify_poll_model, notify_wait_model, ring_partition_model,
-    seqlock_read_vs_publish_model,
+    cq_spill_episode_model, notify_poll_model, notify_wait_model, partition_segment,
+    ring_partition_heap, ring_partition_segment, seqlock_read_vs_publish_model,
 };
 use super::{explore, replay, Failure, FailureKind, Mutation, Options};
 
@@ -27,9 +27,9 @@ fn with_mutation(mutation: Mutation) -> Options {
 /// Explore `model` with `mutation` active; the checker must find a
 /// counterexample of kind `expect`, and both the reported and minimized
 /// schedules must deterministically replay it.
-fn expect_caught(name: &str, mutation: Mutation, expect: FailureKind, model: fn()) {
+fn expect_caught(name: &str, mutation: Mutation, expect: FailureKind, model: impl Fn()) {
     let opts = with_mutation(mutation);
-    let failure: Box<Failure> = match explore(opts.clone(), model) {
+    let failure: Box<Failure> = match explore(opts.clone(), &model) {
         Err(failure) => failure,
         Ok(report) => panic!(
             "{name}: mutation {mutation:?} survived {} exhaustive schedules",
@@ -45,7 +45,7 @@ fn expect_caught(name: &str, mutation: Mutation, expect: FailureKind, model: fn(
         failure.kind, failure.schedules_before, failure.schedule, failure.minimized
     );
 
-    let replayed = replay(&failure.schedule, opts.clone(), model)
+    let replayed = replay(&failure.schedule, opts.clone(), &model)
         .expect_err("the reported schedule must reproduce the failure");
     assert_eq!(replayed.kind, expect, "{name}: replay diverged");
 
@@ -53,7 +53,7 @@ fn expect_caught(name: &str, mutation: Mutation, expect: FailureKind, model: fn(
         .minimized
         .as_ref()
         .expect("a minimized schedule is always reported");
-    let replayed_min = replay(minimized, opts, model)
+    let replayed_min = replay(minimized, opts, &model)
         .expect_err("the minimized schedule must still reproduce the failure");
     assert_eq!(
         replayed_min.kind, expect,
@@ -98,8 +98,22 @@ fn ring_publish_relaxed_is_caught() {
         "ring_publish_relaxed",
         Mutation::RingPublishRelaxed,
         FailureKind::DataRace,
-        ring_partition_model,
+        ring_partition_heap,
     );
+}
+
+/// The same weakening caught on segment storage: the one protocol runs
+/// on both.
+#[test]
+fn ring_publish_relaxed_is_caught_in_segment() {
+    if let Some(seg) = partition_segment() {
+        expect_caught(
+            "ring_publish_relaxed_segment",
+            Mutation::RingPublishRelaxed,
+            FailureKind::DataRace,
+            || ring_partition_segment(&seg),
+        );
+    }
 }
 
 /// Seqlock write lock skipped: a reader interleaved mid-publish sees a
@@ -139,6 +153,20 @@ fn ring_closed_apart_from_claim_is_caught() {
         "ring_closed_apart_from_claim",
         Mutation::RingClosedApartFromClaim,
         FailureKind::Panic,
-        ring_partition_model,
+        ring_partition_heap,
     );
+}
+
+/// The same weakening caught on segment storage, where it would strand
+/// a put behind `ShmServer::stop`'s drain.
+#[test]
+fn ring_closed_apart_from_claim_is_caught_in_segment() {
+    if let Some(seg) = partition_segment() {
+        expect_caught(
+            "ring_closed_apart_from_claim_segment",
+            Mutation::RingClosedApartFromClaim,
+            FailureKind::Panic,
+            || ring_partition_segment(&seg),
+        );
+    }
 }

@@ -37,7 +37,7 @@ pub enum Mutation {
     /// *before* the completing swap (inverting the Dekker store→load
     /// order) — a waiter that registers between the two is never woken.
     WakerDrainBeforeSwap,
-    /// `RingQueue::try_push`: publish the slot sequence `Relaxed`
+    /// `Ring::publish`: publish the slot sequence `Relaxed`
     /// instead of `Release` — the consumer can read an unpublished
     /// payload.
     RingPublishRelaxed,
@@ -48,7 +48,7 @@ pub enum Mutation {
     /// straight to the ring — re-creates the pre-PR-8 FIFO inversion
     /// across overflow episodes.
     CqSpillBypass,
-    /// `RingQueue::try_push`: test the closed flag once, before the claim
+    /// `Ring::claim`: test the closed flag once, before the claim
     /// loop, instead of inside the claim CAS — a push racing `close` can
     /// succeed behind the consumer's final index and never be popped.
     RingClosedApartFromClaim,
@@ -175,8 +175,10 @@ mod imp {
         ($name:ident, $raw:ident, $prim:ty) => {
             /// Instrumented atomic: schedule point before the operation,
             /// shadow-clock bookkeeping after. Falls through to the real
-            /// op outside an active execution.
+            /// op outside an active execution. Transparent, so it can sit
+            /// in a shared segment.
             #[derive(Debug, Default)]
+            #[repr(transparent)]
             pub(crate) struct $name {
                 real: std::sync::atomic::$raw,
             }
@@ -294,6 +296,7 @@ mod imp {
 
     /// Instrumented `UnsafeCell`: plain accesses are race-checked against
     /// the vector clocks (not scheduling points — only sync ops branch).
+    #[repr(transparent)]
     pub(crate) struct CheckCell<T> {
         inner: UnsafeCell<T>,
     }

@@ -1,4 +1,4 @@
-//! Bounded MPSC ring queues for the wire datapath.
+//! Bounded MPSC rings: one queue protocol under both wires.
 //!
 //! The threaded transport used to route every fragment through an
 //! *unbounded* channel: a slow receiver under incast grew the wire queue
@@ -24,23 +24,31 @@
 //!   ordered against each other: a push either claimed its slot before
 //!   the close — and the consumer, which learns the exact final index
 //!   from the close, pops it — or fails with [`PushError::Closed`].
-//!   A separate read-mostly copy of the flag lets an idle consumer poll
-//!   for the close without reading the producers' tail line.
+//!   A read-mostly copy of the flag on the consumer's cache line lets an
+//!   idle consumer poll for the close without reading the producers'.
 //! * **Observable.** [`RingStats`] (shared by every ring of one network)
 //!   counts the high-water depth, full-ring producer stalls, and consumer
 //!   park wakeups, surfaced through `AsyncNetwork::queue_stats()` and the
 //!   endpoint's `StatsSnapshot`.
 //!
-//! Safety model: slot payloads live in `UnsafeCell<MaybeUninit<T>>`,
-//! guarded by the per-slot sequence number — a producer writes the value
-//! *before* releasing the sequence, a consumer reads it *after* acquiring
-//! it, and the head/tail counters give each side exclusive ownership of
-//! the slot between those points.
+//! One protocol, two storages: the crate-private `Ring` trait's provided
+//! methods (claim, publish, pop, recycle, close) are the protocol; its
+//! implementors say where the words live — on the heap ([`RingQueue`]) or
+//! in a [`ShmSegment`] (`SegmentRing`, both shm rings). One model checks
+//! both (DESIGN.md §14), and the close that ends a threaded wire worker
+//! ends the shm server's (`ShmServer::stop`).
+//!
+//! Safety model: a slot's payload is guarded by its sequence number — a
+//! producer writes it *before* releasing the sequence, the consumer reads
+//! it *after* acquiring it, and the head/tail counters give each side
+//! exclusive ownership of the slot between those points.
 
 use crate::csync::{self, AtomicBool, AtomicUsize, CheckCell, Idle, Mutation, Mutex};
+use crate::shm::ShmSegment;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Default wire-queue capacity (fragments) — generous enough that a
 /// well-provisioned run never stalls, small enough that a wedged receiver
@@ -89,22 +97,146 @@ pub struct RingStatsSnapshot {
     pub park_wakeups: u64,
 }
 
+/// The tail word's top bit: set by `Ring::close`. The rest of the word is
+/// the claim index.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
+/// A cache line of its own: producers never false-share with the consumer.
+#[derive(Default)]
+#[repr(C, align(64))]
+struct Padded<T>(T);
+
+/// The consumer's line: the pop index, and the closed copy it polls.
+#[derive(Default)]
+#[repr(C, align(64))]
+struct ConsumerLine {
+    head: AtomicUsize,
+    closed: AtomicBool,
+}
+
+/// A ring's cursor block: the claim index, with [`CLOSED`] folded in, on
+/// the producers' line, then the consumer's; valid all-zero.
+#[derive(Default)]
+#[repr(C)]
+pub(crate) struct Cursors {
+    tail: Padded<AtomicUsize>,
+    consumer: ConsumerLine,
+}
+
+/// The bounded MPSC protocol, in provided (statically dispatched) methods
+/// over a storage: where the cursor block and sequence words live.
+pub(crate) trait Ring {
+    fn cursors(&self) -> &Cursors;
+    /// Capacity − 1 (the capacity is a power of two).
+    fn mask(&self) -> usize;
+    /// The sequence word of slot `idx` (≤ mask): `pos` when free for the
+    /// producer of turn `pos`, `pos + 1` once its payload is published,
+    /// `pos + capacity` after the consumer recycles it.
+    fn seq(&self, idx: usize) -> &AtomicUsize;
+
+    /// Claim the next slot: `Ok(pos)` grants the caller exclusive write
+    /// access to slot `pos & mask` until `publish(pos)`.
+    #[inline]
+    fn claim(&self) -> Result<usize, PushError<()>> {
+        let tail_word = &self.cursors().tail.0;
+        let mut word = tail_word.load(Ordering::Relaxed);
+        // Seeded mutation (checker builds only): test the closed flag once,
+        // apart from the claim — a push that passes the test and then
+        // claims a slot after the close lands behind the consumer's final
+        // index. `check::mutations` proves the model flags this.
+        let apart = csync::mutation(Mutation::RingClosedApartFromClaim);
+        if apart && word & CLOSED != 0 {
+            return Err(PushError::Closed(()));
+        }
+        loop {
+            if word & CLOSED != 0 && !apart {
+                return Err(PushError::Closed(()));
+            }
+            let tail = word & !CLOSED;
+            let seq = self.seq(tail & self.mask()).load(Ordering::Acquire);
+            let diff = seq as isize - tail as isize;
+            if diff == 0 {
+                // The CAS expects the whole word, so it fails once a close
+                // has set the flag: the claim and the close are ordered.
+                match tail_word.compare_exchange_weak(
+                    word,
+                    word.wrapping_add(1),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return Ok(tail),
+                    Err(w) => word = w,
+                }
+            } else if diff < 0 {
+                return Err(PushError::Full(()));
+            } else {
+                word = tail_word.load(Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Publish the claimed slot `pos`, its payload written.
+    #[inline]
+    fn publish(&self, pos: usize) {
+        let order = if csync::mutation(Mutation::RingPublishRelaxed) {
+            Ordering::Relaxed
+        } else {
+            Ordering::Release
+        };
+        self.seq(pos & self.mask())
+            .store(pos.wrapping_add(1), order);
+    }
+
+    /// Single consumer: pop the next published slot, handing its index to
+    /// `read` while the consumer owns it, then recycle it.
+    #[inline]
+    fn pop_with<R>(&self, read: impl FnOnce(usize) -> R) -> Option<R> {
+        let head_word = &self.cursors().consumer.head;
+        let head = head_word.load(Ordering::Relaxed);
+        let seq = self.seq(head & self.mask());
+        if seq.load(Ordering::Acquire) != head.wrapping_add(1) {
+            return None;
+        }
+        head_word.store(head.wrapping_add(1), Ordering::Relaxed);
+        let value = read(head & self.mask());
+        seq.store(head.wrapping_add(self.mask() + 1), Ordering::Release);
+        Some(value)
+    }
+
+    /// Whether `pop_with` would find a slot.
+    fn ready(&self) -> bool {
+        let head = self.cursors().consumer.head.load(Ordering::Relaxed);
+        self.seq(head & self.mask()).load(Ordering::Acquire) == head.wrapping_add(1)
+    }
+
+    /// Fail every later claim. Every claim that succeeded came before
+    /// this call, so a consumer that pops until `is_drained` misses none.
+    fn close(&self) {
+        self.cursors().tail.0.fetch_or(CLOSED, Ordering::SeqCst);
+        self.cursors()
+            .consumer
+            .closed
+            .store(true, Ordering::Release);
+    }
+
+    /// Whether the ring was closed; reads only the consumer's line.
+    fn is_closed(&self) -> bool {
+        self.cursors().consumer.closed.load(Ordering::Acquire)
+    }
+
+    /// Closed, and every slot claimed before it popped (one still being
+    /// written keeps this false); until the close, reads one line.
+    fn is_drained(&self) -> bool {
+        let c = self.cursors();
+        self.is_closed()
+            && c.tail.0.load(Ordering::Acquire) == CLOSED | c.consumer.head.load(Ordering::Relaxed)
+    }
+}
+
 struct Slot<T> {
-    /// Vyukov sequence: `index` when free for the producer of turn
-    /// `index`, `index + 1` once its value is published, `index + cap`
-    /// after the consumer recycles it.
     seq: AtomicUsize,
     val: CheckCell<MaybeUninit<T>>,
 }
-
-/// Head/tail counters live on their own cache lines so producers hammering
-/// the tail never false-share with the consumer's head.
-#[repr(align(64))]
-struct Padded<T>(T);
-
-/// The tail word's top bit: set by [`RingQueue::close`]. The rest of the
-/// word is the claim index.
-const CLOSED: usize = 1 << (usize::BITS - 1);
 
 /// A bounded multi-producer / **single-consumer** ring queue.
 ///
@@ -112,24 +244,37 @@ const CLOSED: usize = 1 << (usize::BITS - 1);
 /// only ever be driven by one thread at a time — the wire worker that owns
 /// the ring.
 pub struct RingQueue<T> {
+    cursors: Cursors,
     slots: Box<[Slot<T>]>,
     mask: usize,
-    /// The next claim index, with [`CLOSED`] folded in.
-    tail: Padded<AtomicUsize>,
-    head: Padded<AtomicUsize>,
     /// True while the consumer is parked (or committing to park).
     parked: AtomicBool,
     /// The consumer thread's handle, registered once at worker start.
     consumer: Mutex<Option<csync::thread::Thread>>,
-    /// Set after [`CLOSED`] is folded into `tail`: what the consumer polls.
-    closed: AtomicBool,
     stats: Arc<RingStats>,
 }
 
 // SAFETY: slot payloads are handed between threads through the sequence
-// protocol documented on `Slot::seq`; all other state is atomics/locks.
+// protocol documented on `Ring::seq`; all other state is atomics/locks.
 unsafe impl<T: Send> Send for RingQueue<T> {}
 unsafe impl<T: Send> Sync for RingQueue<T> {}
+
+impl<T> Ring for RingQueue<T> {
+    #[inline]
+    fn cursors(&self) -> &Cursors {
+        &self.cursors
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.mask
+    }
+
+    #[inline]
+    fn seq(&self, idx: usize) -> &AtomicUsize {
+        &self.slots[idx].seq
+    }
+}
 
 /// Why a push did not enqueue. Both variants return the value.
 pub enum PushError<T> {
@@ -152,13 +297,11 @@ impl<T> RingQueue<T> {
             })
             .collect();
         RingQueue {
+            cursors: Cursors::default(),
             slots,
             mask: cap - 1,
-            tail: Padded(AtomicUsize::new(0)),
-            head: Padded(AtomicUsize::new(0)),
             parked: AtomicBool::new(false),
             consumer: Mutex::new(None),
-            closed: AtomicBool::new(false),
             stats,
         }
     }
@@ -175,8 +318,8 @@ impl<T> RingQueue<T> {
 
     /// Elements currently resident (approximate under concurrency).
     pub fn depth(&self) -> usize {
-        let tail = self.tail.0.load(Ordering::Relaxed) & !CLOSED;
-        let head = self.head.0.load(Ordering::Relaxed);
+        let tail = self.cursors.tail.0.load(Ordering::Relaxed) & !CLOSED;
+        let head = self.cursors.consumer.head.load(Ordering::Relaxed);
         tail.saturating_sub(head)
     }
 
@@ -188,58 +331,21 @@ impl<T> RingQueue<T> {
     /// Non-blocking push. On success the doorbell is rung if the consumer
     /// is parked.
     pub fn try_push(&self, value: T) -> Result<(), PushError<T>> {
-        let mut word = self.tail.0.load(Ordering::Relaxed);
-        // Seeded mutation (checker builds only): test the closed flag once,
-        // apart from the claim — a push that passes the test and then
-        // claims a slot after the close lands behind the consumer's final
-        // index. `check::mutations` proves the model flags this.
-        let apart = csync::mutation(Mutation::RingClosedApartFromClaim);
-        if apart && word & CLOSED != 0 {
-            return Err(PushError::Closed(value));
-        }
-        loop {
-            if word & CLOSED != 0 && !apart {
-                return Err(PushError::Closed(value));
-            }
-            let tail = word & !CLOSED;
-            let slot = &self.slots[tail & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - tail as isize;
-            if diff == 0 {
-                // The CAS expects the whole word, so it fails once a close
-                // has set the flag: the claim and the close are ordered.
-                match self.tail.0.compare_exchange_weak(
-                    word,
-                    word.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the tail CAS for `tail` grants
-                        // exclusive write access to this slot until the
-                        // sequence release below.
-                        slot.val.with_mut(|v| unsafe { (*v).write(value) });
-                        let publish = if csync::mutation(Mutation::RingPublishRelaxed) {
-                            Ordering::Relaxed
-                        } else {
-                            Ordering::Release
-                        };
-                        slot.seq.store(tail.wrapping_add(1), publish);
-                        let depth = tail
-                            .wrapping_add(1)
-                            .wrapping_sub(self.head.0.load(Ordering::Relaxed));
-                        self.stats.observe_depth(depth as u64);
-                        self.ring_doorbell();
-                        return Ok(());
-                    }
-                    Err(w) => word = w,
-                }
-            } else if diff < 0 {
-                return Err(PushError::Full(value));
-            } else {
-                word = self.tail.0.load(Ordering::Relaxed);
-            }
-        }
+        let pos = match self.claim() {
+            Ok(pos) => pos,
+            Err(PushError::Full(())) => return Err(PushError::Full(value)),
+            Err(PushError::Closed(())) => return Err(PushError::Closed(value)),
+        };
+        // SAFETY: the claim grants exclusive write access to this slot
+        // until the publish below.
+        let slot = &self.slots[pos & self.mask];
+        slot.val.with_mut(|v| unsafe { (*v).write(value) });
+        self.publish(pos);
+        let head = self.cursors.consumer.head.load(Ordering::Relaxed);
+        let depth = pos.wrapping_add(1).wrapping_sub(head);
+        self.stats.observe_depth(depth as u64);
+        self.ring_doorbell();
+        Ok(())
     }
 
     /// Blocking push: backpressure, never drop. Spins under the thread's
@@ -268,21 +374,13 @@ impl<T> RingQueue<T> {
 
     /// Single-consumer pop.
     pub fn try_pop(&self) -> Option<T> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let slot = &self.slots[head & self.mask];
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq as isize - head.wrapping_add(1) as isize == 0 {
-            self.head.0.store(head.wrapping_add(1), Ordering::Relaxed);
-            // SAFETY: the acquired sequence proves the producer's write
-            // completed, and advancing head makes this consumer the sole
-            // owner of the slot until the recycle release below.
-            let value = slot.val.with(|v| unsafe { (*v).assume_init_read() });
-            slot.seq
-                .store(head.wrapping_add(self.mask + 1), Ordering::Release);
-            Some(value)
-        } else {
-            None
-        }
+        // SAFETY: the acquired sequence proves the producer's write
+        // completed, and the consumer owns the slot until its recycle.
+        self.pop_with(|idx| {
+            self.slots[idx]
+                .val
+                .with(|v| unsafe { (*v).assume_init_read() })
+        })
     }
 
     /// Record the calling thread as the ring's consumer (for doorbell
@@ -302,7 +400,8 @@ impl<T> RingQueue<T> {
         // Dekker re-check: a producer either sees `parked == true` after
         // its publish (and unparks us), or its publish is visible to this
         // emptiness check (and we bail out). A closed ring never parks.
-        if self.tail.0.load(Ordering::SeqCst) != self.head.0.load(Ordering::SeqCst) {
+        let c = &self.cursors;
+        if c.tail.0.load(Ordering::SeqCst) != c.consumer.head.load(Ordering::SeqCst) {
             self.parked.store(false, Ordering::SeqCst);
             return;
         }
@@ -315,17 +414,9 @@ impl<T> RingQueue<T> {
     /// published), so `false` here can mean "an entry is still being
     /// written", not just "an entry is poppable".
     pub(crate) fn is_empty(&self) -> bool {
-        let head = self.head.0.load(Ordering::SeqCst);
-        let tail = self.tail.0.load(Ordering::SeqCst) & !CLOSED;
+        let head = self.cursors.consumer.head.load(Ordering::SeqCst);
+        let tail = self.cursors.tail.0.load(Ordering::SeqCst) & !CLOSED;
         tail == head
-    }
-
-    /// Closed, and every value claimed before the close popped (one still
-    /// being written keeps this false): the consumer's exit test. Until
-    /// the close it reads only the read-mostly `closed` flag.
-    pub(crate) fn is_drained(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-            && self.tail.0.load(Ordering::Acquire) == CLOSED | self.head.0.load(Ordering::Relaxed)
     }
 
     fn ring_doorbell(&self) {
@@ -337,13 +428,10 @@ impl<T> RingQueue<T> {
         }
     }
 
-    /// Mark the ring closed: subsequent pushes fail. Every push that
-    /// succeeded claimed its slot before this call, so a consumer that
-    /// keeps popping until every claimed slot is popped misses none.
-    /// Wakes a parked consumer.
+    /// Mark the ring closed: subsequent pushes fail, every push that
+    /// succeeded will be popped, and a parked consumer wakes.
     pub fn close(&self) {
-        self.tail.0.fetch_or(CLOSED, Ordering::SeqCst);
-        self.closed.store(true, Ordering::Release);
+        Ring::close(self);
         self.ring_doorbell();
     }
 }
@@ -360,8 +448,123 @@ impl<T> std::fmt::Debug for RingQueue<T> {
         f.debug_struct("RingQueue")
             .field("capacity", &self.capacity())
             .field("depth", &self.depth())
-            .field("closed", &self.closed.load(Ordering::Relaxed))
+            .field("closed", &self.is_closed())
             .finish()
+    }
+}
+
+/// A ring at process-independent offsets in a shared segment: the cursor
+/// block at byte `ctrl`, then from `base` slots of `stride` bytes, each
+/// its sequence word and then its payload.
+pub(crate) struct SegmentRing {
+    seg: Arc<ShmSegment>,
+    ctrl: usize,
+    base: usize,
+    stride: usize,
+    mask: usize,
+}
+
+impl Ring for SegmentRing {
+    #[inline]
+    fn cursors(&self) -> &Cursors {
+        // SAFETY: `new` checked the 64-aligned block lies in the mapping,
+        // and the transparent `csync` atomics are valid for any bytes.
+        unsafe { self.seg.at(self.ctrl) }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.mask
+    }
+
+    #[inline]
+    fn seq(&self, idx: usize) -> &AtomicUsize {
+        // SAFETY: as above, for every slot below the checked capacity.
+        unsafe { self.seg.at(self.base + idx * self.stride) }
+    }
+}
+
+impl SegmentRing {
+    /// The ring at byte `ctrl` of `seg`, or `None` unless `capacity` (from
+    /// a header the peer wrote) is a power of two ≥ 2 whose slots fit the
+    /// mapping.
+    pub(crate) fn new(
+        seg: &Arc<ShmSegment>,
+        ctrl: usize,
+        stride: usize,
+        capacity: usize,
+    ) -> Option<SegmentRing> {
+        let base = ctrl + std::mem::size_of::<Cursors>();
+        let end = capacity.checked_mul(stride)?.checked_add(base)?;
+        (capacity >= 2 && capacity.is_power_of_two() && end <= seg.len()).then(|| SegmentRing {
+            seg: seg.clone(),
+            ctrl,
+            base,
+            stride,
+            mask: capacity - 1,
+        })
+    }
+
+    /// Reset the cursors and number each slot for its first turn, before
+    /// any peer can see the ring.
+    pub(crate) fn init(&self) {
+        let c = self.cursors();
+        c.tail.0.store(0, Ordering::Relaxed);
+        c.consumer.head.store(0, Ordering::Relaxed);
+        c.consumer.closed.store(false, Ordering::Relaxed);
+        for idx in 0..=self.mask {
+            self.seq(idx).store(idx, Ordering::Relaxed);
+        }
+    }
+
+    /// Byte offset in the segment of the payload of the slot at `pos`.
+    pub(crate) fn payload(&self, pos: usize) -> usize {
+        self.base + (pos & self.mask) * self.stride + std::mem::size_of::<usize>()
+    }
+
+    /// Claim a slot, `fill` its payload (given its offset), publish it. A
+    /// full ring is backpressure: each retry calls `stall(probe)` — `probe`
+    /// on every 1024th once the spin budget is spent, then a 100 µs sleep —
+    /// and `stall` returning false gives up with `Full`. A closed ring
+    /// fails at once with `Closed`.
+    pub(crate) fn push(
+        &self,
+        fill: impl FnOnce(usize),
+        mut stall: impl FnMut(bool) -> bool,
+    ) -> Result<(), PushError<()>> {
+        let (mut idle, mut tries) = (Idle::new(), 0u32);
+        loop {
+            match self.claim() {
+                Ok(pos) => {
+                    fill(self.payload(pos));
+                    self.publish(pos);
+                    idle.done();
+                    return Ok(());
+                }
+                Err(closed @ PushError::Closed(())) => return Err(closed),
+                Err(PushError::Full(())) => {}
+            }
+            let spinning = idle.spin();
+            let probe = !spinning && {
+                tries += 1;
+                tries.is_multiple_of(1024)
+            };
+            if !stall(probe) {
+                return Err(PushError::Full(()));
+            }
+            if probe {
+                std::thread::sleep(Duration::from_micros(100));
+            } else if !spinning {
+                csync::thread::yield_now();
+            }
+        }
+    }
+
+    /// Consumer only, after the close: give up the claimed slots not yet
+    /// popped, whose producers are known gone, so the ring reads drained.
+    pub(crate) fn abandon(&self) {
+        let tail = self.cursors().tail.0.load(Ordering::Acquire) & !CLOSED;
+        self.cursors().consumer.head.store(tail, Ordering::Relaxed);
     }
 }
 

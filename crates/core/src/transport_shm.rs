@@ -2,9 +2,9 @@
 //!
 //! This is the first backend where initiator and target live in *different
 //! OS processes*. A file-backed [`ShmSegment`]
-//! carries two bounded rings of fixed-size slots — the Vyukov design of
-//! [`crate::ring`] re-laid over raw shared memory, with futex doorbells
-//! replacing the in-process Dekker unpark:
+//! carries two bounded rings of fixed-size slots — [`crate::ring`]'s one
+//! protocol over segment storage, with futex doorbells replacing the
+//! in-process Dekker unpark:
 //!
 //! * the **request ring** (MPSC: any number of initiator threads → the
 //!   server's single wire worker) carries put fragments and flush markers;
@@ -43,14 +43,18 @@
 //! traffic precedes it. This is the same drain-barrier contract as
 //! `AsyncNetwork::quiesce`, kept honest by the bounded retry budget.
 //!
-//! ## Peer death
+//! ## Stop and peer death
 //!
-//! Every blocking loop is bounded: futex waits time out and re-check, the
-//! segment header carries both PIDs plus a `state` word the server flips
-//! to `SERVER_GONE` on drop, and stuck producers probe `/proc/<pid>`.
-//! A dead server fails client calls with [`RvmaError::TransportFailed`]
-//! and resolves outstanding [`PutFuture`]s as NACKed; a dead client makes
-//! the server drop undeliverable responses. The segment file is unlinked
+//! [`ShmServer::stop`] closes the request ring as the threaded transport
+//! closes its rings: a put claimed before the close is delivered and
+//! acked, a push after it fails at once. Every blocking loop is bounded:
+//! futex waits time out and re-check, the segment header carries both
+//! PIDs plus a `state` word the server flips to `SERVER_GONE` once
+//! stopped, and stuck producers probe `/proc/<pid>`. A dead server fails
+//! client calls with [`RvmaError::TransportFailed`] and resolves
+//! outstanding [`PutFuture`]s as NACKed; a dead client makes the server
+//! drop undeliverable responses and give up a slot it claimed but never
+//! published. The segment file is unlinked
 //! by its creator; an already-mapped segment stays usable until the last
 //! mapping drops (POSIX unlink semantics), so no state leaks even when a
 //! peer dies mid-conversation. See DESIGN.md §12.
@@ -60,6 +64,7 @@ use crate::csync::Idle;
 use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
 use crate::retry::{FaultStats, LinkFaults};
+use crate::ring::{Cursors, PushError, Ring, SegmentRing};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::Transport;
@@ -79,13 +84,11 @@ use std::time::{Duration, Instant};
 const SHM_MAGIC: u64 = 0x5256_4D41_5348_4D31;
 /// Wire-layout version; bump on any slot/header change. v2 added the
 /// bulk region (rendezvous lane) and the `bulk_bytes`/`eager_threshold`
-/// header words.
-const SHM_VERSION: u32 = 2;
+/// header words; v3 the closed word on each ring's consumer line.
+const SHM_VERSION: u32 = 3;
 
-/// The mmap zero-fill value — what a client sees before the server's
-/// `STATE_READY` publish.
-#[allow(dead_code)]
-const STATE_INIT: u32 = 0;
+/// Handshake states; a fresh mapping reads 0 until the server publishes
+/// `STATE_READY`.
 const STATE_READY: u32 = 1;
 const STATE_SERVER_GONE: u32 = 2;
 
@@ -118,18 +121,8 @@ const PEER_CHECK_EVERY: u32 = 4096;
 /// How long `connect` waits for the server to initialise the segment.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-fn round64(n: usize) -> usize {
-    (n + 63) & !63
-}
-
-/// Largest power of two `<= n` (0 for 0) — the bulk region is sized down,
-/// never up, so a config request never inflates the segment.
-fn prev_pow2(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        1usize << (usize::BITS - 1 - n.leading_zeros())
-    }
+const fn round64(n: usize) -> usize {
+    n.saturating_add(63) & !63
 }
 
 /// The next token from `counter`. Token 0 means "no ack requested" (and
@@ -141,11 +134,10 @@ fn next_token(counter: &AtomicU32) -> u32 {
     }
 }
 
-fn pid_alive(pid: u32) -> bool {
-    if !cfg!(target_os = "linux") {
-        return true;
-    }
-    Path::new(&format!("/proc/{pid}")).exists()
+/// Whether the process whose pid `word` holds is gone (0: none yet).
+fn pid_gone(word: &AtomicU32) -> bool {
+    let pid = word.load(Ordering::SeqCst);
+    pid != 0 && cfg!(target_os = "linux") && !Path::new(&format!("/proc/{pid}")).exists()
 }
 
 fn encode_nack(r: NackReason) -> u32 {
@@ -175,8 +167,7 @@ fn decode_nack(v: u32) -> NackReason {
 /// syscall only when a consumer advertised itself in `waiters`; the
 /// consumer snapshots `seq` *before* its final emptiness re-check, so a
 /// publish between check and sleep changes the word and the futex refuses
-/// to block. All waits are additionally time-bounded (see
-/// [`DOORBELL_WAIT`]).
+/// to block.
 #[repr(C)]
 struct Doorbell {
     seq: AtomicU32,
@@ -191,22 +182,17 @@ impl Doorbell {
         }
     }
 
-    /// Advertise intent to sleep; returns the observed sequence. The
-    /// caller must re-check its work predicate between `prepare` and
-    /// `wait`, and call `cancel` instead of `wait` if work appeared.
-    fn prepare(&self) -> u32 {
+    /// Advertise this waiter, re-check `ready`, and unless it holds sleep
+    /// on the word (at most [`DOORBELL_WAIT`]); returns whether it slept.
+    fn sleep_unless(&self, ready: impl FnOnce() -> bool) -> bool {
         let seen = self.seq.load(Ordering::SeqCst);
         self.waiters.fetch_add(1, Ordering::SeqCst);
-        seen
-    }
-
-    fn cancel(&self) {
+        let sleep = !ready();
+        if sleep {
+            shm::futex_wait(&self.seq, seen, DOORBELL_WAIT);
+        }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn wait(&self, seen: u32, timeout: Duration) {
-        shm::futex_wait(&self.seq, seen, timeout);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        sleep
     }
 }
 
@@ -236,16 +222,8 @@ struct SegHeader {
 /// Space reserved for [`SegHeader`] at offset 0.
 const HDR_SPACE: usize = 128;
 
-/// Producer/consumer cursors of one ring, each on its own cache line.
-#[repr(C, align(64))]
-struct RingCtrl {
-    tail: AtomicU64,
-    _pad0: [u8; 56],
-    head: AtomicU64,
-    _pad1: [u8; 56],
-}
-
-const CTRL_SPACE: usize = 128;
+/// Space reserved for each ring's cursor block.
+const CTRL_SPACE: usize = std::mem::size_of::<Cursors>();
 
 /// Per-slot request header (fixed 64 bytes after the slot's sequence
 /// word; the inline payload follows). `Bytes` handles cannot cross
@@ -283,6 +261,9 @@ struct RspHdr {
 
 const RSP_HDR_SIZE: usize = 24;
 
+/// A response slot: its sequence word and header, on one line.
+const RSP_STRIDE: usize = round64(8 + RSP_HDR_SIZE);
+
 /// Computed segment geometry; both sides derive it from the header's
 /// `(mtu, req_slots, rsp_slots)` so they always agree on offsets.
 #[derive(Clone, Copy)]
@@ -290,12 +271,10 @@ struct SegGeometry {
     mtu: usize,
     req_slots: usize,
     rsp_slots: usize,
-    req_ctrl: usize,
-    req_base: usize,
     req_stride: usize,
-    rsp_ctrl: usize,
-    rsp_base: usize,
-    rsp_stride: usize,
+    /// Where each ring's cursor block starts; its slots follow it.
+    req_at: usize,
+    rsp_at: usize,
     /// Start of the bulk (rendezvous) region; extents on the wire are
     /// offsets relative to this base.
     bulk_base: usize,
@@ -305,53 +284,40 @@ struct SegGeometry {
 }
 
 impl SegGeometry {
+    /// Saturating: sizes from a header the peer wrote give a geometry no
+    /// mapping fits, never an overflow.
     fn new(mtu: usize, req_slots: usize, rsp_slots: usize, bulk_bytes: usize) -> SegGeometry {
-        let req_stride = round64(8 + REQ_HDR_SIZE + mtu);
-        let rsp_stride = round64(8 + RSP_HDR_SIZE);
-        let req_ctrl = HDR_SPACE;
-        let req_base = req_ctrl + CTRL_SPACE;
-        let rsp_ctrl = round64(req_base + req_slots * req_stride);
-        let rsp_base = rsp_ctrl + CTRL_SPACE;
-        let bulk_base = round64(rsp_base + rsp_slots * rsp_stride);
-        let total = round64(bulk_base + bulk_bytes);
+        let req_stride = round64(mtu.saturating_add(8 + REQ_HDR_SIZE));
+        let past = |at: usize, slots: usize, stride: usize| {
+            round64(
+                at.saturating_add(CTRL_SPACE)
+                    .saturating_add(slots.saturating_mul(stride)),
+            )
+        };
+        let req_at = HDR_SPACE;
+        let rsp_at = past(req_at, req_slots, req_stride);
+        let bulk_base = past(rsp_at, rsp_slots, RSP_STRIDE);
+        let total = round64(bulk_base.saturating_add(bulk_bytes));
         SegGeometry {
             mtu,
             req_slots,
             rsp_slots,
-            req_ctrl,
-            req_base,
             req_stride,
-            rsp_ctrl,
-            rsp_base,
-            rsp_stride,
+            req_at,
+            rsp_at,
             bulk_base,
             bulk_bytes,
             total,
         }
     }
 
-    /// The request and response rings laid over `seg`.
-    fn rings(&self, seg: &Arc<ShmSegment>) -> (RawRing, RawRing) {
-        let ring = |ctrl, base, stride, cap| RawRing {
-            seg: seg.clone(),
-            ctrl,
-            base,
-            stride,
-            cap,
-        };
-        let req = ring(
-            self.req_ctrl,
-            self.req_base,
-            self.req_stride,
-            self.req_slots,
-        );
-        let rsp = ring(
-            self.rsp_ctrl,
-            self.rsp_base,
-            self.rsp_stride,
-            self.rsp_slots,
-        );
-        (req, rsp)
+    /// The request and response rings laid over `seg`, or `None` unless
+    /// both capacities are valid (see [`SegmentRing::new`]).
+    fn rings(&self, seg: &Arc<ShmSegment>) -> Option<(SegmentRing, SegmentRing)> {
+        Some((
+            SegmentRing::new(seg, self.req_at, self.req_stride, self.req_slots)?,
+            SegmentRing::new(seg, self.rsp_at, RSP_STRIDE, self.rsp_slots)?,
+        ))
     }
 }
 
@@ -361,114 +327,16 @@ fn header(seg: &ShmSegment) -> &SegHeader {
     unsafe { seg.at::<SegHeader>(0) }
 }
 
-// ---------------------------------------------------------------------------
-// The ring over raw shared memory
-// ---------------------------------------------------------------------------
-
-/// One Vyukov bounded ring laid out in the segment: a control block of
-/// head/tail cursors plus `cap` fixed-stride slots, each starting with its
-/// sequence word. Producers claim a slot by CAS on `tail`, fill it, and
-/// publish with a release store of `seq = tail + 1`; the single consumer
-/// reads at `seq == head + 1` and recycles with `seq = head + cap`. Same
-/// protocol as [`crate::ring::RingQueue`], but every word lives at a
-/// process-independent offset instead of behind a `Box`.
-#[derive(Clone)]
-struct RawRing {
-    seg: Arc<ShmSegment>,
-    ctrl: usize,
-    base: usize,
-    stride: usize,
-    cap: usize,
+/// The request header at a slot's payload offset.
+fn req_hdr(seg: &ShmSegment, payload: usize) -> &ReqHdr {
+    // SAFETY: a payload starts one sequence word past a 64-aligned slot
+    // base, so it is u64-aligned, and the geometry keeps it in bounds.
+    unsafe { seg.at::<ReqHdr>(payload) }
 }
 
-impl RawRing {
-    fn ctrl(&self) -> &RingCtrl {
-        // SAFETY: ctrl offset is 64-aligned and in bounds by geometry.
-        unsafe { self.seg.at::<RingCtrl>(self.ctrl) }
-    }
-
-    fn slot_off(&self, idx: usize) -> usize {
-        self.base + idx * self.stride
-    }
-
-    fn slot_seq(&self, idx: usize) -> &AtomicU64 {
-        // SAFETY: slot offsets are 64-aligned and in bounds by geometry.
-        unsafe { self.seg.at::<AtomicU64>(self.slot_off(idx)) }
-    }
-
-    /// Creator-side slot initialisation (`seq[i] = i`) — must complete
-    /// before the header flips to `STATE_READY`.
-    fn init_slots(&self) {
-        for i in 0..self.cap {
-            self.slot_seq(i).store(i as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Claim a slot for writing. Returns the slot index and the ticket to
-    /// publish with, or `None` when the ring is full.
-    fn begin_push(&self) -> Option<(usize, u64)> {
-        let ctrl = self.ctrl();
-        loop {
-            let tail = ctrl.tail.load(Ordering::Relaxed);
-            let idx = (tail % self.cap as u64) as usize;
-            let seq = self.slot_seq(idx).load(Ordering::Acquire);
-            if seq == tail {
-                if ctrl
-                    .tail
-                    .compare_exchange_weak(tail, tail + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return Some((idx, tail));
-                }
-            } else if seq < tail {
-                return None; // full
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    fn publish(&self, idx: usize, ticket: u64) {
-        self.slot_seq(idx).store(ticket + 1, Ordering::Release);
-    }
-
-    /// Single-consumer: claim the next filled slot for reading. Returns
-    /// the slot index; the caller must `release` it when done copying.
-    fn begin_pop(&self) -> Option<usize> {
-        let head = self.ctrl().head.load(Ordering::Relaxed);
-        let idx = (head % self.cap as u64) as usize;
-        if self.slot_seq(idx).load(Ordering::Acquire) == head + 1 {
-            Some(idx)
-        } else {
-            None
-        }
-    }
-
-    fn release_pop(&self, idx: usize) {
-        let ctrl = self.ctrl();
-        let head = ctrl.head.load(Ordering::Relaxed);
-        self.slot_seq(idx)
-            .store(head + self.cap as u64, Ordering::Release);
-        ctrl.head.store(head + 1, Ordering::Relaxed);
-    }
-}
-
-/// A response slot, as the client decodes it.
-struct RspMsg {
-    kind: u32,
-    token: u32,
-    reason: u32,
-    nacked: u32,
-    vaddr: u64,
-}
-
-fn req_hdr(seg: &ShmSegment, slot_off: usize) -> &ReqHdr {
-    // SAFETY: slot base is 64-aligned, +8 keeps u64 alignment; in bounds.
-    unsafe { seg.at::<ReqHdr>(slot_off + 8) }
-}
-
-fn rsp_hdr(seg: &ShmSegment, slot_off: usize) -> &RspHdr {
+fn rsp_hdr(seg: &ShmSegment, payload: usize) -> &RspHdr {
     // SAFETY: as above.
-    unsafe { seg.at::<RspHdr>(slot_off + 8) }
+    unsafe { seg.at::<RspHdr>(payload) }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,10 +348,9 @@ fn rsp_hdr(seg: &ShmSegment, slot_off: usize) -> &RspHdr {
 struct ServerInner {
     seg: Arc<ShmSegment>,
     geo: SegGeometry,
-    req: RawRing,
-    rsp: RawRing,
+    req: SegmentRing,
+    rsp: SegmentRing,
     fabric: Fabric,
-    stop: AtomicBool,
     delivered: AtomicU64,
     /// Payload bytes the worker copied out of request slots into owned
     /// `Bytes` (the eager lane's wire copy). The rendezvous lane adds
@@ -510,25 +377,25 @@ impl ShmServer {
         assert!(mtu > 0, "MTU must be positive");
         let req_slots = config.shm_req_slots.next_power_of_two().max(2);
         let rsp_slots = config.shm_rsp_slots.next_power_of_two().max(2);
-        // The bulk region must be a power of two for the buddy allocator;
+        // The bulk region must be a power of two for the buddy allocator,
+        // sized down so a config request never inflates the segment;
         // anything below one minimum block disables the rendezvous lane.
-        let mut bulk_bytes = prev_pow2(config.shm_bulk_bytes);
-        if bulk_bytes < (1usize << BULK_MIN_ORDER) {
-            bulk_bytes = 0;
-        }
+        let bulk_bytes = match config.shm_bulk_bytes {
+            n if n >= 1 << BULK_MIN_ORDER => 1 << n.ilog2(),
+            _ => 0,
+        };
         let geo = SegGeometry::new(mtu, req_slots, rsp_slots, bulk_bytes);
         let seg = Arc::new(ShmSegment::create(path, geo.total)?);
 
-        let (req, rsp) = geo.rings(&seg);
-        req.init_slots();
-        rsp.init_slots();
+        let (req, rsp) = geo.rings(&seg).expect("capacities are powers of two");
+        req.init();
+        rsp.init();
         let inner = Arc::new(ServerInner {
             seg: seg.clone(),
             geo,
             req,
             rsp,
             fabric: Fabric::new(config),
-            stop: AtomicBool::new(false),
             delivered: AtomicU64::new(0),
             wire_copied: AtomicU64::new(0),
         });
@@ -537,10 +404,9 @@ impl ShmServer {
         hdr.req_slots.store(req_slots as u64, Ordering::Relaxed);
         hdr.rsp_slots.store(rsp_slots as u64, Ordering::Relaxed);
         hdr.bulk_bytes.store(bulk_bytes as u64, Ordering::Relaxed);
-        hdr.eager_threshold.store(
-            inner.fabric.config.eager_threshold as u64,
-            Ordering::Relaxed,
-        );
+        let eager_threshold = inner.fabric.config.eager_threshold as u64;
+        hdr.eager_threshold
+            .store(eager_threshold, Ordering::Relaxed);
         hdr.version.store(SHM_VERSION, Ordering::Relaxed);
         hdr.server_pid.store(std::process::id(), Ordering::Relaxed);
         hdr.magic.store(SHM_MAGIC, Ordering::Relaxed);
@@ -628,17 +494,18 @@ impl ShmServer {
         self.inner.wire_copied.load(Ordering::Relaxed)
     }
 
-    /// Close the wire: the worker drains the request ring and its
-    /// deferred queue, then exits and is joined. Further client traffic
-    /// fails with the server-gone state.
+    /// Close the request ring and join the wire worker, which first
+    /// delivers and acks every put claimed before the close. A client push
+    /// after the close fails with [`RvmaError::TransportFailed`] at once;
+    /// the header then reads server-gone, failing what the client awaits.
     pub fn stop(&mut self) {
         let hdr = header(&self.inner.seg);
-        hdr.state.store(STATE_SERVER_GONE, Ordering::SeqCst);
-        self.inner.stop.store(true, Ordering::SeqCst);
+        self.inner.req.close();
         hdr.req_bell.ring();
         if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
+        hdr.state.store(STATE_SERVER_GONE, Ordering::SeqCst);
     }
 }
 
@@ -656,37 +523,21 @@ impl ServerInner {
     /// a full ring kicks the pump's doorbell and backs off; if the client
     /// process is gone the response is dropped (nobody is left to read it).
     fn respond(&self, kind: u32, token: u32, reason: u32, nacked: bool, vaddr: VirtAddr) {
-        let hdr = header(&self.seg);
-        let mut tries = 0u32;
-        let mut idle = Idle::new();
-        loop {
-            if let Some((idx, ticket)) = self.rsp.begin_push() {
-                let h = rsp_hdr(&self.seg, self.rsp.slot_off(idx));
-                h.kind.store(kind, Ordering::Relaxed);
-                h.token.store(token, Ordering::Relaxed);
-                h.reason.store(reason, Ordering::Relaxed);
-                h.nacked.store(nacked as u32, Ordering::Relaxed);
-                h.vaddr.store(vaddr.0, Ordering::Relaxed);
-                self.rsp.publish(idx, ticket);
-                hdr.rsp_bell.ring();
-                idle.done();
-                return;
-            }
-            hdr.rsp_bell.ring();
-            if idle.spin() {
-                continue;
-            }
-            // Budget spent: yield; every 1024th time, probe and back off.
-            tries += 1;
-            if tries.is_multiple_of(1024) {
-                let cpid = hdr.client_pid.load(Ordering::SeqCst);
-                if cpid != 0 && !pid_alive(cpid) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            } else {
-                idle.snooze();
-            }
+        let bell = &header(&self.seg).rsp_bell;
+        let fill = |off| {
+            let h = rsp_hdr(&self.seg, off);
+            h.kind.store(kind, Ordering::Relaxed);
+            h.token.store(token, Ordering::Relaxed);
+            h.reason.store(reason, Ordering::Relaxed);
+            h.nacked.store(nacked as u32, Ordering::Relaxed);
+            h.vaddr.store(vaddr.0, Ordering::Relaxed);
+        };
+        let stall = |probe| {
+            bell.ring();
+            !(probe && pid_gone(&header(&self.seg).client_pid))
+        };
+        if self.rsp.push(fill, stall).is_ok() {
+            bell.ring();
         }
     }
 }
@@ -706,29 +557,26 @@ impl<'a> Wire for &'a ServerInner {
     /// total: a slot of unknown kind is released undelivered, and acked as
     /// refused when it carries a token, so no countdown hangs on it.
     fn pop(&mut self) -> Option<ShmMsg<'a>> {
-        let seg = &self.seg;
+        let inner: &'a ServerInner = self;
+        let seg = &inner.seg;
         let (u, w) = (
             |a: &AtomicU32| a.load(Ordering::Relaxed),
             |a: &AtomicU64| a.load(Ordering::Relaxed),
         );
-        loop {
-            let idx = self.req.begin_pop()?;
-            let off = self.req.slot_off(idx);
+        let decode = |idx| -> Option<ShmMsg<'a>> {
+            let off = inner.req.payload(idx);
             let h = req_hdr(seg, off);
             let (kind, token, vaddr) = (u(&h.kind), u(&h.token), VirtAddr::new(w(&h.vaddr)));
             // SAFETY: in-bounds payload region of the published slot.
-            let payload = unsafe { seg.as_ptr().add(off + 8 + REQ_HDR_SIZE) };
+            let payload = unsafe { seg.as_ptr().add(off + REQ_HDR_SIZE) };
             let (data, desc) = match kind {
-                REQ_FLUSH => {
-                    self.req.release_pop(idx);
-                    return Some(WireMsg::Flush(token));
-                }
+                REQ_FLUSH => return Some(WireMsg::Flush(token)),
                 REQ_PUT => {
-                    let len = (u(&h.len) as usize).min(self.geo.mtu);
+                    let len = (u(&h.len) as usize).min(inner.geo.mtu);
                     // SAFETY: the producer wrote `len <= mtu` bytes there
                     // before the release-publish we acquired.
                     let data = unsafe { std::slice::from_raw_parts(payload, len) };
-                    self.wire_copied.fetch_add(len as u64, Ordering::Relaxed);
+                    inner.wire_copied.fetch_add(len as u64, Ordering::Relaxed);
                     (Bytes::copy_from_slice(data), None)
                 }
                 // SAFETY: the producer wrote the 8-byte extent offset there
@@ -738,14 +586,13 @@ impl<'a> Wire for &'a ServerInner {
                     Some(unsafe { std::ptr::read_unaligned(payload as *const u64) } as usize),
                 ),
                 _ => {
-                    self.req.release_pop(idx);
                     if token != 0 {
-                        self.respond(RSP_PUT_DONE, token, 0, true, vaddr);
+                        inner.respond(RSP_PUT_DONE, token, 0, true, vaddr);
                     }
-                    continue;
+                    return None;
                 }
             };
-            let msg = WireMsg::Deliver {
+            Some(WireMsg::Deliver {
                 dest: NodeAddr::new(u(&h.dest_nid), u(&h.dest_pid)),
                 frag: Fragment {
                     initiator: NodeAddr::new(u(&h.init_nid), u(&h.init_pid)),
@@ -758,25 +605,30 @@ impl<'a> Wire for &'a ServerInner {
                 desc,
                 reply: token,
                 attempt: 0,
-            };
-            self.req.release_pop(idx);
-            return Some(msg);
+            })
+        };
+        loop {
+            if let Some(msg) = inner.req.pop_with(decode)? {
+                return Some(msg);
+            }
         }
     }
 
     /// Sleep on the request doorbell: advertise, re-check, bounded wait.
+    /// After the close, a slot still unpublished a whole wait later by a
+    /// client process now gone never will be: give it up.
     fn park(&mut self) {
-        let bell = &header(&self.seg).req_bell;
-        let seen = bell.prepare();
-        if self.req.begin_pop().is_some() || self.stop.load(Ordering::Acquire) {
-            bell.cancel();
-            return;
+        let hdr = header(&self.seg);
+        let slept = hdr
+            .req_bell
+            .sleep_unless(|| self.req.ready() || self.req.is_drained());
+        if slept && self.req.is_closed() && !self.req.ready() && pid_gone(&hdr.client_pid) {
+            self.req.abandon();
         }
-        bell.wait(seen, DOORBELL_WAIT);
     }
 
     fn closed(&self) -> bool {
-        self.stop.load(Ordering::Acquire) && self.req.begin_pop().is_none()
+        self.req.is_drained()
     }
 
     /// The server cannot produce into the client's request ring: a
@@ -842,6 +694,7 @@ const BULK_MIN_ORDER: u32 = 6;
 /// and a crashing client can never wedge allocator state the server
 /// depends on — the server only ever *reads* extents it was handed.
 /// Offsets are relative to the bulk region base.
+#[derive(Default)]
 struct BulkAllocator {
     /// Free block offsets per order; index 0 holds order
     /// [`BULK_MIN_ORDER`]. Lists stay short (≤ region/min-block blocks,
@@ -849,16 +702,13 @@ struct BulkAllocator {
     free: Vec<Vec<usize>>,
     max_order: u32,
     enabled: bool,
+    stats: BulkStats,
 }
 
 impl BulkAllocator {
     fn new(bulk_bytes: usize) -> BulkAllocator {
         if bulk_bytes < (1usize << BULK_MIN_ORDER) {
-            return BulkAllocator {
-                free: Vec::new(),
-                max_order: 0,
-                enabled: false,
-            };
+            return BulkAllocator::default();
         }
         debug_assert!(bulk_bytes.is_power_of_two());
         let max_order = bulk_bytes.trailing_zeros();
@@ -868,6 +718,7 @@ impl BulkAllocator {
             free,
             max_order,
             enabled: true,
+            stats: BulkStats::default(),
         }
     }
 
@@ -1003,8 +854,8 @@ struct FlushState {
 struct ClientInner {
     seg: Arc<ShmSegment>,
     geo: SegGeometry,
-    req: RawRing,
-    rsp: RawRing,
+    req: SegmentRing,
+    rsp: SegmentRing,
     /// Held by the one thread emptying `rsp` (the ring's single consumer).
     drain_claimed: AtomicBool,
     /// Waiters (futures, flushers) that ran out of spin and handed the
@@ -1023,12 +874,9 @@ struct ClientInner {
     flush_cv: Condvar,
     stop: AtomicBool,
     telemetry: Option<Arc<Telemetry>>,
-    /// Bulk-region buddy allocator (see [`BulkAllocator`]).
+    /// Bulk-region buddy allocator (see [`BulkAllocator`]) and its
+    /// accounting.
     bulk: Mutex<BulkAllocator>,
-    bulk_reserved: AtomicU64,
-    bulk_released: AtomicU64,
-    bulk_in_flight: AtomicU64,
-    bulk_fallbacks: AtomicU64,
     /// Payload bytes copied into the segment (request slots on the eager
     /// lane, bulk extents on the rendezvous lane).
     staged: AtomicU64,
@@ -1049,28 +897,11 @@ impl ClientInner {
                 c.set(c.get().wrapping_add(1));
                 c.get() % PEER_CHECK_EVERY == 0
             });
-        if !(check_peer || self.rsp.begin_pop().is_some())
-            || self.drain_claimed.swap(true, Ordering::Acquire)
-        {
+        if !(check_peer || self.rsp.ready()) || self.drain_claimed.swap(true, Ordering::Acquire) {
             return false;
         }
-        let drain = || {
-            let mut n = 0;
-            while let Some(idx) = self.rsp.begin_pop() {
-                let h = rsp_hdr(&self.seg, self.rsp.slot_off(idx));
-                let msg = RspMsg {
-                    kind: h.kind.load(Ordering::Relaxed),
-                    token: h.token.load(Ordering::Relaxed),
-                    reason: h.reason.load(Ordering::Relaxed),
-                    nacked: h.nacked.load(Ordering::Relaxed),
-                    vaddr: h.vaddr.load(Ordering::Relaxed),
-                };
-                self.rsp.release_pop(idx);
-                handle_rsp(self, msg);
-                n += 1;
-            }
-            n
-        };
+        let handle = |idx| handle_rsp(self, rsp_hdr(&self.seg, self.rsp.payload(idx)));
+        let drain = || std::iter::from_fn(|| self.rsp.pop_with(handle)).count();
         let handled = drain();
         if handled == 0 && check_peer && self.server_dead() {
             // Drain what the server managed to push before dying, then
@@ -1082,23 +913,36 @@ impl ClientInner {
         handled > 0
     }
 
-    /// Reserve a bulk extent; when the region is exhausted, drain the acks
-    /// that release extents once and retry.
+    /// Register a countdown of `fragments` under a fresh token, with the
+    /// extent its last ack releases.
+    fn track(&self, fragments: u64, extent: Option<(usize, u32, usize)>) -> (u32, Arc<PutNotify>) {
+        let token = next_token(&self.next_token);
+        let notify = PutNotify::new(fragments);
+        let pending = PendingPut {
+            notify: notify.clone(),
+            remaining: fragments,
+            extent,
+        };
+        self.tokens.lock().insert(token, pending);
+        (token, notify)
+    }
+
+    /// Reserve and account a bulk extent; when the region is exhausted,
+    /// drain the acks that release extents once and retry.
     fn reserve_bulk(&self, len: usize) -> Option<(usize, u32)> {
-        let extent = self.bulk.lock().reserve(len);
-        if extent.is_some() || !self.progress(false) {
-            return extent;
-        }
-        self.bulk.lock().reserve(len)
+        let reserve = || {
+            let mut bulk = self.bulk.lock();
+            let extent = bulk.reserve(len)?;
+            bulk.stats.reserved_bytes += len as u64;
+            bulk.stats.in_flight += 1;
+            Some(extent)
+        };
+        reserve().or_else(|| self.progress(false).then(reserve).flatten())
     }
 
     fn server_dead(&self) -> bool {
         let hdr = header(&self.seg);
-        if hdr.state.load(Ordering::SeqCst) == STATE_SERVER_GONE {
-            return true;
-        }
-        let spid = hdr.server_pid.load(Ordering::SeqCst);
-        spid != 0 && !pid_alive(spid)
+        hdr.state.load(Ordering::SeqCst) == STATE_SERVER_GONE || pid_gone(&hdr.server_pid)
     }
 
     /// Record one initiator-side telemetry event of this client.
@@ -1111,18 +955,17 @@ impl ClientInner {
     /// callers are the single ack-path removal, the submit error unwind,
     /// and the peer-death drain — mutually exclusive by token ownership).
     fn release_extent(&self, off: usize, order: u32, len: usize) {
-        self.bulk.lock().release(off, order);
-        self.bulk_released.fetch_add(len as u64, Ordering::Relaxed);
-        self.bulk_in_flight.fetch_sub(1, Ordering::Relaxed);
+        let mut bulk = self.bulk.lock();
+        bulk.release(off, order);
+        bulk.stats.released_bytes += len as u64;
+        bulk.stats.in_flight -= 1;
+        drop(bulk);
         self.record(EventKind::BulkRelease, 0, off as u64);
     }
 
     /// Resolve every outstanding future/flush as failed (peer death).
     fn fail_all_pending(&self) {
-        let drained: Vec<PendingPut> = {
-            let mut tokens = self.tokens.lock();
-            tokens.drain().map(|(_, p)| p).collect()
-        };
+        let drained: Vec<PendingPut> = self.tokens.lock().drain().map(|(_, p)| p).collect();
         for p in drained {
             p.notify.fragments_done(p.remaining, true);
             if let Some((off, order, len)) = p.extent {
@@ -1202,18 +1045,15 @@ impl ShmClient {
             }
             std::thread::sleep(Duration::from_millis(1));
         };
+        let seg = Arc::new(seg);
         let hdr = header(&seg);
-        if hdr.magic.load(Ordering::Relaxed) != SHM_MAGIC {
+        let magic = hdr.magic.load(Ordering::Relaxed);
+        let version = hdr.version.load(Ordering::Relaxed);
+        if magic != SHM_MAGIC || version != SHM_VERSION {
             return Err(RvmaError::TransportFailed(format!(
-                "{} is not an RVMA segment",
+                "{} is not an RVMA segment of wire version {SHM_VERSION} \
+                 (magic {magic:#x}, version {version})",
                 path.display()
-            )));
-        }
-        if hdr.version.load(Ordering::Relaxed) != SHM_VERSION {
-            return Err(RvmaError::TransportFailed(format!(
-                "segment {} has wire version {} (expected {SHM_VERSION})",
-                path.display(),
-                hdr.version.load(Ordering::Relaxed)
             )));
         }
         let geo = SegGeometry::new(
@@ -1223,14 +1063,18 @@ impl ShmClient {
             hdr.bulk_bytes.load(Ordering::Relaxed) as usize,
         );
         let eager_threshold = hdr.eager_threshold.load(Ordering::Relaxed) as usize;
-        if geo.mtu == 0 || seg.len() < geo.total {
+        let fits = geo.mtu > 0 && seg.len() >= geo.total;
+        let Some((req, rsp)) = geo.rings(&seg).filter(|_| fits) else {
             return Err(RvmaError::TransportFailed(format!(
-                "segment {} geometry mismatch ({} B mapped, {} B required)",
+                "segment {} has an invalid geometry ({} B mapped, {} B required, \
+                 {} request and {} response slots)",
                 path.display(),
                 seg.len(),
-                geo.total
+                geo.total,
+                geo.req_slots,
+                geo.rsp_slots
             )));
-        }
+        };
         hdr.client_pid.store(std::process::id(), Ordering::SeqCst);
 
         // Write-fault the client-owned regions up front — the shm
@@ -1240,13 +1084,11 @@ impl ShmClient {
         // touch cannot race a peer store; without it every first store
         // into a fresh rendezvous extent takes a write-protect fault on
         // the datapath, which dominates large-message goodput.
-        seg.prefault_writable(geo.req_base, geo.req_stride * geo.req_slots);
+        seg.prefault_writable(geo.req_at + CTRL_SPACE, geo.req_stride * geo.req_slots);
         if geo.bulk_bytes > 0 {
             seg.prefault_writable(geo.bulk_base, geo.bulk_bytes);
         }
 
-        let seg = Arc::new(seg);
-        let (req, rsp) = geo.rings(&seg);
         let inner = Arc::new(ClientInner {
             req,
             rsp,
@@ -1270,10 +1112,6 @@ impl ShmClient {
             stop: AtomicBool::new(false),
             telemetry,
             bulk: Mutex::new(BulkAllocator::new(geo.bulk_bytes)),
-            bulk_reserved: AtomicU64::new(0),
-            bulk_released: AtomicU64::new(0),
-            bulk_in_flight: AtomicU64::new(0),
-            bulk_fallbacks: AtomicU64::new(0),
             staged: AtomicU64::new(0),
         });
         let pump = {
@@ -1360,8 +1198,6 @@ impl ShmClient {
     pub fn reserve_extent(&self, len: usize) -> Option<BulkExtent> {
         let inner = &self.inner;
         let (off, order) = inner.reserve_bulk(len)?;
-        inner.bulk_reserved.fetch_add(len as u64, Ordering::Relaxed);
-        inner.bulk_in_flight.fetch_add(1, Ordering::Relaxed);
         inner.record(EventKind::BulkReserve, 0, off as u64);
         Some(BulkExtent {
             inner: self.inner.clone(),
@@ -1412,16 +1248,7 @@ impl ShmClient {
         owned: bool,
     ) -> Result<Arc<PutNotify>> {
         let inner = &self.inner;
-        let token = next_token(&inner.next_token);
-        let notify = PutNotify::new(1);
-        inner.tokens.lock().insert(
-            token,
-            PendingPut {
-                notify: notify.clone(),
-                remaining: 1,
-                extent: owned.then_some((ext_off, order, len)),
-            },
-        );
+        let (token, notify) = inner.track(1, owned.then_some((ext_off, order, len)));
         inner.record(EventKind::RingEnqueue, op_id, offset as u64);
         let pushed = self.push_req(|h, payload| {
             h.kind.store(REQ_BULK, Ordering::Relaxed);
@@ -1444,10 +1271,9 @@ impl ShmClient {
             // Never reached the wire: unwind the token and reservation.
             // (fail_all_pending may already have drained the token and
             // released the extent — only release what we removed.)
-            if let Some(p) = inner.tokens.lock().remove(&token) {
-                if let Some((off, ord, len)) = p.extent {
-                    inner.release_extent(off, ord, len);
-                }
+            let extent = inner.tokens.lock().remove(&token).and_then(|p| p.extent);
+            if let Some((off, ord, len)) = extent {
+                inner.release_extent(off, ord, len);
             }
             return Err(e);
         }
@@ -1478,8 +1304,6 @@ impl ShmClient {
         if let Some(Some((ext_off, order))) = extent {
             // Rendezvous: one copy into the reserved extent, one RTS
             // descriptor; a single logical fragment regardless of size.
-            inner.bulk_reserved.fetch_add(len as u64, Ordering::Relaxed);
-            inner.bulk_in_flight.fetch_add(1, Ordering::Relaxed);
             let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
             inner.record(EventKind::Submit, op_id, len as u64);
             inner.record(EventKind::BulkReserve, op_id, ext_off as u64);
@@ -1499,25 +1323,16 @@ impl ShmClient {
         if extent.is_some() {
             // Region exhausted (or lane disabled): eager still works —
             // rendezvous is an optimisation, never a requirement.
-            inner.bulk_fallbacks.fetch_add(1, Ordering::Relaxed);
+            inner.bulk.lock().stats.eager_fallbacks += 1;
         }
         if !want_notify {
             self.submit(dest, vaddr, offset, data, 0)?;
             return Ok(None);
         }
-        let token = next_token(&inner.next_token);
         // The countdown covers exactly the fragments `submit` will push —
         // one even for an empty put, so its future resolves too.
         let fragments = mtu_ranges(data.len(), inner.geo.mtu).len() as u64;
-        let notify = PutNotify::new(fragments);
-        inner.tokens.lock().insert(
-            token,
-            PendingPut {
-                notify: notify.clone(),
-                remaining: fragments,
-                extent: None,
-            },
-        );
+        let (token, notify) = inner.track(fragments, None);
         if let Err(e) = self.submit(dest, vaddr, offset, data, token) {
             inner.tokens.lock().remove(&token);
             return Err(e);
@@ -1567,44 +1382,33 @@ impl ShmClient {
     /// Claim, fill, publish one request slot; blocks (bounded, liveness-
     /// checked) while the ring is full — backpressure, never drops. Each
     /// retry drains the response ring: a server blocked on a full
-    /// response ring stops consuming requests.
+    /// response ring stops consuming requests. A stopped server's closed
+    /// ring fails at once.
     fn push_req(&self, fill: impl FnOnce(&ReqHdr, *mut u8)) -> Result<()> {
         let inner = &self.inner;
-        let req = &inner.req;
-        let hdr = header(&inner.seg);
-        let mut fill = Some(fill);
-        let mut tries = 0u32;
-        let mut idle = Idle::new();
-        loop {
-            if let Some((idx, ticket)) = req.begin_push() {
-                let off = req.slot_off(idx);
-                let h = req_hdr(&inner.seg, off);
-                // SAFETY: in-bounds payload region of the claimed slot.
-                let payload = unsafe { inner.seg.as_ptr().add(off + 8 + REQ_HDR_SIZE) };
-                (fill.take().expect("slot claimed once"))(h, payload);
-                req.publish(idx, ticket);
-                hdr.req_bell.ring();
-                idle.done();
-                return Ok(());
-            }
+        let seg = &inner.seg;
+        // SAFETY: in-bounds payload region of the claimed slot.
+        let fill = |off| {
+            fill(req_hdr(seg, off), unsafe {
+                seg.as_ptr().add(off + REQ_HDR_SIZE)
+            })
+        };
+        let stall = |probe| {
             inner.progress(false);
-            if idle.spin() {
-                continue;
+            let gone = probe && inner.server_dead();
+            if gone {
+                inner.fail_all_pending();
             }
-            // Budget spent: yield; every 1024th time, probe and back off.
-            tries += 1;
-            if tries.is_multiple_of(1024) {
-                if inner.server_dead() {
-                    inner.fail_all_pending();
-                    return Err(RvmaError::TransportFailed(
-                        "server process gone (request ring stalled)".into(),
-                    ));
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            } else {
-                idle.snooze();
-            }
-        }
+            !gone
+        };
+        inner.req.push(fill, stall).map_err(|refused| {
+            RvmaError::TransportFailed(match refused {
+                PushError::Closed(()) => "server stopped (request ring closed)".into(),
+                PushError::Full(()) => "server process gone (request ring stalled)".into(),
+            })
+        })?;
+        header(seg).req_bell.ring();
+        Ok(())
     }
 
     /// Drain barrier: blocks until every previously submitted fragment
@@ -1678,12 +1482,7 @@ impl ShmClient {
     /// no puts in flight, `reserved_bytes == released_bytes` and
     /// `in_flight == 0` — the no-extent-leak invariant.
     pub fn bulk_stats(&self) -> BulkStats {
-        BulkStats {
-            reserved_bytes: self.inner.bulk_reserved.load(Ordering::Relaxed),
-            released_bytes: self.inner.bulk_released.load(Ordering::Relaxed),
-            in_flight: self.inner.bulk_in_flight.load(Ordering::Relaxed),
-            eager_fallbacks: self.inner.bulk_fallbacks.load(Ordering::Relaxed),
-        }
+        self.inner.bulk.lock().stats
     }
 }
 
@@ -1744,52 +1543,45 @@ fn rsp_pump(inner: Arc<ClientInner>) {
         if !armed() {
             std::thread::park_timeout(PUMP_TICK);
         } else if !handled {
-            let seen = hdr.rsp_bell.prepare();
-            if inner.rsp.begin_pop().is_some() || inner.stop.load(Ordering::Acquire) || !armed() {
-                hdr.rsp_bell.cancel();
+            let ready = || inner.rsp.ready() || inner.stop.load(Ordering::Acquire) || !armed();
+            if !hdr.rsp_bell.sleep_unless(ready) {
                 idle.snooze();
-                continue;
             }
-            hdr.rsp_bell.wait(seen, DOORBELL_WAIT);
         }
     }
 }
 
-fn handle_rsp(inner: &ClientInner, msg: RspMsg) {
-    match msg.kind {
+/// Act on one response slot, read in place while the drain owns it.
+fn handle_rsp(inner: &ClientInner, h: &RspHdr) {
+    let token = h.token.load(Ordering::Relaxed);
+    match h.kind.load(Ordering::Relaxed) {
         RSP_PUT_DONE => {
             // A duplicate ack (possible only through fault injection)
             // finds the token already removed and is ignored — that is
             // what makes the extent release below exactly-once.
-            let done = {
-                let mut tokens = inner.tokens.lock();
-                match tokens.get_mut(&msg.token) {
-                    Some(p) => {
-                        p.notify.fragments_done(1, msg.nacked != 0);
-                        p.remaining -= 1;
-                        if p.remaining == 0 {
-                            tokens.remove(&msg.token)
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                }
+            let mut tokens = inner.tokens.lock();
+            let Some(p) = tokens.get_mut(&token) else {
+                return;
             };
-            if let Some(p) = done {
-                if let Some((off, order, len)) = p.extent {
-                    inner.release_extent(off, order, len);
-                }
+            p.notify
+                .fragments_done(1, h.nacked.load(Ordering::Relaxed) != 0);
+            p.remaining -= 1;
+            if p.remaining > 0 {
+                return;
+            }
+            let extent = tokens.remove(&token).and_then(|p| p.extent);
+            drop(tokens);
+            if let Some((off, order, len)) = extent {
+                inner.release_extent(off, order, len);
             }
         }
         RSP_NACK => {
-            inner
-                .nacks
-                .lock()
-                .push((VirtAddr::new(msg.vaddr), decode_nack(msg.reason)));
+            let vaddr = VirtAddr::new(h.vaddr.load(Ordering::Relaxed));
+            let reason = decode_nack(h.reason.load(Ordering::Relaxed));
+            inner.nacks.lock().push((vaddr, reason));
         }
         RSP_FLUSH_ACK => {
-            inner.flush_state.lock().acked.insert(msg.token);
+            inner.flush_state.lock().acked.insert(token);
             inner.flush_cv.notify_all();
         }
         _ => {}
@@ -1822,17 +1614,17 @@ mod tests {
     #[test]
     fn geometry_is_consistent_and_aligned() {
         let g = SegGeometry::new(2048, 1024, 512, 1 << 20);
-        assert_eq!(g.req_base % 64, 0);
-        assert_eq!(g.rsp_base % 64, 0);
+        assert_eq!(g.req_at % 64, 0);
+        assert_eq!(g.rsp_at % 64, 0);
         assert_eq!(g.req_stride % 64, 0);
         assert_eq!(g.bulk_base % 64, 0);
         assert!(g.req_stride >= 8 + REQ_HDR_SIZE + 2048);
-        assert!(g.bulk_base >= g.rsp_base + 512 * g.rsp_stride);
+        assert!(g.bulk_base >= g.rsp_at + CTRL_SPACE + 512 * RSP_STRIDE);
         assert!(g.total >= g.bulk_base + (1 << 20));
         assert_eq!(std::mem::size_of::<ReqHdr>(), REQ_HDR_SIZE);
         assert_eq!(std::mem::size_of::<RspHdr>(), RSP_HDR_SIZE);
         assert!(std::mem::size_of::<SegHeader>() <= HDR_SPACE);
-        assert_eq!(std::mem::size_of::<RingCtrl>(), CTRL_SPACE);
+        assert_eq!(CTRL_SPACE, 128, "one cache line per side");
         // A zero-sized bulk region must not change the classic layout.
         let g0 = SegGeometry::new(2048, 1024, 512, 0);
         assert_eq!(g0.total, round64(g0.bulk_base));
@@ -2220,5 +2012,99 @@ mod tests {
         // New work against a gone server errors instead of hanging.
         let err = client.flush();
         assert!(matches!(err, Err(RvmaError::TransportFailed(_))));
+    }
+
+    #[test]
+    fn put_after_stop_fails_at_once() {
+        if !shm_supported() {
+            return;
+        }
+        let (mut server, client) = shm_pair(64, EndpointConfig::default(), CLIENT).unwrap();
+        let _ep = server.add_endpoint(SERVER);
+        server.stop();
+        // The request ring has room, but it is closed: the put must fail,
+        // not sit in a ring no worker will pop again.
+        let put = client.put_at(SERVER, VirtAddr::new(0x10), 0, &[1u8; 8]);
+        assert!(
+            matches!(put, Err(RvmaError::TransportFailed(_))),
+            "a put after stop was {put:?}"
+        );
+        assert_eq!(server.delivered(), 0);
+    }
+
+    #[test]
+    fn stop_racing_puts_strands_none() {
+        if !shm_supported() {
+            return;
+        }
+        const PUTS: usize = 1 << 16;
+        let (mut server, client) = shm_pair(64, EndpointConfig::default(), CLIENT).unwrap();
+        let ep = server.add_endpoint(SERVER);
+        let win = ep
+            .init_window(VirtAddr::new(0x10), Threshold::ops(PUTS as u64 + 1))
+            .unwrap();
+        let _note = win.post_buffer(vec![0u8; 8 * PUTS]).unwrap();
+        let accepted = std::thread::scope(|s| {
+            let spammer = s.spawn(|| {
+                let mut ok = 0u64;
+                for i in 0..PUTS {
+                    match client.put_at(SERVER, VirtAddr::new(0x10), 8 * i, &[1u8; 8]) {
+                        Ok(()) => ok += 1,
+                        Err(e) => assert!(matches!(e, RvmaError::TransportFailed(_)), "{e:?}"),
+                    }
+                }
+                ok
+            });
+            std::thread::sleep(Duration::from_millis(2));
+            server.stop();
+            spammer.join().unwrap()
+        });
+        // Each put is one fragment: every accepted one was delivered.
+        assert_eq!(server.delivered(), accepted);
+    }
+
+    #[test]
+    fn connect_rejects_invalid_ring_capacities() {
+        if !shm_supported() {
+            return;
+        }
+        type Word = fn(&SegHeader) -> &AtomicU64;
+        let cases: [(&str, Word, u64); 4] = [
+            ("req_slots", |h| &h.req_slots, 0),
+            ("req_slots", |h| &h.req_slots, 3),
+            ("req_slots", |h| &h.req_slots, 1 << 62),
+            ("rsp_slots", |h| &h.rsp_slots, 0),
+        ];
+        for (field, word, value) in cases {
+            let server = ShmServer::create_default(64, EndpointConfig::default()).unwrap();
+            word(header(&server.inner.seg)).store(value, Ordering::Relaxed);
+            let connected = ShmClient::connect(server.path(), CLIENT);
+            assert!(
+                matches!(connected, Err(RvmaError::TransportFailed(_))),
+                "a header with {field} = {value} was accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn stop_gives_up_a_dead_clients_claimed_slot() {
+        if !shm_supported() {
+            return;
+        }
+        let (mut server, client) = shm_pair(64, EndpointConfig::default(), CLIENT).unwrap();
+        // The client claimed a request slot and died before publishing it.
+        assert!(client.inner.req.claim().is_ok(), "the ring has room");
+        let mut child = std::process::Command::new("/bin/true").spawn().unwrap();
+        child.wait().unwrap();
+        header(&client.inner.seg)
+            .client_pid
+            .store(child.id(), Ordering::SeqCst);
+        let t0 = Instant::now();
+        server.stop();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "stop waited {:?} on a dead client's slot",
+            t0.elapsed()
+        );
     }
 }

@@ -116,7 +116,7 @@ use crate::error::{NackReason, Result, RvmaError};
 use crate::notify::AtomicWaker;
 use crate::pool::{PayloadPool, PoolStats};
 use crate::retry::FaultStats;
-use crate::ring::{PushError, RingQueue, RingStats, RingStatsSnapshot};
+use crate::ring::{PushError, Ring, RingQueue, RingStats, RingStatsSnapshot};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::{DeliveryOrder, DEFAULT_MTU};
 use crate::wire::{Fabric, Wire, WireMsg, WireWorker};

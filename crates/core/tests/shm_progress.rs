@@ -6,35 +6,53 @@
 //! get every ack — their own or one the other thread drained for them.
 
 use rvma_core::{
-    shm_pair, shm_supported, EndpointConfig, NodeAddr, Notification, Threshold, VirtAddr,
+    shm_pair, shm_supported, EndpointConfig, NodeAddr, Notification, ShmClient, ShmServer,
+    Threshold, VirtAddr,
 };
+use std::path::Path;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const SERVER: NodeAddr = NodeAddr::node(0);
 const CLIENT: NodeAddr = NodeAddr::node(1);
 
+/// Set to a segment path, it makes this test binary the server process of
+/// [`pending_put_future_fails_when_server_dies`].
+const SERVER_ENV: &str = "RVMA_SHM_PROGRESS_SERVER";
+
+/// Server role: runs only when the parent re-execs this test binary with
+/// `RVMA_SHM_PROGRESS_SERVER` set, and hosts a server on that path until
+/// the parent kills it (the sleep only bounds an orphan).
+#[test]
+fn server_process_until_killed() {
+    let Ok(path) = std::env::var(SERVER_ENV) else {
+        return;
+    };
+    let _server = ShmServer::create(Path::new(&path), 64, EndpointConfig::default())
+        .expect("the server process creates the segment");
+    std::thread::sleep(Duration::from_secs(30));
+}
+
 #[test]
 fn pending_put_future_fails_when_server_dies() {
     if !shm_supported() {
         return;
     }
-    let (mut server, client) = shm_pair(64, EndpointConfig::default(), CLIENT).unwrap();
-    let ep = server.add_endpoint(SERVER);
-    let win = ep
-        .init_window(VirtAddr::new(0x10), Threshold::ops(1))
-        .unwrap();
-    let _note = win.post_buffer(vec![0u8; 64]).unwrap();
-    server.stop();
-    // The request ring has room, so the put is accepted, but no worker is
-    // left to ack it: only the peer-death check can resolve the future.
+    let path = rvma_core::shm::default_segment_path("progress");
+    let mut server = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "server_process_until_killed", "--nocapture"])
+        .env(SERVER_ENV, &path)
+        .spawn()
+        .expect("spawn the server process");
+    let client = ShmClient::connect(&path, CLIENT).expect("connect to the server process");
+    server.kill().unwrap();
+    server.wait().unwrap();
+    // A killed server never stopped, so its request ring is open and the
+    // put is accepted, but no worker is left to ack it: only the
+    // peer-death check can resolve the future.
     let fut = client
         .put_notify(SERVER, VirtAddr::new(0x10), &[1u8; 8])
         .unwrap();
-    let dropper = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(50));
-        drop(server);
-    });
     let (tx, rx) = mpsc::channel();
     let waiter = std::thread::spawn(move || {
         let _ = tx.send(pollster::block_on(fut));
@@ -43,8 +61,9 @@ fn pending_put_future_fails_when_server_dies() {
         .recv_timeout(Duration::from_secs(5))
         .expect("a future outstanding at server death resolves");
     assert!(done.nacked, "an unacked put resolves NACKed");
-    dropper.join().unwrap();
     waiter.join().unwrap();
+    // The dead creator never unlinked its segment.
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //!
 //! Each model is a tiny, self-checking concurrent program over the
 //! *production* types — the shipping `RingQueue` and `SegmentRing`,
-//! `NotificationSlot`, `CompletionQueue`, `RouteSlot` and `Mailbox` — sized
+//! `NotificationSlot`, `PutFuture`, `CompletionQueue`, `RouteSlot` and
+//! `Mailbox` — sized
 //! so that
 //! [`explore`] exhaustively enumerates every preemption-bounded schedule
 //! within the CI budget. The invariants are ported from the stress suites
@@ -26,6 +27,7 @@ use crate::addr::VirtAddr;
 use crate::buffer::{CompletedBuffer, PostedBuffer, Threshold};
 use crate::cq::CompletionQueue;
 use crate::csync::{self, AtomicU64 as CheckedU64, CheckCell};
+use crate::link::{PutDelivery, PutFuture, PutNotify};
 use crate::mailbox::{DeliveryOutcome, Mailbox, MailboxMode, OpKey, DEFAULT_RETAIN_EPOCHS};
 use crate::notify::{wait_any, Notification, NotificationSlot};
 use crate::ring::{PushError, Ring, RingQueue, SegmentRing};
@@ -379,6 +381,35 @@ pub(super) fn notify_dropped_future_model() {
 }
 
 // ---------------------------------------------------------------------------
+// Put countdown: two completers vs one blocking PutFuture
+// ---------------------------------------------------------------------------
+
+/// Two completers each count one unit of a two-unit countdown down
+/// (`fragments_done`, as two wire workers ack a flush's markers) while
+/// the waiter blocks on its `PutFuture` through the shipping `wait`:
+/// spin, then poll → register → re-check → park. The future resolves
+/// exactly once, clean; a wake lost between the first check and the
+/// register shows up as a modeled deadlock.
+pub(super) fn put_future_countdown_model() {
+    let notify = PutNotify::new(2);
+    let completers: Vec<_> = (0..2)
+        .map(|_| {
+            let notify = Arc::clone(&notify);
+            spawn(move || notify.fragments_done(1, false))
+        })
+        .collect();
+    let delivery = PutFuture::from_notify(Arc::clone(&notify), None).wait();
+    let clean = PutDelivery {
+        fragments: 2,
+        nacked: false,
+    };
+    assert_eq!(delivery, clean, "the countdown resolved wrong");
+    for c in completers {
+        c.join();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Seqlock route cache: read vs publish vs generation bump
 // ---------------------------------------------------------------------------
 
@@ -639,6 +670,11 @@ fn notify_wait_any_handoff() {
 #[test]
 fn notify_dropped_future_reuse() {
     run_exhaustive("notify_dropped_future", notify_dropped_future_model);
+}
+
+#[test]
+fn put_future_countdown_handoff() {
+    run_exhaustive("put_future_countdown", put_future_countdown_model);
 }
 
 #[test]

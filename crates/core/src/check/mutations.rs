@@ -13,7 +13,8 @@
 
 use super::models::{
     cq_spill_episode_model, notify_poll_model, notify_wait_model, partition_segment,
-    ring_partition_heap, ring_partition_segment, seqlock_read_vs_publish_model,
+    put_future_countdown_model, ring_partition_heap, ring_partition_segment,
+    seqlock_read_vs_publish_model,
 };
 use super::{explore, replay, Failure, FailureKind, Mutation, Options};
 
@@ -86,6 +87,20 @@ fn waker_drain_before_swap_is_caught() {
         Mutation::WakerDrainBeforeSwap,
         FailureKind::Deadlock,
         notify_wait_model,
+    );
+}
+
+/// `PutFuture::poll` without its post-register re-check: a countdown that
+/// ends between the first check of `done` and the register wakes an empty
+/// cell, and the waiter parks for good — a modeled deadlock, the lost
+/// wake a flush riding the countdown would hang on.
+#[test]
+fn put_future_skip_recheck_is_caught() {
+    expect_caught(
+        "put_future_skip_recheck",
+        Mutation::PutFutureSkipRecheck,
+        FailureKind::Deadlock,
+        put_future_countdown_model,
     );
 }
 

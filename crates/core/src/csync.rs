@@ -52,6 +52,10 @@ pub enum Mutation {
     /// loop, instead of inside the claim CAS — a push racing `close` can
     /// succeed behind the consumer's final index and never be popped.
     RingClosedApartFromClaim,
+    /// `PutFuture::poll`: skip the re-check of `done` after registering
+    /// the waker — a countdown that ends between the first check and the
+    /// register wakes nobody, and the waiter parks for good.
+    PutFutureSkipRecheck,
 }
 
 impl Mutation {

@@ -60,6 +60,7 @@ pub mod cq;
 pub(crate) mod csync;
 pub mod endpoint;
 pub mod error;
+pub(crate) mod link;
 pub mod lut;
 pub mod mailbox;
 pub mod mpix;

@@ -330,7 +330,7 @@ impl std::fmt::Debug for NotificationSlot {
 /// refcount bump) per park, so parking allocates nothing after a thread's
 /// first park. Under a checker execution a fresh one names the current
 /// model thread.
-fn park_waker() -> Waker {
+pub(crate) fn park_waker() -> Waker {
     struct Unpark(csync::thread::Thread);
     impl Wake for Unpark {
         fn wake(self: Arc<Self>) {

@@ -66,7 +66,7 @@ pub struct PutResult {
 /// all three backends can honour):
 ///
 /// * [`put_at`](Transport::put_at) may return before delivery; it errors
-///   only on *local* conditions (unknown destination, dead peer process).
+///   only on *local* conditions (unknown destination, closed link).
 /// * Target-side refusals surface as **asynchronous NACKs** through
 ///   [`take_nacks`](Transport::take_nacks) — even on backends that learn
 ///   of the NACK synchronously.
@@ -125,14 +125,15 @@ pub trait Transport: Send + Sync {
     /// Block until every previously submitted fragment reached its final
     /// disposition at the target (the quiesce/drain barrier).
     ///
-    /// A backend that is gone cannot run the barrier, and says so instead
-    /// of waiting for acks nobody will send: the threaded backend returns
-    /// [`RvmaError::UnknownDestination`] once its `AsyncNetwork` has been
-    /// dropped (the same error a put into its closed rings gets); the shm
-    /// backend returns [`RvmaError::TransportFailed`] when the server
-    /// process is dead or dies before acking the marker; the inline
-    /// backend keeps its network alive through the channel itself, has no
-    /// peer to lose, and always returns `Ok`.
+    /// A link that is gone cannot run the barrier, and says so instead of
+    /// waiting for acks nobody will send: both wire backends return
+    /// [`RvmaError::TransportFailed`] — the threaded one once its
+    /// `AsyncNetwork` has been dropped, the shm one once the server has
+    /// stopped, or dies before acking the marker — the same error a put
+    /// into the closed link gets. ([`RvmaError::UnknownDestination`] stays
+    /// for a destination absent from the fabric.) The inline backend keeps
+    /// its network alive through the channel itself, has no peer to lose,
+    /// and always returns `Ok`.
     fn flush(&self) -> Result<()>;
 
     /// Drain the asynchronously collected NACKs observed so far.

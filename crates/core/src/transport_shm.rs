@@ -24,24 +24,19 @@
 //! crossing the segment instead of an in-process countdown. Nothing above
 //! the wire knows the peer is in another address space.
 //!
-//! ## Who drains the response ring
+//! ## Sending
 //!
-//! The waiter: a [`PutFuture`] poll or [`ShmClient::flush`] drains it
-//! while the thread's adaptive spin budget lasts, then arms the client's
-//! otherwise parked response pump. A put blocked on a full request ring
-//! drains too. See DESIGN.md §12 for the whole progress rule.
-//!
-//! ## Quiesce over shared memory
-//!
-//! [`ShmClient::flush`] pushes a tokened flush marker through the request
-//! ring. The worker acks it under the wire worker's one flush rule: only
-//! once none of its link-level retransmissions is pending (the server
-//! cannot produce into the request ring, so they wait in the worker's
-//! deferred queue, and so does the marker behind them). The ack therefore
-//! proves every fragment submitted before the flush reached its final
-//! disposition, and — the response ring being FIFO — every NACK of that
-//! traffic precedes it. This is the same drain-barrier contract as
-//! `AsyncNetwork::quiesce`, kept honest by the bounded retry budget.
+//! [`ShmClient`] is the crate's one send engine (`crate::link`) over this
+//! wire: eager puts are copied into one request slot per MTU, large ones
+//! into a bulk extent sent as one RTS descriptor, and a flush is one
+//! tokened marker. The worker acks the marker under the wire worker's one
+//! flush rule (after its own pending retransmissions), and the response
+//! ring is FIFO, so the ack follows every NACK of the traffic before it.
+//! Acks reach their futures through whoever waits on them: a
+//! [`PutFuture`] poll (a flush is one) drains the response ring while the
+//! thread's adaptive spin budget lasts, then arms the client's otherwise
+//! parked response pump; a put blocked on a full request ring drains too.
+//! See DESIGN.md §12 for the whole progress rule.
 //!
 //! ## Stop and peer death
 //!
@@ -63,17 +58,18 @@ use crate::addr::{NodeAddr, VirtAddr};
 use crate::csync::Idle;
 use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
+use crate::link::{
+    self, notified, Initiator, Link, NackSink, Op, Progress, PutFuture, PutNotify, Unit,
+};
 use crate::retry::{FaultStats, LinkFaults};
 use crate::ring::{Cursors, PushError, Ring, SegmentRing};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
-use crate::transport::Transport;
-use crate::transport_threaded::{Progress, PutFuture, PutNotify};
 use crate::wire::{Fabric, Wire, WireMsg, WireWorker};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -816,7 +812,7 @@ impl BulkExtent {
 
 impl Drop for BulkExtent {
     fn drop(&mut self) {
-        self.inner.release_extent(self.off, self.order, self.len);
+        self.inner.release_extent((self.off, self.order, self.len));
     }
 }
 
@@ -837,19 +833,19 @@ pub struct BulkStats {
     pub eager_fallbacks: u64,
 }
 
+/// What a token's acks resolve: a put's countdown when one was asked for,
+/// and a rendezvous extent `(offset, order, len)` the last ack releases.
+/// The entry is removed exactly once — by the last ack, a push the link
+/// refused, or peer death — so a duplicate ack finds nothing: no double
+/// count, no double free.
 struct PendingPut {
-    notify: Arc<PutNotify>,
+    notify: Option<Arc<PutNotify>>,
     remaining: u64,
-    /// Rendezvous puts own a bulk extent `(offset, order, len)` released
-    /// exactly once — when the ack removes this entry (or on peer death).
-    /// A duplicate ack finds no entry and is ignored: no double-free.
-    extent: Option<(usize, u32, usize)>,
+    extent: Option<Extent>,
 }
 
-struct FlushState {
-    acked: HashSet<u32>,
-    dead: bool,
-}
+/// A bulk extent: offset in the region, buddy order, payload length.
+type Extent = (usize, u32, usize);
 
 struct ClientInner {
     seg: Arc<ShmSegment>,
@@ -858,28 +854,20 @@ struct ClientInner {
     rsp: SegmentRing,
     /// Held by the one thread emptying `rsp` (the ring's single consumer).
     drain_claimed: AtomicBool,
-    /// Waiters (futures, flushers) that ran out of spin and handed the
+    /// Waiters (futures and flushes) that ran out of spin and handed the
     /// drain to the pump; it sleeps on the response doorbell while > 0.
     armed: AtomicU32,
     pump: OnceLock<Thread>,
     src: NodeAddr,
-    /// Lane policy published by the server in the segment header.
-    eager_threshold: usize,
-    next_op: AtomicU64,
     next_token: AtomicU32,
-    next_flush: AtomicU32,
     tokens: Mutex<HashMap<u32, PendingPut>>,
-    nacks: Mutex<Vec<(VirtAddr, NackReason)>>,
-    flush_state: Mutex<FlushState>,
-    flush_cv: Condvar,
+    /// The engine's sink, where `RSP_NACK`s land.
+    nacks: NackSink,
     stop: AtomicBool,
     telemetry: Option<Arc<Telemetry>>,
     /// Bulk-region buddy allocator (see [`BulkAllocator`]) and its
     /// accounting.
     bulk: Mutex<BulkAllocator>,
-    /// Payload bytes copied into the segment (request slots on the eager
-    /// lane, bulk extents on the rendezvous lane).
-    staged: AtomicU64,
 }
 
 impl ClientInner {
@@ -913,18 +901,30 @@ impl ClientInner {
         handled > 0
     }
 
-    /// Register a countdown of `fragments` under a fresh token, with the
-    /// extent its last ack releases.
-    fn track(&self, fragments: u64, extent: Option<(usize, u32, usize)>) -> (u32, Arc<PutNotify>) {
+    /// The token `units` acks come back under, or 0 when nothing waits
+    /// on them (an un-notified eager put).
+    fn track(&self, notify: Option<Arc<PutNotify>>, units: u64, extent: Option<Extent>) -> u32 {
+        if notify.is_none() && extent.is_none() {
+            return 0;
+        }
         let token = next_token(&self.next_token);
-        let notify = PutNotify::new(fragments);
         let pending = PendingPut {
-            notify: notify.clone(),
-            remaining: fragments,
+            notify,
+            remaining: units,
             extent,
         };
         self.tokens.lock().insert(token, pending);
-        (token, notify)
+        token
+    }
+
+    /// Resolve `p` as failed and release its extent.
+    fn fail(&self, p: PendingPut) {
+        if let Some(n) = p.notify {
+            n.fragments_done(p.remaining, true);
+        }
+        if let Some(extent) = p.extent {
+            self.release_extent(extent);
+        }
     }
 
     /// Reserve and account a bulk extent; when the region is exhausted,
@@ -952,9 +952,9 @@ impl ClientInner {
     }
 
     /// Release a rendezvous extent (exactly once per reservation: the
-    /// callers are the single ack-path removal, the submit error unwind,
-    /// and the peer-death drain — mutually exclusive by token ownership).
-    fn release_extent(&self, off: usize, order: u32, len: usize) {
+    /// callers are the single ack-path removal, a refused push, and the
+    /// peer-death drain — mutually exclusive by token ownership).
+    fn release_extent(&self, (off, order, len): Extent) {
         let mut bulk = self.bulk.lock();
         bulk.release(off, order);
         bulk.stats.released_bytes += len as u64;
@@ -963,17 +963,154 @@ impl ClientInner {
         self.record(EventKind::BulkRelease, 0, off as u64);
     }
 
-    /// Resolve every outstanding future/flush as failed (peer death).
+    /// Resolve every outstanding future and flush as failed (peer death).
     fn fail_all_pending(&self) {
         let drained: Vec<PendingPut> = self.tokens.lock().drain().map(|(_, p)| p).collect();
         for p in drained {
-            p.notify.fragments_done(p.remaining, true);
-            if let Some((off, order, len)) = p.extent {
-                self.release_extent(off, order, len);
+            self.fail(p);
+        }
+    }
+
+    /// Claim, fill, publish one request slot acked under `token` (0:
+    /// none); blocks (bounded, liveness-checked) while the ring is full —
+    /// backpressure, never drops. Each retry drains the response ring: a
+    /// server blocked on a full response ring stops consuming requests.
+    /// A stopped server's closed ring fails at once, and what the token
+    /// tracks fails with it.
+    fn push_req(
+        &self,
+        token: u32,
+        fill: impl FnOnce(&ReqHdr, *mut u8),
+    ) -> std::result::Result<(), PushError<()>> {
+        let seg = &self.seg;
+        let fill = |off| {
+            let h = req_hdr(seg, off);
+            h.token.store(token, Ordering::Relaxed);
+            // SAFETY: in-bounds payload region of the claimed slot.
+            fill(h, unsafe { seg.as_ptr().add(off + REQ_HDR_SIZE) })
+        };
+        let stall = |probe| {
+            self.progress(false);
+            let gone = probe && self.server_dead();
+            if gone {
+                self.fail_all_pending();
+            }
+            !gone
+        };
+        if let Err(e) = self.req.push(fill, stall) {
+            // Refused: what the token tracks fails with it.
+            let pending = self.tokens.lock().remove(&token);
+            if let Some(p) = pending {
+                self.fail(p);
+            }
+            return Err(e);
+        }
+        header(seg).req_bell.ring();
+        Ok(())
+    }
+}
+
+/// Fill a put's request header: `kind`, `len` bytes in this slot, placed
+/// at `at`.
+fn fill_put(h: &ReqHdr, kind: u32, len: usize, op: &Op<'_>, at: usize) {
+    h.kind.store(kind, Ordering::Relaxed);
+    h.len.store(len as u32, Ordering::Relaxed);
+    h.dest_nid.store(op.dest.nid, Ordering::Relaxed);
+    h.dest_pid.store(op.dest.pid, Ordering::Relaxed);
+    h.init_nid.store(op.src.nid, Ordering::Relaxed);
+    h.init_pid.store(op.src.pid, Ordering::Relaxed);
+    h.op_id.store(op.id, Ordering::Relaxed);
+    h.vaddr.store(op.vaddr.0, Ordering::Relaxed);
+    h.total_len.store(op.len as u64, Ordering::Relaxed);
+    h.offset.store(at as u64, Ordering::Relaxed);
+}
+
+/// The shm backend's [`Link`]: one request ring, slots copied per MTU, a
+/// bulk region for the large lane, and acks the waiter drains.
+impl Link for Arc<ClientInner> {
+    type Route = ();
+    /// A bulk extent, and whether the put's ack releases it (an extent
+    /// the application reserved stays its own).
+    type Desc = (Extent, bool);
+
+    fn route(&self, _: NodeAddr, _: VirtAddr) -> Result<()> {
+        Ok(())
+    }
+
+    /// The lane's single staging copy: caller buffer → a reserved extent.
+    /// An exhausted (or disabled) region declines: eager still works —
+    /// rendezvous is an optimisation, never a requirement.
+    fn stage(&self, op: &Op<'_>, data: &[u8]) -> Option<(Extent, bool)> {
+        let len = data.len();
+        let Some((off, order)) = self.reserve_bulk(len) else {
+            self.bulk.lock().stats.eager_fallbacks += 1;
+            return None;
+        };
+        self.record(EventKind::BulkReserve, op.id, off as u64);
+        // SAFETY: the extent was reserved from this segment's bulk region
+        // and covers `len` bytes by construction. The copy completes
+        // before the descriptor publishes (the ring slot's release store
+        // orders it for the server's acquire pop).
+        unsafe {
+            let dst = self.seg.as_ptr().add(self.geo.bulk_base + off);
+            std::ptr::copy_nonoverlapping(data.as_ptr(), dst, len);
+        }
+        Some(((off, order, len), true))
+    }
+
+    /// Eager: one request slot per MTU, the payload copied in, each
+    /// `RingEnqueue`d with its offset. A descriptor: one RTS slot carrying
+    /// the extent's offset, always tokened — its ack releases the extent.
+    fn push(
+        &self,
+        _: (),
+        op: &Op<'_>,
+        unit: Unit<'_, (Extent, bool)>,
+        notify: Option<Arc<PutNotify>>,
+    ) -> std::result::Result<(), PushError<()>> {
+        match unit {
+            Unit::Eager(data) => {
+                let ranges = mtu_ranges(data.len(), self.geo.mtu);
+                let token = self.track(notify, ranges.len() as u64, None);
+                for (s, e) in ranges {
+                    op.enqueued((op.offset + s) as u64);
+                    self.push_req(token, |h, payload| {
+                        fill_put(h, REQ_PUT, e - s, op, op.offset + s);
+                        // SAFETY: payload points at this slot's mtu-sized
+                        // region and e - s <= mtu.
+                        unsafe {
+                            std::ptr::copy_nonoverlapping(data.as_ptr().add(s), payload, e - s);
+                        }
+                    })?;
+                }
+                Ok(())
+            }
+            Unit::Desc((extent, owned)) => {
+                let token = self.track(notify, 1, owned.then_some(extent));
+                op.enqueued(op.offset as u64);
+                self.push_req(token, |h, payload| {
+                    fill_put(h, REQ_BULK, 8, op, op.offset);
+                    // SAFETY: the payload region is at least MTU (> 8) bytes.
+                    unsafe { std::ptr::write_unaligned(payload as *mut u64, extent.0 as u64) };
+                })
             }
         }
-        self.flush_state.lock().dead = true;
-        self.flush_cv.notify_all();
+    }
+
+    /// One tokened marker, acked `RSP_FLUSH_ACK` under the server's flush
+    /// rule (see the module docs).
+    fn push_flush(&self) -> Arc<PutNotify> {
+        let done = PutNotify::new(1);
+        let token = self.track(Some(done.clone()), 1, None);
+        let _ = self.push_req(token, |h, _| {
+            h.kind.store(REQ_FLUSH, Ordering::Relaxed);
+            h.len.store(0, Ordering::Relaxed);
+        });
+        done
+    }
+
+    fn hook(&self) -> Option<Arc<dyn Progress>> {
+        Some(self.clone())
     }
 }
 
@@ -995,14 +1132,22 @@ impl Progress for ClientInner {
 }
 
 /// The initiating (client) half: maps a server's segment and speaks the
-/// wire protocol through it. All puts go through the request ring; acks
-/// come back through the response ring, drained by whoever waits on them
-/// (a [`PutFuture`] poll, a [`flush`](ShmClient::flush)) and by a parked
-/// response pump only for a waiter that stopped spinning.
+/// wire protocol through it — the crate's one send engine over this
+/// link. All puts go through the request ring; acks come back through
+/// the response ring, drained by whoever waits on them (a [`PutFuture`]
+/// poll, a [`flush`](ShmClient::flush)) and by a parked response pump
+/// only for a waiter that stopped spinning.
+///
+/// Lanes: a put above the [`eager_threshold`](ShmClient::eager_threshold)
+/// is copied into a bulk extent and crosses as one RTS descriptor, or in
+/// eager slots while the region is exhausted; a put from a registered
+/// extent ([`put_from_extent`](ShmClient::put_from_extent)) copies nothing.
 pub struct ShmClient {
-    inner: Arc<ClientInner>,
+    engine: Initiator<Arc<ClientInner>>,
     pump: Option<JoinHandle<()>>,
 }
+
+link::initiator_api!(ShmClient, "shm");
 
 impl ShmClient {
     /// Map the segment at `path` (waiting up to 10 s for the server to
@@ -1020,27 +1165,22 @@ impl ShmClient {
         src: NodeAddr,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Result<ShmClient> {
+        let refuse = |why: String| {
+            let path = path.display();
+            Err(RvmaError::TransportFailed(format!("segment {path}: {why}")))
+        };
         let t0 = Instant::now();
         let seg = loop {
             match ShmSegment::open(path) {
                 Ok(seg) if seg.len() >= HDR_SPACE => {
-                    if header(&seg).state.load(Ordering::Acquire) == STATE_READY {
-                        break seg;
-                    }
-                    if header(&seg).state.load(Ordering::Acquire) == STATE_SERVER_GONE {
-                        return Err(RvmaError::TransportFailed(format!(
-                            "server at {} already gone",
-                            path.display()
-                        )));
+                    match header(&seg).state.load(Ordering::Acquire) {
+                        STATE_READY => break seg,
+                        STATE_SERVER_GONE => return refuse("server already gone".into()),
+                        _ => {}
                     }
                 }
                 Ok(_) | Err(_) if t0.elapsed() < CONNECT_TIMEOUT => {}
-                Ok(_) => {
-                    return Err(RvmaError::TransportFailed(format!(
-                        "segment {} never became ready",
-                        path.display()
-                    )));
-                }
+                Ok(_) => return refuse("never became ready".into()),
                 Err(e) => return Err(e),
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -1050,11 +1190,10 @@ impl ShmClient {
         let magic = hdr.magic.load(Ordering::Relaxed);
         let version = hdr.version.load(Ordering::Relaxed);
         if magic != SHM_MAGIC || version != SHM_VERSION {
-            return Err(RvmaError::TransportFailed(format!(
-                "{} is not an RVMA segment of wire version {SHM_VERSION} \
-                 (magic {magic:#x}, version {version})",
-                path.display()
-            )));
+            let found = format!("magic {magic:#x}, version {version}");
+            return refuse(format!(
+                "not an RVMA segment of wire version {SHM_VERSION} ({found})"
+            ));
         }
         let geo = SegGeometry::new(
             hdr.mtu.load(Ordering::Relaxed) as usize,
@@ -1065,15 +1204,11 @@ impl ShmClient {
         let eager_threshold = hdr.eager_threshold.load(Ordering::Relaxed) as usize;
         let fits = geo.mtu > 0 && seg.len() >= geo.total;
         let Some((req, rsp)) = geo.rings(&seg).filter(|_| fits) else {
-            return Err(RvmaError::TransportFailed(format!(
-                "segment {} has an invalid geometry ({} B mapped, {} B required, \
-                 {} request and {} response slots)",
-                path.display(),
-                seg.len(),
-                geo.total,
-                geo.req_slots,
-                geo.rsp_slots
-            )));
+            let (mapped, slots) = (seg.len(), (geo.req_slots, geo.rsp_slots));
+            return refuse(format!(
+                "invalid geometry ({mapped} B mapped, {} B required, {slots:?} slots)",
+                geo.total
+            ));
         };
         hdr.client_pid.store(std::process::id(), Ordering::SeqCst);
 
@@ -1089,6 +1224,7 @@ impl ShmClient {
             seg.prefault_writable(geo.bulk_base, geo.bulk_bytes);
         }
 
+        let nacks = NackSink::default();
         let inner = Arc::new(ClientInner {
             req,
             rsp,
@@ -1098,21 +1234,12 @@ impl ShmClient {
             armed: AtomicU32::new(0),
             pump: OnceLock::new(),
             src,
-            eager_threshold,
-            next_op: AtomicU64::new(1),
             next_token: AtomicU32::new(0),
-            next_flush: AtomicU32::new(0),
             tokens: Mutex::new(HashMap::new()),
-            nacks: Mutex::new(Vec::new()),
-            flush_state: Mutex::new(FlushState {
-                acked: HashSet::new(),
-                dead: false,
-            }),
-            flush_cv: Condvar::new(),
+            nacks: nacks.clone(),
             stop: AtomicBool::new(false),
-            telemetry,
+            telemetry: telemetry.clone(),
             bulk: Mutex::new(BulkAllocator::new(geo.bulk_bytes)),
-            staged: AtomicU64::new(0),
         });
         let pump = {
             let inner = inner.clone();
@@ -1122,68 +1249,24 @@ impl ShmClient {
                 .expect("spawn shm response pump")
         };
         let _ = inner.pump.set(pump.thread().clone());
+        let mut engine = Initiator::new(inner, src, (geo.mtu, eager_threshold));
+        (engine.telemetry, engine.nacks) = (telemetry, nacks);
         Ok(ShmClient {
-            inner,
+            engine,
             pump: Some(pump),
         })
     }
 
-    /// The initiator's source address.
-    pub fn src(&self) -> NodeAddr {
-        self.inner.src
-    }
-
     /// The wire MTU agreed with the server.
     pub fn mtu(&self) -> usize {
-        self.inner.geo.mtu
+        self.engine.link.geo.mtu
     }
 
     /// The lane policy the server published in the segment header: puts
     /// longer than this take the rendezvous lane (0 forces it for every
     /// non-empty put, `usize::MAX` disables it).
     pub fn eager_threshold(&self) -> usize {
-        self.inner.eager_threshold
-    }
-
-    /// Fire-and-forget `RVMA_Put` at offset 0.
-    pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<()> {
-        self.put_at(dest, vaddr, 0, data)
-    }
-
-    /// Fire-and-forget `RVMA_Put` at an explicit buffer offset. Blocks
-    /// only for ring backpressure; delivery is asynchronous (use
-    /// [`put_notify_at`](ShmClient::put_notify_at) or
-    /// [`flush`](ShmClient::flush) to observe it).
-    pub fn put_at(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<()> {
-        self.submit_put(dest, vaddr, offset, data, false)?;
-        Ok(())
-    }
-
-    /// `RVMA_Put` returning a [`PutFuture`] that resolves when every
-    /// fragment reached its final disposition at the server — the same
-    /// local-completion contract as `AsyncInitiator::put_notify`, resolved
-    /// by cross-process acks instead of an in-process countdown.
-    pub fn put_notify(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<PutFuture> {
-        self.put_notify_at(dest, vaddr, 0, data)
-    }
-
-    /// [`put_notify`](ShmClient::put_notify) at an explicit offset.
-    pub fn put_notify_at(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<PutFuture> {
-        Ok(self
-            .submit_put(dest, vaddr, offset, data, true)?
-            .expect("notified submission returns a future"))
+        self.engine.eager_threshold
     }
 
     /// Reserve a client-owned **registered extent** in the segment's bulk
@@ -1196,11 +1279,11 @@ impl ShmClient {
     /// is exhausted (after one drain of pending acks) or the rendezvous
     /// lane is disabled. The extent is returned to the allocator on drop.
     pub fn reserve_extent(&self, len: usize) -> Option<BulkExtent> {
-        let inner = &self.inner;
+        let inner = &self.engine.link;
         let (off, order) = inner.reserve_bulk(len)?;
         inner.record(EventKind::BulkReserve, 0, off as u64);
         Some(BulkExtent {
-            inner: self.inner.clone(),
+            inner: inner.clone(),
             off,
             order,
             len,
@@ -1221,301 +1304,43 @@ impl ShmClient {
         vaddr: VirtAddr,
         offset: usize,
     ) -> Result<PutFuture> {
-        let inner = &self.inner;
         assert!(
-            Arc::ptr_eq(&ext.inner, inner),
+            Arc::ptr_eq(&ext.inner, &self.engine.link),
             "extent belongs to a different client"
         );
-        let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
-        inner.record(EventKind::Submit, op_id, ext.len as u64);
         // The application owns the extent's lifetime: the ack resolves
         // the future but releases nothing.
-        let notify = self.push_rts(dest, vaddr, offset, op_id, (ext.off, 0, ext.len), false)?;
-        Ok(self.future(notify, 1))
-    }
-
-    /// Push one rendezvous RTS descriptor for the extent `(off, order,
-    /// len)` under a fresh token, returning its one-fragment countdown.
-    /// With `owned`, the ack releases the extent; a descriptor that never
-    /// reaches the wire releases it here.
-    fn push_rts(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        op_id: u64,
-        (ext_off, order, len): (usize, u32, usize),
-        owned: bool,
-    ) -> Result<Arc<PutNotify>> {
-        let inner = &self.inner;
-        let (token, notify) = inner.track(1, owned.then_some((ext_off, order, len)));
-        inner.record(EventKind::RingEnqueue, op_id, offset as u64);
-        let pushed = self.push_req(|h, payload| {
-            h.kind.store(REQ_BULK, Ordering::Relaxed);
-            h.len.store(8, Ordering::Relaxed);
-            h.dest_nid.store(dest.nid, Ordering::Relaxed);
-            h.dest_pid.store(dest.pid, Ordering::Relaxed);
-            h.init_nid.store(inner.src.nid, Ordering::Relaxed);
-            h.init_pid.store(inner.src.pid, Ordering::Relaxed);
-            h.token.store(token, Ordering::Relaxed);
-            h.op_id.store(op_id, Ordering::Relaxed);
-            h.vaddr.store(vaddr.0, Ordering::Relaxed);
-            h.total_len.store(len as u64, Ordering::Relaxed);
-            h.offset.store(offset as u64, Ordering::Relaxed);
-            // SAFETY: the payload region is at least MTU (> 8) bytes.
-            unsafe {
-                std::ptr::write_unaligned(payload as *mut u64, ext_off as u64);
-            }
-        });
-        if let Err(e) = pushed {
-            // Never reached the wire: unwind the token and reservation.
-            // (fail_all_pending may already have drained the token and
-            // released the extent — only release what we removed.)
-            let extent = inner.tokens.lock().remove(&token).and_then(|p| p.extent);
-            if let Some((off, ord, len)) = extent {
-                inner.release_extent(off, ord, len);
-            }
-            return Err(e);
-        }
-        Ok(notify)
-    }
-
-    /// A future over `notify` that drains this client's response ring.
-    fn future(&self, notify: Arc<PutNotify>, fragments: u64) -> PutFuture {
-        let progress: Arc<dyn Progress> = self.inner.clone();
-        PutFuture::from_notify(notify, fragments, Some(progress))
-    }
-
-    /// One entry point for every put: picks the lane, owns the token
-    /// lifecycle. Returns a future only when `want_notify` (rendezvous
-    /// puts always run tokened — the ack releases the extent — but the
-    /// future is only surfaced on request).
-    fn submit_put(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-        want_notify: bool,
-    ) -> Result<Option<PutFuture>> {
-        let inner = &self.inner;
-        let len = data.len();
-        let extent = (len > inner.eager_threshold).then(|| inner.reserve_bulk(len));
-        if let Some(Some((ext_off, order))) = extent {
-            // Rendezvous: one copy into the reserved extent, one RTS
-            // descriptor; a single logical fragment regardless of size.
-            let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
-            inner.record(EventKind::Submit, op_id, len as u64);
-            inner.record(EventKind::BulkReserve, op_id, ext_off as u64);
-            // The lane's single staging copy: caller buffer → extent. It
-            // must complete before the descriptor publishes (the ring
-            // slot's release store orders it for the server's acquire pop).
-            inner.staged.fetch_add(len as u64, Ordering::Relaxed);
-            // SAFETY: the extent was reserved from this segment's bulk
-            // region and covers `len` bytes by construction.
-            unsafe {
-                let dst = inner.seg.as_ptr().add(inner.geo.bulk_base + ext_off);
-                std::ptr::copy_nonoverlapping(data.as_ptr(), dst, len);
-            }
-            let notify = self.push_rts(dest, vaddr, offset, op_id, (ext_off, order, len), true)?;
-            return Ok(want_notify.then(|| self.future(notify, 1)));
-        }
-        if extent.is_some() {
-            // Region exhausted (or lane disabled): eager still works —
-            // rendezvous is an optimisation, never a requirement.
-            inner.bulk.lock().stats.eager_fallbacks += 1;
-        }
-        if !want_notify {
-            self.submit(dest, vaddr, offset, data, 0)?;
-            return Ok(None);
-        }
-        // The countdown covers exactly the fragments `submit` will push —
-        // one even for an empty put, so its future resolves too.
-        let fragments = mtu_ranges(data.len(), inner.geo.mtu).len() as u64;
-        let (token, notify) = inner.track(fragments, None);
-        if let Err(e) = self.submit(dest, vaddr, offset, data, token) {
-            inner.tokens.lock().remove(&token);
-            return Err(e);
-        }
-        Ok(Some(self.future(notify, fragments)))
-    }
-
-    /// Fragment and push one put into the request ring.
-    fn submit(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-        token: u32,
-    ) -> Result<()> {
-        let inner = &self.inner;
-        let len = data.len();
-        inner.staged.fetch_add(len as u64, Ordering::Relaxed);
-        let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
-        inner.record(EventKind::Submit, op_id, len as u64);
-        for (s, e) in mtu_ranges(len, inner.geo.mtu) {
-            let at = (offset + s) as u64;
-            inner.record(EventKind::RingEnqueue, op_id, at);
-            self.push_req(|h, payload| {
-                h.kind.store(REQ_PUT, Ordering::Relaxed);
-                h.len.store((e - s) as u32, Ordering::Relaxed);
-                h.dest_nid.store(dest.nid, Ordering::Relaxed);
-                h.dest_pid.store(dest.pid, Ordering::Relaxed);
-                h.init_nid.store(inner.src.nid, Ordering::Relaxed);
-                h.init_pid.store(inner.src.pid, Ordering::Relaxed);
-                h.token.store(token, Ordering::Relaxed);
-                h.op_id.store(op_id, Ordering::Relaxed);
-                h.vaddr.store(vaddr.0, Ordering::Relaxed);
-                h.total_len.store(len as u64, Ordering::Relaxed);
-                h.offset.store(at, Ordering::Relaxed);
-                // SAFETY: payload points at this slot's mtu-sized region
-                // and e - s <= mtu.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(data.as_ptr().add(s), payload, e - s);
-                }
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Claim, fill, publish one request slot; blocks (bounded, liveness-
-    /// checked) while the ring is full — backpressure, never drops. Each
-    /// retry drains the response ring: a server blocked on a full
-    /// response ring stops consuming requests. A stopped server's closed
-    /// ring fails at once.
-    fn push_req(&self, fill: impl FnOnce(&ReqHdr, *mut u8)) -> Result<()> {
-        let inner = &self.inner;
-        let seg = &inner.seg;
-        // SAFETY: in-bounds payload region of the claimed slot.
-        let fill = |off| {
-            fill(req_hdr(seg, off), unsafe {
-                seg.as_ptr().add(off + REQ_HDR_SIZE)
-            })
-        };
-        let stall = |probe| {
-            inner.progress(false);
-            let gone = probe && inner.server_dead();
-            if gone {
-                inner.fail_all_pending();
-            }
-            !gone
-        };
-        inner.req.push(fill, stall).map_err(|refused| {
-            RvmaError::TransportFailed(match refused {
-                PushError::Closed(()) => "server stopped (request ring closed)".into(),
-                PushError::Full(()) => "server process gone (request ring stalled)".into(),
-            })
-        })?;
-        header(seg).req_bell.ring();
-        Ok(())
+        let desc = ((ext.off, ext.order, ext.len), false);
+        let at = (dest, vaddr, offset);
+        notified(self.engine.put_desc(at, ext.len, desc, true))
     }
 
     /// Drain barrier: blocks until every previously submitted fragment
-    /// reached its final disposition at the server — including link-level
-    /// retransmissions parked in the server's deferred queue, which hold
-    /// the ack back (see the module docs). Errors if the server dies.
-    ///
-    /// The caller drains the response ring itself while its adaptive spin
-    /// budget lasts, then arms the response pump and sleeps on a condvar.
+    /// reached its final disposition at the server, link-level
+    /// retransmissions included (see the module docs). Errors
+    /// [`TransportFailed`](RvmaError::TransportFailed) once the server has
+    /// stopped or died.
     pub fn flush(&self) -> Result<()> {
-        let inner = &self.inner;
-        let token = next_token(&inner.next_flush);
-        self.push_req(|h, _payload| {
-            h.kind.store(REQ_FLUSH, Ordering::Relaxed);
-            h.len.store(0, Ordering::Relaxed);
-            h.token.store(token, Ordering::Relaxed);
-        })?;
-        let mut idle = Idle::new();
-        let mut armed = false;
-        let r = loop {
-            let mut fs = inner.flush_state.lock();
-            if fs.acked.remove(&token) {
-                break Ok(());
-            }
-            if fs.dead {
-                break Err(RvmaError::TransportFailed(
-                    "server process gone (flush never acked)".into(),
-                ));
-            }
-            if armed {
-                let timed_out = inner
-                    .flush_cv
-                    .wait_until(&mut fs, Instant::now() + Duration::from_millis(100))
-                    .timed_out();
-                drop(fs);
-                if timed_out && inner.server_dead() {
-                    inner.fail_all_pending();
-                }
-            } else {
-                drop(fs);
-                if idle.spin() {
-                    inner.progress(false);
-                } else {
-                    armed = true;
-                    inner.arm();
-                }
-            }
-        };
-        idle.done();
-        if armed {
-            inner.disarm();
-        }
-        r
-    }
-
-    /// Drain the asynchronously collected NACKs. Complete for everything
-    /// submitted before the last [`flush`](ShmClient::flush): the response
-    /// ring is FIFO, so every NACK of pre-flush traffic lands before the
-    /// flush ack the barrier waited on.
-    pub fn take_nacks(&self) -> Vec<(VirtAddr, NackReason)> {
-        std::mem::take(&mut *self.inner.nacks.lock())
-    }
-
-    /// Payload bytes copied into the segment so far (request slots on the
-    /// eager lane, bulk extents on the rendezvous lane).
-    pub fn staged_bytes(&self) -> u64 {
-        self.inner.staged.load(Ordering::Relaxed)
+        self.engine.flush()
     }
 
     /// Bulk-region accounting. After a [`flush`](ShmClient::flush) with
     /// no puts in flight, `reserved_bytes == released_bytes` and
     /// `in_flight == 0` — the no-extent-leak invariant.
     pub fn bulk_stats(&self) -> BulkStats {
-        self.inner.bulk.lock().stats
+        self.engine.link.bulk.lock().stats
     }
 }
 
 impl Drop for ShmClient {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
+        let inner = &self.engine.link;
+        inner.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.pump.take() {
             h.thread().unpark();
-            header(&self.inner.seg).rsp_bell.ring();
+            header(&inner.seg).rsp_bell.ring();
             let _ = h.join();
         }
-    }
-}
-
-impl Transport for ShmClient {
-    fn backend(&self) -> &'static str {
-        "shm"
-    }
-
-    fn put_at(&self, dest: NodeAddr, vaddr: VirtAddr, offset: usize, data: &[u8]) -> Result<()> {
-        ShmClient::put_at(self, dest, vaddr, offset, data)
-    }
-
-    fn flush(&self) -> Result<()> {
-        ShmClient::flush(self)
-    }
-
-    fn take_nacks(&self) -> Vec<(VirtAddr, NackReason)> {
-        ShmClient::take_nacks(self)
-    }
-
-    fn staged_bytes(&self) -> u64 {
-        ShmClient::staged_bytes(self)
     }
 }
 
@@ -1551,11 +1376,12 @@ fn rsp_pump(inner: Arc<ClientInner>) {
     }
 }
 
-/// Act on one response slot, read in place while the drain owns it.
+/// Act on one response slot, read in place while the drain owns it. A
+/// flush marker's ack resolves its token like a put's.
 fn handle_rsp(inner: &ClientInner, h: &RspHdr) {
     let token = h.token.load(Ordering::Relaxed);
     match h.kind.load(Ordering::Relaxed) {
-        RSP_PUT_DONE => {
+        RSP_PUT_DONE | RSP_FLUSH_ACK => {
             // A duplicate ack (possible only through fault injection)
             // finds the token already removed and is ignored — that is
             // what makes the extent release below exactly-once.
@@ -1563,26 +1389,23 @@ fn handle_rsp(inner: &ClientInner, h: &RspHdr) {
             let Some(p) = tokens.get_mut(&token) else {
                 return;
             };
-            p.notify
-                .fragments_done(1, h.nacked.load(Ordering::Relaxed) != 0);
+            if let Some(n) = &p.notify {
+                n.fragments_done(1, h.nacked.load(Ordering::Relaxed) != 0);
+            }
             p.remaining -= 1;
             if p.remaining > 0 {
                 return;
             }
             let extent = tokens.remove(&token).and_then(|p| p.extent);
             drop(tokens);
-            if let Some((off, order, len)) = extent {
-                inner.release_extent(off, order, len);
+            if let Some(extent) = extent {
+                inner.release_extent(extent);
             }
         }
         RSP_NACK => {
             let vaddr = VirtAddr::new(h.vaddr.load(Ordering::Relaxed));
             let reason = decode_nack(h.reason.load(Ordering::Relaxed));
             inner.nacks.lock().push((vaddr, reason));
-        }
-        RSP_FLUSH_ACK => {
-            inner.flush_state.lock().acked.insert(token);
-            inner.flush_cv.notify_all();
         }
         _ => {}
     }
@@ -1773,25 +1596,17 @@ mod tests {
         let mut note = win.post_buffer(vec![0u8; 64]).unwrap();
         // A tokened slot of a kind no server speaks, addressed to a live
         // mailbox: it must not be delivered, and its countdown must end.
-        let token = next_token(&client.inner.next_token);
+        let inner = &client.engine.link;
         let notify = PutNotify::new(1);
-        client.inner.tokens.lock().insert(
-            token,
-            PendingPut {
-                notify: notify.clone(),
-                remaining: 1,
-                extent: None,
-            },
-        );
-        client
-            .push_req(|h, payload| {
+        let token = inner.track(Some(notify.clone()), 1, None);
+        inner
+            .push_req(token, |h, payload| {
                 h.kind.store(0x7F, Ordering::Relaxed);
                 h.len.store(8, Ordering::Relaxed);
                 h.dest_nid.store(SERVER.nid, Ordering::Relaxed);
                 h.dest_pid.store(SERVER.pid, Ordering::Relaxed);
                 h.init_nid.store(CLIENT.nid, Ordering::Relaxed);
                 h.init_pid.store(CLIENT.pid, Ordering::Relaxed);
-                h.token.store(token, Ordering::Relaxed);
                 h.op_id.store(1, Ordering::Relaxed);
                 h.vaddr.store(0x80, Ordering::Relaxed);
                 h.total_len.store(8, Ordering::Relaxed);
@@ -1799,8 +1614,9 @@ mod tests {
                 // SAFETY: the payload region is at least MTU (> 8) bytes.
                 unsafe { std::ptr::write_bytes(payload, 0xEE, 8) };
             })
+            .map_err(crate::link::refused)
             .unwrap();
-        let done = pollster::block_on(client.future(notify, 1));
+        let done = pollster::block_on(PutFuture::from_notify(notify, inner.hook()));
         assert!(done.nacked, "the unknown slot is acked as refused");
         client.flush().unwrap();
         assert_eq!(ep.stats().fragments_accepted, 0, "nothing was delivered");
@@ -2093,10 +1909,10 @@ mod tests {
         }
         let (mut server, client) = shm_pair(64, EndpointConfig::default(), CLIENT).unwrap();
         // The client claimed a request slot and died before publishing it.
-        assert!(client.inner.req.claim().is_ok(), "the ring has room");
+        assert!(client.engine.link.req.claim().is_ok(), "the ring has room");
         let mut child = std::process::Command::new("/bin/true").spawn().unwrap();
         child.wait().unwrap();
-        header(&client.inner.seg)
+        header(&client.engine.link.seg)
             .client_pid
             .store(child.id(), Ordering::SeqCst);
         let t0 = Instant::now();

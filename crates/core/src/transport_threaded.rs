@@ -56,45 +56,18 @@
 //!
 //! # Submission path
 //!
-//! The initiator side is batched and allocation-light, which is what makes
-//! high small-message rates possible (the initiator-side analogue of the
-//! paper's receive-side amortization, Fig. 6):
-//!
-//! * **Route cache.** Each initiator keeps a small lock-free cache of
-//!   (destination, mailbox) → worker-queue routes, validated against the
-//!   network's endpoint **generation counter** (bumped by
-//!   `add_endpoint`/`register`/`remove_endpoint`). A steady-state `put`
-//!   touches no `RwLock` and never re-hashes the shard; only a cache miss
-//!   consults the endpoint table (and fails fast with
-//!   [`RvmaError::UnknownDestination`]).
-//! * **Inline fast path.** A put of at most one MTU skips the fragment
-//!   loop entirely: one pooled payload copy, one [`Fragment`], one channel
-//!   send — no intermediate `Vec`, no shuffle, no per-fragment `Arc`
-//!   clones.
-//! * **Rendezvous lane.** An owned payload above the endpoint config's
-//!   `eager_threshold` ([`AsyncInitiator::put_bytes_at`]) is never staged
-//!   and never cut at the MTU: the caller's `Bytes` crosses the ring as
-//!   one descriptor and the receiver gathers it with one copy.
-//! * **Payload pool.** Fragment payload storage is recycled through a
-//!   per-initiator [`PayloadPool`]: the copy every asynchronous put must
-//!   make lands in a reused allocation once the pool is warm
-//!   ([`AsyncInitiator::pool_stats`]).
-//! * **Doorbell batching.** A multi-fragment put crosses the channel as a
-//!   single `WireMsg` batch per (put × worker shard) instead of one send
-//!   per fragment, and [`AsyncInitiator::batch`] coalesces *many* puts
-//!   into one crossing, flushed explicitly or by an auto-flush doorbell
-//!   threshold.
-//! * **Receive runs.** Each worker is a wire worker (`crate::wire`) on its
-//!   ring: the eager messages queued behind the one it pops are delivered
-//!   as one [`RvmaEndpoint::deliver_batch`] run, and each message's NACKs
-//!   and `PutFuture` countdown still reach its own initiator.
-//!
-//! [`AsyncNetwork::quiesce`] broadcasts a flush barrier to every queue and
-//! waits for all workers to ack it; because queues are FIFO, every fragment
-//! submitted before the call is delivered when it returns. Dropping the
-//! network closes every ring first and then joins each worker, which
-//! drains its ring to the index the close fixed: a put racing the drop is
-//! either refused or delivered, never accepted and stranded.
+//! The initiator is the crate's one send engine (`crate::link`) over these
+//! rings. This wire's part: a small lock-free route cache of (destination,
+//! mailbox) → ring, validated against the network's endpoint generation (a
+//! miss consults the endpoint table, and fails fast with
+//! [`RvmaError::UnknownDestination`]); eager payloads copied once into the
+//! initiator's [`PayloadPool`], crossing as one [`Fragment`] or one
+//! `DeliverBatch`; and [`AsyncInitiator::batch`], one crossing per (ring,
+//! destination) for many puts. A flush puts a marker on every ring and
+//! parks on their one countdown. Dropping the network closes every ring,
+//! then joins each worker, which drains its ring to the index the close
+//! fixed: a racing put is refused ([`RvmaError::TransportFailed`]) or
+//! delivered, never stranded.
 //!
 //! # Fault injection (the link-level reliability layer)
 //!
@@ -110,14 +83,15 @@
 //! exactly as [`AsyncNetwork::remove_endpoint`] does.
 
 use crate::addr::{NodeAddr, VirtAddr};
-use crate::csync::{self, AtomicU64 as CheckedU64, Idle, Mutation};
-use crate::endpoint::{mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint};
+use crate::csync::{self, AtomicU64 as CheckedU64, Mutation};
+use crate::endpoint::{EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
-use crate::notify::AtomicWaker;
+use crate::link::{self, notified, refused, Initiator, Link, NackSink, Op, PutNotify, Unit};
+pub use crate::link::{PutDelivery, PutFuture};
 use crate::pool::{PayloadPool, PoolStats};
 use crate::retry::FaultStats;
 use crate::ring::{PushError, Ring, RingQueue, RingStats, RingStatsSnapshot};
-use crate::telemetry::{self, EventKind, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::transport::{DeliveryOrder, DEFAULT_MTU};
 use crate::wire::{Fabric, Wire, WireMsg, WireWorker};
 use bytes::Bytes;
@@ -125,11 +99,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -139,201 +110,6 @@ pub const DEFAULT_DOORBELL_FRAGS: usize = 256;
 
 /// Slots in an initiator's route cache (direct-mapped).
 const ROUTE_SLOTS: usize = 8;
-
-type NackSink = Arc<Mutex<Vec<(VirtAddr, NackReason)>>>;
-
-/// Shared delivery-completion state of a notified put
-/// ([`AsyncInitiator::put_notify`]): one atomic fragment countdown
-/// travelling with the put's wire messages, decremented by the wire worker
-/// at each fragment's **final disposition** — delivered to the endpoint or
-/// NACKed — never on a retransmission (the retried copy carries the handle
-/// onward). When the countdown hits zero the worker publishes `done` and
-/// wakes the registered [`PutFuture`] through the same [`AtomicWaker`]
-/// handoff the notification path uses: no lock, one `fetch_sub` + one
-/// `wake` on the hot path.
-pub(crate) struct PutNotify {
-    /// Fragments not yet at their final disposition.
-    remaining: AtomicU64,
-    /// Any fragment NACKed (duplicated copies count once per NACK rolled).
-    nacked: AtomicBool,
-    /// Published after the last decrement, before the wake.
-    done: AtomicBool,
-    waker: AtomicWaker,
-}
-
-impl PutNotify {
-    pub(crate) fn new(fragments: u64) -> Arc<PutNotify> {
-        debug_assert!(fragments > 0);
-        Arc::new(PutNotify {
-            remaining: AtomicU64::new(fragments),
-            nacked: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            waker: AtomicWaker::new(),
-        })
-    }
-
-    /// `n > 0` fragments reached their final disposition.
-    pub(crate) fn fragments_done(&self, n: u64, any_nacked: bool) {
-        if any_nacked {
-            self.nacked.store(true, Ordering::SeqCst);
-        }
-        let prev = self.remaining.fetch_sub(n, Ordering::SeqCst);
-        debug_assert!(prev >= n, "put_notify fragment countdown underflow");
-        if prev == n {
-            self.done.store(true, Ordering::SeqCst);
-            self.waker.wake();
-        }
-    }
-}
-
-/// What a [`PutFuture`] resolves to: the put's fragments all reached the
-/// wire's final disposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PutDelivery {
-    /// Wire fragments the put travelled as: one per MTU on the eager
-    /// lane, 1 for a rendezvous put (one descriptor, whatever its length).
-    pub fragments: u64,
-    /// True when any fragment was NACKed (e.g. `NoSuchMailbox` after a
-    /// crash fault); the NACK reasons themselves are in
-    /// [`AsyncInitiator::take_nacks`].
-    pub nacked: bool,
-}
-
-/// Future side of [`AsyncInitiator::put_notify`]: resolves when every
-/// fragment of the put has been delivered (or NACKed) by the wire workers.
-///
-/// This is the *initiator's* local-completion signal — the moment the
-/// paper's `RVMA_Put` buffer-reuse guarantee holds — not the receiver's
-/// threshold completion, which remains the notification machinery's job.
-/// The future is independent of any executor; poll it from one, or
-/// `block_on` it. `poll` never blocks: a backend whose acks must be
-/// drained by the waiter (the shm client) is driven a step per poll, and
-/// the future wakes itself while it spins.
-#[must_use = "a PutFuture does nothing unless polled"]
-pub struct PutFuture {
-    notify: Arc<PutNotify>,
-    fragments: u64,
-    drain: Option<Drain>,
-}
-
-/// A backend whose completions advance only while someone drains them
-/// (the shm client's response ring). The waiter is its progress engine;
-/// a helper takes over only while some waiter has armed it.
-pub(crate) trait Progress: Send + Sync {
-    /// Drain whatever completions are ready, unless another thread is.
-    fn drive(&self);
-    /// The caller stops driving: the helper drains until the matching
-    /// [`disarm`](Progress::disarm).
-    fn arm(&self);
-    fn disarm(&self);
-}
-
-/// A driven [`PutFuture`]'s progress hook and how far its spin has got.
-struct Drain {
-    hook: Arc<dyn Progress>,
-    idle: Idle,
-    armed: bool,
-}
-
-impl Drain {
-    /// A poll found the put unresolved. While the thread's adaptive budget
-    /// lasts, spin one step and wake the task so it polls (and drives)
-    /// again; once it runs out (the wait settles as a miss), arm the
-    /// helper, whose drain wakes the registered waker.
-    fn pend(&mut self, waker: &Waker) {
-        if self.armed {
-            return;
-        }
-        if self.idle.spin() {
-            waker.wake_by_ref();
-        } else {
-            self.armed = true;
-            self.hook.arm();
-        }
-    }
-
-    /// The put resolved: credit the spin, and hand the helper back.
-    fn resolved(&mut self) {
-        self.idle.done();
-        if std::mem::take(&mut self.armed) {
-            self.hook.disarm();
-        }
-    }
-}
-
-impl Drop for Drain {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hook.disarm();
-        }
-    }
-}
-
-impl PutFuture {
-    /// Wrap a delivery countdown shared with a transport backend (the
-    /// threaded workers decrement it in-process; the shm client decrements
-    /// it from cross-process acks, drained through `progress`).
-    pub(crate) fn from_notify(
-        notify: Arc<PutNotify>,
-        fragments: u64,
-        progress: Option<Arc<dyn Progress>>,
-    ) -> PutFuture {
-        PutFuture {
-            notify,
-            fragments,
-            drain: progress.map(|hook| Drain {
-                hook,
-                idle: Idle::new(),
-                armed: false,
-            }),
-        }
-    }
-
-    /// True once delivery finished (the future would resolve immediately).
-    pub fn is_done(&self) -> bool {
-        self.notify.done.load(Ordering::SeqCst)
-    }
-}
-
-impl Future for PutFuture {
-    type Output = PutDelivery;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<PutDelivery> {
-        let this = self.get_mut();
-        if let Some(d) = &this.drain {
-            d.hook.drive();
-        }
-        if !this.notify.done.load(Ordering::SeqCst) {
-            this.notify.waker.register(cx.waker());
-            // Re-check after registration: a completer that published
-            // `done` between the first check and the register either saw
-            // the waker (and woke it) or lost the race to this load.
-            // Either way no wake is missed.
-            if !this.notify.done.load(Ordering::SeqCst) {
-                if let Some(d) = &mut this.drain {
-                    d.pend(cx.waker());
-                }
-                return Poll::Pending;
-            }
-        }
-        if let Some(d) = &mut this.drain {
-            d.resolved();
-        }
-        Poll::Ready(PutDelivery {
-            fragments: this.fragments,
-            nacked: this.notify.nacked.load(Ordering::SeqCst),
-        })
-    }
-}
-
-impl std::fmt::Debug for PutFuture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PutFuture")
-            .field("fragments", &self.fragments)
-            .field("done", &self.is_done())
-            .finish()
-    }
-}
 
 /// Where a threaded message's NACKs and delivery countdown go.
 ///
@@ -359,8 +135,8 @@ impl Wire for RingWire {
     /// its `frag.data`; the marker only says it is a descriptor.
     type Desc = ();
     type Reply = Reply;
-    /// The quiesce barrier's ack counter.
-    type Ack = Arc<AtomicUsize>;
+    /// The flush's countdown, one step per ring.
+    type Ack = Arc<PutNotify>;
 
     fn pop(&mut self) -> Option<RingMsg> {
         self.0.try_pop()
@@ -390,8 +166,8 @@ impl Wire for RingWire {
         }
     }
 
-    fn flush_ack(&self, ack: Arc<AtomicUsize>) {
-        ack.fetch_add(1, Ordering::AcqRel);
+    fn flush_ack(&self, done: Arc<PutNotify>) {
+        done.fragments_done(1, false);
     }
 
     fn gather<'w>(&'w self, frag: &'w Fragment, _: &()) -> Option<&'w [u8]> {
@@ -422,13 +198,18 @@ fn route_hash(dest: u64, vaddr: u64) -> u64 {
 }
 
 impl Shared {
-    /// Queue index for a fragment: hash of (destination node, destination
-    /// mailbox), so one mailbox's traffic always lands on one FIFO queue.
-    fn queue_index(&self, dest: NodeAddr, vaddr: VirtAddr) -> usize {
-        route_hash(pack_addr(dest), vaddr.raw()) as usize % self.queues.len()
+    /// A flush's markers, one per ring, and their countdown. A closed
+    /// ring takes none: its step ends failed at once, as no ack will come.
+    fn push_markers(&self) -> Arc<PutNotify> {
+        let done = PutNotify::new(self.queues.len() as u64);
+        for q in &self.queues {
+            if q.push(WireMsg::Flush(done.clone())).is_err() {
+                done.fragments_done(1, true);
+            }
+        }
+        done
     }
 }
-
 /// One direct-mapped route-cache slot, published seqlock-style: `seq` is
 /// even when stable, odd while a writer is mid-publish; readers that
 /// observe a seq change retry as a miss. All fields are atomics, so
@@ -493,22 +274,6 @@ impl RouteSlot {
     }
 }
 
-struct RouteCache {
-    slots: [RouteSlot; ROUTE_SLOTS],
-}
-
-impl RouteCache {
-    fn new() -> Self {
-        RouteCache {
-            slots: std::array::from_fn(|_| RouteSlot::default()),
-        }
-    }
-
-    fn slot(&self, dest: u64, vaddr: u64) -> &RouteSlot {
-        &self.slots[route_hash(dest, vaddr) as usize % ROUTE_SLOTS]
-    }
-}
-
 /// Point-in-time route-cache counters of an [`AsyncInitiator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouteStats {
@@ -534,31 +299,6 @@ impl RouteStats {
 pub struct AsyncNetwork {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-}
-
-/// The quiesce barrier shared by [`AsyncNetwork::quiesce`] and the
-/// initiator-side [`Transport::flush`]: broadcast a flush marker to every
-/// worker ring and wait for an ack per marker enqueued. A worker acks only
-/// once its own link-level retransmissions are done (the wire worker's
-/// flush rule), so one round covers them. A closed ring — the network was
-/// dropped — takes no marker: that is an error, not a wait.
-///
-/// [`Transport::flush`]: crate::transport::Transport::flush
-fn quiesce_shared(shared: &Shared) -> Result<()> {
-    let acks = Arc::new(AtomicUsize::new(0));
-    let mut sent = 0;
-    for q in &shared.queues {
-        sent += q.push(WireMsg::Flush(acks.clone())).is_ok() as usize;
-    }
-    let mut idle = Idle::new();
-    while acks.load(Ordering::Acquire) < sent {
-        idle.snooze();
-    }
-    idle.done();
-    if sent < shared.queues.len() {
-        return Err(RvmaError::UnknownDestination);
-    }
-    Ok(())
 }
 
 fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
@@ -682,28 +422,28 @@ impl AsyncNetwork {
 
     /// An asynchronous initiator bound to `src`.
     pub fn initiator(&self, src: NodeAddr) -> AsyncInitiator {
-        AsyncInitiator {
+        let link = RingLink {
             shared: self.shared.clone(),
-            src,
-            next_op: AtomicU64::new(1),
-            nacks: Arc::new(Mutex::new(Vec::new())),
-            routes: RouteCache::new(),
+            routes: Default::default(),
             route_hits: AtomicU64::new(0),
             route_misses: AtomicU64::new(0),
             pool: PayloadPool::new(),
-            staged: AtomicU64::new(0),
-        }
+        };
+        let lanes = (self.shared.mtu, self.shared.fabric.config.eager_threshold);
+        let mut engine = Initiator::new(link, src, lanes);
+        engine.telemetry = self.shared.fabric.telemetry.clone();
+        AsyncInitiator { engine }
     }
 
     /// Block until every fragment submitted so far has been delivered:
-    /// a flush barrier is broadcast to every worker queue (each is FIFO,
-    /// so the ack implies everything ahead of it was processed). With
-    /// fault injection active a worker holds its ack until its own
-    /// link-level retransmissions — which land *behind* the marker — are
-    /// done.
+    /// a flush marker goes onto every worker queue (each is FIFO, so the
+    /// ack implies everything ahead of it was processed), and the caller
+    /// parks until all are acked. With fault injection active a worker
+    /// holds its ack until its own link-level retransmissions — which
+    /// land *behind* the marker — are done.
     pub fn quiesce(&self) {
         // The rings close only in `Drop`, so the barrier cannot fail here.
-        let _ = quiesce_shared(&self.shared);
+        let _ = link::flush(self.shared.push_markers(), None);
     }
 
     /// The network-wide fault counters, when fault injection is active.
@@ -741,30 +481,41 @@ impl Drop for AsyncNetwork {
     }
 }
 
-/// Asynchronous initiator handle.
-///
-/// Thread-safe; a single initiator shared across threads funnels all its
-/// NACKs into one [`take_nacks`](AsyncInitiator::take_nacks) sink.
-pub struct AsyncInitiator {
+/// The threaded backend's [`Link`]: the network's rings, and one
+/// initiator's route cache and payload pool.
+struct RingLink {
     shared: Arc<Shared>,
-    src: NodeAddr,
-    next_op: AtomicU64,
-    nacks: NackSink,
-    routes: RouteCache,
+    /// The route cache: direct-mapped by [`route_hash`].
+    routes: [RouteSlot; ROUTE_SLOTS],
     route_hits: AtomicU64,
     route_misses: AtomicU64,
     pool: PayloadPool,
-    /// Payload bytes copied into staging storage (pool acquisitions) on
-    /// the eager path; the zero-copy lane contributes nothing here. See
-    /// [`Transport::staged_bytes`](crate::transport::Transport::staged_bytes).
-    staged: AtomicU64,
 }
 
-impl AsyncInitiator {
-    /// The initiator's source address.
-    pub fn src(&self) -> NodeAddr {
-        self.src
+impl RingLink {
+    /// A put longer than one MTU: one pooled copy, cut at the MTU,
+    /// shuffled on an `OutOfOrder` network.
+    fn cut(
+        &self,
+        src: NodeAddr,
+        id: u64,
+        vaddr: VirtAddr,
+        at: usize,
+        data: &[u8],
+    ) -> Vec<Fragment> {
+        let payload = self.pool.acquire(data);
+        let mut frags = Fragment::split(src, id, vaddr, at, &payload, self.shared.mtu);
+        if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
+            frags.shuffle(&mut *self.shared.rng.lock());
+        }
+        frags
     }
+}
+
+impl Link for RingLink {
+    type Route = usize;
+    /// A rendezvous put's descriptor is the caller's shared allocation.
+    type Desc = Bytes;
 
     /// Resolve the worker queue for (dest, vaddr).
     ///
@@ -775,10 +526,12 @@ impl AsyncInitiator {
     /// removed *after* it (or after a hit) is caught by the wire worker,
     /// which publishes an asynchronous `NoSuchMailbox` NACK. Correctness
     /// never depends on the initiator-side existence check.
-    fn resolve_route(&self, dest: NodeAddr, vaddr: VirtAddr) -> Result<usize> {
+    #[inline]
+    fn route(&self, dest: NodeAddr, vaddr: VirtAddr) -> Result<usize> {
         let packed = pack_addr(dest);
         let generation = self.shared.fabric.generation();
-        let slot = self.routes.slot(packed, vaddr.raw());
+        let hash = route_hash(packed, vaddr.raw()) as usize;
+        let slot = &self.routes[hash % ROUTE_SLOTS];
         if let Some(queue) = slot.read(packed, vaddr.raw(), generation) {
             self.route_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(queue);
@@ -787,80 +540,94 @@ impl AsyncInitiator {
         if !self.shared.fabric.contains(dest) {
             return Err(RvmaError::UnknownDestination);
         }
-        let queue = self.shared.queue_index(dest, vaddr);
+        // One mailbox's traffic always lands on one FIFO queue.
+        let queue = hash % self.shared.queues.len();
         slot.publish(packed, vaddr.raw(), generation, queue);
         Ok(queue)
     }
 
-    /// Asynchronous `RVMA_Put` at offset 0: enqueue and return. Delivery,
-    /// counting, and completion happen on a wire worker.
-    pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<()> {
-        self.put_at(dest, vaddr, 0, data)
+    fn lend(&self, data: Bytes) -> std::result::Result<Bytes, Bytes> {
+        Ok(data)
     }
 
-    /// Asynchronous `RVMA_Put` with an explicit buffer offset. All
-    /// fragments of the put target one mailbox, hence one worker queue:
-    /// submission order is preserved end-to-end unless the network itself
-    /// is configured `OutOfOrder`.
-    ///
-    /// Steady state (warm route cache, warm payload pool) acquires no
-    /// `RwLock` and performs no heap allocation beyond the pooled payload
-    /// copy; a put of at most one MTU additionally skips the fragment
-    /// vector entirely and crosses the ring as a single message.
-    ///
-    /// If the destination shard's ring is full, the submission **blocks**
-    /// (spin, then yield) until the wire worker frees a slot — the
-    /// backpressure contract of the module docs. It never drops.
-    pub fn put_at(
+    /// One ring crossing, `RingEnqueue`d with the ring's index. A
+    /// descriptor is one `Deliver` carrying the whole allocation, never
+    /// sliced — reordering happens between descriptors (fault-layer
+    /// retransmits), never inside one.
+    #[inline(always)]
+    fn push(
         &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<()> {
-        self.submit(dest, vaddr, offset, data, None)
+        queue: usize,
+        op: &Op<'_>,
+        unit: Unit<'_, Bytes>,
+        notify: Option<Arc<PutNotify>>,
+    ) -> std::result::Result<(), PushError<()>> {
+        let (ring, dest) = (&self.shared.queues[queue], op.dest);
+        let reply = || Reply {
+            nacks: op.nacks.clone(),
+            notify,
+        };
+        // Each arm pushes its own message: merging them into one value
+        // first costs every put a copy of it, and a sender that slow lets
+        // the worker catch up and poll the slot it writes next.
+        let pushed = match unit {
+            // At most one MTU (zero-length puts too): one pooled copy and
+            // one fragment, no vector.
+            Unit::Eager(data) if data.len() <= self.shared.mtu => ring.push(WireMsg::Deliver {
+                dest,
+                frag: op.fragment(0, self.pool.acquire(data)),
+                desc: None,
+                reply: reply(),
+                attempt: 0,
+            }),
+            Unit::Eager(data) => ring.push(WireMsg::DeliverBatch {
+                dest,
+                frags: self.cut(op.src, op.id, op.vaddr, op.offset, data),
+                reply: reply(),
+            }),
+            // A descriptor is the whole allocation.
+            Unit::Desc(data) => ring.push(WireMsg::Deliver {
+                dest,
+                frag: op.fragment(0, data),
+                desc: Some(()),
+                reply: reply(),
+                attempt: 0,
+            }),
+        };
+        pushed.map_err(|_| PushError::Closed(()))?;
+        op.enqueued(queue as u64);
+        Ok(())
     }
 
-    /// Notified put at offset 0: flag-the-future and data in one
-    /// submission. See [`put_notify_at`](AsyncInitiator::put_notify_at).
-    pub fn put_notify(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<PutFuture> {
-        self.put_notify_at(dest, vaddr, 0, data)
+    fn push_flush(&self) -> Arc<PutNotify> {
+        self.shared.push_markers()
     }
+}
 
-    /// Asynchronous `RVMA_Put` that returns a [`PutFuture`] resolving when
-    /// every fragment of **this** put reaches its final wire disposition
-    /// (delivered to the destination endpoint, or NACKed). One extra `Arc`
-    /// rides the put's single wire message; the submission path is
-    /// otherwise identical to [`put_at`](AsyncInitiator::put_at), and the
-    /// completion side is a lock-free countdown + waker handoff — no
-    /// condvar, no spinning.
-    pub fn put_notify_at(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<PutFuture> {
-        let fragments = mtu_ranges(data.len(), self.shared.mtu).len() as u64;
-        let notify = PutNotify::new(fragments);
-        self.submit(dest, vaddr, offset, data, Some(notify.clone()))?;
-        Ok(PutFuture::from_notify(notify, fragments, None))
-    }
+/// Asynchronous initiator handle: the send engine over the network's
+/// rings.
+///
+/// Lanes: [`put_at`](AsyncInitiator::put_at) is eager at any size, one
+/// pooled copy; [`put_bytes_at`](AsyncInitiator::put_bytes_at) above the
+/// eager threshold lends the caller's `Bytes` as one descriptor. Steady
+/// state takes no `RwLock` and allocates nothing beyond the pooled copy.
+/// Thread-safe; a single initiator shared across threads funnels all its
+/// NACKs into one [`take_nacks`](AsyncInitiator::take_nacks) sink.
+pub struct AsyncInitiator {
+    engine: Initiator<RingLink>,
+}
 
-    /// `RVMA_Put` of an owned payload with a size-adaptive lane choice.
-    ///
-    /// At or below the endpoint config's `eager_threshold` this behaves
-    /// exactly like [`put_at`](AsyncInitiator::put_at): the payload is
-    /// copied into pooled staging storage, cut at the MTU, and the
-    /// caller's `Bytes` is dropped. Above the threshold the put is a
-    /// **rendezvous**: the whole `Bytes` crosses the ring as one
-    /// descriptor — never sliced, whatever the MTU — and the receiver
-    /// places it with one lock hold and one gather into the posted
-    /// buffer, the put's only copy (copies-per-byte on this lane is
-    /// exactly 1). The descriptor is the unit of everything downstream:
-    /// one roll of the fault dice, one dedup entry, one NACK, and an
-    /// overhanging put is refused whole — the same contract as the shm
-    /// backend's `REQ_BULK` lane.
+link::initiator_api!(AsyncInitiator, "threaded");
+
+impl AsyncInitiator {
+    /// `RVMA_Put` of an owned payload. At or below the endpoint config's
+    /// `eager_threshold` it is [`put_at`](AsyncInitiator::put_at). Above,
+    /// it is a **rendezvous**: the whole `Bytes` crosses the ring as one
+    /// descriptor, never sliced, and the receiver gathers it into the
+    /// posted buffer — the put's only copy. The descriptor is the unit of
+    /// everything downstream: one roll of the fault dice, one dedup entry,
+    /// one NACK, and an overhanging put is refused whole (as the shm
+    /// backend's `REQ_BULK` lane).
     pub fn put_bytes_at(
         &self,
         dest: NodeAddr,
@@ -868,17 +635,13 @@ impl AsyncInitiator {
         offset: usize,
         data: Bytes,
     ) -> Result<()> {
-        if data.len() <= self.shared.fabric.config.eager_threshold {
-            return self.submit(dest, vaddr, offset, &data, None);
-        }
-        self.submit_shared(dest, vaddr, offset, data, None)
+        let at = (dest, vaddr, offset);
+        self.engine.put_bytes(at, data, false).map(drop)
     }
 
-    /// Notified [`put_bytes_at`](AsyncInitiator::put_bytes_at): the
-    /// [`PutFuture`] resolves at the put's final wire disposition. A
-    /// rendezvous put is one descriptor and reports `fragments == 1`
-    /// (as `ShmClient::put_from_extent` does); an eager one reports its
-    /// MTU fragment count.
+    /// Notified [`put_bytes_at`](AsyncInitiator::put_bytes_at): a
+    /// rendezvous put is one descriptor and reports `fragments == 1`, an
+    /// eager one its MTU fragment count.
     pub fn put_bytes_notify_at(
         &self,
         dest: NodeAddr,
@@ -886,145 +649,7 @@ impl AsyncInitiator {
         offset: usize,
         data: Bytes,
     ) -> Result<PutFuture> {
-        if data.len() <= self.shared.fabric.config.eager_threshold {
-            return self.put_notify_at(dest, vaddr, offset, &data);
-        }
-        let notify = PutNotify::new(1);
-        self.submit_shared(dest, vaddr, offset, data, Some(notify.clone()))?;
-        Ok(PutFuture::from_notify(notify, 1, None))
-    }
-
-    /// Rendezvous submission: the caller's shared allocation rides one
-    /// `WireMsg::Deliver` whole, as its descriptor. There is no fragment
-    /// vector and nothing to shuffle on an `OutOfOrder` network —
-    /// reordering happens between descriptors (fault-layer retransmits),
-    /// never inside one.
-    fn submit_shared(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        payload: Bytes,
-        notify: Option<Arc<PutNotify>>,
-    ) -> Result<()> {
-        let (queue_idx, op_id) = self.begin_op(dest, vaddr, payload.len())?;
-        let frag = Fragment {
-            initiator: self.src,
-            op_id,
-            dst_vaddr: vaddr,
-            op_total_len: payload.len() as u64,
-            offset,
-            data: payload,
-        };
-        self.push_one(queue_idx, dest, frag, Some(()), notify)
-    }
-
-    /// Common head of every submission: resolve the worker queue, draw the
-    /// op id, stamp `Submit`.
-    #[inline]
-    fn begin_op(&self, dest: NodeAddr, vaddr: VirtAddr, len: usize) -> Result<(usize, u64)> {
-        let queue_idx = self.resolve_route(dest, vaddr)?;
-        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        telemetry::record(
-            &self.shared.fabric.telemetry,
-            EventKind::Submit,
-            telemetry::initiator_key(self.src.nid, self.src.pid),
-            op_id,
-            len as u64,
-        );
-        Ok((queue_idx, op_id))
-    }
-
-    /// Where this initiator's messages report back.
-    fn reply(&self, notify: Option<Arc<PutNotify>>) -> Reply {
-        Reply {
-            nacks: self.nacks.clone(),
-            notify,
-        }
-    }
-
-    /// One ring crossing carrying one unit — an eager put of at most one
-    /// MTU, or (with `desc`) a whole rendezvous descriptor.
-    #[inline]
-    fn push_one(
-        &self,
-        queue_idx: usize,
-        dest: NodeAddr,
-        frag: Fragment,
-        desc: Option<()>,
-        notify: Option<Arc<PutNotify>>,
-    ) -> Result<()> {
-        let op_id = frag.op_id;
-        self.shared.queues[queue_idx]
-            .push(WireMsg::Deliver {
-                dest,
-                frag,
-                desc,
-                reply: self.reply(notify),
-                attempt: 0,
-            })
-            .map_err(|_| RvmaError::UnknownDestination)?;
-        telemetry::record(
-            &self.shared.fabric.telemetry,
-            EventKind::RingEnqueue,
-            telemetry::initiator_key(self.src.nid, self.src.pid),
-            op_id,
-            queue_idx as u64,
-        );
-        Ok(())
-    }
-
-    fn submit(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-        notify: Option<Arc<PutNotify>>,
-    ) -> Result<()> {
-        let (queue_idx, op_id) = self.begin_op(dest, vaddr, data.len())?;
-        if data.len() <= self.shared.mtu {
-            // Inline fast path: one fragment, no fragment vector, no
-            // shuffle. Zero-length puts take this path too.
-            self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
-            let frag = Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: data.len() as u64,
-                offset,
-                data: self.pool.acquire(data),
-            };
-            return self.push_one(queue_idx, dest, frag, None, notify);
-        }
-        let frags = self.fragment(vaddr, op_id, offset, data);
-        self.shared.queues[queue_idx]
-            .push(WireMsg::DeliverBatch {
-                dest,
-                frags,
-                reply: self.reply(notify),
-            })
-            .map_err(|_| RvmaError::UnknownDestination)?;
-        telemetry::record(
-            &self.shared.fabric.telemetry,
-            EventKind::RingEnqueue,
-            telemetry::initiator_key(self.src.nid, self.src.pid),
-            op_id,
-            queue_idx as u64,
-        );
-        Ok(())
-    }
-
-    /// Split a multi-MTU payload into fragments (pooled copy, zero-copy
-    /// slices), shuffled when the network is `OutOfOrder`.
-    fn fragment(&self, vaddr: VirtAddr, op_id: u64, offset: usize, data: &[u8]) -> Vec<Fragment> {
-        self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        let payload = self.pool.acquire(data);
-        let mut frags = Fragment::split(self.src, op_id, vaddr, offset, &payload, self.shared.mtu);
-        if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
-            frags.shuffle(&mut *self.shared.rng.lock());
-        }
-        frags
+        notified(self.engine.put_bytes((dest, vaddr, offset), data, true))
     }
 
     /// Start a submission batch with the default doorbell threshold
@@ -1037,7 +662,7 @@ impl AsyncInitiator {
     /// fragments are pending (clamped to at least 1).
     pub fn batch_with(&self, doorbell_frags: usize) -> PutBatch<'_> {
         PutBatch {
-            init: self,
+            init: &self.engine,
             groups: Vec::new(),
             memo: None,
             pending: 0,
@@ -1045,60 +670,17 @@ impl AsyncInitiator {
         }
     }
 
-    /// Drain the asynchronous NACK notifications received so far.
-    pub fn take_nacks(&self) -> Vec<(VirtAddr, NackReason)> {
-        std::mem::take(&mut *self.nacks.lock())
-    }
-
     /// Route-cache counters (hits resolve with no lock and no rehash).
     pub fn route_stats(&self) -> RouteStats {
         RouteStats {
-            hits: self.route_hits.load(Ordering::Relaxed),
-            misses: self.route_misses.load(Ordering::Relaxed),
+            hits: self.engine.link.route_hits.load(Ordering::Relaxed),
+            misses: self.engine.link.route_misses.load(Ordering::Relaxed),
         }
     }
 
     /// Payload-pool counters (hits reuse a retired allocation).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Total payload bytes this initiator copied into staging storage
-    /// (eager-lane pool acquisitions); the zero-copy lane adds nothing.
-    pub fn staged_bytes(&self) -> u64 {
-        self.staged.load(Ordering::Relaxed)
-    }
-}
-
-impl crate::transport::Transport for AsyncInitiator {
-    fn backend(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn put_at(&self, dest: NodeAddr, vaddr: VirtAddr, offset: usize, data: &[u8]) -> Result<()> {
-        AsyncInitiator::put_at(self, dest, vaddr, offset, data)
-    }
-
-    fn put_bytes_at(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: Bytes,
-    ) -> Result<()> {
-        AsyncInitiator::put_bytes_at(self, dest, vaddr, offset, data)
-    }
-
-    fn flush(&self) -> Result<()> {
-        quiesce_shared(&self.shared)
-    }
-
-    fn take_nacks(&self) -> Vec<(VirtAddr, NackReason)> {
-        AsyncInitiator::take_nacks(self)
-    }
-
-    fn staged_bytes(&self) -> u64 {
-        AsyncInitiator::staged_bytes(self)
+        self.engine.link.pool.stats()
     }
 }
 
@@ -1115,14 +697,14 @@ impl crate::transport::Transport for AsyncInitiator {
 /// directly on the initiator while a batch holds undelivered fragments
 /// for the same mailbox may be delivered ahead of them.
 pub struct PutBatch<'a> {
-    init: &'a AsyncInitiator,
+    init: &'a Initiator<RingLink>,
     /// (queue index, destination, fragments) groups; linear scan — a
     /// batch rarely targets more than a handful of destinations.
     groups: Vec<(usize, NodeAddr, Vec<Fragment>)>,
-    /// Last (dest, vaddr) resolved → (generation, queue, group index).
+    /// Last (dest, vaddr) resolved → (generation, group index).
     /// Messaging loops hammer one route; the memo skips even the route
     /// cache and the group scan on consecutive same-route puts.
-    memo: Option<(NodeAddr, VirtAddr, u64, usize, usize)>,
+    memo: Option<(NodeAddr, VirtAddr, u64, usize)>,
     pending: usize,
     doorbell: usize,
 }
@@ -1141,11 +723,12 @@ impl PutBatch<'_> {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        let generation = self.init.shared.fabric.generation();
+        let link = &self.init.link;
+        let generation = link.shared.fabric.generation();
         let group_idx = match self.memo {
-            Some((d, v, g, _, gi)) if d == dest && v == vaddr && g == generation => gi,
+            Some((d, v, g, gi)) if d == dest && v == vaddr && g == generation => gi,
             _ => {
-                let queue_idx = self.init.resolve_route(dest, vaddr)?;
+                let queue_idx = link.route(dest, vaddr)?;
                 let gi = match self
                     .groups
                     .iter()
@@ -1157,34 +740,17 @@ impl PutBatch<'_> {
                         self.groups.len() - 1
                     }
                 };
-                self.memo = Some((dest, vaddr, generation, queue_idx, gi));
+                self.memo = Some((dest, vaddr, generation, gi));
                 gi
             }
         };
-        let op_id = self.init.next_op.fetch_add(1, Ordering::Relaxed);
-        telemetry::record(
-            &self.init.shared.fabric.telemetry,
-            EventKind::Submit,
-            telemetry::initiator_key(self.init.src.nid, self.init.src.pid),
-            op_id,
-            data.len() as u64,
-        );
+        let op = self.init.begin((dest, vaddr, offset), data.len(), true);
         let group = &mut self.groups[group_idx].2;
-        if data.len() <= self.init.shared.mtu {
-            self.init
-                .staged
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
-            group.push(Fragment {
-                initiator: self.init.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: data.len() as u64,
-                offset,
-                data: self.init.pool.acquire(data),
-            });
+        if data.len() <= link.shared.mtu {
+            group.push(op.fragment(0, link.pool.acquire(data)));
             self.pending += 1;
         } else {
-            let mut frags = self.init.fragment(vaddr, op_id, offset, data);
+            let mut frags = link.cut(op.src, op.id, op.vaddr, op.offset, data);
             self.pending += frags.len();
             group.append(&mut frags);
         }
@@ -1216,29 +782,20 @@ impl PutBatch<'_> {
             // One RingEnqueue per op: a multi-fragment op's fragments sit
             // contiguously in the group, so deduping consecutive op ids
             // yields exactly one event per put crossing the ring.
-            if self.init.shared.fabric.telemetry.is_some() {
+            if self.init.telemetry.is_some() {
                 let mut last = None;
                 for f in &batch {
-                    let key = telemetry::initiator_key(f.initiator.nid, f.initiator.pid);
-                    if last != Some((key, f.op_id)) {
-                        telemetry::record(
-                            &self.init.shared.fabric.telemetry,
-                            EventKind::RingEnqueue,
-                            key,
-                            f.op_id,
-                            *queue_idx as u64,
-                        );
-                        last = Some((key, f.op_id));
+                    if last != Some(f.op_id) {
+                        self.init.enqueued(f.op_id, *queue_idx as u64);
+                        last = Some(f.op_id);
                     }
                 }
             }
-            let sent = self.init.shared.queues[*queue_idx].push(WireMsg::DeliverBatch {
-                dest: *dest,
-                frags: batch,
-                reply: self.init.reply(None),
-            });
-            if sent.is_err() && result.is_ok() {
-                result = Err(RvmaError::UnknownDestination);
+            let (nacks, notify) = (self.init.nacks.clone(), None);
+            let (dest, frags, reply) = (*dest, batch, Reply { nacks, notify });
+            let msg = WireMsg::DeliverBatch { dest, frags, reply };
+            if self.init.link.shared.queues[*queue_idx].push(msg).is_err() && result.is_ok() {
+                result = Err(refused(PushError::Closed(())));
             }
         }
         result
@@ -1403,7 +960,7 @@ mod tests {
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5))
                 .expect("flush on a dropped network must return"),
-            Err(RvmaError::UnknownDestination)
+            Err(RvmaError::TransportFailed("link closed".into()))
         );
     }
 

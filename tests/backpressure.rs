@@ -14,7 +14,8 @@
 //! * close is teardown's linearisation point: a put racing the drop is
 //!   either refused or delivered, never accepted and stranded;
 //! * a depth-1 ping-pong does not stall on one CPU, where the idle budget
-//!   must park instead of spinning.
+//!   must park instead of spinning;
+//! * a flush waiting on a slow wire parks instead of burning its core.
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{
@@ -233,8 +234,8 @@ fn markers_popped_behind_a_run_are_processed_after_it_shm() {
 /// A thread spams notified puts while the network is dropped. Every put
 /// whose submission returned `Ok` resolves — its worker drains it before
 /// exiting, because the rings close first and a push either claimed its
-/// slot before the close or fails — and every refusal is
-/// `UnknownDestination`.
+/// slot before the close or fails — and every refusal is the closed-link
+/// error, `TransportFailed`.
 #[test]
 fn drop_racing_put_notify_resolves_every_accepted_put() {
     for round in 0..32u64 {
@@ -258,7 +259,11 @@ fn drop_racing_put_notify_resolves_every_accepted_put() {
             drop(net);
             spammer.join().unwrap()
         });
-        assert_eq!(refusal, RvmaError::UnknownDestination, "round {round}");
+        assert_eq!(
+            refusal,
+            RvmaError::TransportFailed("link closed".into()),
+            "round {round}"
+        );
         let deadline = Instant::now() + Duration::from_secs(5);
         for (i, f) in futures.iter().enumerate() {
             while !f.is_done() {
@@ -331,5 +336,47 @@ fn one_cpu_pingpong_does_not_stall() {
     assert!(
         elapsed < Duration::from_secs(2),
         "{ROUND_TRIPS} round trips took {elapsed:?}: the waiters stalled instead of parking"
+    );
+}
+
+/// This thread's user + system CPU time, in clock ticks, from
+/// `/proc/thread-self/stat` (fields 14 and 15, counted after the
+/// parenthesised command name, which may itself hold spaces).
+fn thread_cpu_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    let mut fields = stat[stat.rfind(')')? + 2..].split(' ');
+    let utime: u64 = fields.nth(11)?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some(utime + stime)
+}
+
+/// A flush is a put future: once its spin budget is spent it parks until
+/// the last worker acks. Behind 100 ms of wire latency the flushing
+/// thread must spend under a quarter of the flush's wall time on CPU (a
+/// flush that yields in a loop spends nearly all of it).
+#[test]
+fn a_threaded_flush_parks() {
+    if thread_cpu_ticks().is_none() {
+        return; // no per-thread CPU accounting on this platform
+    }
+    // Clock ticks are 10 ms on Linux (USER_HZ = 100).
+    const TICK: Duration = Duration::from_millis(10);
+    let net = AsyncNetwork::new(256, DeliveryOrder::InOrder, Duration::from_millis(100));
+    let server = net.add_endpoint(NodeAddr::node(0));
+    let win = server
+        .init_window(VirtAddr::new(1), Threshold::ops(1))
+        .unwrap();
+    let _note = win.post_buffer(vec![0u8; 16]).unwrap();
+    let init = net.initiator(NodeAddr::node(1));
+    init.put(NodeAddr::node(0), VirtAddr::new(1), &[1u8; 16])
+        .unwrap();
+    let (ticks, t0) = (thread_cpu_ticks().unwrap(), Instant::now());
+    init.flush().unwrap();
+    let wall = t0.elapsed();
+    let cpu = TICK * (thread_cpu_ticks().unwrap() - ticks) as u32;
+    assert!(wall >= Duration::from_millis(90), "flush returned early");
+    assert!(
+        cpu * 4 < wall,
+        "flush spent {cpu:?} on CPU of {wall:?} wall: it spun instead of parking"
     );
 }

@@ -14,6 +14,8 @@
 //! * same-seed telemetry replay identity (lockstep scenarios);
 //! * crash-during-quiesce — `flush` terminates and reports the casualty
 //!   even when the fault model kills the destination mid-drain;
+//! * one closed-link error — every initiator call into a link that is gone
+//!   fails `TransportFailed` on both wire backends;
 //! * and, for the shm backend, a real fork/exec run: initiator and
 //!   receiver in **separate OS processes**, reliability and telemetry
 //!   layers unchanged.
@@ -21,15 +23,16 @@
 //! The shm backend self-skips on platforms without the required mmap/futex
 //! primitives (`shm_supported()`), so the suite stays green everywhere.
 
+use std::mem::discriminant;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{
-    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, EventKind, FaultModel, FaultStats,
-    LossyNetwork, NackReason, NodeAddr, RvmaEndpoint, RvmaError, ShmClient, Telemetry, Threshold,
-    Transport, VirtAddr,
+    shm_pair, shm_supported, AsyncNetwork, Bytes, EndpointConfig, EventKind, FaultModel,
+    FaultStats, LossyNetwork, NackReason, NodeAddr, RvmaEndpoint, RvmaError, ShmClient, Telemetry,
+    Threshold, Transport, VirtAddr,
 };
 
 const SERVER: NodeAddr = NodeAddr::node(0);
@@ -1202,4 +1205,82 @@ fn shm_server_death_fails_inflight_flush() {
         matches!(err, Err(RvmaError::TransportFailed(_))),
         "flush against a dead server must error, got {err:?}"
     );
+}
+
+/// Every initiator call into a closed link — the threaded network dropped,
+/// the shm server stopped — with what it returned, and the NACKs taken
+/// afterwards. `None` when the backend cannot run here.
+type ClosedRows = Vec<(&'static str, rvma::core::Result<()>)>;
+
+fn calls_after_close(backend: &str) -> Option<(ClosedRows, usize)> {
+    let cfg = EndpointConfig::default();
+    let large = Bytes::from(vec![3u8; cfg.eager_threshold + 1]);
+    match backend {
+        "threaded" => {
+            let net = AsyncNetwork::new(64, DeliveryOrder::InOrder, Duration::ZERO);
+            let _ep = net.add_endpoint(SERVER);
+            let init = net.initiator(CLIENT);
+            let mut batch = init.batch();
+            batch.put(SERVER, MAILBOX, &[1u8; 8]).unwrap();
+            drop(net);
+            let rows = vec![
+                ("put", init.put(SERVER, MAILBOX, &[1u8; 8])),
+                (
+                    "put_notify",
+                    init.put_notify(SERVER, MAILBOX, &[1u8; 8]).map(drop),
+                ),
+                ("large put", init.put_bytes_at(SERVER, MAILBOX, 0, large)),
+                ("flush", init.flush()),
+                ("batch flush", batch.flush()),
+            ];
+            Some((rows, init.take_nacks().len()))
+        }
+        "shm" => {
+            if !shm_supported() {
+                return None;
+            }
+            let (mut server, client) = shm_pair(64, cfg, CLIENT).expect("shm pair");
+            let _ep = server.add_endpoint(SERVER);
+            server.stop();
+            let mut ext = client.reserve_extent(large.len()).expect("bulk lane");
+            ext.as_mut_slice().copy_from_slice(&large);
+            let rows = vec![
+                ("put", client.put(SERVER, MAILBOX, &[1u8; 8])),
+                (
+                    "put_notify",
+                    client.put_notify(SERVER, MAILBOX, &[1u8; 8]).map(drop),
+                ),
+                (
+                    "large put",
+                    client.put_from_extent(&ext, SERVER, MAILBOX, 0).map(drop),
+                ),
+                ("flush", client.flush()),
+            ];
+            Some((rows, client.take_nacks().len()))
+        }
+        other => panic!("unknown backend {other}"),
+    }
+}
+
+/// One closed-link error: a put, a notified put, a large-lane put, a
+/// flush and (threaded) a batch flush into a link that is gone all fail
+/// `TransportFailed` — the destination is not unknown, the link is — on
+/// both wire backends, and none of them leaves a NACK behind.
+#[test]
+fn closed_link_fails_every_call_alike() {
+    let closed = discriminant(&RvmaError::TransportFailed(String::new()));
+    for backend in ["threaded", "shm"] {
+        let Some((rows, nacks)) = calls_after_close(backend) else {
+            continue;
+        };
+        for (call, result) in rows {
+            let err = result.expect_err(call);
+            assert_eq!(
+                discriminant(&err),
+                closed,
+                "[{backend}] {call} after close returned {err:?}"
+            );
+        }
+        assert_eq!(nacks, 0, "[{backend}] a refused call left a NACK");
+    }
 }

@@ -1,7 +1,7 @@
 //! Vector clocks: the happens-before backbone of the checker.
 //!
 //! Every model thread carries a [`VClock`]; every synchronization object
-//! (atomic location, mutex, condvar, park token) carries message clocks
+//! (atomic location, mutex, park token) carries message clocks
 //! derived from them. A data race is two conflicting plain-memory accesses
 //! whose clocks are incomparable — see `shadow.rs` for the access rules.
 

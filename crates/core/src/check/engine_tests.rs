@@ -1,5 +1,5 @@
 //! Self-tests of the checker engine: exhaustiveness, failure detection
-//! (deadlock, livelock, data race), modeled park/condvar semantics, and
+//! (deadlock, livelock, data race), modeled park/futex semantics, and
 //! schedule-ID replay/minimization round trips.
 
 use super::*;
@@ -275,28 +275,35 @@ fn timed_park_permit_wake_and_timeout() {
 }
 
 #[test]
-fn condvar_predicate_wait_never_hangs() {
+fn futex_wait_checks_the_word_and_blocks_in_one_step() {
+    const HOUR: std::time::Duration = std::time::Duration::from_secs(3600);
+    // The waker stores, then wakes; the waiter loops load → wait. A store
+    // and wake between the waiter's load and its wait is seen as a changed
+    // word, so every interleaving ends.
     let report = explore(unbounded(), || {
-        let pair = Arc::new((csync::Mutex::new(false), csync::Condvar::new()));
-        let p = pair.clone();
+        let word = Arc::new(csync::AtomicU32::new(0));
+        let w = word.clone();
         let t = spawn(move || {
-            let (lock, cv) = &*p;
-            let mut ready = lock.lock();
-            while !*ready {
-                cv.wait(&mut ready);
+            while w.load(Ordering::SeqCst) == 0 {
+                csync::futex_wait(&w, 0, HOUR);
             }
         });
-        {
-            let (lock, cv) = &*pair;
-            let mut ready = lock.lock();
-            *ready = true;
-            cv.notify_one();
-        }
+        word.store(1, Ordering::SeqCst);
+        csync::futex_wake(&word, 1);
         t.join();
     })
-    .expect("predicate-checked condvar wait is sound");
+    .expect("a futex predicate wait is sound");
     assert!(report.complete);
-    println!("condvar model: {} schedules", report.schedules);
+    println!("futex model: {} schedules", report.schedules);
+    // Nobody wakes: the bounded wait does not time out under the model,
+    // so a lost wake is a deadlock, not a stall.
+    let failure = explore(unbounded(), || {
+        let word = Arc::new(csync::AtomicU32::new(0));
+        let w = word.clone();
+        spawn(move || csync::futex_wait(&w, 0, HOUR)).join();
+    })
+    .expect_err("an unwoken futex wait is reported");
+    assert_eq!(failure.kind, FailureKind::Deadlock);
 }
 
 #[test]

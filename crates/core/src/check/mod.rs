@@ -3,7 +3,7 @@
 //!
 //! Compiled only with `--features check`. In that configuration the
 //! `csync` primitive layer (every `Atomic*`,
-//! `UnsafeCell`, mutex, condvar, park and spin hint used by `ring`,
+//! `UnsafeCell`, mutex, futex, park and spin hint used by `ring`,
 //! `notify`, `cq`, the seqlock route cache and the telemetry shards)
 //! routes through the cooperative scheduler in `sched`: model code runs
 //! one instrumented operation at a time, every hand-off position is a DFS

@@ -30,7 +30,7 @@ use crate::csync::{self, AtomicU64 as CheckedU64, CheckCell};
 use crate::link::{PutDelivery, PutFuture, PutNotify};
 use crate::mailbox::{DeliveryOutcome, Mailbox, MailboxMode, OpKey, DEFAULT_RETAIN_EPOCHS};
 use crate::notify::{wait_any, Notification, NotificationSlot};
-use crate::ring::{PushError, Ring, RingQueue, SegmentRing};
+use crate::ring::{PushError, Ring, RingQueue, SegmentRing, DOORBELL_WAIT};
 use crate::shm::{default_segment_path, shm_supported, ShmSegment};
 use crate::transport_threaded::RouteSlot;
 
@@ -93,12 +93,15 @@ fn run_exhaustive(name: &str, model: impl Fn()) -> Report {
 // Ring: push vs close vs single-consumer pop, on either storage
 // ---------------------------------------------------------------------------
 
-/// What the partition model drives: a two-slot ring of `u64`s.
+/// What the partition and doorbell models drive: a two-slot ring of
+/// `u64`s.
 pub(super) trait PartitionRing: Send + Sync + 'static {
     fn try_push(&self, v: u64) -> Result<(), PushError<u64>>;
     fn try_pop(&self) -> Option<u64>;
     fn close(&self);
     fn is_drained(&self) -> bool;
+    /// One consumer sleep on the doorbell, until a publish or the close.
+    fn sleep(&self);
 }
 
 impl PartitionRing for RingQueue<u64> {
@@ -113,6 +116,9 @@ impl PartitionRing for RingQueue<u64> {
     }
     fn is_drained(&self) -> bool {
         Ring::is_drained(self)
+    }
+    fn sleep(&self) {
+        self.park_consumer()
     }
 }
 
@@ -137,6 +143,7 @@ impl PartitionRing for SegmentU64 {
         // SAFETY: the claim grants exclusive access until the publish.
         self.cell(pos).with_mut(|p| unsafe { *p = v });
         self.0.publish(pos);
+        self.0.doorbell().ring();
         Ok(())
     }
     fn try_pop(&self) -> Option<u64> {
@@ -150,6 +157,11 @@ impl PartitionRing for SegmentU64 {
     fn is_drained(&self) -> bool {
         self.0.is_drained()
     }
+    fn sleep(&self) {
+        let r = &self.0;
+        r.doorbell()
+            .sleep_unless(|| r.ready() || r.is_closed(), DOORBELL_WAIT);
+    }
 }
 
 /// The partition model over a fresh heap ring.
@@ -161,15 +173,55 @@ pub(super) fn ring_partition_heap() {
 /// created once per test; `None` where segments are unsupported.
 pub(super) fn partition_segment() -> Option<Arc<ShmSegment>> {
     shm_supported().then(|| {
-        Arc::new(ShmSegment::create(&default_segment_path("check"), 256).expect("segment"))
+        Arc::new(ShmSegment::create(&default_segment_path("check"), 320).expect("segment"))
     })
 }
 
-/// The partition model over `seg`'s ring, re-initialised per execution.
-pub(super) fn ring_partition_segment(seg: &Arc<ShmSegment>) {
+/// `seg`'s two-slot ring, re-initialised per execution.
+fn segment_u64(seg: &Arc<ShmSegment>) -> Arc<SegmentU64> {
     let ring = SegmentRing::new(seg, 0, 64, 2).expect("two slots fit");
     ring.init();
-    ring_partition_model(Arc::new(SegmentU64(ring, seg.clone())));
+    Arc::new(SegmentU64(ring, seg.clone()))
+}
+
+/// The partition model over `seg`'s ring.
+pub(super) fn ring_partition_segment(seg: &Arc<ShmSegment>) {
+    ring_partition_model(segment_u64(seg));
+}
+
+/// The doorbell model over a fresh heap ring.
+pub(super) fn doorbell_heap() {
+    doorbell_model(Arc::new(RingQueue::<u64>::new(2)));
+}
+
+/// The doorbell model over `seg`'s ring.
+pub(super) fn doorbell_segment(seg: &Arc<ShmSegment>) {
+    doorbell_model(segment_u64(seg));
+}
+
+/// A producer pushes one value and closes the ring — two rings of the
+/// doorbell — while the consumer drains it, sleeping whenever it finds
+/// nothing: snapshot `seq` → advertise → re-check → futex wait. The
+/// model's futex wait never times out, so a wake the doorbell loses (to
+/// a re-check before the advertisement, or a ring that skips the `seq`
+/// bump) is a `Deadlock`.
+pub(super) fn doorbell_model<R: PartitionRing>(ring: Arc<R>) {
+    let producer = {
+        let ring = Arc::clone(&ring);
+        spawn(move || {
+            assert!(ring.try_push(7).is_ok(), "the ring has room");
+            ring.close();
+        })
+    };
+    let mut got = Vec::new();
+    while !ring.is_drained() {
+        match ring.try_pop() {
+            Some(v) => got.push(v),
+            None => ring.sleep(),
+        }
+    }
+    producer.join();
+    assert_eq!(got, [7], "the pushed value, exactly once");
 }
 
 /// Two producers race `try_push` against a single consumer that pops at
@@ -557,6 +609,35 @@ pub(super) fn cq_spill_episode_model() {
     );
 }
 
+/// `wait_batch` against a push and a spilled push: the ring (capacity 2)
+/// holds two entries when a producer pushes two more — spilling while
+/// the ring is full, joining the episode while it is open — and the
+/// consumer takes all four through `wait_batch`, which sleeps on the
+/// ready ring's doorbell whenever the queue reads empty. Every entry
+/// arrives once, in order; a lost wake is a `Deadlock`.
+pub(super) fn cq_wait_batch_model() {
+    let cq = Arc::new(CompletionQueue::new(2));
+    let att = cq.attachment(0);
+    att.push(cq_buf(1));
+    att.push(cq_buf(2));
+    let producer = {
+        let cq = Arc::clone(&cq);
+        spawn(move || {
+            let att = cq.attachment(0);
+            att.push(cq_buf(3));
+            att.push(cq_buf(4));
+        })
+    };
+    let mut got = Vec::new();
+    let mut batch = Vec::new();
+    while got.len() < 4 {
+        cq.wait_batch(4, &mut batch, Duration::from_secs(3600));
+        got.extend(batch.drain(..).map(|c| c.buffer.data()[0]));
+    }
+    producer.join();
+    assert_eq!(got, [1, 2, 3, 4], "lost, duplicated or reordered");
+}
+
 // ---------------------------------------------------------------------------
 // Mailbox: dedup window vs epoch rotation
 // ---------------------------------------------------------------------------
@@ -643,6 +724,18 @@ fn ring_push_close_pop_partition_in_segment() {
 }
 
 #[test]
+fn doorbell_wakes_the_sleeper() {
+    run_exhaustive("doorbell", doorbell_heap);
+}
+
+#[test]
+fn doorbell_wakes_the_sleeper_in_segment() {
+    if let Some(seg) = partition_segment() {
+        run_exhaustive("doorbell_segment", || doorbell_segment(&seg));
+    }
+}
+
+#[test]
 fn notify_wait_handoff() {
     run_exhaustive("notify_wait", notify_wait_model);
 }
@@ -695,6 +788,11 @@ fn cq_two_producer_fifo() {
 #[test]
 fn cq_spill_episode_fifo() {
     run_exhaustive("cq_spill_episode", cq_spill_episode_model);
+}
+
+#[test]
+fn cq_wait_batch_sleeps_on_the_doorbell() {
+    run_exhaustive("cq_wait_batch", cq_wait_batch_model);
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! counterexample would go through.
 
 use super::models::{
-    cq_spill_episode_model, notify_poll_model, notify_wait_model, partition_segment,
-    put_future_countdown_model, ring_partition_heap, ring_partition_segment,
+    cq_spill_episode_model, doorbell_heap, doorbell_segment, notify_poll_model, notify_wait_model,
+    partition_segment, put_future_countdown_model, ring_partition_heap, ring_partition_segment,
     seqlock_read_vs_publish_model,
 };
 use super::{explore, replay, Failure, FailureKind, Mutation, Options};
@@ -182,6 +182,60 @@ fn ring_closed_apart_from_claim_is_caught_in_segment() {
             Mutation::RingClosedApartFromClaim,
             FailureKind::Panic,
             || ring_partition_segment(&seg),
+        );
+    }
+}
+
+/// The sleeper re-checks before it advertises: a publish between the two
+/// loads `waiters == 0` and rings nobody, and the sleeper waits on a word
+/// nothing will change — a lost wake, caught as a `Deadlock` because the
+/// model's futex wait never times out.
+#[test]
+fn doorbell_recheck_first_is_caught() {
+    expect_caught(
+        "doorbell_recheck_first",
+        Mutation::DoorbellRecheckFirst,
+        FailureKind::Deadlock,
+        doorbell_heap,
+    );
+}
+
+/// The same lost wake on segment storage: the shm server's and pump's
+/// sleep.
+#[test]
+fn doorbell_recheck_first_is_caught_in_segment() {
+    if let Some(seg) = partition_segment() {
+        expect_caught(
+            "doorbell_recheck_first_segment",
+            Mutation::DoorbellRecheckFirst,
+            FailureKind::Deadlock,
+            || doorbell_segment(&seg),
+        );
+    }
+}
+
+/// The producer wakes without bumping `seq`: a sleeper between its
+/// re-check and its futex wait still finds the word it read and sleeps
+/// through the wake — a `Deadlock`.
+#[test]
+fn doorbell_without_bump_is_caught() {
+    expect_caught(
+        "doorbell_without_bump",
+        Mutation::DoorbellWithoutBump,
+        FailureKind::Deadlock,
+        doorbell_heap,
+    );
+}
+
+/// The same lost wake on segment storage.
+#[test]
+fn doorbell_without_bump_is_caught_in_segment() {
+    if let Some(seg) = partition_segment() {
+        expect_caught(
+            "doorbell_without_bump_segment",
+            Mutation::DoorbellWithoutBump,
+            FailureKind::Deadlock,
+            || doorbell_segment(&seg),
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The schedule-enumerating executor.
 //!
 //! One *execution* runs the model closure with every instrumented
-//! operation (atomic access, lock, condvar, park, spin hint) funneled
+//! operation (atomic access, lock, futex, park, spin hint) funneled
 //! through a cooperative scheduler: model threads are real OS threads, but
 //! a single token is handed between them so exactly one runs at a time and
 //! every hand-off position is a potential *choice point*. The DFS explorer
@@ -11,9 +11,9 @@
 //! *is* the schedule ID: replayable and minimizable deterministically.
 //!
 //! Blocking is modeled, never real: a thread that would block (contended
-//! model mutex, condvar wait, `park`, full-ring spin) is marked blocked
+//! model mutex, futex wait, `park`, full-ring spin) is marked blocked
 //! and the token moves on. "No runnable thread" is therefore a *detected
-//! outcome* — deadlock (someone waits on a lock/condvar/join) or livelock
+//! outcome* — deadlock (someone waits on a lock/futex/join) or livelock
 //! (only spinners remain) — not a hung test process.
 
 use super::shadow::{AtomKind, Shadow, ThreadView};
@@ -86,7 +86,7 @@ pub struct Report {
 pub enum FailureKind {
     /// A model thread panicked (assertion failure).
     Panic,
-    /// No runnable thread and at least one waiter on a lock/condvar/join/
+    /// No runnable thread and at least one waiter on a lock/futex/join/
     /// park with no timeout to fire.
     Deadlock,
     /// Only spin-waiters remain (or the step bound was exceeded).
@@ -200,9 +200,8 @@ impl std::fmt::Debug for ScheduleId {
 enum Block {
     /// Waiting for a model mutex at this address.
     Lock(usize),
-    /// Waiting on a condvar (`cv` address); `timed` waits may be woken by
-    /// the timeout-resolution rule.
-    Cond { cv: usize, timed: bool },
+    /// Waiting on the futex at this address; never timed out.
+    Futex(usize),
     /// `thread::park()` / `park_timeout` without a pending permit;
     /// `timed` parks may be woken by the timeout-resolution rule.
     Park { timed: bool },
@@ -366,7 +365,7 @@ impl Eng {
     }
 
     /// Thread `by` performed a state-changing operation (store, RMW,
-    /// unlock, notify, unpark, cell write, exit): every *other* thread's
+    /// unlock, futex wake, unpark, cell write, exit): every *other* thread's
     /// spin grace is restored — whatever they were spinning on may now be
     /// satisfiable. Pure loads don't restore grace (they change nothing a
     /// spinner could newly observe), which keeps mutually-spinning
@@ -379,14 +378,11 @@ impl Eng {
         }
     }
 
-    /// No thread is runnable. Fire the canonical earliest timeout (timed
-    /// condvar wait or timed park) if one exists; otherwise classify and
-    /// record the stuck state.
+    /// No thread is runnable. Fire the canonical earliest timeout (a timed
+    /// park) if one exists; otherwise classify and record the stuck state.
     fn resolve_stuck(&mut self) -> Option<usize> {
         for (tid, t) in self.threads.iter_mut().enumerate() {
-            if let Run::Blocked(Block::Cond { timed: true, .. } | Block::Park { timed: true }) =
-                t.state
-            {
+            if t.state == Run::Blocked(Block::Park { timed: true }) {
                 t.state = Run::Ready;
                 t.timed_out = true;
                 return Some(tid);
@@ -620,54 +616,39 @@ impl Execution {
         g.wake_spinners();
     }
 
-    // -- model condvar ----------------------------------------------------
+    // -- model futex ------------------------------------------------------
 
-    /// Atomically release `lock_addr`, wait on `cv_addr`, reacquire.
-    /// Returns true when a timed wait was woken by its timeout.
-    pub(crate) fn cond_wait(
+    /// Block `me` on the futex at `addr` if `holds()` — the word still
+    /// reads the expected value — checked and blocked in one step, as the
+    /// kernel does. There is no timeout: only a `futex_wake` on `addr`
+    /// makes the thread runnable again.
+    pub(crate) fn futex_wait(
         self: &Arc<Self>,
         me: usize,
-        cv_addr: usize,
-        lock_addr: usize,
-        timed: bool,
-    ) -> bool {
+        addr: usize,
+        holds: impl FnOnce() -> bool,
+    ) {
         self.schedule_point(me);
+        let sleep = holds();
         {
             let mut g = self.lock_eng();
             let Eng { shadow, views, .. } = &mut *g;
-            shadow.atomic(views, me, lock_addr, AtomKind::Rmw, Ordering::AcqRel);
-            debug_assert_eq!(g.locks.get(&lock_addr), Some(&me), "wait by non-owner");
-            g.locks.remove(&lock_addr);
-            for t in g.threads.iter_mut() {
-                if t.state == Run::Blocked(Block::Lock(lock_addr)) {
-                    t.state = Run::Ready;
-                }
-            }
+            shadow.atomic(views, me, addr, AtomKind::Load, Ordering::Relaxed);
         }
-        let timed_out = self.block_on(me, Block::Cond { cv: cv_addr, timed });
-        {
-            // Synchronize with the notifier.
-            let mut g = self.lock_eng();
-            let Eng { shadow, views, .. } = &mut *g;
-            shadow.atomic(views, me, cv_addr, AtomKind::Load, Ordering::Acquire);
+        if sleep {
+            self.block_on(me, Block::Futex(addr));
         }
-        self.mutex_lock(me, lock_addr);
-        timed_out
     }
 
-    pub(crate) fn cond_notify(self: &Arc<Self>, me: usize, cv_addr: usize, all: bool) {
+    /// Make up to `n` threads blocked on the futex at `addr` runnable.
+    pub(crate) fn futex_wake(self: &Arc<Self>, me: usize, addr: usize, n: u32) {
         self.schedule_point(me);
         let mut g = self.lock_eng();
-        let Eng { shadow, views, .. } = &mut *g;
-        shadow.atomic(views, me, cv_addr, AtomKind::Rmw, Ordering::AcqRel);
+        let mut left = n;
         for t in g.threads.iter_mut() {
-            if let Run::Blocked(Block::Cond { cv, .. }) = t.state {
-                if cv == cv_addr {
-                    t.state = Run::Ready;
-                    if !all {
-                        break;
-                    }
-                }
+            if left > 0 && t.state == Run::Blocked(Block::Futex(addr)) {
+                t.state = Run::Ready;
+                left -= 1;
             }
         }
         g.note_progress(me);

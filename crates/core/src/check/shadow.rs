@@ -58,7 +58,7 @@ struct CellState {
 /// All shadow state of one execution.
 #[derive(Default)]
 pub(crate) struct Shadow {
-    /// Release message clock per atomic location (and per mutex/condvar/
+    /// Release message clock per atomic location (and per mutex/
     /// park token, which reuse the same release–acquire rules).
     atoms: HashMap<usize, VClock>,
     /// Race-detection state per `UnsafeCell` location.

@@ -28,19 +28,20 @@
 //!   no [`Notification`](crate::notify::Notification) handle — the queue is
 //!   the sole consumer of those completions (no stolen events).
 //! * Waiting is layered like the slot itself: non-blocking `poll_batch`,
-//!   blocking `wait_batch` (bounded spin then park), and an async
+//!   blocking `wait_batch` (bounded spin, then a sleep on the ready ring's
+//!   doorbell, which a spill rings too), and an async
 //!   [`ready`](CompletionQueue::ready) future whose waker the producing
 //!   completer wakes directly.
 
 use crate::buffer::CompletedBuffer;
-use crate::csync::{self, AtomicBool, AtomicU32, AtomicU64, Condvar, Idle, Mutation, Mutex};
+use crate::csync::{self, AtomicBool, Idle, Mutation, Mutex};
 use crate::notify::AtomicWaker;
-use crate::ring::{PushError, RingQueue};
+use crate::ring::{PushError, Ring, RingQueue, DOORBELL_WAIT};
 use crate::telemetry::{self, EventKind, Histogram, Telemetry};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64 as CounterU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
@@ -69,7 +70,8 @@ pub struct CqStats {
     pub delivered: u64,
     /// Pushes that found the ring full and spilled to the overflow list.
     pub overflowed: u64,
-    /// Producer-side wakes actually delivered (parked consumer or waker).
+    /// Wakes delivered: a registered waker a push woke, or a
+    /// `wait_batch` sleep that ended with completions queued.
     pub wakes: u64,
     /// `poll_batch` calls that drained nothing.
     pub empty_polls: u64,
@@ -89,26 +91,19 @@ struct CqInner {
     /// `overflow` lock). While set, pushes bypass the ring so an entry
     /// enqueued *after* a spilled one can never be delivered before it.
     spilling: AtomicBool,
-    /// Queued-entry count, `SeqCst`: the Dekker word between producer wake
-    /// and consumer park.
-    entries: AtomicU64,
     /// Async consumer parking cell.
     waker: AtomicWaker,
-    /// Blocking consumers parked (or about to park) on the condvar.
-    waiters: AtomicU32,
-    wake_mutex: Mutex<()>,
-    condvar: Condvar,
     /// Serialises `poll_batch` callers: the Vyukov ring is single-consumer.
     /// Consumer-side only — the completion hot path never touches it.
     consumer: Mutex<ConsumerState>,
     // Monitoring counters stay plain `std` atomics: they carry no
     // ordering obligations, and keeping them out of the checker's
     // instrumented op stream keeps model schedule spaces small.
-    enqueued: CounterU64,
-    delivered: CounterU64,
-    overflowed: CounterU64,
-    wakes: CounterU64,
-    empty_polls: CounterU64,
+    enqueued: AtomicU64,
+    delivered: AtomicU64,
+    overflowed: AtomicU64,
+    wakes: AtomicU64,
+    empty_polls: AtomicU64,
     /// Event recorder, armed lazily by the first attached traced window.
     telemetry: OnceLock<Arc<Telemetry>>,
 }
@@ -136,26 +131,30 @@ impl CqInner {
                 self.overflowed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if let Some(e) = entry {
-            if let Err(PushError::Full(e) | PushError::Closed(e)) = self.ready.try_push(e) {
+        let spilled = match entry.map(|e| self.ready.try_push(e)) {
+            Some(Ok(())) => false,
+            Some(Err(PushError::Full(e) | PushError::Closed(e))) => {
                 let mut overflow = self.overflow.lock();
                 self.spilling.store(true, Ordering::Release);
                 overflow.push_back(e);
                 self.overflowed.fetch_add(1, Ordering::Relaxed);
+                true
             }
+            None => true,
+        };
+        // A spill bypasses the ring push's doorbell ring: ring it here.
+        if spilled {
+            self.ready.doorbell().ring();
         }
-        // SeqCst publish before the waiter checks: either a parked consumer
-        // sees the new entry count, or we see its registration below.
-        self.entries.fetch_add(1, Ordering::SeqCst);
-        let mut woke = self.waker.wake();
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            drop(self.wake_mutex.lock());
-            self.condvar.notify_all();
-            woke = true;
-        }
-        if woke {
+        if self.waker.wake() {
             self.wakes.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// What a push publishes before it rings the doorbell and wakes the
+    /// waker: a published ring slot, or an open spill episode.
+    fn queued(&self) -> bool {
+        self.ready.ready() || self.spilling.load(Ordering::Acquire)
     }
 
     fn pop(&self) -> Option<CqEntry> {
@@ -175,7 +174,7 @@ impl CqInner {
         // anything we take from the spill list (per-producer FIFO breaks:
         // found by the rvma-check enumeration, see DESIGN.md §14). Report
         // empty and let the caller retry until the claim publishes.
-        if !self.ready.is_empty() {
+        if self.ready.depth() > 0 {
             return None;
         }
         let mut overflow = self.overflow.lock();
@@ -203,7 +202,7 @@ pub struct CompletionQueue {
 impl std::fmt::Debug for CompletionQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompletionQueue")
-            .field("depth", &self.inner.entries.load(Ordering::Relaxed))
+            .field("depth", &self.depth())
             .finish()
     }
 }
@@ -218,20 +217,16 @@ impl CompletionQueue {
                 ready: RingQueue::new(capacity),
                 overflow: Mutex::new(VecDeque::new()),
                 spilling: AtomicBool::new(false),
-                entries: AtomicU64::new(0),
                 waker: AtomicWaker::new(),
-                waiters: AtomicU32::new(0),
-                wake_mutex: Mutex::new(()),
-                condvar: Condvar::new(),
                 consumer: Mutex::new(ConsumerState {
                     batch_hist: Histogram::new(),
                     poll_seq: 0,
                 }),
-                enqueued: CounterU64::new(0),
-                delivered: CounterU64::new(0),
-                overflowed: CounterU64::new(0),
-                wakes: CounterU64::new(0),
-                empty_polls: CounterU64::new(0),
+                enqueued: AtomicU64::new(0),
+                delivered: AtomicU64::new(0),
+                overflowed: AtomicU64::new(0),
+                wakes: AtomicU64::new(0),
+                empty_polls: AtomicU64::new(0),
                 telemetry: OnceLock::new(),
             }),
         }
@@ -254,7 +249,7 @@ impl CompletionQueue {
 
     /// Entries currently queued.
     pub fn depth(&self) -> u64 {
-        self.inner.entries.load(Ordering::SeqCst)
+        (self.inner.ready.depth() + self.inner.overflow.lock().len()) as u64
     }
 
     /// Drain up to `max` completions into `out` without blocking; returns
@@ -268,7 +263,6 @@ impl CompletionQueue {
                 Some(e) => e,
                 None => break,
             };
-            self.inner.entries.fetch_sub(1, Ordering::SeqCst);
             out.push(CqCompletion {
                 user: entry.user,
                 buffer: entry.buffer,
@@ -294,47 +288,41 @@ impl CompletionQueue {
     }
 
     /// Like [`poll_batch`](Self::poll_batch) but blocks — a spin under the
-    /// thread's `Idle` budget, then the condvar — until at least one
-    /// completion arrives or `timeout` expires. Returns the number drained
-    /// (0 on timeout).
+    /// thread's `Idle` budget, then sleeps on the ready ring's doorbell —
+    /// until at least one completion arrives or `timeout` expires. Returns
+    /// the number drained (0 on timeout).
     pub fn wait_batch(&self, max: usize, out: &mut Vec<CqCompletion>, timeout: Duration) -> usize {
         let n = self.poll_batch(max, out);
         if n > 0 {
             return n;
         }
+        let inner = &*self.inner;
         let deadline = Instant::now() + timeout;
         let mut idle = Idle::new();
-        while !idle.past(deadline) && idle.spin() {
-            if self.inner.entries.load(Ordering::SeqCst) > 0 {
+        loop {
+            if inner.queued() {
                 let n = self.poll_batch(max, out);
                 if n > 0 {
                     idle.done();
                     return n;
                 }
             }
-        }
-        loop {
-            // Register, then re-check (Dekker with `CqInner::push`): either
-            // the producer's `entries` bump is visible here, or our
-            // registration is visible to its `waiters` load and it notifies.
-            self.inner.waiters.fetch_add(1, Ordering::SeqCst);
-            if self.inner.entries.load(Ordering::SeqCst) == 0 {
-                let mut guard = self.inner.wake_mutex.lock();
-                while self.inner.entries.load(Ordering::SeqCst) == 0 {
-                    if self
-                        .inner
-                        .condvar
-                        .wait_until(&mut guard, deadline)
-                        .timed_out()
-                    {
-                        break;
-                    }
+            if idle.spin() {
+                if idle.past(deadline) {
+                    return 0;
                 }
+                continue;
             }
-            self.inner.waiters.fetch_sub(1, Ordering::SeqCst);
-            let n = self.poll_batch(max, out);
-            if n > 0 || Instant::now() >= deadline {
-                return n;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return 0;
+            }
+            let bell = inner.ready.doorbell();
+            if !bell.sleep_unless(|| inner.queued(), left.min(DOORBELL_WAIT)) {
+                // A spill waits on a ring claim still being written (`pop`).
+                csync::thread::yield_now();
+            } else if inner.queued() {
+                inner.wakes.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -356,7 +344,7 @@ impl CompletionQueue {
             overflowed: self.inner.overflowed.load(Ordering::Relaxed),
             wakes: self.inner.wakes.load(Ordering::Relaxed),
             empty_polls: self.inner.empty_polls.load(Ordering::Relaxed),
-            depth: self.inner.entries.load(Ordering::SeqCst),
+            depth: self.depth(),
             batch_p50: consumer.batch_hist.quantile(0.50),
             batch_p99: consumer.batch_hist.quantile(0.99),
         }
@@ -375,15 +363,15 @@ impl Future for CqReady<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let inner = &self.cq.inner;
-        if inner.entries.load(Ordering::SeqCst) > 0 {
-            return Poll::Ready(());
+        if !inner.queued() {
+            inner.waker.register(cx.waker());
+            // Re-check after registering: a push either published before its
+            // wake saw the waker (the register's RMW acquires it), or wakes it.
+            if !inner.queued() {
+                return Poll::Pending;
+            }
         }
-        inner.waker.register(cx.waker());
-        // Re-check after parking (Dekker with `CqInner::push`).
-        if inner.entries.load(Ordering::SeqCst) > 0 {
-            return Poll::Ready(());
-        }
-        Poll::Pending
+        Poll::Ready(())
     }
 }
 

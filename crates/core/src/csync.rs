@@ -3,8 +3,8 @@
 //!
 //! Every lock-free module (`ring`, `notify`, `cq`, the seqlock route
 //! cache in `transport_threaded`, the telemetry shards) takes its
-//! atomics, `UnsafeCell`s, locks, park/unpark and spin hints from here
-//! instead of `std`/`parking_lot` directly.
+//! atomics, `UnsafeCell`s, locks, park/unpark, futex and spin hints from
+//! here instead of `std`/`parking_lot` directly.
 //!
 //! * **Default build** (no `check` feature): everything is a plain
 //!   re-export or a `#[repr(transparent)]` `#[inline(always)]` wrapper —
@@ -56,6 +56,14 @@ pub enum Mutation {
     /// the waker — a countdown that ends between the first check and the
     /// register wakes nobody, and the waiter parks for good.
     PutFutureSkipRecheck,
+    /// `Doorbell::sleep_unless`: re-check the predicate before
+    /// advertising in `waiters` — a publish between the two finds no
+    /// waiter and rings nobody, and the sleeper sleeps through it.
+    DoorbellRecheckFirst,
+    /// `Doorbell::ring`: wake the sleepers without bumping `seq` — one
+    /// between its re-check and its futex wait still finds the word it
+    /// read, and sleeps through the wake.
+    DoorbellWithoutBump,
 }
 
 impl Mutation {
@@ -69,11 +77,8 @@ impl Mutation {
 mod imp {
     use std::cell::UnsafeCell;
 
-    pub(crate) use parking_lot::{Condvar, Mutex};
-    // Re-exported so check/non-check call sites can name the same types;
-    // most code only uses them implicitly through `lock()`/`wait_until()`.
-    #[allow(unused_imports)]
-    pub(crate) use parking_lot::{MutexGuard, WaitTimeoutResult};
+    pub(crate) use crate::shm::{futex_wait, futex_wake};
+    pub(crate) use parking_lot::Mutex;
     pub(crate) use std::sync::atomic::{
         fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
     };
@@ -140,7 +145,6 @@ mod imp {
     use std::cell::UnsafeCell;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
-    use std::time::Instant;
 
     fn ctx() -> Option<(Arc<Execution>, usize)> {
         with_active(|e, me| (e.clone(), me))
@@ -405,86 +409,22 @@ mod imp {
         }
     }
 
-    pub(crate) struct Condvar {
-        inner: parking_lot::Condvar,
-    }
-
-    /// Mirror of `parking_lot::WaitTimeoutResult` for the model path.
-    #[derive(Clone, Copy, Debug)]
-    pub(crate) struct WaitTimeoutResult(bool);
-
-    impl WaitTimeoutResult {
-        pub(crate) fn timed_out(&self) -> bool {
-            self.0
+    /// Model futex: reading `word` and blocking are one step, and the
+    /// `timeout` never fires — a wake the protocol loses is a `Deadlock`,
+    /// not a stall. Outside an execution, the real futex.
+    pub(crate) fn futex_wait(word: &AtomicU32, expected: u32, timeout: std::time::Duration) {
+        let holds = || word.real.load(Ordering::Relaxed) == expected;
+        match ctx() {
+            Some((e, me)) => e.futex_wait(me, word.addr(), holds),
+            None => crate::shm::futex_wait(&word.real, expected, timeout),
         }
     }
 
-    impl Condvar {
-        pub(crate) const fn new() -> Self {
-            Condvar {
-                inner: parking_lot::Condvar::new(),
-            }
-        }
-
-        fn addr(&self) -> usize {
-            self as *const _ as usize
-        }
-
-        #[cfg_attr(not(test), allow(dead_code))]
-        pub(crate) fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            match ctx() {
-                Some((e, me)) if guard.model => {
-                    let lock_addr = guard.lock.addr();
-                    guard.inner = None; // release the real lock while modeled-blocked
-                    e.cond_wait(me, self.addr(), lock_addr, false);
-                    guard.inner = Some(guard.lock.inner.lock());
-                }
-                _ => self
-                    .inner
-                    .wait(guard.inner.as_mut().expect("guard released")),
-            }
-        }
-
-        pub(crate) fn wait_until<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            deadline: Instant,
-        ) -> WaitTimeoutResult {
-            match ctx() {
-                Some((e, me)) if guard.model => {
-                    let lock_addr = guard.lock.addr();
-                    guard.inner = None;
-                    // Model time: the timeout fires only when nothing
-                    // else can run (so timed waits never mask deadlocks).
-                    let timed_out = e.cond_wait(me, self.addr(), lock_addr, true);
-                    guard.inner = Some(guard.lock.inner.lock());
-                    WaitTimeoutResult(timed_out)
-                }
-                _ => WaitTimeoutResult(
-                    self.inner
-                        .wait_until(guard.inner.as_mut().expect("guard released"), deadline)
-                        .timed_out(),
-                ),
-            }
-        }
-
-        #[cfg_attr(not(test), allow(dead_code))]
-        pub(crate) fn notify_one(&self) {
-            match ctx() {
-                Some((e, me)) => e.cond_notify(me, self.addr(), false),
-                None => {
-                    self.inner.notify_one();
-                }
-            }
-        }
-
-        pub(crate) fn notify_all(&self) {
-            match ctx() {
-                Some((e, me)) => e.cond_notify(me, self.addr(), true),
-                None => {
-                    self.inner.notify_all();
-                }
-            }
+    /// Wake up to `n` model threads blocked on `word` (real ones outside).
+    pub(crate) fn futex_wake(word: &AtomicU32, n: u32) {
+        match ctx() {
+            Some((e, me)) => e.futex_wake(me, word.addr(), n),
+            None => crate::shm::futex_wake(&word.real, n),
         }
     }
 
@@ -525,7 +465,7 @@ mod imp {
         }
 
         /// Timed park. Under the model the timeout fires only when no
-        /// other model thread can run (the timed-condvar rule), so a
+        /// other model thread can run (the timed-park rule), so a
         /// timed park never masks a lost wakeup; returns true when it
         /// fired. Outside, a real timed park.
         pub(crate) fn park_timeout(dur: std::time::Duration) -> bool {
@@ -627,7 +567,7 @@ impl SpinBudget {
 
 /// One wait under this thread's adaptive spin budget: the crate's single
 /// idle policy. Every waiter loops "check → [`spin`] → its own park" (a
-/// doorbell, a futex, a waker, a condvar); one with nothing to park on
+/// ring's doorbell, a waker); one with nothing to park on
 /// [`snooze`]s. A wait satisfied while spinning doubles the budget (to at
 /// least 4× its checks); one that runs out, or is satisfied only after a
 /// yield, halves it. DESIGN.md §11 states the rules and why they adapt.

@@ -267,17 +267,23 @@ pub(crate) struct Initiator<L: Link> {
 }
 
 impl<L: Link> Initiator<L> {
-    /// An engine over `link` whose puts are cut at `mtu` and try the
-    /// large lane above `eager_threshold`.
-    pub(crate) fn new(link: L, src: NodeAddr, (mtu, eager_threshold): (usize, usize)) -> Self {
+    /// An engine over `link`: puts cut at `mtu`, the large lane above
+    /// `eager_threshold`, events into `telemetry`, NACKs into `nacks`.
+    pub(crate) fn new(
+        link: L,
+        src: NodeAddr,
+        (mtu, eager_threshold): (usize, usize),
+        telemetry: Option<Arc<Telemetry>>,
+        nacks: NackSink,
+    ) -> Self {
         Initiator {
             link,
             src,
             mtu,
             eager_threshold,
-            telemetry: None,
+            telemetry,
             next_op: AtomicU64::new(1),
-            nacks: NackSink::default(),
+            nacks,
             staged: AtomicU64::new(0),
         }
     }
@@ -431,8 +437,9 @@ impl PutNotify {
         })
     }
 
-    /// `n > 0` units reached their final disposition.
-    pub(crate) fn fragments_done(&self, n: u64, any_nacked: bool) {
+    /// `n > 0` units reached their final disposition; returns whether
+    /// they were the last.
+    pub(crate) fn fragments_done(&self, n: u64, any_nacked: bool) -> bool {
         if any_nacked {
             self.nacked.store(true, Ordering::SeqCst);
         }
@@ -442,6 +449,12 @@ impl PutNotify {
             self.done.store(true, Ordering::SeqCst);
             self.waker.wake();
         }
+        prev == n
+    }
+
+    /// Fail the (≥ 1) units outstanding; no other thread may step it down.
+    pub(crate) fn fail_rest(&self) {
+        self.fragments_done(self.remaining.load(Ordering::Acquire), true);
     }
 }
 

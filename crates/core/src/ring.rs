@@ -12,13 +12,14 @@
 //!   the thread's idle budget, then yields, until a slot frees — it never
 //!   drops and never allocates. The resident fragment count is therefore
 //!   structurally ≤ the capacity.
-//! * **Doorbell wake.** The single consumer may park when idle
-//!   ([`RingQueue::park_consumer`]); a producer that observes the parked
-//!   flag after publishing rings the doorbell (`Thread::unpark`). The
-//!   flag is checked with one `SeqCst` fence pair (the Dekker pattern:
-//!   either the producer sees the flag, or the consumer's post-flag
-//!   emptiness re-check sees the element — a wakeup can never be lost).
-//!   A *hot* consumer never parks, so the fragment path takes no futex.
+//! * **Doorbell wake.** Each ring's cursor block carries a futex
+//!   eventcount (`seq`, `waiters`). An idle consumer advertises in
+//!   `waiters`, re-checks, and sleeps on `seq` for at most 20 ms
+//!   ([`RingQueue::park_consumer`]); a producer pays one `SeqCst` fence and
+//!   one load of `waiters` per push, and bumps `seq` and wakes only for a
+//!   sleeper. The fences pair as a Dekker, so no wake is lost (enumerated
+//!   on both storages, DESIGN.md §14), and a *hot* consumer never sleeps.
+//!   Without a futex (non-Linux) the sleep degrades to `shm`'s bounded one.
 //! * **Close is the linearisation point.** The closed flag lives in the
 //!   tail word, so [`RingQueue::close`] and a producer's claim CAS are
 //!   ordered against each other: a push either claimed its slot before
@@ -32,8 +33,8 @@
 //!   endpoint's `StatsSnapshot`.
 //!
 //! One protocol, two storages: the crate-private `Ring` trait's provided
-//! methods (claim, publish, pop, recycle, close) are the protocol; its
-//! implementors say where the words live — on the heap ([`RingQueue`]) or
+//! methods (claim, publish, pop, recycle, close, doorbell) are the protocol;
+//! its implementors say where the words live — on the heap ([`RingQueue`]) or
 //! in a [`ShmSegment`] (`SegmentRing`, both shm rings). One model checks
 //! both (DESIGN.md §14), and the close that ends a threaded wire worker
 //! ends the shm server's (`ShmServer::stop`).
@@ -43,7 +44,7 @@
 //! it *after* acquiring it, and the head/tail counters give each side
 //! exclusive ownership of the slot between those points.
 
-use crate::csync::{self, AtomicBool, AtomicUsize, CheckCell, Idle, Mutation, Mutex};
+use crate::csync::{self, AtomicBool, AtomicU32, AtomicUsize, CheckCell, Idle, Mutation};
 use crate::shm::ShmSegment;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +65,8 @@ pub struct RingStats {
     /// Pushes that found the ring full and had to stall (counted once per
     /// stalled push, not once per retry).
     pub full_stalls: AtomicU64,
-    /// Times a parked consumer was woken (doorbell rings plus the rare
-    /// spurious unpark).
+    /// Doorbell sleeps of a consumer that ended with work to do (a sleep
+    /// that timed out idle is not counted).
     pub park_wakeups: AtomicU64,
 }
 
@@ -93,7 +94,7 @@ pub struct RingStatsSnapshot {
     pub max_depth: u64,
     /// Pushes that stalled on a full ring.
     pub full_stalls: u64,
-    /// Parked-consumer wakeups.
+    /// Consumer sleeps that ended with work to do.
     pub park_wakeups: u64,
 }
 
@@ -114,13 +115,68 @@ struct ConsumerLine {
     closed: AtomicBool,
 }
 
-/// A ring's cursor block: the claim index, with [`CLOSED`] folded in, on
-/// the producers' line, then the consumer's; valid all-zero.
+/// A consumer's longest doorbell sleep: a lost wake (or a peer dying
+/// between publish and ring) costs at most this, never a hang.
+pub(crate) const DOORBELL_WAIT: Duration = Duration::from_millis(20);
+
+/// A futex eventcount: `waiters` counts consumers advertised as about to
+/// sleep on `seq`. Valid all-zero; a segment peer may write any value into
+/// either word, which costs a sleeper at most its bounded wait.
+#[derive(Default)]
+#[repr(C)]
+pub(crate) struct Doorbell {
+    seq: AtomicU32,
+    waiters: AtomicU32,
+}
+
+impl Doorbell {
+    /// After a publish (or a close): wake the consumer if one sleeps.
+    #[inline(always)]
+    pub(crate) fn ring(&self) {
+        // Dekker with `sleep_unless`: either this load sees the sleeper's
+        // advertisement, or the sleeper's re-check sees the publish.
+        csync::fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) != 0 {
+            self.wake();
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn wake(&self) {
+        // A sleeper between its re-check and its wait finds the word changed;
+        // Release, so one whose snapshot read the bump sees the publish.
+        if !csync::mutation(Mutation::DoorbellWithoutBump) {
+            self.seq.fetch_add(1, Ordering::Release);
+        }
+        csync::futex_wake(&self.seq, u32::MAX);
+    }
+
+    /// Advertise, re-check `ready`, and unless it holds sleep on `seq` for
+    /// at most `wait`; returns whether it slept. Callers re-check in a loop.
+    pub(crate) fn sleep_unless(&self, ready: impl Fn() -> bool, wait: Duration) -> bool {
+        let seen = self.seq.load(Ordering::Acquire);
+        let early = csync::mutation(Mutation::DoorbellRecheckFirst).then(&ready);
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        csync::fence(Ordering::SeqCst);
+        let sleep = !early.unwrap_or_else(&ready);
+        if sleep {
+            csync::futex_wait(&self.seq, seen, wait);
+        }
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        sleep
+    }
+}
+
+/// A ring's cursor block, valid all-zero: the claim index ([`CLOSED`]
+/// folded in) on the producers' line, the consumer's line, and the
+/// doorbell's, which only a sleeper writes, so producers' loads of it hit.
 #[derive(Default)]
 #[repr(C)]
 pub(crate) struct Cursors {
     tail: Padded<AtomicUsize>,
     consumer: ConsumerLine,
+    bell: Padded<Doorbell>,
 }
 
 /// The bounded MPSC protocol, in provided (statically dispatched) methods
@@ -209,14 +265,22 @@ pub(crate) trait Ring {
         self.seq(head & self.mask()).load(Ordering::Acquire) == head.wrapping_add(1)
     }
 
-    /// Fail every later claim. Every claim that succeeded came before
-    /// this call, so a consumer that pops until `is_drained` misses none.
+    /// The consumer's doorbell: producers ring it after each publish.
+    #[inline(always)]
+    fn doorbell(&self) -> &Doorbell {
+        &self.cursors().bell.0
+    }
+
+    /// Fail every later claim and wake the consumer. Every claim that
+    /// succeeded came before this RMW on the one tail word, so a consumer
+    /// that pops until `is_drained` misses none.
     fn close(&self) {
-        self.cursors().tail.0.fetch_or(CLOSED, Ordering::SeqCst);
+        self.cursors().tail.0.fetch_or(CLOSED, Ordering::Relaxed);
         self.cursors()
             .consumer
             .closed
             .store(true, Ordering::Release);
+        self.doorbell().ring();
     }
 
     /// Whether the ring was closed; reads only the consumer's line.
@@ -240,17 +304,12 @@ struct Slot<T> {
 
 /// A bounded multi-producer / **single-consumer** ring queue.
 ///
-/// The consumer side (`try_pop`, `park_consumer`, `register_consumer`) must
-/// only ever be driven by one thread at a time — the wire worker that owns
-/// the ring.
+/// The consumer side (`try_pop`, `park_consumer`) must only ever be
+/// driven by one thread at a time — the wire worker that owns the ring.
 pub struct RingQueue<T> {
     cursors: Cursors,
     slots: Box<[Slot<T>]>,
     mask: usize,
-    /// True while the consumer is parked (or committing to park).
-    parked: AtomicBool,
-    /// The consumer thread's handle, registered once at worker start.
-    consumer: Mutex<Option<csync::thread::Thread>>,
     stats: Arc<RingStats>,
 }
 
@@ -300,8 +359,6 @@ impl<T> RingQueue<T> {
             cursors: Cursors::default(),
             slots,
             mask: cap - 1,
-            parked: AtomicBool::new(false),
-            consumer: Mutex::new(None),
             stats,
         }
     }
@@ -316,7 +373,8 @@ impl<T> RingQueue<T> {
         self.mask + 1
     }
 
-    /// Elements currently resident (approximate under concurrency).
+    /// Elements currently resident, a slot still being written included
+    /// (approximate under concurrency).
     pub fn depth(&self) -> usize {
         let tail = self.cursors.tail.0.load(Ordering::Relaxed) & !CLOSED;
         let head = self.cursors.consumer.head.load(Ordering::Relaxed);
@@ -328,8 +386,8 @@ impl<T> RingQueue<T> {
         &self.stats
     }
 
-    /// Non-blocking push. On success the doorbell is rung if the consumer
-    /// is parked.
+    /// Non-blocking push. On success the doorbell is rung: the consumer
+    /// wakes if it sleeps.
     pub fn try_push(&self, value: T) -> Result<(), PushError<T>> {
         let pos = match self.claim() {
             Ok(pos) => pos,
@@ -342,9 +400,9 @@ impl<T> RingQueue<T> {
         slot.val.with_mut(|v| unsafe { (*v).write(value) });
         self.publish(pos);
         let head = self.cursors.consumer.head.load(Ordering::Relaxed);
-        let depth = pos.wrapping_add(1).wrapping_sub(head);
+        let depth = pos.wrapping_add(1).saturating_sub(head); // the consumer may be past `pos`
         self.stats.observe_depth(depth as u64);
-        self.ring_doorbell();
+        self.doorbell().ring();
         Ok(())
     }
 
@@ -383,56 +441,20 @@ impl<T> RingQueue<T> {
         })
     }
 
-    /// Record the calling thread as the ring's consumer (for doorbell
-    /// wakes). Call once from the worker before the first `park_consumer`.
-    pub fn register_consumer(&self) {
-        *self.consumer.lock() = Some(csync::thread::current());
-    }
-
-    /// Park the consumer until a producer rings the doorbell. Must only be
-    /// called by the registered consumer thread, with the ring observed
-    /// empty. Re-checks emptiness after raising the parked flag, so a
-    /// publish racing the park is never slept through. May return
-    /// spuriously; callers loop.
+    /// Consumer only: sleep on the doorbell until a publish or the close
+    /// (at most 20 ms; callers loop). A sleep that ends with work to do
+    /// counts in `park_wakeups`.
     pub fn park_consumer(&self) {
-        self.parked.store(true, Ordering::SeqCst);
-        csync::fence(Ordering::SeqCst);
-        // Dekker re-check: a producer either sees `parked == true` after
-        // its publish (and unparks us), or its publish is visible to this
-        // emptiness check (and we bail out). A closed ring never parks.
-        let c = &self.cursors;
-        if c.tail.0.load(Ordering::SeqCst) != c.consumer.head.load(Ordering::SeqCst) {
-            self.parked.store(false, Ordering::SeqCst);
-            return;
-        }
-        csync::thread::park();
-        self.parked.store(false, Ordering::SeqCst);
-        self.stats.park_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// No slots claimed: `tail` advances at claim time (before the value is
-    /// published), so `false` here can mean "an entry is still being
-    /// written", not just "an entry is poppable".
-    pub(crate) fn is_empty(&self) -> bool {
-        let head = self.cursors.consumer.head.load(Ordering::SeqCst);
-        let tail = self.cursors.tail.0.load(Ordering::SeqCst) & !CLOSED;
-        tail == head
-    }
-
-    fn ring_doorbell(&self) {
-        csync::fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
-            if let Some(t) = self.consumer.lock().as_ref() {
-                t.unpark();
-            }
+        let woken = || self.ready() || self.is_closed();
+        if self.doorbell().sleep_unless(woken, DOORBELL_WAIT) && woken() {
+            self.stats.park_wakeups.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Mark the ring closed: subsequent pushes fail, every push that
-    /// succeeded will be popped, and a parked consumer wakes.
+    /// succeeded will be popped, and a sleeping consumer wakes.
     pub fn close(&self) {
         Ring::close(self);
-        self.ring_doorbell();
     }
 }
 
@@ -512,6 +534,8 @@ impl SegmentRing {
         c.tail.0.store(0, Ordering::Relaxed);
         c.consumer.head.store(0, Ordering::Relaxed);
         c.consumer.closed.store(false, Ordering::Relaxed);
+        c.bell.0.seq.store(0, Ordering::Relaxed);
+        c.bell.0.waiters.store(0, Ordering::Relaxed);
         for idx in 0..=self.mask {
             self.seq(idx).store(idx, Ordering::Relaxed);
         }
@@ -522,11 +546,11 @@ impl SegmentRing {
         self.base + (pos & self.mask) * self.stride + std::mem::size_of::<usize>()
     }
 
-    /// Claim a slot, `fill` its payload (given its offset), publish it. A
-    /// full ring is backpressure: each retry calls `stall(probe)` — `probe`
-    /// on every 1024th once the spin budget is spent, then a 100 µs sleep —
-    /// and `stall` returning false gives up with `Full`. A closed ring
-    /// fails at once with `Closed`.
+    /// Claim a slot, `fill` its payload (given its offset), publish it, and
+    /// ring the doorbell. A full ring is backpressure: each retry calls
+    /// `stall(probe)` — `probe` on every 1024th once the spin budget is
+    /// spent, then a 100 µs sleep — and `stall` returning false gives up
+    /// with `Full`. A closed ring fails at once with `Closed`.
     pub(crate) fn push(
         &self,
         fill: impl FnOnce(usize),
@@ -538,6 +562,7 @@ impl SegmentRing {
                 Ok(pos) => {
                     fill(self.payload(pos));
                     self.publish(pos);
+                    self.doorbell().ring();
                     idle.done();
                     return Ok(());
                 }
@@ -565,6 +590,15 @@ impl SegmentRing {
     pub(crate) fn abandon(&self) {
         let tail = self.cursors().tail.0.load(Ordering::Acquire) & !CLOSED;
         self.cursors().consumer.head.store(tail, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+impl Doorbell {
+    /// Overwrite both words, as a peer sharing the segment may.
+    pub(crate) fn scribble(&self, seq: u32, waiters: u32) {
+        self.seq.store(seq, Ordering::Relaxed);
+        self.waiters.store(waiters, Ordering::Relaxed);
     }
 }
 
@@ -657,49 +691,124 @@ mod tests {
         assert!(q.stats().snapshot().max_depth <= 8);
     }
 
+    /// A `u64` ring the doorbell tests drive, on either storage.
+    trait BellRing: Send + Sync {
+        fn put(&self, v: u64);
+        fn take(&self) -> Option<u64>;
+        /// One consumer sleep on the doorbell.
+        fn park(&self);
+    }
+
+    impl BellRing for RingQueue<u64> {
+        fn put(&self, v: u64) {
+            self.push(v).map_err(|_| ()).unwrap();
+        }
+        fn take(&self) -> Option<u64> {
+            self.try_pop()
+        }
+        fn park(&self) {
+            self.park_consumer();
+        }
+    }
+
+    impl BellRing for SegmentRing {
+        fn put(&self, v: u64) {
+            // SAFETY: the claimed slot's payload is ours until the publish.
+            let write = |off| unsafe { (self.seg.as_ptr().add(off) as *mut u64).write(v) };
+            assert!(self.push(write, |_| true).is_ok());
+        }
+        fn take(&self) -> Option<u64> {
+            // SAFETY: the popped slot is the consumer's until its recycle.
+            let read =
+                |idx| unsafe { (self.seg.as_ptr().add(self.payload(idx)) as *const u64).read() };
+            self.pop_with(read)
+        }
+        fn park(&self) {
+            let woken = || self.ready() || self.is_closed();
+            self.doorbell().sleep_unless(woken, DOORBELL_WAIT);
+        }
+    }
+
+    /// A ring of `cap` slots on each storage: the heap, a segment, and
+    /// (with `scribbled`) a segment whose doorbell words a peer wrote —
+    /// `waiters = u32::MAX`, so a sleeper's own advertisement wraps it to
+    /// 0 and every wake is lost, and a garbage `seq`.
+    fn storages(cap: usize, scribbled: bool) -> Vec<(&'static str, Arc<dyn BellRing>)> {
+        let mut rows: Vec<(&'static str, Arc<dyn BellRing>)> =
+            vec![("heap", Arc::new(RingQueue::<u64>::new(cap)))];
+        if crate::shm::shm_supported() {
+            for (name, scribble) in [("segment", false), ("segment, scribbled", true)] {
+                if scribble && !scribbled {
+                    continue;
+                }
+                let path = crate::shm::default_segment_path("bell");
+                let len = std::mem::size_of::<Cursors>() + cap * 64;
+                let seg = Arc::new(ShmSegment::create(&path, len).unwrap());
+                let ring = SegmentRing::new(&seg, 0, 64, cap).unwrap();
+                ring.init();
+                if scribble {
+                    ring.doorbell().scribble(0x5eed_f00d, u32::MAX);
+                }
+                rows.push((name, Arc::new(ring)));
+            }
+        }
+        rows
+    }
+
     #[test]
     fn doorbell_wakes_parked_consumer() {
-        let q = Arc::new(RingQueue::new(8));
+        for (name, q) in storages(8, true) {
+            let consumer = {
+                let q = q.clone();
+                std::thread::spawn(move || loop {
+                    if let Some(v) = q.take() {
+                        return v;
+                    }
+                    q.park();
+                })
+            };
+            std::thread::sleep(Duration::from_millis(30));
+            q.put(7);
+            assert_eq!(consumer.join().unwrap(), 7, "{name}");
+        }
+        // The heap ring counts the sleep the push ended.
+        let q = Arc::new(RingQueue::<u64>::new(8));
         let consumer = {
             let q = q.clone();
             std::thread::spawn(move || {
-                q.register_consumer();
-                loop {
-                    if let Some(v) = q.try_pop() {
-                        return v;
-                    }
+                while q.try_pop().is_none() {
                     q.park_consumer();
                 }
             })
         };
         std::thread::sleep(Duration::from_millis(30));
-        q.push(7u32).map_err(|_| ()).unwrap();
-        assert_eq!(consumer.join().unwrap(), 7);
+        q.put(7);
+        consumer.join().unwrap();
         assert!(q.stats().snapshot().park_wakeups >= 1);
     }
 
     #[test]
     fn publish_racing_park_is_not_slept_through() {
         // Hammer the park/publish race: the consumer must never hang.
-        let q = Arc::new(RingQueue::new(2));
-        let consumer = {
-            let q = q.clone();
-            std::thread::spawn(move || {
-                q.register_consumer();
-                let mut got = 0u32;
-                while got < 10_000 {
-                    if q.try_pop().is_some() {
-                        got += 1;
-                    } else {
-                        q.park_consumer();
+        for (_, q) in storages(2, false) {
+            let consumer = {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    let mut got = 0u32;
+                    while got < 10_000 {
+                        if q.take().is_some() {
+                            got += 1;
+                        } else {
+                            q.park();
+                        }
                     }
-                }
-            })
-        };
-        for _ in 0..10_000u32 {
-            q.push(1u8).map_err(|_| ()).unwrap();
+                })
+            };
+            for _ in 0..10_000u64 {
+                q.put(1);
+            }
+            consumer.join().unwrap();
         }
-        consumer.join().unwrap();
     }
 
     #[test]

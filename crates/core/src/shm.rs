@@ -3,8 +3,8 @@
 //! Everything the shm backend needs from the kernel lives here, behind a
 //! dependency-free seam: a file-backed [`ShmSegment`] mapped with `MAP_SHARED`
 //! into each participating process, and a pair of futex wrappers
-//! ([`futex_wait`]/[`futex_wake`]) used by the doorbells in
-//! [`crate::transport_shm`].
+//! ([`futex_wait`]/[`futex_wake`]) under every ring's doorbell
+//! ([`crate::ring`], through `csync`'s seam the checker models).
 //!
 //! The workspace vendors no `libc`, so on Linux (x86_64/aarch64) the three
 //! required syscalls — `mmap`, `munmap`, `futex` — are issued directly via
@@ -12,8 +12,9 @@
 //! (`File::create` + `set_len`), which also guarantees the fresh mapping
 //! reads as zeroes. On any other platform the module still compiles:
 //! [`ShmSegment::create`] reports [`RvmaError::TransportFailed`] and the
-//! futex wrappers degrade to bounded sleeps, so the rest of the crate (and
-//! its tests) gate on [`shm_supported`] instead of `cfg` soup.
+//! futex wrappers degrade to bounded sleeps (at most 2 ms; a heap ring's
+//! idle consumer then re-checks that often), so the rest of the crate
+//! (and its tests) gate on [`shm_supported`] instead of `cfg` soup.
 //!
 //! ## Robustness conventions
 //!

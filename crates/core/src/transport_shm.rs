@@ -3,8 +3,8 @@
 //! This is the first backend where initiator and target live in *different
 //! OS processes*. A file-backed [`ShmSegment`]
 //! carries two bounded rings of fixed-size slots — [`crate::ring`]'s one
-//! protocol over segment storage, with futex doorbells replacing the
-//! in-process Dekker unpark:
+//! protocol over segment storage, each with the futex doorbell every ring
+//! carries in its cursor block:
 //!
 //! * the **request ring** (MPSC: any number of initiator threads → the
 //!   server's single wire worker) carries put fragments and flush markers;
@@ -62,7 +62,7 @@ use crate::link::{
     self, notified, Initiator, Link, NackSink, Op, Progress, PutFuture, PutNotify, Unit,
 };
 use crate::retry::{FaultStats, LinkFaults};
-use crate::ring::{Cursors, PushError, Ring, SegmentRing};
+use crate::ring::{Cursors, PushError, Ring, SegmentRing, DOORBELL_WAIT};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::wire::{Fabric, Wire, WireMsg, WireWorker};
@@ -80,8 +80,9 @@ use std::time::{Duration, Instant};
 const SHM_MAGIC: u64 = 0x5256_4D41_5348_4D31;
 /// Wire-layout version; bump on any slot/header change. v2 added the
 /// bulk region (rendezvous lane) and the `bulk_bytes`/`eager_threshold`
-/// header words; v3 the closed word on each ring's consumer line.
-const SHM_VERSION: u32 = 3;
+/// header words; v3 the closed word on each ring's consumer line; v4
+/// moved the doorbells from the header into each ring's cursor block.
+const SHM_VERSION: u32 = 4;
 
 /// Handshake states; a fresh mapping reads 0 until the server publishes
 /// `STATE_READY`.
@@ -101,10 +102,6 @@ const REQ_BULK: u32 = 3;
 const RSP_PUT_DONE: u32 = 1;
 const RSP_NACK: u32 = 2;
 const RSP_FLUSH_ACK: u32 = 3;
-
-/// Bounded doorbell sleep: a lost wakeup (or dying peer) costs at most
-/// this much latency, never a hang.
-const DOORBELL_WAIT: Duration = Duration::from_millis(20);
 
 /// How often an unarmed response pump wakes to drain acks nobody waits
 /// for (rendezvous extent releases, NACKs) and to probe the server.
@@ -158,43 +155,9 @@ fn decode_nack(v: u32) -> NackReason {
 // Segment layout
 // ---------------------------------------------------------------------------
 
-/// Futex-backed eventcount doorbell living in the segment header. The
-/// producer bumps `seq` (cheap RMW) after publishing and issues the wake
-/// syscall only when a consumer advertised itself in `waiters`; the
-/// consumer snapshots `seq` *before* its final emptiness re-check, so a
-/// publish between check and sleep changes the word and the futex refuses
-/// to block.
-#[repr(C)]
-struct Doorbell {
-    seq: AtomicU32,
-    waiters: AtomicU32,
-}
-
-impl Doorbell {
-    fn ring(&self) {
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            shm::futex_wake(&self.seq, u32::MAX);
-        }
-    }
-
-    /// Advertise this waiter, re-check `ready`, and unless it holds sleep
-    /// on the word (at most [`DOORBELL_WAIT`]); returns whether it slept.
-    fn sleep_unless(&self, ready: impl FnOnce() -> bool) -> bool {
-        let seen = self.seq.load(Ordering::SeqCst);
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let sleep = !ready();
-        if sleep {
-            shm::futex_wait(&self.seq, seen, DOORBELL_WAIT);
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        sleep
-    }
-}
-
-/// First bytes of the segment: identification, handshake state, geometry,
-/// liveness PIDs, and the two doorbells. Everything is atomics — the
-/// header is the one region both processes write concurrently.
+/// First bytes of the segment: identification, handshake state, geometry
+/// and liveness PIDs. Everything is atomics — the header is one of the
+/// regions both processes write concurrently.
 #[repr(C)]
 struct SegHeader {
     magic: AtomicU64,
@@ -211,8 +174,6 @@ struct SegHeader {
     state: AtomicU32,
     server_pid: AtomicU32,
     client_pid: AtomicU32,
-    req_bell: Doorbell,
-    rsp_bell: Doorbell,
 }
 
 /// Space reserved for [`SegHeader`] at offset 0.
@@ -497,7 +458,6 @@ impl ShmServer {
     pub fn stop(&mut self) {
         let hdr = header(&self.inner.seg);
         self.inner.req.close();
-        hdr.req_bell.ring();
         if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
@@ -516,10 +476,10 @@ type ShmMsg<'a> = WireMsg<&'a ServerInner>;
 
 impl ServerInner {
     /// Push one response slot. Acks must not drop while the client lives:
-    /// a full ring kicks the pump's doorbell and backs off; if the client
-    /// process is gone the response is dropped (nobody is left to read it).
+    /// a full ring rings its doorbell again (a sleeping pump drains it)
+    /// and backs off; if the client process is gone the response is
+    /// dropped (nobody is left to read it).
     fn respond(&self, kind: u32, token: u32, reason: u32, nacked: bool, vaddr: VirtAddr) {
-        let bell = &header(&self.seg).rsp_bell;
         let fill = |off| {
             let h = rsp_hdr(&self.seg, off);
             h.kind.store(kind, Ordering::Relaxed);
@@ -529,12 +489,10 @@ impl ServerInner {
             h.vaddr.store(vaddr.0, Ordering::Relaxed);
         };
         let stall = |probe| {
-            bell.ring();
+            self.rsp.doorbell().ring();
             !(probe && pid_gone(&header(&self.seg).client_pid))
         };
-        if self.rsp.push(fill, stall).is_ok() {
-            bell.ring();
-        }
+        let _ = self.rsp.push(fill, stall);
     }
 }
 
@@ -610,16 +568,16 @@ impl<'a> Wire for &'a ServerInner {
         }
     }
 
-    /// Sleep on the request doorbell: advertise, re-check, bounded wait.
-    /// After the close, a slot still unpublished a whole wait later by a
-    /// client process now gone never will be: give it up.
+    /// Sleep on the request ring's doorbell: advertise, re-check, bounded
+    /// wait. After the close, a slot still unpublished a whole wait later
+    /// by a client process now gone never will be: give it up.
     fn park(&mut self) {
-        let hdr = header(&self.seg);
-        let slept = hdr
-            .req_bell
-            .sleep_unless(|| self.req.ready() || self.req.is_drained());
-        if slept && self.req.is_closed() && !self.req.ready() && pid_gone(&hdr.client_pid) {
-            self.req.abandon();
+        let req = &self.req;
+        let slept = req
+            .doorbell()
+            .sleep_unless(|| req.ready() || req.is_drained(), DOORBELL_WAIT);
+        if slept && req.is_closed() && !req.ready() && pid_gone(&header(&self.seg).client_pid) {
+            req.abandon();
         }
     }
 
@@ -833,14 +791,14 @@ pub struct BulkStats {
     pub eager_fallbacks: u64,
 }
 
-/// What a token's acks resolve: a put's countdown when one was asked for,
-/// and a rendezvous extent `(offset, order, len)` the last ack releases.
-/// The entry is removed exactly once — by the last ack, a push the link
-/// refused, or peer death — so a duplicate ack finds nothing: no double
-/// count, no double free.
+/// What a token's acks resolve: a put's countdown when one was asked for
+/// (without one, the put is a one-unit descriptor), and a rendezvous
+/// extent `(offset, order, len)` the last ack releases. The entry is
+/// removed exactly once — by the last ack, a push the link refused, or
+/// peer death — so a duplicate ack finds nothing: no double count, no
+/// double free.
 struct PendingPut {
     notify: Option<Arc<PutNotify>>,
-    remaining: u64,
     extent: Option<Extent>,
 }
 
@@ -901,26 +859,23 @@ impl ClientInner {
         handled > 0
     }
 
-    /// The token `units` acks come back under, or 0 when nothing waits
+    /// The token a put's acks come back under, or 0 when nothing waits
     /// on them (an un-notified eager put).
-    fn track(&self, notify: Option<Arc<PutNotify>>, units: u64, extent: Option<Extent>) -> u32 {
+    fn track(&self, notify: Option<Arc<PutNotify>>, extent: Option<Extent>) -> u32 {
         if notify.is_none() && extent.is_none() {
             return 0;
         }
         let token = next_token(&self.next_token);
-        let pending = PendingPut {
-            notify,
-            remaining: units,
-            extent,
-        };
-        self.tokens.lock().insert(token, pending);
+        self.tokens
+            .lock()
+            .insert(token, PendingPut { notify, extent });
         token
     }
 
     /// Resolve `p` as failed and release its extent.
     fn fail(&self, p: PendingPut) {
         if let Some(n) = p.notify {
-            n.fragments_done(p.remaining, true);
+            n.fail_rest();
         }
         if let Some(extent) = p.extent {
             self.release_extent(extent);
@@ -1005,7 +960,6 @@ impl ClientInner {
             }
             return Err(e);
         }
-        header(seg).req_bell.ring();
         Ok(())
     }
 }
@@ -1071,7 +1025,7 @@ impl Link for Arc<ClientInner> {
         match unit {
             Unit::Eager(data) => {
                 let ranges = mtu_ranges(data.len(), self.geo.mtu);
-                let token = self.track(notify, ranges.len() as u64, None);
+                let token = self.track(notify, None);
                 for (s, e) in ranges {
                     op.enqueued((op.offset + s) as u64);
                     self.push_req(token, |h, payload| {
@@ -1086,7 +1040,7 @@ impl Link for Arc<ClientInner> {
                 Ok(())
             }
             Unit::Desc((extent, owned)) => {
-                let token = self.track(notify, 1, owned.then_some(extent));
+                let token = self.track(notify, owned.then_some(extent));
                 op.enqueued(op.offset as u64);
                 self.push_req(token, |h, payload| {
                     fill_put(h, REQ_BULK, 8, op, op.offset);
@@ -1101,7 +1055,7 @@ impl Link for Arc<ClientInner> {
     /// rule (see the module docs).
     fn push_flush(&self) -> Arc<PutNotify> {
         let done = PutNotify::new(1);
-        let token = self.track(Some(done.clone()), 1, None);
+        let token = self.track(Some(done.clone()), None);
         let _ = self.push_req(token, |h, _| {
             h.kind.store(REQ_FLUSH, Ordering::Relaxed);
             h.len.store(0, Ordering::Relaxed);
@@ -1249,8 +1203,7 @@ impl ShmClient {
                 .expect("spawn shm response pump")
         };
         let _ = inner.pump.set(pump.thread().clone());
-        let mut engine = Initiator::new(inner, src, (geo.mtu, eager_threshold));
-        (engine.telemetry, engine.nacks) = (telemetry, nacks);
+        let engine = Initiator::new(inner, src, (geo.mtu, eager_threshold), telemetry, nacks);
         Ok(ShmClient {
             engine,
             pump: Some(pump),
@@ -1338,7 +1291,7 @@ impl Drop for ShmClient {
         inner.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.pump.take() {
             h.thread().unpark();
-            header(&inner.seg).rsp_bell.ring();
+            inner.rsp.doorbell().ring();
             let _ = h.join();
         }
     }
@@ -1351,7 +1304,6 @@ impl Drop for ShmClient {
 /// server at most once a tick, and a dead server fails everything
 /// outstanding, so no future or flush ever hangs on a dead peer.
 fn rsp_pump(inner: Arc<ClientInner>) {
-    let hdr = header(&inner.seg);
     let armed = || inner.armed.load(Ordering::SeqCst) > 0;
     let mut probed = Instant::now();
     // Waits out another thread's hold on the drain while acks are queued.
@@ -1369,7 +1321,7 @@ fn rsp_pump(inner: Arc<ClientInner>) {
             std::thread::park_timeout(PUMP_TICK);
         } else if !handled {
             let ready = || inner.rsp.ready() || inner.stop.load(Ordering::Acquire) || !armed();
-            if !hdr.rsp_bell.sleep_unless(ready) {
+            if !inner.rsp.doorbell().sleep_unless(ready, DOORBELL_WAIT) {
                 idle.snooze();
             }
         }
@@ -1386,14 +1338,15 @@ fn handle_rsp(inner: &ClientInner, h: &RspHdr) {
             // finds the token already removed and is ignored — that is
             // what makes the extent release below exactly-once.
             let mut tokens = inner.tokens.lock();
-            let Some(p) = tokens.get_mut(&token) else {
+            let Some(p) = tokens.get(&token) else {
                 return;
             };
-            if let Some(n) = &p.notify {
-                n.fragments_done(1, h.nacked.load(Ordering::Relaxed) != 0);
-            }
-            p.remaining -= 1;
-            if p.remaining > 0 {
+            let nacked = h.nacked.load(Ordering::Relaxed) != 0;
+            if !p
+                .notify
+                .as_ref()
+                .is_none_or(|n| n.fragments_done(1, nacked))
+            {
                 return;
             }
             let extent = tokens.remove(&token).and_then(|p| p.extent);
@@ -1447,7 +1400,10 @@ mod tests {
         assert_eq!(std::mem::size_of::<ReqHdr>(), REQ_HDR_SIZE);
         assert_eq!(std::mem::size_of::<RspHdr>(), RSP_HDR_SIZE);
         assert!(std::mem::size_of::<SegHeader>() <= HDR_SPACE);
-        assert_eq!(CTRL_SPACE, 128, "one cache line per side");
+        assert_eq!(
+            CTRL_SPACE, 192,
+            "one cache line per side, one for the doorbell"
+        );
         // A zero-sized bulk region must not change the classic layout.
         let g0 = SegGeometry::new(2048, 1024, 512, 0);
         assert_eq!(g0.total, round64(g0.bulk_base));
@@ -1598,7 +1554,7 @@ mod tests {
         // mailbox: it must not be delivered, and its countdown must end.
         let inner = &client.engine.link;
         let notify = PutNotify::new(1);
-        let token = inner.track(Some(notify.clone()), 1, None);
+        let token = inner.track(Some(notify.clone()), None);
         inner
             .push_req(token, |h, payload| {
                 h.kind.store(0x7F, Ordering::Relaxed);
@@ -1920,6 +1876,42 @@ mod tests {
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "stop waited {:?} on a dead client's slot",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn scribbled_doorbells_cost_wakes_not_puts() {
+        if !shm_supported() {
+            return;
+        }
+        const PUTS: usize = 64;
+        let (mut server, client) = shm_pair(64, EndpointConfig::default(), CLIENT).unwrap();
+        let ep = server.add_endpoint(SERVER);
+        let win = ep
+            .init_window(VirtAddr::new(0x10), Threshold::ops(PUTS as u64 + 1))
+            .unwrap();
+        let _note = win.post_buffer(vec![0u8; 8 * PUTS]).unwrap();
+        // A peer wrote `waiters = u32::MAX` and a garbage `seq` into both
+        // doorbells: a sleeper's own advertisement wraps `waiters` to 0,
+        // so every wake is lost and each sleep runs to its bound.
+        for ring in [&server.inner.req, &server.inner.rsp] {
+            ring.doorbell().scribble(0x5eed_f00d, u32::MAX);
+        }
+        for i in 0..PUTS {
+            // Spaced, so the server goes idle and sleeps between puts.
+            std::thread::sleep(Duration::from_millis(1));
+            client
+                .put_at(SERVER, VirtAddr::new(0x10), 8 * i, &[1u8; 8])
+                .unwrap();
+        }
+        client.flush().unwrap();
+        assert_eq!(server.delivered(), PUTS as u64);
+        let t0 = Instant::now();
+        server.stop();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "stop waited {:?} behind a scribbled doorbell",
             t0.elapsed()
         );
     }

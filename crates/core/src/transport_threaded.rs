@@ -44,9 +44,10 @@
 //! **Idle policy.** A worker that finds its ring empty spins under its
 //! thread's adaptive budget — the crate's one idle policy (DESIGN.md §11),
 //! which drops to 0 wherever spinning does not pay, e.g. on one CPU — and
-//! then parks. Producers ring a doorbell (one `SeqCst` flag check per
-//! push, `unpark` only when the worker is actually parked), so an idle
-//! worker costs nothing while a hot worker never takes a futex wake on the
+//! then sleeps on its ring's doorbell (bounded at 20 ms). Producers ring
+//! it on every push (one `SeqCst` fence and one load of the waiters word;
+//! a futex wake only when the worker actually sleeps), so an idle worker
+//! costs nothing while a hot worker never takes a futex wake on the
 //! fragment path.
 //!
 //! The worker count comes from [`AsyncNetwork::with_options`] (or
@@ -303,7 +304,6 @@ pub struct AsyncNetwork {
 
 fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) {
     let ring = shared.queues[idx].clone();
-    ring.register_consumer();
     WireWorker::new(RingWire(ring), &shared.fabric, idx, latency).run();
 }
 
@@ -430,8 +430,8 @@ impl AsyncNetwork {
             pool: PayloadPool::new(),
         };
         let lanes = (self.shared.mtu, self.shared.fabric.config.eager_threshold);
-        let mut engine = Initiator::new(link, src, lanes);
-        engine.telemetry = self.shared.fabric.telemetry.clone();
+        let telemetry = self.shared.fabric.telemetry.clone();
+        let engine = Initiator::new(link, src, lanes, telemetry, NackSink::default());
         AsyncInitiator { engine }
     }
 

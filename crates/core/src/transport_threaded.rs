@@ -1335,6 +1335,10 @@ mod tests {
             .put(NodeAddr::node(0), VirtAddr::new(1), &[5; MTU])
             .unwrap();
         assert_eq!(note.wait().data(), vec![5; MTU].as_slice());
+        // The completion can wake the waiter before the wire worker has
+        // bumped the endpoint's counters; a flush returns only once every
+        // put queued ahead of it reached its final disposition.
+        client.flush().unwrap();
         assert_eq!(server.stats().fragments_accepted, 1);
     }
 

@@ -226,15 +226,17 @@ pub fn build_fabric<B: SimBuilder<NetEvent>>(
 /// links. Each terminal lands in its attached switch's shard, keeping the
 /// injection path and the NIC's self-events shard-local.
 pub fn partition_fabric(spec: &TopologySpec, shards: usize) -> Vec<usize> {
-    let shards = shards.max(1).min(spec.switches.max(1) as usize);
-    let nsw = spec.switches.max(1) as usize;
-    let switch_shard = |s: usize| s * shards / nsw;
-    let mut map = Vec::with_capacity((spec.switches + spec.terminals) as usize);
-    for s in 0..spec.switches as usize {
-        map.push(switch_shard(s));
-    }
-    for t in 0..spec.terminals {
-        map.push(switch_shard(spec.terminal_switch(t) as usize));
+    let nsw = spec.switches as usize;
+    let shards = shards.max(1).min(nsw.max(1));
+    let switch_shard = |s: usize| s * shards / nsw.max(1);
+    let mut map = vec![0; nsw + spec.terminals as usize];
+    // One pass over the switches: each fills its own entry and those of
+    // the terminals it hosts (`terminal_switch` per terminal would be a
+    // scan of every switch, O(terminals × switches)).
+    for (s, &(base, count)) in spec.switch_terms.iter().enumerate() {
+        let shard = switch_shard(s);
+        map[s] = shard;
+        map[nsw + base as usize..nsw + (base + count) as usize].fill(shard);
     }
     map
 }
@@ -343,6 +345,47 @@ mod tests {
         // More shards than switches clamps; every entry stays in range.
         let wide = partition_fabric(&spec, 16);
         assert!(wide.iter().all(|&s| s < 2));
+    }
+
+    /// The one-pass map equals the one derived terminal by terminal from
+    /// `terminal_switch`, on every topology builder.
+    #[test]
+    fn partition_matches_terminal_switch_on_every_topology() {
+        use crate::router::RoutingKind::{Adaptive, Static};
+        use crate::topology::{
+            dragonfly, fattree, hyperx, star, torus3d, DragonflyParams, FatTreeParams,
+            HyperXParams, TorusParams,
+        };
+        let specs = [
+            star(5, Static),
+            torus3d(
+                TorusParams {
+                    dims: [3, 2, 2],
+                    tps: 2,
+                },
+                Adaptive,
+            ),
+            fattree(FatTreeParams { k: 6 }, Adaptive),
+            dragonfly(DragonflyParams { a: 4, p: 2, h: 2 }, Adaptive),
+            hyperx(HyperXParams { d: [3, 4], tps: 3 }, Static),
+            two_switch_spec(),
+        ];
+        for spec in &specs {
+            for shards in [1, 3, 8, 1000] {
+                let shards_used = shards.min(spec.switches as usize);
+                let sw = |s: usize| s * shards_used / spec.switches as usize;
+                let want: Vec<usize> = (0..spec.switches as usize)
+                    .map(sw)
+                    .chain((0..spec.terminals).map(|t| sw(spec.terminal_switch(t) as usize)))
+                    .collect();
+                assert_eq!(
+                    partition_fabric(spec, shards),
+                    want,
+                    "{} / {shards}",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! travel through the simulator (timing is what we measure).
 
 use rvma_sim::SimTime;
-use std::any::Any;
 
 /// Per-packet wire header overhead, bytes. Covers PHY/LLR/route headers of a
 /// typical HPC fabric.
@@ -99,28 +98,14 @@ impl Packet {
 }
 
 /// The engine event type for the fabric and everything above it.
+#[derive(Debug)]
 pub enum NetEvent {
     /// A packet arrives at a component (switch or terminal).
     Packet(Packet),
-    /// A component-local event (pipeline stage timers, host commands).
-    /// Only the component that scheduled it interprets the payload.
-    Local(Box<dyn Any + Send>),
-}
-
-impl NetEvent {
-    /// Construct a local event from any payload.
-    pub fn local<T: Any + Send>(payload: T) -> Self {
-        NetEvent::Local(Box::new(payload))
-    }
-}
-
-impl std::fmt::Debug for NetEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetEvent::Packet(p) => f.debug_tuple("Packet").field(p).finish(),
-            NetEvent::Local(_) => f.write_str("Local(..)"),
-        }
-    }
+    /// A component-local event (host commands, NIC pipeline timers): a
+    /// token naming the pending event in a slab the scheduling component
+    /// owns. Only that component interprets it.
+    Local(u32),
 }
 
 #[cfg(test)]
@@ -153,17 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn local_event_downcasts() {
-        let ev = NetEvent::local(42u32);
-        match ev {
-            NetEvent::Local(b) => assert_eq!(*b.downcast::<u32>().unwrap(), 42),
-            _ => panic!("wrong variant"),
-        }
-    }
-
-    #[test]
     fn debug_formatting() {
-        assert!(format!("{:?}", NetEvent::local(1u8)).contains("Local"));
+        assert!(format!("{:?}", NetEvent::Local(1)).contains("Local"));
         assert!(format!("{:?}", NetEvent::Packet(pkt(10))).contains("Packet"));
     }
 }

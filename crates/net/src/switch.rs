@@ -86,8 +86,6 @@ pub struct Switch {
     switch_latency: SimTime,
     /// Crossbar serialization rate (1.5× link rate per the paper).
     xbar: Bandwidth,
-    /// Packets forwarded (for stats).
-    forwarded: u64,
 }
 
 impl Switch {
@@ -109,18 +107,12 @@ impl Switch {
             router,
             switch_latency,
             xbar,
-            forwarded: 0,
         }
     }
 
     /// This switch's topology-level id.
     pub fn id(&self) -> u32 {
         self.id
-    }
-
-    /// Packets this switch has forwarded.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
     }
 
     fn is_local_terminal(&self, dst: u32) -> bool {
@@ -155,7 +147,6 @@ impl Component<NetEvent> for Switch {
         let start = eligible.max(port.next_free);
         let done = start + port.link.serialize(wire);
         port.next_free = done;
-        self.forwarded += 1;
         ctx.stats().counter("net.switch_forwarded").inc();
         ctx.stats().counter("net.wire_bytes").add(wire as u64);
         // Aggregate queueing delay (ns): how long the packet waited for the

@@ -2,7 +2,7 @@
 
 use crate::config::{NicConfig, Protocol};
 use crate::host::HostLogic;
-use crate::terminal::{NicLocal, Terminal};
+use crate::terminal::Terminal;
 use rvma_net::fabric::{build_fabric, Fabric, FabricConfig, TopologySpec};
 use rvma_net::packet::NetEvent;
 use rvma_sim::{ComponentId, SimBuilder, SimTime};
@@ -55,7 +55,7 @@ pub fn build_cluster<B: SimBuilder<NetEvent>>(
     }
     fabric.assert_terminals_added(engine);
     for &cid in &fabric.terminal_cids {
-        engine.seed_event(SimTime::ZERO, cid, NetEvent::local(NicLocal::Start));
+        engine.seed_event(SimTime::ZERO, cid, Terminal::START);
     }
     Cluster { fabric, protocol }
 }

@@ -128,17 +128,17 @@ impl TermApi<'_, '_> {
     }
 
     /// Record a sample into the engine-wide histogram `name`.
-    pub fn record(&mut self, name: &str, value: f64) {
+    pub fn record(&mut self, name: &'static str, value: f64) {
         self.ctx.stats().histogram(name).record(value);
     }
 
     /// Record a [`SimTime`] sample (in ns) into histogram `name`.
-    pub fn record_time(&mut self, name: &str, t: SimTime) {
+    pub fn record_time(&mut self, name: &'static str, t: SimTime) {
         self.ctx.stats().histogram(name).record_time(t);
     }
 
     /// Bump the engine-wide counter `name`.
-    pub fn count(&mut self, name: &str) {
+    pub fn count(&mut self, name: &'static str) {
         self.ctx.stats().counter(name).inc();
     }
 }

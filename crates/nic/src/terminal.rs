@@ -28,8 +28,8 @@ use crate::config::{NicConfig, Protocol};
 use crate::host::{HostCmd, HostLogic, RecvInfo, TermApi};
 use rvma_net::link::LinkParams;
 use rvma_net::packet::{NetEvent, Packet, PacketHeader, PacketKind, RouteState};
-use rvma_sim::{Component, ComponentId, Ctx, SimTime};
-use std::collections::{HashMap, VecDeque};
+use rvma_sim::{Component, ComponentId, Ctx, FastMap, SimTime, Slab};
+use std::collections::VecDeque;
 
 /// A message the host asked the NIC to send.
 #[derive(Debug, Clone, Copy)]
@@ -40,7 +40,9 @@ pub(crate) struct OutMsg {
     pub msg_id: u64,
 }
 
-/// Terminal-local events (scheduled by the terminal to itself).
+/// Terminal-local events (scheduled by the terminal to itself). A pending
+/// one waits in the terminal's slab; the engine carries only its token
+/// ([`NetEvent::Local`]).
 #[derive(Debug)]
 pub(crate) enum NicLocal {
     /// Kick the host logic's `on_start`.
@@ -110,14 +112,21 @@ pub struct Terminal {
     uplink_free: SimTime,
     next_msg_id: u64,
     next_pkt_id: u64,
-    channels: HashMap<(u32, u64), ChanState>,
-    recvs: HashMap<(u32, u64), RecvProgress>,
+    channels: FastMap<(u32, u64), ChanState>,
+    recvs: FastMap<(u32, u64), RecvProgress>,
     /// RDMA gets waiting for their channel's registration handshake.
-    pending_gets: HashMap<(u32, u64), Vec<OutMsg>>,
+    pending_gets: FastMap<(u32, u64), Vec<OutMsg>>,
+    /// Pending self-scheduled events, by the token their `NetEvent::Local`
+    /// carries. Slot 0 holds `Start` from construction on.
+    locals: Slab<NicLocal>,
     logic: Option<Box<dyn HostLogic>>,
 }
 
 impl Terminal {
+    /// The event that kicks a terminal's host logic off (`on_start`): the
+    /// token of the `Start` every terminal is built holding.
+    pub const START: NetEvent = NetEvent::Local(0);
+
     /// Build a terminal. `ordered` must reflect the fabric router's
     /// delivery-order guarantee.
     pub fn new(
@@ -129,6 +138,9 @@ impl Terminal {
         uplink: LinkParams,
         logic: Box<dyn HostLogic>,
     ) -> Self {
+        let mut locals = Slab::new();
+        let start = locals.insert(NicLocal::Start);
+        debug_assert!(matches!(Self::START, NetEvent::Local(t) if t == start));
         Terminal {
             id,
             cfg,
@@ -139,9 +151,10 @@ impl Terminal {
             uplink_free: SimTime::ZERO,
             next_msg_id: 1,
             next_pkt_id: 1,
-            channels: HashMap::new(),
-            recvs: HashMap::new(),
-            pending_gets: HashMap::new(),
+            channels: FastMap::default(),
+            recvs: FastMap::default(),
+            pending_gets: FastMap::default(),
+            locals,
             logic: Some(logic),
         }
     }
@@ -149,6 +162,11 @@ impl Terminal {
     /// Terminal id.
     pub fn id(&self) -> u32 {
         self.id
+    }
+
+    /// Park `ev` until it fires; the returned event carries its token.
+    fn local(&mut self, ev: NicLocal) -> NetEvent {
+        NetEvent::Local(self.locals.insert(ev))
     }
 
     /// True when RDMA may skip the completion fence: the spec-violating
@@ -241,7 +259,7 @@ impl Terminal {
         ctx.schedule_at(
             finish + self.cfg.pcie_latency,
             me,
-            NetEvent::local(NicLocal::HostSendComplete { msg_id: m.msg_id }),
+            self.local(NicLocal::HostSendComplete { msg_id: m.msg_id }),
         );
     }
 
@@ -289,7 +307,7 @@ impl Terminal {
                     ctx.schedule_in(
                         self.cfg.pcie_latency,
                         me,
-                        NetEvent::local(NicLocal::NicSend(OutMsg {
+                        self.local(NicLocal::NicSend(OutMsg {
                             dst,
                             tag,
                             bytes,
@@ -306,7 +324,7 @@ impl Terminal {
                     ctx.schedule_in(
                         self.cfg.pcie_latency,
                         me,
-                        NetEvent::local(NicLocal::NicGet(OutMsg {
+                        self.local(NicLocal::NicGet(OutMsg {
                             dst,
                             tag,
                             bytes,
@@ -315,7 +333,7 @@ impl Terminal {
                     );
                 }
                 HostCmd::Compute { dur, tag } => {
-                    ctx.schedule_in(dur, me, NetEvent::local(NicLocal::ComputeDone { tag }));
+                    ctx.schedule_in(dur, me, self.local(NicLocal::ComputeDone { tag }));
                 }
             }
         }
@@ -479,12 +497,12 @@ impl Terminal {
             ctx.schedule_in(
                 delay,
                 me,
-                NetEvent::local(NicLocal::HostGetComplete {
+                self.local(NicLocal::HostGetComplete {
                     msg_id: info.msg_id,
                 }),
             );
         } else {
-            ctx.schedule_in(delay, me, NetEvent::local(NicLocal::HostRecv(info)));
+            ctx.schedule_in(delay, me, self.local(NicLocal::HostRecv(info)));
         }
     }
 
@@ -504,7 +522,7 @@ impl Terminal {
                 ctx.schedule_in(
                     self.cfg.pcie_latency,
                     me,
-                    NetEvent::local(NicLocal::EmitGetResp {
+                    self.local(NicLocal::EmitGetResp {
                         dst: pkt.src,
                         tag: pkt.header.tag,
                         msg_id: pkt.header.msg_id,
@@ -518,7 +536,7 @@ impl Terminal {
                 ctx.schedule_in(
                     self.cfg.pcie_latency + self.cfg.reg_latency,
                     me,
-                    NetEvent::local(NicLocal::EmitSetupResp {
+                    self.local(NicLocal::EmitSetupResp {
                         dst: pkt.src,
                         tag: pkt.header.tag,
                     }),
@@ -560,7 +578,7 @@ impl Terminal {
                 ctx.schedule_in(
                     self.cfg.pcie_latency,
                     me,
-                    NetEvent::local(NicLocal::HostRecv(info)),
+                    self.local(NicLocal::HostRecv(info)),
                 );
             }
         }
@@ -582,7 +600,7 @@ impl Terminal {
                     ctx.schedule_in(
                         self.cfg.pcie_latency,
                         me,
-                        NetEvent::local(NicLocal::EmitRtr {
+                        self.local(NicLocal::EmitRtr {
                             dst: info.src,
                             tag: info.tag,
                         }),
@@ -658,11 +676,9 @@ impl Component<NetEvent> for Terminal {
     fn handle(&mut self, ev: NetEvent, ctx: &mut Ctx<'_, NetEvent>) {
         match ev {
             NetEvent::Packet(pkt) => self.on_packet(ctx, pkt),
-            NetEvent::Local(any) => {
-                let local = any
-                    .downcast::<NicLocal>()
-                    .expect("terminal received foreign local event");
-                self.on_local(ctx, *local);
+            NetEvent::Local(token) => {
+                let local = self.locals.take(token);
+                self.on_local(ctx, local);
             }
         }
     }

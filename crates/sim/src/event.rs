@@ -14,6 +14,11 @@
 //! O(log n) of one global heap, and the extracted order is identical — the
 //! differential tests below drive both against each other.
 //!
+//! The heaps hold only 24-byte `(time, seq, slot)` keys; each event's target
+//! and payload wait in a per-queue [`Slab`] under `slot` until the pop. A
+//! heap sift therefore moves keys, never whole events (a fabric event is
+//! ~120 bytes), and a resize rehashes keys only.
+//!
 //! For the parallel engine each shard owns a queue constructed with
 //! [`EventQueue::with_seq_stream`]: shard `s` of `S` draws sequence numbers
 //! `first + s`, `first + s + S`, … so shards allocate from disjoint seq
@@ -21,11 +26,13 @@
 //! worker threads drive them.
 
 use crate::engine::ComponentId;
+use crate::slab::Slab;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// An event sitting in the queue: fire `payload` at `time` on `target`.
+/// An event entering or leaving the queue: fire `payload` at `time` on
+/// `target`.
 #[derive(Debug)]
 pub struct ScheduledEvent<E> {
     /// Absolute simulated instant at which the event fires.
@@ -38,20 +45,29 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
+/// A bucket resident: the event's order key and the slab slot holding its
+/// target and payload.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    time: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<E> Eq for ScheduledEvent<E> {}
+impl Eq for Key {}
 
-impl<E> PartialOrd for ScheduledEvent<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for ScheduledEvent<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
         other
@@ -73,15 +89,15 @@ const INITIAL_WIDTH_SHIFT: u32 = 13;
 /// A deterministic min-queue of scheduled events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Day-buckets; `buckets.len()` is a power of two.
-    buckets: Vec<BinaryHeap<ScheduledEvent<E>>>,
+    /// Day-buckets of keys; `buckets.len()` is a power of two.
+    buckets: Vec<BinaryHeap<Key>>,
+    /// Target and payload of every resident event, by key slot.
+    slab: Slab<(ComponentId, E)>,
     /// Bucket width is `1 << width_shift` picoseconds.
     width_shift: u32,
     /// The day (`time >> width_shift`) the pop cursor is currently on. Never
     /// exceeds the day of any resident event.
     current_day: u64,
-    /// Resident event count.
-    len: usize,
     /// Next sequence number to hand out.
     next_seq: u64,
     /// Distance between consecutive handed-out sequence numbers.
@@ -111,9 +127,9 @@ impl<E> EventQueue<E> {
         assert!(stride > 0, "seq stride must be positive");
         EventQueue {
             buckets: (0..INITIAL_BUCKETS).map(|_| BinaryHeap::new()).collect(),
+            slab: Slab::new(),
             width_shift: INITIAL_WIDTH_SHIFT,
             current_day: 0,
-            len: 0,
             next_seq: first,
             seq_stride: stride,
             scheduled_total: 0,
@@ -144,7 +160,7 @@ impl<E> EventQueue<E> {
     /// events and cross-shard arrivals in the parallel engine).
     pub fn push_sequenced(&mut self, ev: ScheduledEvent<E>) {
         self.scheduled_total += 1;
-        if self.len + 1 > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
+        if self.slab.len() + 1 > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.resize();
         }
         // A peek may have parked the cursor on a far-future day; a later
@@ -152,16 +168,25 @@ impl<E> EventQueue<E> {
         // so the day walk never skips an earlier event.
         self.current_day = self.current_day.min(ev.time.as_ps() >> self.width_shift);
         let idx = self.bucket_of(ev.time);
-        self.buckets[idx].push(ev);
-        self.len += 1;
+        let slot = self.slab.insert((ev.target, ev.payload));
+        self.buckets[idx].push(Key {
+            time: ev.time,
+            seq: ev.seq,
+            slot,
+        });
     }
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let idx = self.min_bucket()?;
-        let ev = self.buckets[idx].pop().expect("min_bucket found an event");
-        self.len -= 1;
-        Some(ev)
+        let key = self.buckets[idx].pop().expect("min_bucket found an event");
+        let (target, payload) = self.slab.take(key.slot);
+        Some(ScheduledEvent {
+            time: key.time,
+            seq: key.seq,
+            target,
+            payload,
+        })
     }
 
     /// Instant of the earliest pending event.
@@ -175,12 +200,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slab.is_empty()
     }
 
     /// Total number of events ever scheduled (fired or pending).
@@ -197,37 +222,37 @@ impl<E> EventQueue<E> {
     /// without a hit (a gap wider than one calendar year) falls back to a
     /// direct scan of all buckets.
     fn min_bucket(&mut self) -> Option<usize> {
-        if self.len == 0 {
+        if self.slab.is_empty() {
             return None;
         }
         let nbuckets = self.buckets.len() as u64;
         for _ in 0..nbuckets {
             let idx = (self.current_day & (nbuckets - 1)) as usize;
-            if let Some(ev) = self.buckets[idx].peek() {
-                if ev.time.as_ps() >> self.width_shift == self.current_day {
+            if let Some(key) = self.buckets[idx].peek() {
+                if key.time.as_ps() >> self.width_shift == self.current_day {
                     return Some(idx);
                 }
             }
             self.current_day += 1;
         }
         // Sparse region: scan every bucket head for the global minimum.
-        let (idx, ev) = self
+        let (idx, key) = self
             .buckets
             .iter()
             .enumerate()
-            .filter_map(|(i, b)| b.peek().map(|e| (i, e)))
-            .min_by(|(_, a), (_, b)| (a.time, a.seq).cmp(&(b.time, b.seq)))
+            .filter_map(|(i, b)| b.peek().map(|k| (i, k)))
+            .min_by_key(|(_, k)| (k.time, k.seq))
             .expect("len > 0 but all buckets empty");
-        self.current_day = ev.time.as_ps() >> self.width_shift;
+        self.current_day = key.time.as_ps() >> self.width_shift;
         Some(idx)
     }
 
     /// Double the bucket count and re-fit the bucket width to the observed
-    /// event density, then rehash all residents. Deterministic: depends only
-    /// on the resident set.
+    /// event density, then rehash all resident keys (payloads stay in the
+    /// slab). Deterministic: depends only on the resident set.
     fn resize(&mut self) {
         let new_n = (self.buckets.len() * 2).min(MAX_BUCKETS);
-        let mut all: Vec<ScheduledEvent<E>> = Vec::with_capacity(self.len);
+        let mut all: Vec<Key> = Vec::with_capacity(self.slab.len());
         for b in &mut self.buckets {
             all.extend(b.drain());
         }
@@ -251,9 +276,9 @@ impl<E> EventQueue<E> {
             .map(|e| e.time.as_ps() >> self.width_shift)
             .min()
             .unwrap_or(0);
-        for ev in all {
-            let idx = self.bucket_of(ev.time);
-            self.buckets[idx].push(ev);
+        for key in all {
+            let idx = self.bucket_of(key.time);
+            self.buckets[idx].push(key);
         }
     }
 }
@@ -261,6 +286,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     fn cid(i: usize) -> ComponentId {
         ComponentId::from_raw(i)
@@ -381,7 +407,7 @@ mod tests {
     #[test]
     fn matches_reference_heap() {
         let mut q = EventQueue::new();
-        let mut heap: BinaryHeap<ScheduledEvent<u64>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut x = 0x243F_6A88_85A3_08D3u64; // deterministic xorshift
         let mut seq = 0u64;
         for round in 0..50 {
@@ -397,23 +423,18 @@ mod tests {
                 };
                 let t = (round * 10_000) + (x % far);
                 q.push(SimTime::from_ps(t), cid(0), seq);
-                heap.push(ScheduledEvent {
-                    time: SimTime::from_ps(t),
-                    seq,
-                    target: cid(0),
-                    payload: seq,
-                });
+                heap.push(Reverse((SimTime::from_ps(t), seq)));
                 seq += 1;
             }
             for _ in 0..20 {
-                let a = q.pop().map(|e| (e.time, e.seq));
-                let b = heap.pop().map(|e| (e.time, e.seq));
+                let a = q.pop().map(|e| (e.time, e.seq, e.payload));
+                let b = heap.pop().map(|Reverse((t, s))| (t, s, s));
                 assert_eq!(a, b);
             }
         }
         loop {
-            let a = q.pop().map(|e| (e.time, e.seq));
-            let b = heap.pop().map(|e| (e.time, e.seq));
+            let a = q.pop().map(|e| (e.time, e.seq, e.payload));
+            let b = heap.pop().map(|Reverse((t, s))| (t, s, s));
             assert_eq!(a, b);
             if a.is_none() {
                 break;

@@ -50,18 +50,22 @@
 
 pub mod engine;
 pub mod event;
+pub mod hash;
 pub mod par;
 pub mod ring;
 pub mod rng;
+pub mod slab;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use engine::{Component, ComponentId, Ctx, Engine, EventSink, SimBuilder};
 pub use event::{EventQueue, ScheduledEvent};
+pub use hash::FastMap;
 pub use par::{ParEngine, SimConfig};
 pub use ring::EventRing;
 pub use rng::SimRng;
+pub use slab::Slab;
 pub use stats::{Counter, Histogram, StatsRegistry};
 pub use time::{Bandwidth, SimTime};
 pub use trace::{TraceEntry, TraceRing};

@@ -692,10 +692,14 @@ fn drain_mailbox<E: Send>(shard: &mut Shard<E>, shared: &RunShared<'_, E>) {
         shard.queue.push_sequenced(ev);
         received += 1;
     }
-    let spilled = std::mem::take(&mut *mb.overflow.lock().expect("overflow lock"));
-    for ev in spilled {
-        shard.queue.push_sequenced(ev);
-        received += 1;
+    // Producers count a spill before pushing it and the barrier orders
+    // both before this load, so an untouched overflow needs no lock.
+    if mb.spills.load(Ordering::Relaxed) != 0 {
+        let spilled = std::mem::take(&mut *mb.overflow.lock().expect("overflow lock"));
+        for ev in spilled {
+            shard.queue.push_sequenced(ev);
+            received += 1;
+        }
     }
     if received > 0 {
         shared

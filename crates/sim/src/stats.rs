@@ -7,7 +7,6 @@
 //! Fig. 5 reports stddev error bars.
 
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 
 /// A monotonically increasing named counter.
 #[derive(Debug, Default, Clone)]
@@ -122,10 +121,43 @@ impl Histogram {
 }
 
 /// Named statistics owned by an [`crate::Engine`].
+///
+/// Names are `&'static str`: every model bumps its statistics by literal or
+/// `const` name, so the registry stores the caller's pointer and the hot
+/// path resolves a name by `(ptr, len)` identity — a handful of pointer
+/// compares instead of a string-keyed tree walk. A `'static` str's bytes
+/// never change, so identity implies equality; the lookup falls back to
+/// string equality, so the same text at two addresses still maps to one
+/// slot. Registries hold a few dozen names at most, so a linear scan over
+/// insertion order beats any map; the readers sort names on the way out.
 #[derive(Debug, Default)]
 pub struct StatsRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Vec<(&'static str, Counter)>,
+    histograms: Vec<(&'static str, Histogram)>,
+}
+
+/// Index of `name` in `slots`, appending a fresh entry on first use.
+fn slot_of<T: Default>(slots: &mut Vec<(&'static str, T)>, name: &'static str) -> usize {
+    if let Some(i) = slots.iter().position(|(n, _)| std::ptr::eq(*n, name)) {
+        return i;
+    }
+    if let Some(i) = slots.iter().position(|(n, _)| *n == name) {
+        return i;
+    }
+    slots.push((name, T::default()));
+    slots.len() - 1
+}
+
+/// The entry named `name`, if any (string equality; read-side only).
+fn find<'a, T>(slots: &'a [(&'static str, T)], name: &str) -> Option<&'a T> {
+    slots.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+}
+
+/// Names in lexicographic order.
+fn sorted_names<T>(slots: &[(&'static str, T)]) -> std::vec::IntoIter<&'static str> {
+    let mut names: Vec<&'static str> = slots.iter().map(|(n, _)| *n).collect();
+    names.sort_unstable();
+    names.into_iter()
 }
 
 impl StatsRegistry {
@@ -135,39 +167,35 @@ impl StatsRegistry {
     }
 
     /// The named counter, created on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_owned(), Counter::default());
-        }
-        self.counters.get_mut(name).expect("just inserted")
+    pub fn counter(&mut self, name: &'static str) -> &mut Counter {
+        let i = slot_of(&mut self.counters, name);
+        &mut self.counters[i].1
     }
 
     /// The named histogram, created on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        if !self.histograms.contains_key(name) {
-            self.histograms.insert(name.to_owned(), Histogram::new());
-        }
-        self.histograms.get_mut(name).expect("just inserted")
+    pub fn histogram(&mut self, name: &'static str) -> &mut Histogram {
+        let i = slot_of(&mut self.histograms, name);
+        &mut self.histograms[i].1
     }
 
     /// Read a counter's value (0 if never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map(Counter::get).unwrap_or(0)
+        find(&self.counters, name).map(Counter::get).unwrap_or(0)
     }
 
     /// Read-only access to a histogram, if it exists.
     pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        find(&self.histograms, name)
     }
 
     /// All counter names in lexicographic order.
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
+        sorted_names(&self.counters)
     }
 
     /// All histogram names in lexicographic order.
     pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
+        sorted_names(&self.histograms)
     }
 
     /// Fold another registry into this one: counters add, histogram samples
@@ -176,10 +204,10 @@ impl StatsRegistry {
     /// (and therefore f64 summation order in `mean`/`stddev`) bit-identical
     /// regardless of worker thread count.
     pub fn merge_from(&mut self, other: &StatsRegistry) {
-        for (name, c) in &other.counters {
+        for &(name, ref c) in &other.counters {
             self.counter(name).add(c.get());
         }
-        for (name, h) in &other.histograms {
+        for &(name, ref h) in &other.histograms {
             let mine = self.histogram(name);
             for &v in h.samples() {
                 mine.record(v);
@@ -256,5 +284,37 @@ mod tests {
         assert!(r.get_histogram("missing").is_none());
         assert_eq!(r.counter_names().collect::<Vec<_>>(), vec!["pkts"]);
         assert_eq!(r.histogram_names().collect::<Vec<_>>(), vec!["lat"]);
+    }
+
+    #[test]
+    fn same_text_at_two_addresses_is_one_counter() {
+        // A name built at run time and leaked has a different address from
+        // the literal with the same text; both must land in one slot.
+        let leaked: &'static str = Box::leak(String::from("pkts").into_boxed_str());
+        assert!(!std::ptr::eq(leaked, "pkts"));
+        let mut r = StatsRegistry::new();
+        r.counter("pkts").inc();
+        r.counter(leaked).add(2);
+        r.histogram(leaked).record(1.0);
+        r.histogram("pkts").record(2.0);
+        assert_eq!(r.counter_value("pkts"), 3);
+        assert_eq!(r.counter_names().count(), 1);
+        assert_eq!(r.get_histogram("pkts").unwrap().samples(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn names_read_out_sorted_and_merge_adds() {
+        let mut a = StatsRegistry::new();
+        a.counter("z").inc();
+        a.counter("a").add(2);
+        a.histogram("h").record(1.0);
+        let mut b = StatsRegistry::new();
+        b.counter("m").inc();
+        b.counter("z").add(4);
+        b.histogram("h").record(2.0);
+        a.merge_from(&b);
+        assert_eq!(a.counter_names().collect::<Vec<_>>(), vec!["a", "m", "z"]);
+        assert_eq!(a.counter_value("z"), 5);
+        assert_eq!(a.get_histogram("h").unwrap().samples(), &[1.0, 2.0]);
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! The cells cover both engines and both protocols:
 //! - `ParEngine`, Sweep3D over RVMA on an adaptive fat-tree (the shape of
-//!   the `sim_sweep3d` benchmark cell), once with roomy mailboxes and once
-//!   with two-slot ones so the overflow path carries traffic;
+//!   the `sim_sweep3d` benchmark cell), at 1, 2 and 4 worker threads;
 //! - sequential `Engine`, Sweep3D over RDMA on an adaptive dragonfly
 //!   (handshakes, RTR credits, fences);
 //! - sequential `Engine`, a key-value store over RDMA (one-sided gets
@@ -110,11 +109,10 @@ fn sweep_logic(pgrid: [u32; 2]) -> impl FnMut(u32) -> Box<dyn HostLogic> {
     }
 }
 
-fn run_par(mailbox_capacity: usize, threads: usize) -> Pin {
+fn run_par(threads: usize) -> Pin {
     let spec = fattree(FatTreeParams { k: 8 }, RoutingKind::Adaptive);
     let mut sim = SimConfig::new(threads, SimTime::MAX);
     sim.shards = 8;
-    sim.mailbox_capacity = mailbox_capacity;
     let (mut eng, nodes) = build_motif_engine(
         &spec,
         &FabricConfig::at_gbps(400),
@@ -155,29 +153,27 @@ fn run_seq(
 
 #[test]
 fn par_sweep3d_rvma_fattree() {
-    let expect = |spills| {
-        want(
-            26_880,
-            6_024,
-            spills,
-            38_035_040,
-            &[
-                ("motif.nodes_done", 128),
-                ("net.queue_wait_ns", 1_056),
-                ("net.switch_forwarded", 9_856),
-                ("net.wire_bytes", 5_440_512),
-                ("nic.msgs_sent", 3_712),
-                ("nic.packets_injected", 3_712),
-            ],
-            &[("motif.node_done_ns", 128, 4_929_885_366_635_348_443)],
-        )
-    };
-    let roomy = run_par(4096, 1);
-    // Two-slot mailboxes push cross-shard bursts through the overflow
-    // side-channel; only the spill count may differ.
-    let tiny = run_par(0, 2);
-    assert_eq!(roomy, expect(0));
-    assert_eq!(tiny, expect(3_069));
+    let expect = want(
+        26_880,
+        6_024,
+        0,
+        38_035_040,
+        &[
+            ("motif.nodes_done", 128),
+            ("net.queue_wait_ns", 1_056),
+            ("net.switch_forwarded", 9_856),
+            ("net.wire_bytes", 5_440_512),
+            ("nic.msgs_sent", 3_712),
+            ("nic.packets_injected", 3_712),
+        ],
+        &[("motif.node_done_ns", 128, 4_929_885_366_635_348_443)],
+    );
+    assert_eq!(run_par(1), expect);
+    // More workers change only who carries cross-shard events, never an
+    // observable.
+    for threads in [2, 4] {
+        assert_eq!(run_par(threads), expect, "threads={threads}");
+    }
 }
 
 #[test]

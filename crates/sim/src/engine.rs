@@ -60,8 +60,8 @@ pub trait Component<E> {
 ///
 /// The sequential [`Engine`] plugs its own [`EventQueue`] in here; the
 /// parallel engine plugs in a per-shard sink that routes local events to the
-/// shard's queue and cross-shard events into ring mailboxes. Components only
-/// ever see [`Ctx`], so the same model code runs on both engines.
+/// shard's queue and cross-shard events into its worker's outbox. Components
+/// only ever see [`Ctx`], so the same model code runs on both engines.
 pub trait EventSink<E> {
     /// Enqueue `payload` to fire on `target` at absolute instant `time`.
     fn emit(&mut self, time: SimTime, target: ComponentId, payload: E);

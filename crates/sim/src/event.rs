@@ -6,18 +6,15 @@
 //! simulation deterministic — a property DESIGN.md lists as an invariant and
 //! the integration tests check by comparing full event traces across runs.
 //!
-//! Internally the queue is a bucketed *calendar queue* (Brown 1988): pending
-//! events hash into `nbuckets` day-slots by `time >> width_shift`, the pop
-//! cursor walks days forward, and each bucket keeps its residents in a small
-//! binary heap so same-day events still pop in exact `(time, seq)` order.
-//! At simulator event densities push and pop are O(1) amortized versus the
-//! O(log n) of one global heap, and the extracted order is identical — the
-//! differential tests below drive both against each other.
-//!
-//! The heaps hold only 24-byte `(time, seq, slot)` keys; each event's target
-//! and payload wait in a per-queue [`Slab`] under `slot` until the pop. A
-//! heap sift therefore moves keys, never whole events (a fabric event is
-//! ~120 bytes), and a resize rehashes keys only.
+//! Internally the queue is one binary heap of 16-byte keys: a `u128` holding
+//! the time in picoseconds in its high 64 bits, the seq in the next 40 and
+//! the [`Slab`] slot of the event's target and payload in the low 24. One
+//! integer compare therefore gives exactly the `(time, seq)` order (seqs are
+//! unique, so the slot never decides), a sift moves keys rather than whole
+//! events (a fabric event is ~120 bytes), and the earliest time is the
+//! heap's top. A seq or slot past its field panics rather than reordering.
+//! A plain heap suffices because a shard never holds many pending events: a
+//! busy shard of the 2,048-node benchmark cell stays under 128.
 //!
 //! For the parallel engine each shard owns a queue constructed with
 //! [`EventQueue::with_seq_stream`]: shard `s` of `S` draws sequence numbers
@@ -28,8 +25,13 @@
 use crate::engine::ComponentId;
 use crate::slab::Slab;
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Bits of a key holding the slab slot.
+const SLOT_BITS: u32 = 24;
+/// Bits of a key holding the seq, above the slot.
+const SEQ_BITS: u32 = 40;
 
 /// An event entering or leaving the queue: fire `payload` at `time` on
 /// `target`.
@@ -45,59 +47,13 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-/// A bucket resident: the event's order key and the slab slot holding its
-/// target and payload.
-#[derive(Debug, Clone, Copy)]
-struct Key {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Initial number of day-buckets (power of two).
-const INITIAL_BUCKETS: usize = 4;
-/// Hard cap on bucket count; past this, buckets just get deeper (still a
-/// heap per bucket, so correctness is unaffected).
-const MAX_BUCKETS: usize = 1 << 14;
-/// Initial bucket width: 2^13 ps ≈ 8 ns, on the order of one packet
-/// serialization at 100 Gbps.
-const INITIAL_WIDTH_SHIFT: u32 = 13;
-
 /// A deterministic min-queue of scheduled events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Day-buckets of keys; `buckets.len()` is a power of two.
-    buckets: Vec<BinaryHeap<Key>>,
+    /// Packed `time | seq | slot` keys, earliest on top.
+    heap: BinaryHeap<Reverse<u128>>,
     /// Target and payload of every resident event, by key slot.
     slab: Slab<(ComponentId, E)>,
-    /// Bucket width is `1 << width_shift` picoseconds.
-    width_shift: u32,
-    /// The day (`time >> width_shift`) the pop cursor is currently on. Never
-    /// exceeds the day of any resident event.
-    current_day: u64,
     /// Next sequence number to hand out.
     next_seq: u64,
     /// Distance between consecutive handed-out sequence numbers.
@@ -126,10 +82,8 @@ impl<E> EventQueue<E> {
     pub fn with_seq_stream(first: u64, stride: u64) -> Self {
         assert!(stride > 0, "seq stride must be positive");
         EventQueue {
-            buckets: (0..INITIAL_BUCKETS).map(|_| BinaryHeap::new()).collect(),
+            heap: BinaryHeap::new(),
             slab: Slab::new(),
-            width_shift: INITIAL_WIDTH_SHIFT,
-            current_day: 0,
             next_seq: first,
             seq_stride: stride,
             scheduled_total: 0,
@@ -158,128 +112,58 @@ impl<E> EventQueue<E> {
 
     /// Enqueue an event whose sequence number was assigned elsewhere (setup
     /// events and cross-shard arrivals in the parallel engine).
+    ///
+    /// # Panics
+    /// Panics if `ev.seq` is 2^40 or more, or if 2^24 events are pending.
     pub fn push_sequenced(&mut self, ev: ScheduledEvent<E>) {
+        assert!(
+            ev.seq < 1 << SEQ_BITS,
+            "event seq {} exceeds the queue's 2^40 seq limit",
+            ev.seq
+        );
         self.scheduled_total += 1;
-        if self.slab.len() + 1 > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.resize();
-        }
-        // A peek may have parked the cursor on a far-future day; a later
-        // push below it (legal after a deadline-bounded run) pulls it back
-        // so the day walk never skips an earlier event.
-        self.current_day = self.current_day.min(ev.time.as_ps() >> self.width_shift);
-        let idx = self.bucket_of(ev.time);
         let slot = self.slab.insert((ev.target, ev.payload));
-        self.buckets[idx].push(Key {
-            time: ev.time,
-            seq: ev.seq,
-            slot,
-        });
+        assert!(
+            slot < 1 << SLOT_BITS,
+            "event queue exceeds its 2^24 pending-event limit"
+        );
+        let key =
+            ((ev.time.as_ps() as u128) << 64) | ((ev.seq as u128) << SLOT_BITS) | slot as u128;
+        self.heap.push(Reverse(key));
     }
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let idx = self.min_bucket()?;
-        let key = self.buckets[idx].pop().expect("min_bucket found an event");
-        let (target, payload) = self.slab.take(key.slot);
+        let Reverse(key) = self.heap.pop()?;
+        let (target, payload) = self.slab.take(key as u32 & ((1 << SLOT_BITS) - 1));
         Some(ScheduledEvent {
-            time: key.time,
-            seq: key.seq,
+            time: SimTime::from_ps((key >> 64) as u64),
+            seq: (key as u64) >> SLOT_BITS,
             target,
             payload,
         })
     }
 
     /// Instant of the earliest pending event.
-    ///
-    /// Takes `&mut self` because locating the minimum may advance the
-    /// calendar's day cursor (the answer itself is not modified).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let idx = self.min_bucket()?;
-        Some(self.buckets[idx].peek().expect("non-empty bucket").time)
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap
+            .peek()
+            .map(|&Reverse(key)| SimTime::from_ps((key >> 64) as u64))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.slab.len()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
+        self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (fired or pending).
+    /// Total events ever scheduled (fired or pending).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
-    }
-
-    fn bucket_of(&self, time: SimTime) -> usize {
-        ((time.as_ps() >> self.width_shift) & (self.buckets.len() as u64 - 1)) as usize
-    }
-
-    /// Find the bucket holding the earliest event and park `current_day` on
-    /// that event's day. Walks day-by-day from the cursor; after a full lap
-    /// without a hit (a gap wider than one calendar year) falls back to a
-    /// direct scan of all buckets.
-    fn min_bucket(&mut self) -> Option<usize> {
-        if self.slab.is_empty() {
-            return None;
-        }
-        let nbuckets = self.buckets.len() as u64;
-        for _ in 0..nbuckets {
-            let idx = (self.current_day & (nbuckets - 1)) as usize;
-            if let Some(key) = self.buckets[idx].peek() {
-                if key.time.as_ps() >> self.width_shift == self.current_day {
-                    return Some(idx);
-                }
-            }
-            self.current_day += 1;
-        }
-        // Sparse region: scan every bucket head for the global minimum.
-        let (idx, key) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.peek().map(|k| (i, k)))
-            .min_by_key(|(_, k)| (k.time, k.seq))
-            .expect("len > 0 but all buckets empty");
-        self.current_day = key.time.as_ps() >> self.width_shift;
-        Some(idx)
-    }
-
-    /// Double the bucket count and re-fit the bucket width to the observed
-    /// event density, then rehash all resident keys (payloads stay in the
-    /// slab). Deterministic: depends only on the resident set.
-    fn resize(&mut self) {
-        let new_n = (self.buckets.len() * 2).min(MAX_BUCKETS);
-        let mut all: Vec<Key> = Vec::with_capacity(self.slab.len());
-        for b in &mut self.buckets {
-            all.extend(b.drain());
-        }
-        if let (Some(min), Some(max)) = (
-            all.iter().map(|e| e.time.as_ps()).min(),
-            all.iter().map(|e| e.time.as_ps()).max(),
-        ) {
-            if max > min && all.len() > 1 {
-                // Brown's rule of thumb: width ≈ a few times the mean gap,
-                // so a same-density stream keeps ~O(1) events per day.
-                let mean_gap = (max - min) / all.len() as u64;
-                let target = mean_gap.saturating_mul(4).max(1);
-                self.width_shift = (64 - target.leading_zeros()).clamp(1, 40);
-            }
-        }
-        self.buckets = (0..new_n).map(|_| BinaryHeap::new()).collect();
-        // Re-anchor the cursor on the earliest resident's day (the width may
-        // have changed, so recompute rather than shift the old cursor).
-        self.current_day = all
-            .iter()
-            .map(|e| e.time.as_ps() >> self.width_shift)
-            .min()
-            .unwrap_or(0);
-        for key in all {
-            let idx = self.bucket_of(key.time);
-            self.buckets[idx].push(key);
-        }
     }
 }
 
@@ -361,11 +245,73 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![1, 3, 5]);
+
+        // Three strided streams (as three shards of a parallel run would
+        // stamp them) pushed into one queue, stream by stream: same-instant
+        // events pop by seq, whichever stream and push order they came from.
+        let mut streams: Vec<_> = (0..3)
+            .map(|s| EventQueue::<()>::with_seq_stream(9 + s, 3))
+            .collect();
+        for s in [2, 0, 1] {
+            for _ in 0..4 {
+                let seq = streams[s].alloc_seq();
+                q.push_sequenced(ScheduledEvent {
+                    time: t,
+                    seq,
+                    target: cid(0),
+                    payload: seq,
+                });
+            }
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, (9..21).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn extreme_times_and_seqs_pop_in_order() {
+        let top_seq = (1u64 << 40) - 1;
+        let max = SimTime::MAX;
+        let near = SimTime::from_ps(u64::MAX - 1);
+        let mut q = EventQueue::new();
+        for (time, seq) in [
+            (max, 0),
+            (near, top_seq),
+            (max, top_seq),
+            (SimTime::ZERO, top_seq),
+            (near, 0),
+            (max, top_seq - 1),
+        ] {
+            q.push_sequenced(ScheduledEvent {
+                time,
+                seq,
+                target: cid(0),
+                payload: (),
+            });
+        }
+        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.time, e.seq))).collect();
+        assert_eq!(
+            order,
+            vec![
+                (SimTime::ZERO, top_seq),
+                (near, 0),
+                (near, top_seq),
+                (max, 0),
+                (max, top_seq - 1),
+                (max, top_seq),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "2^40 seq limit")]
+    fn seq_past_key_field_panics() {
+        let mut q = EventQueue::with_seq_stream(1 << 40, 1);
+        q.push(SimTime::ZERO, cid(0), ());
     }
 
     #[test]
     fn sparse_far_future_events() {
-        // Gaps far wider than a calendar year exercise the direct-scan path.
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(40), cid(0), "later");
         q.push(SimTime::from_ps(3), cid(0), "soon");
@@ -379,7 +325,7 @@ mod tests {
     #[test]
     fn interleaved_push_pop_stays_ordered() {
         // Simulation-shaped usage: pops interleaved with pushes at
-        // monotonically increasing times, across several resizes.
+        // monotonically increasing times.
         let mut q = EventQueue::new();
         let mut reference = Vec::new();
         let mut t = 0u64;
@@ -402,8 +348,8 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Differential check against one global binary heap: identical pop
-    /// sequence for an adversarial mix of clustered and sparse times.
+    /// Differential check against a reference heap of `(time, seq)` pairs:
+    /// identical pop sequence for a mix of clustered and sparse times.
     #[test]
     fn matches_reference_heap() {
         let mut q = EventQueue::new();

@@ -16,11 +16,13 @@
 //!
 //! Two engine drivers share the same [`Component`] model:
 //!
-//! * [`Engine`] — the sequential loop: one calendar queue, simple borrow
+//! * [`Engine`] — the sequential loop: one [`EventQueue`], simple borrow
 //!   semantics, the reference semantics everything else is measured against.
 //! * [`ParEngine`] — sharded conservative-window parallel execution for
 //!   full-scale runs (the paper's 8,192-node fabrics), configured by
-//!   [`SimConfig`]. Determinism survives parallelism: per-shard seq strides
+//!   [`SimConfig`]. Each shard has its own [`EventQueue`]; cross-shard
+//!   events wait in per-worker outboxes until the window's barrier.
+//!   Determinism survives parallelism: per-shard seq strides
 //!   and RNG streams keep results bit-identical across thread counts (see
 //!   the [`par`] module docs for the scheme).
 //!
@@ -48,11 +50,12 @@
 //! assert_eq!(engine.now(), SimTime::from_ns(20));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod event;
 pub mod hash;
 pub mod par;
-pub mod ring;
 pub mod rng;
 pub mod slab;
 pub mod stats;
@@ -63,7 +66,6 @@ pub use engine::{Component, ComponentId, Ctx, Engine, EventSink, SimBuilder};
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::FastMap;
 pub use par::{ParEngine, SimConfig};
-pub use ring::EventRing;
 pub use rng::SimRng;
 pub use slab::Slab;
 pub use stats::{Counter, Histogram, StatsRegistry};

@@ -5,9 +5,10 @@
 //! trace ring. Worker threads advance all shards in lockstep *conservative
 //! windows*: every round the workers agree on the global minimum pending
 //! time `W` and then independently process events in `[W, W + window)`.
-//! Cross-shard events travel through bounded lock-free MPSC rings
-//! ([`crate::ring::EventRing`]) that are only drained at window barriers —
-//! which is safe precisely because the window never exceeds the model's
+//! Cross-shard events wait in the sending worker's outbox (one `Vec` per
+//! destination shard) until the window's barrier, after which each
+//! destination's worker drains them into its queue — which is safe
+//! precisely because the window never exceeds the model's
 //! *lookahead* (the minimum cross-component latency): an event emitted to
 //! another shard always fires at or after the current window's end, and the
 //! sink asserts it.
@@ -22,8 +23,8 @@
 //!   `base + s + S`, … (`base` clears the densely-numbered setup events), so
 //!   shards draw from disjoint residue classes and the global `(time, seq)`
 //!   total order is independent of which thread stamped the event. Events
-//!   pop in exactly that order within a shard, so insertion races (mailbox
-//!   drain order) are invisible.
+//!   pop in exactly that order within a shard, so the order in which
+//!   outboxes are drained is invisible.
 //! - **RNG.** Shard `s` uses a `SimRng` forked from the root seed in shard
 //!   order; a component always draws from its own shard's stream.
 //! - **Stats and traces.** Collected per shard, merged in shard-id order.
@@ -34,7 +35,6 @@
 
 use crate::engine::{Component, ComponentId, Ctx, EventSink, SimBuilder};
 use crate::event::{EventQueue, ScheduledEvent};
-use crate::ring::EventRing;
 use crate::rng::SimRng;
 use crate::stats::StatsRegistry;
 use crate::time::SimTime;
@@ -42,7 +42,7 @@ use crate::trace::{TraceEntry, TraceRing};
 use std::any::Any;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Parallel-execution parameters.
 #[derive(Debug, Clone, Copy)]
@@ -58,9 +58,6 @@ pub struct SimConfig {
     /// legitimately produces a different (still valid) execution. Keep it
     /// fixed while varying `threads` to get bit-identical runs.
     pub shards: usize,
-    /// Per-shard mailbox ring capacity; bursts beyond it spill to a mutex
-    /// (correct, slower — see [`ParEngine::mailbox_spills`]).
-    pub mailbox_capacity: usize,
 }
 
 impl Default for SimConfig {
@@ -69,7 +66,6 @@ impl Default for SimConfig {
             threads: 1,
             window: SimTime::from_ns(100),
             shards: 16,
-            mailbox_capacity: 4096,
         }
     }
 }
@@ -100,21 +96,19 @@ struct Shard<E> {
     stop: bool,
 }
 
-/// Cross-shard mailbox: lock-free ring with a mutex overflow side-channel.
-struct Mailbox<E> {
-    ring: EventRing<ScheduledEvent<E>>,
-    overflow: Mutex<Vec<ScheduledEvent<E>>>,
-    spills: AtomicU64,
-}
+/// One worker's cross-shard sends of the current window, indexed by
+/// destination shard. Its worker holds the lock while it processes a window;
+/// after the barrier every worker takes it briefly to drain the entries for
+/// its own shards, so a sender never waits on a drainer.
+type Outbox<E> = Mutex<Vec<Vec<ScheduledEvent<E>>>>;
 
-impl<E> Mailbox<E> {
-    fn new(capacity: usize) -> Self {
-        Mailbox {
-            ring: EventRing::with_capacity(capacity),
-            overflow: Mutex::new(Vec::new()),
-            spills: AtomicU64::new(0),
-        }
-    }
+/// Lock an outbox even if a panicking component poisoned it. A `push` leaves
+/// the vectors valid at every step and the run is ending anyway, while a
+/// second panic here could displace the first one's payload.
+fn lock<E>(outbox: &Outbox<E>) -> MutexGuard<'_, Vec<Vec<ScheduledEvent<E>>>> {
+    outbox
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Sense-reversing spin barrier whose last arriver runs a closure before
@@ -208,7 +202,7 @@ impl Control {
 
 /// Read-only state shared by every worker during one run.
 struct RunShared<'a, E> {
-    mailboxes: &'a [Mailbox<E>],
+    outboxes: &'a [Outbox<E>],
     ctl: &'a Control,
     shard_of: &'a [usize],
     slot: &'a [(usize, usize)],
@@ -217,12 +211,12 @@ struct RunShared<'a, E> {
 }
 
 /// Per-shard event sink: local events go straight into the shard's queue,
-/// cross-shard events are stamped with the shard's next seq and pushed into
-/// the destination mailbox.
+/// cross-shard events are stamped with the shard's next seq and pushed onto
+/// the worker's outbox for their destination.
 struct ShardSink<'a, E> {
     shard_id: usize,
     queue: &'a mut EventQueue<E>,
-    mailboxes: &'a [Mailbox<E>],
+    outbox: &'a mut [Vec<ScheduledEvent<E>>],
     ctl: &'a Control,
     shard_of: &'a [usize],
     window_end_ps: u64,
@@ -254,11 +248,7 @@ impl<E> EventSink<E> for ShardSink<'_, E> {
             SimTime::from_ps(self.window_end_ps),
         );
         self.ctl.cross_sent.fetch_add(1, Ordering::Relaxed);
-        let mb = &self.mailboxes[dest];
-        if let Err((_, ev)) = mb.ring.try_push(ev) {
-            mb.spills.fetch_add(1, Ordering::Relaxed);
-            mb.overflow.lock().expect("overflow lock").push(ev);
-        }
+        self.outbox[dest].push(ev);
     }
 }
 
@@ -287,7 +277,6 @@ pub struct ParEngine<E> {
     merged_stats: StatsRegistry,
     trace_capacity: Option<usize>,
     cross_events: u64,
-    spills: u64,
 }
 
 impl<E: Send> ParEngine<E> {
@@ -309,7 +298,6 @@ impl<E: Send> ParEngine<E> {
             merged_stats: StatsRegistry::new(),
             trace_capacity: None,
             cross_events: 0,
-            spills: 0,
         }
     }
 
@@ -413,10 +401,10 @@ impl<E: Send> ParEngine<E> {
         self.cross_events
     }
 
-    /// Cross-shard events that overflowed a mailbox ring into the mutex
-    /// side-channel (a perf signal, not a correctness problem).
+    /// Always 0: outboxes grow instead of spilling. Kept for readers that
+    /// still report it.
     pub fn mailbox_spills(&self) -> u64 {
-        self.spills
+        0
     }
 
     /// Number of logical shards (after clamping to the component count).
@@ -539,11 +527,11 @@ impl<E: Send> ParEngine<E> {
         let fired_before: u64 = self.shards.iter().map(|s| s.fired).sum();
         let threads = self.cfg.threads.clamp(1, self.shards.len());
         let ctl = Control::new(threads, self.shards.len());
-        let mailboxes: Vec<Mailbox<E>> = (0..self.shards.len())
-            .map(|_| Mailbox::new(self.cfg.mailbox_capacity))
+        let outboxes: Vec<Outbox<E>> = (0..threads)
+            .map(|_| Mutex::new((0..self.shards.len()).map(|_| Vec::new()).collect()))
             .collect();
         let shared = RunShared {
-            mailboxes: &mailboxes,
+            outboxes: &outboxes,
             ctl: &ctl,
             shard_of: &self.shard_of,
             slot: &self.slot,
@@ -559,12 +547,12 @@ impl<E: Send> ParEngine<E> {
 
         std::thread::scope(|scope| {
             let shared = &shared;
-            let mut groups = groups.into_iter();
-            let mine = groups.next().expect("at least one worker");
-            for grp in groups {
-                scope.spawn(move || worker(grp, shared));
+            let mut groups = groups.into_iter().enumerate();
+            let (me, mine) = groups.next().expect("at least one worker");
+            for (w, grp) in groups {
+                scope.spawn(move || worker(w, grp, shared));
             }
-            worker(mine, shared);
+            worker(me, mine, shared);
         });
 
         if let Some(p) = ctl.panic_payload.lock().expect("panic slot").take() {
@@ -577,10 +565,6 @@ impl<E: Send> ParEngine<E> {
         }
         self.events_fired = self.shards.iter().map(|s| s.fired).sum();
         self.cross_events += ctl.cross_sent.load(Ordering::Relaxed);
-        self.spills += mailboxes
-            .iter()
-            .map(|m| m.spills.load(Ordering::Relaxed))
-            .sum::<u64>();
         let mut merged = StatsRegistry::new();
         for sh in &self.shards {
             merged.merge_from(&sh.stats);
@@ -594,9 +578,9 @@ impl<E: Send> ParEngine<E> {
 /// until the leader declares the run done. Panics (component bugs, lookahead
 /// violations, conservation failures) poison the barrier so every worker
 /// unblocks, and the payload is re-raised on the caller's thread.
-fn worker<E: Send>(mut my: Vec<&mut Shard<E>>, shared: &RunShared<'_, E>) {
+fn worker<E: Send>(w: usize, mut my: Vec<&mut Shard<E>>, shared: &RunShared<'_, E>) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        worker_loop(&mut my, shared);
+        worker_loop(w, &mut my, shared);
     }));
     if let Err(payload) = result {
         let mut slot = shared.ctl.panic_payload.lock().expect("panic slot");
@@ -606,14 +590,24 @@ fn worker<E: Send>(mut my: Vec<&mut Shard<E>>, shared: &RunShared<'_, E>) {
     }
 }
 
-fn worker_loop<E: Send>(my: &mut [&mut Shard<E>], shared: &RunShared<'_, E>) {
+fn worker_loop<E: Send>(w: usize, my: &mut [&mut Shard<E>], shared: &RunShared<'_, E>) {
     let ctl = shared.ctl;
     loop {
-        // Phase 1: drain mailboxes (all producers passed the previous
-        // barrier, so the rings are quiescent) and publish each shard's
-        // earliest pending time.
+        // Phase 1: drain every worker's outbox entries for my shards (all
+        // senders passed the previous barrier, so the outboxes are
+        // quiescent) and publish each shard's earliest pending time.
+        let mut received = 0u64;
+        for outbox in shared.outboxes {
+            let mut outbox = lock(outbox);
+            for shard in my.iter_mut() {
+                for ev in outbox[shard.id].drain(..) {
+                    shard.queue.push_sequenced(ev);
+                    received += 1;
+                }
+            }
+        }
+        ctl.cross_recvd.fetch_add(received, Ordering::Relaxed);
         for shard in my.iter_mut() {
-            drain_mailbox(shard, shared);
             let next = shard.queue.peek_time().map_or(u64::MAX, |t| t.as_ps());
             ctl.next_time[shard.id].store(next, Ordering::Relaxed);
             if cfg!(debug_assertions) {
@@ -628,7 +622,7 @@ fn worker_loop<E: Send>(my: &mut [&mut Shard<E>], shared: &RunShared<'_, E>) {
         // Phase 2: the last arriver picks the next window (or ends the run).
         let ok = ctl.barrier.wait_leader(|| {
             if cfg!(debug_assertions) {
-                // Conservation: with all mailboxes drained, every event ever
+                // Conservation: with all outboxes drained, every event ever
                 // scheduled anywhere is either fired or pending...
                 let scheduled = ctl.dbg_scheduled.swap(0, Ordering::Relaxed);
                 let fired = ctl.dbg_fired.swap(0, Ordering::Relaxed);
@@ -676,8 +670,11 @@ fn worker_loop<E: Send>(my: &mut [&mut Shard<E>], shared: &RunShared<'_, E>) {
         // Phase 3: process this window on every owned shard, then rendezvous
         // so the next drain sees all cross-shard traffic.
         let window_end_ps = ctl.window_end_ps.load(Ordering::Relaxed);
-        for shard in my.iter_mut() {
-            process_window(shard, window_end_ps, shared);
+        {
+            let mut outbox = lock(&shared.outboxes[w]);
+            for shard in my.iter_mut() {
+                process_window(shard, window_end_ps, &mut outbox, shared);
+            }
         }
         if !ctl.barrier.wait_leader(|| {}) {
             return;
@@ -685,31 +682,12 @@ fn worker_loop<E: Send>(my: &mut [&mut Shard<E>], shared: &RunShared<'_, E>) {
     }
 }
 
-fn drain_mailbox<E: Send>(shard: &mut Shard<E>, shared: &RunShared<'_, E>) {
-    let mb = &shared.mailboxes[shard.id];
-    let mut received = 0u64;
-    while let Some(ev) = mb.ring.try_pop() {
-        shard.queue.push_sequenced(ev);
-        received += 1;
-    }
-    // Producers count a spill before pushing it and the barrier orders
-    // both before this load, so an untouched overflow needs no lock.
-    if mb.spills.load(Ordering::Relaxed) != 0 {
-        let spilled = std::mem::take(&mut *mb.overflow.lock().expect("overflow lock"));
-        for ev in spilled {
-            shard.queue.push_sequenced(ev);
-            received += 1;
-        }
-    }
-    if received > 0 {
-        shared
-            .ctl
-            .cross_recvd
-            .fetch_add(received, Ordering::Relaxed);
-    }
-}
-
-fn process_window<E: Send>(shard: &mut Shard<E>, window_end_ps: u64, shared: &RunShared<'_, E>) {
+fn process_window<E: Send>(
+    shard: &mut Shard<E>,
+    window_end_ps: u64,
+    outbox: &mut [Vec<ScheduledEvent<E>>],
+    shared: &RunShared<'_, E>,
+) {
     loop {
         let Some(t) = shard.queue.peek_time() else {
             return;
@@ -737,7 +715,7 @@ fn process_window<E: Send>(shard: &mut Shard<E>, window_end_ps: u64, shared: &Ru
             let mut sink = ShardSink {
                 shard_id: shard.id,
                 queue: &mut shard.queue,
-                mailboxes: shared.mailboxes,
+                outbox: &mut *outbox,
                 ctl: shared.ctl,
                 shard_of: shared.shard_of,
                 window_end_ps,
@@ -837,7 +815,6 @@ mod tests {
             threads,
             window: HOP,
             shards: 4,
-            mailbox_capacity: 8,
         };
         let mut e = ParEngine::new(7, cfg);
         for i in 0..nodes {
@@ -891,34 +868,14 @@ mod tests {
     }
 
     #[test]
-    fn small_mailbox_spills_but_stays_correct() {
-        // Capacity 0 rounds up to a 2-slot ring: cross-shard bursts must
-        // take the overflow path without changing any result.
-        let tiny = |threads| {
-            let cfg = SimConfig {
-                threads,
-                window: HOP,
-                shards: 4,
-                mailbox_capacity: 0,
-            };
-            let mut e = ParEngine::new(7, cfg);
-            for i in 0..8usize {
-                e.add_component(RingNode {
-                    next: ComponentId::from_raw((i + 1) % 8),
-                    seen: 0,
-                    budget: 300,
-                });
-            }
-            e.schedule(SimTime::ZERO, ComponentId::from_raw(0), Token { hops: 0 });
-            e.run_to_completion();
-            e
-        };
-        let par = tiny(4);
-        let seq = tiny(1);
+    fn cross_shard_burst_matches_one_thread() {
+        // A 300-hop token crosses to another shard on every other hop; four
+        // workers must reproduce the one-worker run exactly.
+        let mut par = ring_engine(4, 8, 300);
+        par.run_to_completion();
+        let mut seq = ring_engine(1, 8, 300);
+        seq.run_to_completion();
         assert_eq!(fingerprint(&par), fingerprint(&seq));
-        let mut roomy = ring_engine(4, 8, 300);
-        roomy.run_to_completion();
-        assert_eq!(fingerprint(&par), fingerprint(&roomy));
     }
 
     #[test]
@@ -968,7 +925,6 @@ mod tests {
                 threads: 2,
                 window: SimTime::from_ns(100),
                 shards: 2,
-                mailbox_capacity: 8,
             },
         );
         let a = e.add_component(Fast {

@@ -1,11 +1,12 @@
 //! A free-list slab: values parked under small integer tokens.
 //!
-//! The calendar queue keeps event payloads here so its heaps sift 24-byte
-//! keys instead of whole events, and the NIC model keeps its self-scheduled
+//! The event queue keeps event payloads here so its heap sifts 16-byte keys
+//! instead of whole events, and the NIC model keeps its self-scheduled
 //! timers here so a local event travels as a token instead of a heap box.
 //! Freed slots are reused last-in first-out, which keeps the live set dense
-//! and cache-warm. Token values never influence event order — the queue
-//! orders by `(time, seq)` alone — so slot reuse cannot perturb a run.
+//! and cache-warm. Token values never influence event order — the queue's
+//! keys carry the slot below a unique seq, so `(time, seq)` alone decides —
+//! and slot reuse cannot perturb a run.
 
 /// Values stored under `u32` tokens, with slot reuse.
 #[derive(Debug)]

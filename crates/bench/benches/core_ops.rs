@@ -4,16 +4,21 @@
 //! not the paper's figures (see the `figures` bench and the `fig*` bins).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rvma_core::{DeliveryOrder, LoopbackNetwork, NodeAddr, RvmaEndpoint, Threshold, VirtAddr};
+use rvma_core::{
+    Bytes, FaultModel, Fragment, LossyNetwork, NodeAddr, RvmaEndpoint, Threshold, VirtAddr,
+    DEFAULT_MTU,
+};
 use std::hint::black_box;
 
-/// One put through the loopback transport, varying message size.
+/// One put, varying message size: through the inline network in transmit
+/// order, and as fragments delivered last-first straight to the endpoint
+/// (the order an adaptively-routed fabric may produce).
 fn bench_put_latency(c: &mut Criterion) {
     let mut g = c.benchmark_group("core/put");
     for &size in &[64usize, 4096, 65536] {
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_with_input(BenchmarkId::new("in_order", size), &size, |b, &size| {
-            let net = LoopbackNetwork::new();
+            let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
             let target = net.add_endpoint(NodeAddr::node(1));
             let init = net.initiator(NodeAddr::node(2));
             let win = target
@@ -28,17 +33,28 @@ fn bench_put_latency(c: &mut Criterion) {
             });
         });
         g.bench_with_input(BenchmarkId::new("out_of_order", size), &size, |b, &size| {
-            let net = LoopbackNetwork::with_options(512, DeliveryOrder::OutOfOrder { seed: 7 });
-            let target = net.add_endpoint(NodeAddr::node(1));
-            let init = net.initiator(NodeAddr::node(2));
+            let target = RvmaEndpoint::new(NodeAddr::node(1));
             let win = target
                 .init_window(VirtAddr::new(1), Threshold::bytes(size as u64))
                 .unwrap();
-            let payload = vec![0xABu8; size];
+            let payload = Bytes::from(vec![0xABu8; size]);
+            let frags: Vec<Fragment> = (0..size)
+                .step_by(512)
+                .rev()
+                .map(|at| Fragment {
+                    initiator: NodeAddr::node(2),
+                    op_id: 1,
+                    dst_vaddr: VirtAddr::new(1),
+                    op_total_len: size as u64,
+                    offset: at,
+                    data: payload.slice(at..(at + 512).min(size)),
+                })
+                .collect();
             b.iter(|| {
                 let mut n = win.post_buffer(vec![0u8; size]).unwrap();
-                init.put(NodeAddr::node(1), VirtAddr::new(1), &payload)
-                    .unwrap();
+                for f in &frags {
+                    target.deliver(f);
+                }
                 black_box(n.poll().unwrap());
             });
         });
@@ -50,7 +66,6 @@ fn bench_put_latency(c: &mut Criterion) {
 /// an epoch (LUT hit + copy + count + completing write), then the waiter's
 /// poll (the Monitor/MWait fast path).
 fn bench_notification(c: &mut Criterion) {
-    use rvma_core::Fragment;
     let ep = RvmaEndpoint::new(NodeAddr::node(1));
     let win = ep
         .init_window(VirtAddr::new(9), Threshold::bytes(64))

@@ -1,9 +1,10 @@
 //! Paper-verbatim API shim (Sec. III-C).
 //!
 //! The rest of this crate exposes RVMA through idiomatic Rust types
-//! ([`Window`], [`Notification`], [`Initiator`]). This module mirrors the
-//! exact call set and naming of the paper's proposed C API, one function per
-//! listing, so code can be written side-by-side with the specification:
+//! ([`Window`], [`Notification`], [`LossyInitiator`]). This module
+//! mirrors the exact call set and naming of the paper's proposed C API,
+//! one function per listing, so code can be written side-by-side with the
+//! specification:
 //!
 //! | Paper | Here |
 //! |---|---|
@@ -27,7 +28,8 @@ use crate::buffer::{CompletedBuffer, EpochType, Threshold};
 use crate::endpoint::RvmaEndpoint;
 use crate::error::Result;
 use crate::notify::{Notification, NotifyFuture};
-use crate::transport::{Initiator, PutResult};
+use crate::transport::PutResult;
+use crate::transport_lossy::LossyInitiator;
 use crate::transport_threaded::{AsyncInitiator, PutFuture};
 use crate::window::Window;
 use std::sync::Arc;
@@ -94,7 +96,7 @@ pub fn rvma_win_get_buf_ptrs(
 /// `RVMA_Put`: transfer `send_buffer` to mailbox `virtual_addr` on
 /// `dest_addr`. No prior handshake or remote-address exchange is needed.
 pub fn rvma_put(
-    initiator: &Initiator,
+    initiator: &LossyInitiator,
     send_buffer: &[u8],
     dest_addr: NodeAddr,
     virtual_addr: VirtAddr,
@@ -132,12 +134,13 @@ pub fn rvma_put_notify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LoopbackNetwork;
+    use crate::transport::DEFAULT_MTU;
+    use crate::transport_lossy::{FaultModel, LossyNetwork};
 
     #[test]
     fn paper_call_sequence() {
         // The full Fig. 3 flow, written with the paper's call names.
-        let net = LoopbackNetwork::new();
+        let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
         let target = net.add_endpoint(NodeAddr::node(1));
         let initiator = net.initiator(NodeAddr::node(2));
 
@@ -182,7 +185,7 @@ mod tests {
 
     #[test]
     fn inc_epoch_via_shim() {
-        let net = LoopbackNetwork::new();
+        let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
         let target = net.add_endpoint(NodeAddr::node(1));
         let initiator = net.initiator(NodeAddr::node(2));
         let win = rvma_init_window(&target, VirtAddr::new(1), 1024, EpochType::Bytes).unwrap();

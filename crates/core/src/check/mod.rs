@@ -47,7 +47,7 @@ pub use sched::{
     Options, Report, ScheduleId,
 };
 
-pub(crate) use sched::{mutation_active, with_active, Execution};
+pub(crate) use sched::{modeled_spins, mutation_active, with_active, Execution};
 pub(crate) use shadow::AtomKind;
 
 #[cfg(test)]

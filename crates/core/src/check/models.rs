@@ -75,7 +75,12 @@ fn model_tid() -> usize {
 /// Explore every schedule within the default preemption bound and insist
 /// the space was exhausted (not truncated by a schedule or step cap).
 fn run_exhaustive(name: &str, model: impl Fn()) -> Report {
-    let report = explore(Options::default(), model)
+    run_exhaustive_with(name, Options::default(), model)
+}
+
+/// [`run_exhaustive`] under explicit options.
+fn run_exhaustive_with(name: &str, opts: Options, model: impl Fn()) -> Report {
+    let report = explore(opts, model)
         .unwrap_or_else(|failure| panic!("{name}: counterexample found: {failure:?}"));
     assert!(
         report.complete,
@@ -638,6 +643,17 @@ pub(super) fn cq_wait_batch_model() {
     assert_eq!(got, [1, 2, 3, 4], "lost, duplicated or reordered");
 }
 
+/// Options under which a modeled wait never spins: every empty look goes
+/// straight to its park, so the preemption bound is spent on the sleep
+/// protocol alone. (With the default two spin steps, `wait_batch`'s
+/// spinning uses up the switches its lost-wake window needs.)
+pub(super) fn zero_spin() -> Options {
+    Options {
+        spins: 0,
+        ..Options::default()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Mailbox: dedup window vs epoch rotation
 // ---------------------------------------------------------------------------
@@ -793,6 +809,11 @@ fn cq_spill_episode_fifo() {
 #[test]
 fn cq_wait_batch_sleeps_on_the_doorbell() {
     run_exhaustive("cq_wait_batch", cq_wait_batch_model);
+}
+
+#[test]
+fn cq_wait_batch_sleeps_on_the_doorbell_without_spinning() {
+    run_exhaustive_with("cq_wait_batch_zero_spin", zero_spin(), cq_wait_batch_model);
 }
 
 #[test]

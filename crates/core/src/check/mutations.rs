@@ -12,9 +12,9 @@
 //! counterexample would go through.
 
 use super::models::{
-    cq_spill_episode_model, doorbell_heap, doorbell_segment, notify_poll_model, notify_wait_model,
-    partition_segment, put_future_countdown_model, ring_partition_heap, ring_partition_segment,
-    seqlock_read_vs_publish_model,
+    cq_spill_episode_model, cq_wait_batch_model, doorbell_heap, doorbell_segment,
+    notify_poll_model, notify_wait_model, partition_segment, put_future_countdown_model,
+    ring_partition_heap, ring_partition_segment, seqlock_read_vs_publish_model, zero_spin,
 };
 use super::{explore, replay, Failure, FailureKind, Mutation, Options};
 
@@ -29,7 +29,12 @@ fn with_mutation(mutation: Mutation) -> Options {
 /// counterexample of kind `expect`, and both the reported and minimized
 /// schedules must deterministically replay it.
 fn expect_caught(name: &str, mutation: Mutation, expect: FailureKind, model: impl Fn()) {
-    let opts = with_mutation(mutation);
+    expect_caught_with(name, with_mutation(mutation), expect, model);
+}
+
+/// [`expect_caught`] under explicit options, which list one mutation.
+fn expect_caught_with(name: &str, opts: Options, expect: FailureKind, model: impl Fn()) {
+    let mutation = opts.mutations[0];
     let failure: Box<Failure> = match explore(opts.clone(), &model) {
         Err(failure) => failure,
         Ok(report) => panic!(
@@ -238,4 +243,33 @@ fn doorbell_without_bump_is_caught_in_segment() {
             || doorbell_segment(&seg),
         );
     }
+}
+
+/// The CQ's own sleep: `wait_batch` on the ready ring's doorbell, with the
+/// spin modeled away (see `zero_spin`), re-checking before it advertises.
+#[test]
+fn doorbell_recheck_first_is_caught_in_wait_batch() {
+    expect_caught_with(
+        "doorbell_recheck_first_wait_batch",
+        Options {
+            mutations: vec![Mutation::DoorbellRecheckFirst],
+            ..zero_spin()
+        },
+        FailureKind::Deadlock,
+        cq_wait_batch_model,
+    );
+}
+
+/// The CQ's own sleep, woken by a push that does not bump `seq`.
+#[test]
+fn doorbell_without_bump_is_caught_in_wait_batch() {
+    expect_caught_with(
+        "doorbell_without_bump_wait_batch",
+        Options {
+            mutations: vec![Mutation::DoorbellWithoutBump],
+            ..zero_spin()
+        },
+        FailureKind::Deadlock,
+        cq_wait_batch_model,
+    );
 }

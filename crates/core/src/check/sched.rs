@@ -54,6 +54,10 @@ pub struct Options {
     /// mutation-test harness; production code is unaffected outside an
     /// execution that lists a mutation here).
     pub mutations: Vec<Mutation>,
+    /// Spin steps a modeled idle wait takes before its park (the real
+    /// allowance adapts; a model's is fixed so schedules replay). 0 leaves
+    /// each wait's sleep protocol alone to the preemption bound.
+    pub spins: u32,
 }
 
 impl Default for Options {
@@ -63,6 +67,7 @@ impl Default for Options {
             max_schedules: 1_000_000,
             max_steps: 100_000,
             mutations: Vec::new(),
+            spins: 2,
         }
     }
 }
@@ -432,6 +437,8 @@ pub(crate) struct Execution {
     real: StdMutex<Vec<std::thread::JoinHandle<()>>>,
     /// Active seeded-mutation set (bitmask), immutable per execution.
     mutations: u32,
+    /// [`Options::spins`].
+    spins: u32,
 }
 
 /// Panic payload used to unwind model threads when an execution aborts.
@@ -462,6 +469,12 @@ pub(crate) fn with_active<R>(f: impl FnOnce(&Arc<Execution>, usize) -> R) -> Opt
 /// Is any seeded mutation active for the calling model thread?
 pub(crate) fn mutation_active(m: Mutation) -> bool {
     with_active(|e, _| e.mutations & m.bit() != 0).unwrap_or(false)
+}
+
+/// The calling model thread's [`Options::spins`]; `None` outside an
+/// execution.
+pub(crate) fn modeled_spins() -> Option<u32> {
+    with_active(|e, _| e.spins)
 }
 
 impl Execution {
@@ -918,6 +931,7 @@ fn run_once<F: Fn()>(
         cv: StdCondvar::new(),
         real: StdMutex::new(Vec::new()),
         mutations,
+        spins: opts.spins,
     });
 
     CTX.with(|c| *c.borrow_mut() = Some((exec.clone(), 0)));

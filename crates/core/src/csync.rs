@@ -106,6 +106,12 @@ mod imp {
         false
     }
 
+    /// A checker execution's fixed spin allowance; never here.
+    #[inline(always)]
+    pub(crate) fn modeled_spins() -> Option<u32> {
+        None
+    }
+
     /// Seeded mutations never fire outside the checker.
     #[inline(always)]
     pub(crate) fn mutation(_m: super::Mutation) -> bool {
@@ -160,6 +166,8 @@ mod imp {
     pub(crate) fn modeled() -> bool {
         ctx().is_some()
     }
+
+    pub(crate) use crate::check::modeled_spins;
 
     pub(crate) fn spin_loop() {
         match ctx() {
@@ -519,11 +527,12 @@ std::thread_local! {
 impl SpinBudget {
     /// The allowance of this thread's next wait. Under a checker execution
     /// the budget is neither read nor written (schedule IDs stay
-    /// replayable) and a wait spins two steps, as spinning is modeled as
-    /// blocking.
+    /// replayable) and a wait spins the execution's fixed
+    /// `Options::spins` steps (2 unless a model asks otherwise), as
+    /// spinning is modeled as blocking.
     fn allowance() -> u32 {
-        if modeled() {
-            return 2;
+        if let Some(spins) = modeled_spins() {
+            return spins;
         }
         SPIN.with(|c| {
             let mut b = c.get();

@@ -26,12 +26,13 @@
 //! ## Quickstart
 //!
 //! ```
-//! use rvma_core::{
-//!     LoopbackNetwork, DeliveryOrder, NodeAddr, VirtAddr, Threshold,
-//! };
+//! use rvma_core::{AsyncNetwork, DeliveryOrder, NodeAddr, Threshold, VirtAddr};
+//! use std::time::Duration;
 //!
-//! // An adaptively-routed (out-of-order) in-process network.
-//! let net = LoopbackNetwork::with_options(512, DeliveryOrder::OutOfOrder { seed: 7 });
+//! // An adaptively-routed (out-of-order) in-process network, delivered by
+//! // a background wire thread.
+//! let order = DeliveryOrder::OutOfOrder { seed: 7 };
+//! let net = AsyncNetwork::new(512, order, Duration::ZERO);
 //! let server = net.add_endpoint(NodeAddr::node(0));
 //! let client = net.initiator(NodeAddr::node(1));
 //!
@@ -42,8 +43,8 @@
 //! // Sender: no handshake — just put. Fragments are delivered out of order.
 //! client.put(NodeAddr::node(0), VirtAddr::new(0x1000), &vec![0xAB; 4096])?;
 //!
-//! // Receiver: the completion pointer has been written.
-//! let buf = done.poll().expect("epoch complete");
+//! // Receiver: wait until the completion pointer has been written.
+//! let buf = done.wait();
 //! assert!(buf.data().iter().all(|&b| b == 0xAB));
 //! # Ok::<(), rvma_core::RvmaError>(())
 //! ```
@@ -102,10 +103,8 @@ pub use retry::{
 pub use ring::{PushError, RingQueue, RingStats, RingStatsSnapshot, DEFAULT_WIRE_QUEUE_CAP};
 pub use shm::{shm_supported, ShmSegment};
 pub use telemetry::{Event, EventKind, Histogram, Span, Telemetry, TelemetrySnapshot};
-pub use transport::{DeliveryOrder, Initiator, LoopbackNetwork, PutResult, Transport, DEFAULT_MTU};
-pub use transport_lossy::{
-    FaultModel, InlineChannel, LossyInitiator, LossyNetwork, TransmitOutcome,
-};
+pub use transport::{DeliveryOrder, PutResult, Transport, DEFAULT_MTU};
+pub use transport_lossy::{FaultModel, InlineChannel, LossyInitiator, LossyNetwork};
 pub use transport_shm::{shm_pair, BulkExtent, BulkStats, ShmClient, ShmServer};
 pub use transport_threaded::{
     AsyncInitiator, AsyncNetwork, PutBatch, PutDelivery, PutFuture, RouteStats,

@@ -11,10 +11,10 @@
 //! [`MpixWindow`] is that programming model rendered on `rvma-core`:
 //!
 //! ```
-//! use rvma_core::{LoopbackNetwork, NodeAddr, VirtAddr};
+//! use rvma_core::{FaultModel, LossyNetwork, NodeAddr, VirtAddr, DEFAULT_MTU};
 //! use rvma_core::mpix::MpixWindow;
 //!
-//! let net = LoopbackNetwork::new();
+//! let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
 //! let server = net.add_endpoint(NodeAddr::node(0));
 //! let peer = net.initiator(NodeAddr::node(1));
 //!
@@ -196,10 +196,15 @@ impl MpixWindow {
 mod tests {
     use super::*;
     use crate::addr::NodeAddr;
-    use crate::transport::LoopbackNetwork;
+    use crate::transport::DEFAULT_MTU;
+    use crate::transport_lossy::{FaultModel, LossyNetwork};
 
-    fn setup(depth: usize) -> (Arc<LoopbackNetwork>, Arc<RvmaEndpoint>, MpixWindow) {
-        let net = LoopbackNetwork::new();
+    fn net() -> Arc<LossyNetwork> {
+        LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0)
+    }
+
+    fn setup(depth: usize) -> (Arc<LossyNetwork>, Arc<RvmaEndpoint>, MpixWindow) {
+        let net = net();
         let ep = net.add_endpoint(NodeAddr::node(0));
         let win = MpixWindow::create(&ep, VirtAddr::new(0x10), 32, depth).unwrap();
         (net, ep, win)
@@ -316,8 +321,7 @@ mod tests {
 
     #[test]
     fn zero_depth_is_rejected() {
-        let net = LoopbackNetwork::new();
-        let ep = net.add_endpoint(NodeAddr::node(0));
+        let ep = net().add_endpoint(NodeAddr::node(0));
         assert!(MpixWindow::create(&ep, VirtAddr::new(1), 32, 0).is_err());
     }
 }

@@ -132,7 +132,7 @@ pub struct FaultModel {
 }
 
 impl FaultModel {
-    /// No faults (behaves like the reliable loopback).
+    /// No faults: the reliable fabric RVMA is specified over.
     pub const NONE: FaultModel = FaultModel {
         drop_p: 0.0,
         dup_p: 0.0,

@@ -1,10 +1,20 @@
-//! Lossy/duplicating/reordering delivery wrapper — RVMA's reliability
-//! boundary, and the lab bench for the recovery layer above it.
+//! The inline network — and RVMA's reliability boundary, with the lab
+//! bench for the recovery layer above it.
+//!
+//! [`LossyNetwork`] is a registry of [`RvmaEndpoint`]s plus a wire model:
+//! puts are fragmented at an MTU and delivered to the target endpoint on
+//! the calling thread (the "NIC datapath" runs inline, which is faithful —
+//! the target host CPU is never involved), in transmit order. No ordering
+//! is enforced *across* operations or initiators: puts from many threads
+//! interleave at the target. Out-of-order delivery within a put is the
+//! threaded network's
+//! [`DeliveryOrder::OutOfOrder`](crate::transport::DeliveryOrder).
 //!
 //! RVMA (like RDMA) is specified over a **reliable** fabric: HPC networks
 //! retransmit at the link layer, so the NIC never sees drops or duplicates.
-//! The threshold-counting completion rule is only sound under that
-//! assumption:
+//! With [`FaultModel::NONE`] this network is that fabric. The
+//! threshold-counting completion rule is only sound under that assumption,
+//! and a non-trivial [`FaultModel`] makes the failures testable:
 //!
 //! * a **dropped** fragment means the byte/op counter never reaches the
 //!   threshold — the epoch simply never completes (detectable with
@@ -20,13 +30,10 @@
 //! * a **crashed** endpoint black-holes everything — the initiator's retry
 //!   budget turns the silence into [`RvmaError::RetryExhausted`].
 //!
-//! [`LossyNetwork`] makes those statements testable: with
-//! [`FaultModel::NONE`] and dedup off it behaves like the reliable
-//! loopback, with faults enabled it exercises every recovery path in
-//! [`crate::retry`]. Use [`LossyNetwork::initiator`] for the raw
-//! (fire-and-forget, fault-exposed) initiator and
-//! [`LossyNetwork::reliable_initiator`] for the retransmitting one. It is
-//! not a transport you would run real traffic over.
+//! Use [`LossyNetwork::initiator`] for the raw initiator (`RVMA_Put`: one
+//! transmission per fragment, faults land where they land) and
+//! [`LossyNetwork::reliable_initiator`] for the retransmitting one, whose
+//! recovery paths live in [`crate::retry`].
 //!
 //! [`Notification::wait_timeout`]: crate::notify::Notification::wait_timeout
 //! [`Window::recover_timeout`]: crate::window::Window::recover_timeout
@@ -34,12 +41,13 @@
 //! [`RvmaError::RetryExhausted`]: crate::error::RvmaError::RetryExhausted
 
 use crate::addr::{NodeAddr, VirtAddr};
+use crate::buffer::CompletedBuffer;
 use crate::endpoint::{DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
 pub use crate::retry::FaultModel;
 use crate::retry::{FaultDecision, FaultInjector, FaultStats, ReliableInitiator, RetryConfig};
 use crate::telemetry::{self, EventKind, Telemetry};
-use crate::transport::Transport;
+use crate::transport::{PutResult, Transport};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -57,7 +65,7 @@ struct HeldFragment {
 
 /// What one call to [`LossyNetwork::transmit`] did with the fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransmitOutcome {
+pub(crate) enum TransmitOutcome {
     /// Delivered to the endpoint; the second result is present when a
     /// duplication fault delivered the fragment twice.
     Delivered(DeliverResult, Option<DeliverResult>),
@@ -70,9 +78,9 @@ pub enum TransmitOutcome {
     Held,
 }
 
-/// An unreliable in-process network (fragments dropped, duplicated,
-/// reordered, or delayed with seeded randomness; endpoints can crash).
-/// MTU-fragmenting, in-order apart from the faults.
+/// The inline in-process network: MTU-fragmenting, in order, and reliable
+/// under [`FaultModel::NONE`]; otherwise fragments are dropped, duplicated,
+/// reordered or delayed with seeded randomness, and endpoints can crash.
 #[derive(Debug)]
 pub struct LossyNetwork {
     endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
@@ -216,7 +224,7 @@ impl LossyNetwork {
     /// threaded transport to treat them deterministically; a "dropped"
     /// empty put returning `Ok` indistinguishably from a delivered one was
     /// the bug). They still black-hole against a crashed destination.
-    pub fn transmit(&self, dest: NodeAddr, frag: Fragment) -> TransmitOutcome {
+    pub(crate) fn transmit(&self, dest: NodeAddr, frag: Fragment) -> TransmitOutcome {
         self.age_held();
         if self.is_crashed(dest) {
             self.stats.note_blackhole();
@@ -305,14 +313,20 @@ impl LossyNetwork {
             frag.op_id,
             frag.offset as u64,
         );
-        match self.endpoints.read().get(&dest).cloned() {
+        match self.endpoint(dest) {
             Some(ep) => ep.deliver(frag),
             None => DeliverResult::Nack(NackReason::NoSuchMailbox),
         }
     }
 
-    /// An initiator bound to `src` — raw fire-and-forget puts with the
-    /// fault model applied and no recovery.
+    fn endpoint(&self, addr: NodeAddr) -> Option<Arc<RvmaEndpoint>> {
+        self.endpoints.read().get(&addr).cloned()
+    }
+
+    /// An initiator bound to `src` (paper: the initiator-side API) — raw
+    /// puts with the fault model applied and no recovery. Op ids drawn
+    /// from it are unique per handle; use one handle per initiating
+    /// thread.
     pub fn initiator(self: &Arc<Self>, src: NodeAddr) -> LossyInitiator {
         LossyInitiator {
             net: self.clone(),
@@ -427,8 +441,9 @@ impl Transport for InlineChannel {
     }
 }
 
-/// Raw initiator over a [`LossyNetwork`]: one transmission per fragment,
-/// faults land where they land. Use
+/// Raw initiator over a [`LossyNetwork`]: issues `put` (paper:
+/// `RVMA_Put`) and the `get` extension, one transmission per fragment.
+/// Under faults they land where they land; use
 /// [`LossyNetwork::reliable_initiator`] for delivery guarantees.
 #[derive(Debug)]
 pub struct LossyInitiator {
@@ -438,48 +453,75 @@ pub struct LossyInitiator {
 }
 
 impl LossyInitiator {
-    /// Put with the fault model applied per fragment. Returns how many
-    /// fragment *deliveries* reached a buffer (duplicates count twice,
-    /// held fragments not at all — they land later). Stops at the first
-    /// NACK: the target refused the operation, so transmitting its
-    /// remaining fragments would only waste fabric and mis-count.
-    pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<u64> {
+    /// The initiator's source address.
+    pub fn src(&self) -> NodeAddr {
+        self.src
+    }
+
+    /// `RVMA_Put`: send `data` to mailbox `vaddr` on `dest`, at offset 0 of
+    /// the target's active buffer. No handshake, no remote address
+    /// exchange.
+    pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<PutResult> {
         self.put_at(dest, vaddr, 0, data)
     }
 
-    /// [`put`](LossyInitiator::put) with an explicit buffer offset.
+    /// [`put`](LossyInitiator::put) at byte `offset` of the target's active
+    /// buffer (paper Sec. III-B: offsets assemble one contiguous payload
+    /// within a single mailbox's buffer). Stops at the first NACK: the
+    /// target refused the operation, so transmitting its remaining
+    /// fragments would only waste fabric and mis-count. Dropped and held
+    /// fragments report nothing.
     pub fn put_at(
         &self,
         dest: NodeAddr,
         vaddr: VirtAddr,
         offset: usize,
         data: &[u8],
-    ) -> Result<u64> {
+    ) -> Result<PutResult> {
         if !self.net.has_endpoint(dest) {
             return Err(RvmaError::UnknownDestination);
         }
         let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
         let payload = Bytes::copy_from_slice(data);
-        let mut delivered = 0u64;
-        for frag in Fragment::split(self.src, op_id, vaddr, offset, &payload, self.net.mtu) {
-            match self.net.transmit(dest, frag) {
-                TransmitOutcome::Delivered(first, second) => {
-                    for r in std::iter::once(first).chain(second) {
-                        match r {
-                            DeliverResult::Ok { .. } => delivered += 1,
-                            // Deduped at the receiver: landed earlier, not
-                            // a fresh delivery.
-                            DeliverResult::Duplicate => {}
-                            DeliverResult::Nack(r) => return Err(RvmaError::Nacked(r)),
-                            // NACKs disabled: silent discard.
-                            DeliverResult::Dropped(_) => {}
-                        }
+        let frags = Fragment::split(self.src, op_id, vaddr, offset, &payload, self.net.mtu);
+        let fragments = frags.len();
+        let mut completed_epoch = false;
+        for frag in frags {
+            if let TransmitOutcome::Delivered(first, second) = self.net.transmit(dest, frag) {
+                for r in std::iter::once(first).chain(second) {
+                    match r {
+                        DeliverResult::Ok { completed_epoch: c } => completed_epoch |= c,
+                        DeliverResult::Nack(r) => return Err(RvmaError::Nacked(r)),
+                        // Deduped at the receiver (an ack), or NACKs
+                        // disabled there (a silent discard).
+                        DeliverResult::Duplicate | DeliverResult::Dropped(_) => {}
                     }
                 }
-                TransmitOutcome::Lost | TransmitOutcome::Held => {}
             }
         }
-        Ok(delivered)
+        Ok(PutResult {
+            fragments,
+            completed_epoch,
+        })
+    }
+
+    /// The `RVMA_Get`-style read extension: fetch the buffer the target
+    /// mailbox completed `back` epochs ago (`back = 1` = most recent).
+    /// Reading *completed* epochs (never the in-progress one) keeps gets
+    /// race-free without target-side coordination.
+    pub fn get_retired(
+        &self,
+        dest: NodeAddr,
+        vaddr: VirtAddr,
+        back: u64,
+    ) -> Result<CompletedBuffer> {
+        let ep = self
+            .net
+            .endpoint(dest)
+            .ok_or(RvmaError::UnknownDestination)?;
+        let mb = ep.mailbox(vaddr).ok_or(RvmaError::UnknownMailbox(vaddr))?;
+        let mb = mb.lock();
+        mb.rewind(back)
     }
 }
 
@@ -517,10 +559,12 @@ mod tests {
             .unwrap();
         let mut n = win.post_buffer(vec![0; 256]).unwrap();
         let init = net.initiator(NodeAddr::node(1));
-        let delivered = init
+        let r = init
             .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
             .unwrap();
-        assert_eq!(delivered, 4);
+        assert_eq!(r.fragments, 4);
+        assert!(r.completed_epoch);
+        assert_eq!(ep.stats().fragments_accepted, 4);
         assert_eq!(net.dropped(), 0);
         assert_eq!(n.poll().unwrap().data(), vec![7u8; 256].as_slice());
     }
@@ -541,10 +585,12 @@ mod tests {
             .unwrap();
         let mut n = win.post_buffer(vec![0; 128]).unwrap();
         let init = net.initiator(NodeAddr::node(1));
-        let delivered = init
+        let r = init
             .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 128])
             .unwrap();
-        assert_eq!(delivered, 0);
+        assert_eq!(r.fragments, 2);
+        assert!(!r.completed_epoch);
+        assert_eq!(ep.stats().fragments_accepted, 0);
         assert_eq!(net.dropped(), 2);
         assert!(n.wait_timeout(Duration::from_millis(5)).is_none());
         // Application-level recovery: hand the partial epoch to software.
@@ -646,28 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn nack_stops_the_operation() {
-        // Regression: a NACK on the first fragment must abort the put —
-        // previously the remaining fragments were still fragmented,
-        // delivered, and counted.
-        let (net, ep) = setup(FaultModel::NONE, 4);
-        // Window exists but has no buffer posted: every fragment NACKs.
-        let _win = ep
-            .init_window(VirtAddr::new(1), Threshold::bytes(256))
-            .unwrap();
-        let init = net.initiator(NodeAddr::node(1));
-        let err = init
-            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
-            .unwrap_err();
-        assert_eq!(err, RvmaError::Nacked(NackReason::NoBufferPosted));
-        assert_eq!(
-            ep.stats().fragments_discarded,
-            1,
-            "only the first fragment reaches the endpoint"
-        );
-    }
-
-    #[test]
     fn zero_length_put_bypasses_fault_dice() {
         // Regression: an empty put used to roll the dice on its single
         // empty fragment, making a "dropped" zero-byte put return Ok(0)
@@ -683,8 +707,8 @@ mod tests {
         let win = ep.init_window(VirtAddr::new(1), Threshold::ops(1)).unwrap();
         let mut n = win.post_buffer(vec![0; 8]).unwrap();
         let init = net.initiator(NodeAddr::node(1));
-        let delivered = init.put(NodeAddr::node(0), VirtAddr::new(1), &[]).unwrap();
-        assert_eq!(delivered, 1);
+        let r = init.put(NodeAddr::node(0), VirtAddr::new(1), &[]).unwrap();
+        assert_eq!((r.fragments, r.completed_epoch), (1, true));
         assert_eq!(net.dropped(), 0, "no dice rolled for the empty fragment");
         assert_eq!(n.poll().unwrap().len(), 0, "zero-byte put counts one op");
     }
@@ -705,10 +729,15 @@ mod tests {
         let init = net.initiator(NodeAddr::node(1));
         // Two fragments, both deferred by one span: transmitting the
         // second releases the first; the second stays parked until flush.
-        let delivered = init
+        let r = init
             .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 128])
             .unwrap();
-        assert_eq!(delivered, 0, "nothing delivered synchronously");
+        assert!(!r.completed_epoch, "nothing completes synchronously");
+        assert_eq!(
+            ep.stats().fragments_accepted,
+            1,
+            "the second transmission released the first fragment"
+        );
         assert_eq!(net.deferred(), 2);
         assert!(n.poll().is_none());
         assert_eq!(net.flush_delayed(), 1, "one fragment still parked");
@@ -800,11 +829,130 @@ mod tests {
             .unwrap();
         let mut n = win.post_buffer(vec![0; 256]).unwrap();
         let init = net.initiator(NodeAddr::node(1));
-        let delivered = init
-            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
+        init.put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
             .unwrap();
-        assert_eq!(delivered, 2);
+        assert_eq!(ep.stats().fragments_accepted, 2);
         assert!(net.is_crashed(NodeAddr::node(0)));
         assert!(n.wait_timeout(Duration::from_millis(5)).is_none());
+    }
+
+    /// The raw initiator's contract on the fault-free network, one row per
+    /// case: a 4-byte MTU, a 10-byte window at 7, an op-counted window at
+    /// 9, and a window at 8 with nothing posted.
+    #[test]
+    fn raw_initiator_contract() {
+        struct Row {
+            case: &'static str,
+            dest: u32,
+            vaddr: u64,
+            len: usize,
+            want: Result<PutResult>,
+            /// Fragments the endpoint refused: a NACK stops the put, so its
+            /// remaining fragments never reach the endpoint.
+            refused: u64,
+        }
+        let ok = |fragments, completed_epoch| {
+            Ok(PutResult {
+                fragments,
+                completed_epoch,
+            })
+        };
+        let nack = |r| Err(RvmaError::Nacked(r));
+        #[rustfmt::skip]
+        let rows = [
+            Row { case: "tiny MTU fragments", dest: 1, vaddr: 7, len: 10, want: ok(3, true), refused: 0 },
+            Row { case: "exactly one MTU", dest: 1, vaddr: 7, len: 4, want: ok(1, false), refused: 0 },
+            Row { case: "zero bytes are one op", dest: 1, vaddr: 9, len: 0, want: ok(1, true), refused: 0 },
+            Row { case: "unknown destination", dest: 42, vaddr: 7, len: 1, want: Err(RvmaError::UnknownDestination), refused: 0 },
+            Row { case: "unknown mailbox", dest: 1, vaddr: 123, len: 12, want: nack(NackReason::NoSuchMailbox), refused: 1 },
+            Row { case: "nothing posted", dest: 1, vaddr: 8, len: 12, want: nack(NackReason::NoBufferPosted), refused: 1 },
+        ];
+        for row in rows {
+            let net = LossyNetwork::new(4, FaultModel::NONE, 0);
+            let ep = net.add_endpoint(NodeAddr::node(1));
+            let win = ep
+                .init_window(VirtAddr::new(7), Threshold::bytes(10))
+                .unwrap();
+            let mut note = win.post_buffer(vec![0; 10]).unwrap();
+            let ops = ep.init_window(VirtAddr::new(9), Threshold::ops(1)).unwrap();
+            let mut op_note = ops.post_buffer(vec![0; 4]).unwrap();
+            let _empty = ep
+                .init_window(VirtAddr::new(8), Threshold::bytes(10))
+                .unwrap();
+            let init = net.initiator(NodeAddr::node(2));
+            assert_eq!(init.src(), NodeAddr::node(2));
+
+            let data: Vec<u8> = (1..=row.len as u8).collect();
+            let got = init.put(NodeAddr::node(row.dest), VirtAddr::new(row.vaddr), &data);
+            assert_eq!(got, row.want, "{}", row.case);
+            assert_eq!(ep.stats().fragments_discarded, row.refused, "{}", row.case);
+            if let Ok(r) = got {
+                let done = if row.vaddr == 9 {
+                    op_note.poll()
+                } else {
+                    note.poll()
+                };
+                assert_eq!(done.is_some(), r.completed_epoch, "{}", row.case);
+                if let Some(buf) = done {
+                    assert_eq!(buf.data(), data.as_slice(), "{}", row.case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn get_retired_reads_completed_epochs() {
+        let (net, ep) = setup(FaultModel::NONE, 13);
+        let init = net.initiator(NodeAddr::node(1));
+        let win = ep
+            .init_window(VirtAddr::new(7), Threshold::bytes(4))
+            .unwrap();
+        let _ns = win.post_buffers(vec![vec![0; 4], vec![0; 4]]).unwrap();
+        init.put(NodeAddr::node(0), VirtAddr::new(7), &[1; 4])
+            .unwrap();
+        init.put(NodeAddr::node(0), VirtAddr::new(7), &[2; 4])
+            .unwrap();
+        let get = |back| init.get_retired(NodeAddr::node(0), VirtAddr::new(7), back);
+        assert_eq!(get(2).unwrap().data(), &[1; 4]);
+        assert_eq!(get(1).unwrap().data(), &[2; 4]);
+        assert_eq!(
+            init.get_retired(NodeAddr::node(0), VirtAddr::new(8), 1)
+                .err(),
+            Some(RvmaError::UnknownMailbox(VirtAddr::new(8)))
+        );
+        assert_eq!(
+            init.get_retired(NodeAddr::node(5), VirtAddr::new(7), 1)
+                .err(),
+            Some(RvmaError::UnknownDestination)
+        );
+    }
+
+    #[test]
+    fn many_to_one_concurrent_senders() {
+        // The paper's many-to-one motivation: N initiators target one
+        // mailbox; receiver needs no per-client resources.
+        let (net, ep) = setup(FaultModel::NONE, 14);
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::ops(16))
+            .unwrap();
+        let mut note = win.post_buffer(vec![0; 16 * 8]).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..16u32 {
+                let init = net.initiator(NodeAddr::node(t + 1));
+                s.spawn(move || {
+                    init.put_at(
+                        NodeAddr::node(0),
+                        VirtAddr::new(1),
+                        (t as usize) * 8,
+                        &[t as u8; 8],
+                    )
+                    .unwrap();
+                });
+            }
+        });
+        let buf = note.wait();
+        for t in 0..16usize {
+            assert_eq!(&buf.full_buffer()[t * 8..(t + 1) * 8], &[t as u8; 8]);
+        }
     }
 }

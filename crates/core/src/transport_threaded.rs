@@ -1,9 +1,9 @@
 //! Asynchronous in-process transport: a pool of background "wire" threads.
 //!
-//! [`LoopbackNetwork`](crate::transport::LoopbackNetwork) runs the target
-//! NIC datapath inline on the caller's thread — ideal for tests, but the
-//! caller observes its own put's completion synchronously. `AsyncNetwork`
-//! decouples them the way real hardware does:
+//! The inline [`LossyNetwork`](crate::transport_lossy::LossyNetwork) runs
+//! the target NIC datapath on the caller's thread — ideal for tests, but
+//! the caller observes its own put's completion synchronously.
+//! `AsyncNetwork` decouples them the way real hardware does:
 //!
 //! * `put` enqueues fragments and **returns immediately**;
 //! * a pool of wire workers (optionally adding a fixed delivery latency
@@ -13,6 +13,8 @@
 //! * NACKs become what they are on a real network: asynchronous
 //!   notifications, collected per initiator via
 //!   [`AsyncInitiator::take_nacks`].
+//! * on a [`DeliveryOrder::OutOfOrder`] network each put's fragments are
+//!   shuffled (seeded, per operation): the adaptive-routing emulation.
 //!
 //! # Threading model
 //!

@@ -14,8 +14,8 @@ use pollster::block_on;
 use rvma_core::api::{rvma_post_buffer_async, rvma_put_notify};
 use rvma_core::{
     wait_any, AsyncNetwork, CompletedBuffer, CompletionQueue, DeliverResult, DeliveryOrder,
-    LoopbackNetwork, NackReason, NodeAddr, Notification, RvmaEndpoint, Threshold, VirtAddr,
-    DEFAULT_MTU,
+    FaultModel, LossyNetwork, NackReason, NodeAddr, Notification, RvmaEndpoint, Threshold,
+    VirtAddr, DEFAULT_MTU,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -32,7 +32,7 @@ const DELAYS_US: &[u64] = &[0, 1, 10, 50, 200, 1000];
 
 #[test]
 fn future_resolves_across_completer_delay_sweep() {
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(1));
     let win = server
         .init_window(VirtAddr::new(0x10), Threshold::bytes(256))
@@ -63,7 +63,7 @@ fn future_resolves_across_completer_delay_sweep() {
 /// `notes[1]`'s bytes, exactly once, leaving `notes[0]` untouched. Returns
 /// the rounds whose completing write had to wake a parked waiter.
 fn blocking_delay_sweep(mut wait: impl FnMut(&mut [Notification]) -> CompletedBuffer) -> u64 {
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(1));
     for (i, &delay) in DELAYS_US.iter().enumerate() {
         let idle = VirtAddr::new(0x100 + 2 * i as u64);
@@ -139,7 +139,7 @@ fn wait_any_resolves_across_completer_delay_sweep() {
 /// timeout on a pending slot is one look, not a whole spin budget.
 #[test]
 fn wait_timeout_honours_short_deadline() {
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(1));
     let win = server
         .init_window(VirtAddr::new(0x30), Threshold::bytes(64))
@@ -165,7 +165,7 @@ fn wait_timeout_honours_short_deadline() {
 fn wake_before_register_resolves_on_first_poll() {
     // Completion lands before the future is ever polled: the first poll
     // must take the fast path without touching the waker.
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(1));
     let client = net.initiator(NodeAddr::node(2));
     let win = server
@@ -174,7 +174,7 @@ fn wake_before_register_resolves_on_first_poll() {
     let mut fut = win.post_buffer_async(vec![0u8; 64]).unwrap();
     client
         .put(NodeAddr::node(1), VirtAddr::new(7), &[9u8; 64])
-        .unwrap(); // loopback: complete synchronously, before any poll
+        .unwrap(); // inline network: complete synchronously, before any poll
     let polls = Arc::new(AtomicU32::new(0));
     let wakes = Arc::new(AtomicU32::new(0));
     let w = wakes.clone();
@@ -492,7 +492,7 @@ fn put_notify_reports_nack() {
 
 #[test]
 fn async_stats_flow_into_snapshot() {
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(1));
     let client = net.initiator(NodeAddr::node(2));
     let win = server
@@ -504,8 +504,9 @@ fn async_stats_flow_into_snapshot() {
         .unwrap();
     let _ = block_on(fut);
     let stats = server.stats();
-    // Loopback completes before the first poll: the wake funnel may or
-    // may not fire depending on timing, but the counters must be coherent.
+    // The inline network completes before the first poll: the wake funnel
+    // may or may not fire depending on timing, but the counters must be
+    // coherent.
     assert_eq!(stats.futures_dropped, 0);
     assert_eq!(stats.cq_completions, 0);
 }

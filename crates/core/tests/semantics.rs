@@ -2,19 +2,13 @@
 //! through the public API, end to end.
 
 use rvma_core::{
-    wait_any, DeliveryOrder, EndpointConfig, EpochType, LoopbackNetwork, MailboxMode, NackReason,
-    NodeAddr, RvmaEndpoint, RvmaError, Threshold, VirtAddr,
+    wait_any, EndpointConfig, EpochType, FaultModel, LossyInitiator, LossyNetwork, MailboxMode,
+    NackReason, NodeAddr, RvmaEndpoint, RvmaError, Threshold, VirtAddr,
 };
 use std::sync::Arc;
 
-fn net_with_target(
-    order: DeliveryOrder,
-) -> (
-    Arc<LoopbackNetwork>,
-    Arc<RvmaEndpoint>,
-    rvma_core::Initiator,
-) {
-    let net = LoopbackNetwork::with_options(128, order);
+fn net_with_target() -> (Arc<LossyNetwork>, Arc<RvmaEndpoint>, LossyInitiator) {
+    let net = LossyNetwork::new(128, FaultModel::NONE, 0);
     let target = net.add_endpoint(NodeAddr::node(0));
     let init = net.initiator(NodeAddr::node(1));
     (net, target, init)
@@ -24,7 +18,7 @@ fn net_with_target(
 fn pipelined_epochs_with_rewind_reads() {
     // Producer streams epochs while the consumer occasionally reads
     // history — the fault-tolerance usage under steady state.
-    let (_net, target, init) = net_with_target(DeliveryOrder::InOrder);
+    let (_net, target, init) = net_with_target();
     let win = target
         .init_window(VirtAddr::new(1), Threshold::bytes(64))
         .unwrap();
@@ -47,7 +41,7 @@ fn pipelined_epochs_with_rewind_reads() {
 fn wait_any_across_mailboxes() {
     // Fine-grained completion over two different windows on one endpoint:
     // a thread waits on exactly its chosen set.
-    let (_net, target, init) = net_with_target(DeliveryOrder::InOrder);
+    let (_net, target, init) = net_with_target();
     let w1 = target
         .init_window(VirtAddr::new(1), Threshold::bytes(16))
         .unwrap();
@@ -70,7 +64,7 @@ fn wait_any_across_mailboxes() {
 #[test]
 fn mixed_modes_on_one_endpoint() {
     // A steered (HPC) window and a managed (sockets) window coexist.
-    let (_net, target, init) = net_with_target(DeliveryOrder::InOrder);
+    let (_net, target, init) = net_with_target();
     let hpc = target
         .init_window(VirtAddr::new(1), Threshold::bytes(32))
         .unwrap();
@@ -101,7 +95,7 @@ fn mixed_modes_on_one_endpoint() {
 
 #[test]
 fn close_midstream_discards_remaining_ops() {
-    let (_net, target, init) = net_with_target(DeliveryOrder::InOrder);
+    let (_net, target, init) = net_with_target();
     let win = target
         .init_window(VirtAddr::new(1), Threshold::bytes(64))
         .unwrap();
@@ -122,7 +116,7 @@ fn close_midstream_discards_remaining_ops() {
 fn ops_threshold_synchronization_barrier() {
     // Zero-byte puts as arrival signals: an op-counted window is a
     // receiver-side barrier over unordered delivery.
-    let (_net, target, init) = net_with_target(DeliveryOrder::OutOfOrder { seed: 5 });
+    let (_net, target, init) = net_with_target();
     let win = target
         .init_window(
             VirtAddr::new(7),
@@ -146,16 +140,17 @@ fn ops_threshold_synchronization_barrier() {
 fn catch_all_plus_eviction_flow() {
     // A service endpoint with a catch-all mailbox: strays land there;
     // evicting a closed window downgrades its NACK reason.
-    let net = LoopbackNetwork::new();
-    let target = rvma_core::RvmaEndpoint::with_config(
-        NodeAddr::node(0),
+    let net = LossyNetwork::with_config(
+        128,
+        FaultModel::NONE,
+        0,
         EndpointConfig {
             catch_all: Some(VirtAddr::new(0)),
             lut_capacity: Some(4),
             ..Default::default()
         },
     );
-    net.register(target.clone());
+    let target = net.add_endpoint(NodeAddr::node(0));
     let init = net.initiator(NodeAddr::node(1));
 
     let catch_all = target
@@ -194,7 +189,7 @@ fn concurrent_producers_and_epoch_consumer() {
     // 4 producer threads each stream 32 messages into one mailbox; a
     // consumer thread fences epochs as they complete. End-to-end counts
     // must reconcile.
-    let (net, target, _init) = net_with_target(DeliveryOrder::OutOfOrder { seed: 11 });
+    let (net, target, _init) = net_with_target();
     let win = target
         .init_window(VirtAddr::new(1), Threshold::ops(1))
         .unwrap();

@@ -4,17 +4,19 @@
 //! uses offsets and completion uses counts, an RVMA buffer "could be
 //! written in reverse order with no performance impact" — no byte-level
 //! network ordering is needed. This example sends the same payload over an
-//! in-order network and over an out-of-order network (the adaptive-routing
-//! emulation) and shows bit-identical results, then demonstrates a
-//! many-to-one op-counted window fed by 8 concurrent senders.
+//! in-order threaded network and over an out-of-order one (the
+//! adaptive-routing emulation: each put's fragments are shuffled) and shows
+//! bit-identical results, then demonstrates a many-to-one op-counted window
+//! fed by 8 concurrent senders.
 //!
 //! Run with: `cargo run --example adaptive_routing`
 
-use rvma::core::{DeliveryOrder, LoopbackNetwork, NodeAddr, Threshold, VirtAddr};
+use rvma::core::{AsyncNetwork, DeliveryOrder, NodeAddr, Threshold, VirtAddr};
+use std::time::Duration;
 
 fn one_transfer(order: DeliveryOrder) -> Vec<u8> {
     // Tiny MTU so a 4 KiB message becomes 64 fragments worth shuffling.
-    let net = LoopbackNetwork::with_options(64, order);
+    let net = AsyncNetwork::new(64, order, Duration::ZERO);
     let server = net.add_endpoint(NodeAddr::node(0));
     let client = net.initiator(NodeAddr::node(1));
     let win = server
@@ -26,7 +28,7 @@ fn one_transfer(order: DeliveryOrder) -> Vec<u8> {
     client
         .put(NodeAddr::node(0), VirtAddr::new(0xF00D), &payload)
         .expect("put");
-    note.poll().expect("threshold reached").data().to_vec()
+    note.wait().data().to_vec()
 }
 
 fn main() {
@@ -42,7 +44,8 @@ fn main() {
     // Many-to-one: 8 concurrent senders, one op-counted window. The
     // receiver dedicates nothing per client (the paper's many-to-one
     // motivation) and wakes once, when the 8th op lands.
-    let net = LoopbackNetwork::with_options(64, DeliveryOrder::OutOfOrder { seed: 7 });
+    let order = DeliveryOrder::OutOfOrder { seed: 7 };
+    let net = AsyncNetwork::new(64, order, Duration::ZERO);
     let server = net.add_endpoint(NodeAddr::node(0));
     let win = server
         .init_window(VirtAddr::new(0xBEEF), Threshold::ops(8))
@@ -65,6 +68,7 @@ fn main() {
         }
     });
     let buf = note.wait();
+    net.quiesce(); // the endpoint publishes its counters after the completion
     println!(
         "many-to-one: 8 senders, op threshold 8 -> one completion, epoch {}, \
          slots = {:?}",

@@ -10,12 +10,12 @@
 //! Run with: `cargo run --example fault_tolerance`
 
 use rvma::core::api::{rvma_win_get_epoch, rvma_win_rewind};
-use rvma::core::{LoopbackNetwork, NodeAddr, Threshold, VirtAddr};
+use rvma::core::{FaultModel, LossyNetwork, NodeAddr, Threshold, VirtAddr, DEFAULT_MTU};
 
 const STEP_BYTES: u64 = 256;
 
 fn main() -> Result<(), rvma::core::RvmaError> {
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(0));
     let peer = net.initiator(NodeAddr::node(1));
     let mailbox = VirtAddr::new(0x7157); // "TIST": timestep boundary data

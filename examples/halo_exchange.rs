@@ -9,7 +9,9 @@
 //!
 //! Run with: `cargo run --example halo_exchange`
 
-use rvma::core::{LoopbackNetwork, NodeAddr, Notification, Threshold, VirtAddr, Window};
+use rvma::core::{
+    FaultModel, LossyNetwork, NodeAddr, Notification, Threshold, VirtAddr, Window, DEFAULT_MTU,
+};
 use std::sync::Arc;
 
 const N: usize = 64; // tile edge (elements)
@@ -48,17 +50,14 @@ struct Inbox {
 }
 
 fn main() {
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
 
     // Register endpoints and, per worker, one window per incoming
     // neighbour with ITERS pre-posted buffers (a deep bucket: senders
     // never wait on the receiver).
     let mut inboxes: Vec<Vec<(usize, Inbox)>> = Vec::new();
     for rank in 0..GRID * GRID {
-        net.add_endpoint(NodeAddr::node(rank as u32));
-    }
-    for rank in 0..GRID * GRID {
-        let ep = net.endpoint(NodeAddr::node(rank as u32)).expect("endpoint");
+        let ep = net.add_endpoint(NodeAddr::node(rank as u32));
         let mut windows = Vec::new();
         for from in neighbors(rank) {
             let window = ep
@@ -81,7 +80,7 @@ fn main() {
     let results: Vec<f64> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (rank, windows) in inboxes.into_iter().enumerate() {
-            let net: Arc<LoopbackNetwork> = net.clone();
+            let net: Arc<LossyNetwork> = net.clone();
             handles.push(s.spawn(move || worker(rank, windows, net)));
         }
         handles
@@ -100,7 +99,7 @@ fn main() {
     );
 }
 
-fn worker(rank: usize, mut windows: Vec<(usize, Inbox)>, net: Arc<LoopbackNetwork>) -> f64 {
+fn worker(rank: usize, mut windows: Vec<(usize, Inbox)>, net: Arc<LossyNetwork>) -> f64 {
     let init = net.initiator(NodeAddr::node(rank as u32));
     let mut tile = vec![rank as f64 * 100.0; N];
 

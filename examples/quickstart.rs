@@ -7,11 +7,12 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use rvma::core::{LoopbackNetwork, NodeAddr, Threshold, VirtAddr};
+use rvma::core::{FaultModel, LossyNetwork, NodeAddr, Threshold, VirtAddr, DEFAULT_MTU};
 
 fn main() -> Result<(), rvma::core::RvmaError> {
-    // An in-process "network" connecting endpoints (the software NIC).
-    let net = LoopbackNetwork::new();
+    // A fault-free in-process "network" connecting endpoints (the software
+    // NIC runs inline on the sender's thread).
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(0));
     let client = net.initiator(NodeAddr::node(1));
 

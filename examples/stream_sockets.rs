@@ -8,10 +8,12 @@
 //!
 //! Run with: `cargo run --example stream_sockets`
 
-use rvma::core::{LoopbackNetwork, MailboxMode, NodeAddr, Threshold, VirtAddr};
+use rvma::core::{
+    FaultModel, LossyNetwork, MailboxMode, NodeAddr, Threshold, VirtAddr, DEFAULT_MTU,
+};
 
 fn main() -> Result<(), rvma::core::RvmaError> {
-    let net = LoopbackNetwork::new();
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(0));
     let client = net.initiator(NodeAddr::node(1));
     let port = VirtAddr::from_net_port(0x7F00_0001, 8080);

@@ -3,9 +3,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rvma::core::{
-    DeliverResult, DeliveryOrder, Fragment, LoopbackNetwork, NodeAddr, RvmaEndpoint, Threshold,
-    VirtAddr,
+    AsyncNetwork, DeliverResult, DeliveryOrder, Fragment, NodeAddr, RvmaEndpoint, Threshold,
+    Transport, VirtAddr,
 };
+use std::time::Duration;
 
 fn frag_at(va: u64, offset: usize, data: Vec<u8>, op_id: u64, total: u64) -> Fragment {
     Fragment {
@@ -131,14 +132,14 @@ proptest! {
     }
 
     /// Transport-level: a put of arbitrary size over an out-of-order
-    /// network arrives bit-exact.
+    /// (threaded, per-put shuffled) network arrives bit-exact.
     #[test]
     fn transport_roundtrip_any_size(
         payload in vec(any::<u8>(), 0..3000),
         mtu in 1usize..512,
         seed in any::<u64>(),
     ) {
-        let net = LoopbackNetwork::with_options(mtu, DeliveryOrder::OutOfOrder { seed });
+        let net = AsyncNetwork::new(mtu, DeliveryOrder::OutOfOrder { seed }, Duration::ZERO);
         let target = net.add_endpoint(NodeAddr::node(1));
         let init = net.initiator(NodeAddr::node(2));
         let win = target
@@ -147,6 +148,7 @@ proptest! {
         let buf_len = payload.len().max(1);
         let mut n = win.post_buffer(vec![0; buf_len]).unwrap();
         init.put(NodeAddr::node(1), VirtAddr::new(4), &payload).unwrap();
+        init.flush().unwrap();
         let buf = n.poll().expect("op threshold fired");
         prop_assert_eq!(buf.data(), payload.as_slice());
     }

@@ -172,8 +172,8 @@ fn idle_node_completes_instantly() {
 #[test]
 fn facade_reexports_compose() {
     // The facade's quickstart path: core primitives reachable via `rvma::core`.
-    use rvma::core::{LoopbackNetwork, NodeAddr, Threshold, VirtAddr};
-    let net = LoopbackNetwork::new();
+    use rvma::core::{FaultModel, LossyNetwork, NodeAddr, Threshold, VirtAddr, DEFAULT_MTU};
+    let net = LossyNetwork::new(DEFAULT_MTU, FaultModel::NONE, 0);
     let server = net.add_endpoint(NodeAddr::node(0));
     let client = net.initiator(NodeAddr::node(1));
     let win = server

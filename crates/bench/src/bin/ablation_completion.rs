@@ -38,7 +38,7 @@ fn main() {
     let active = cfg.nodes;
 
     let run = |proto: Protocol, ncfg: NicConfig| {
-        run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, |n| {
+        run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, cfg.sim(), |n| {
             if n < active {
                 Box::new(Sweep3dNode::new(motif, n)) as Box<dyn HostLogic>
             } else {

@@ -17,7 +17,7 @@ use rvma_net::fabric::FabricConfig;
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::star;
 use rvma_nic::{build_cluster, HostLogic, NicConfig, Protocol, RecvInfo, TermApi};
-use rvma_sim::{Engine, SimTime};
+use rvma_sim::{ParEngine, SimConfig, SimTime};
 
 const SENDERS: u32 = 15;
 const MSGS_PER_SENDER: usize = 32;
@@ -56,7 +56,7 @@ fn run(capacity: Option<usize>) -> (f64, u64) {
         rvma_counter_capacity: capacity,
         ..Default::default()
     };
-    let mut engine = Engine::new(11);
+    let mut engine = ParEngine::new(11, SimConfig::default());
     build_cluster(
         &mut engine,
         &spec,

@@ -39,7 +39,7 @@ fn main() {
             ..Default::default()
         };
         let run = |proto: Protocol| {
-            run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, |n| {
+            run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, cfg.sim(), |n| {
                 if n < active {
                     Box::new(Sweep3dNode::new(motif, n)) as Box<dyn HostLogic>
                 } else {

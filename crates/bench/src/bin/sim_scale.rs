@@ -1,13 +1,12 @@
 //! Engine-scaling benchmark: events/sec of the sharded parallel engine on
 //! Sweep3D, across cluster sizes and thread counts.
 //!
-//! This is the PR's tentpole measurement: the conservative-window engine
-//! exists so the paper's full-scale 8,192-node fabrics are simulable in
-//! reasonable wall time. Each cell runs the same Sweep3D workload on a
-//! fat-tree sized for `nodes` and reports the median-of-`reps` wall time
-//! and event throughput, plus the speedup over the 1-thread run of the
-//! same engine (same shard count, so results are bit-identical — only the
-//! wall clock changes).
+//! Sharded conservative windows exist so the paper's full-scale
+//! 8,192-node fabrics are simulable in reasonable wall time. Each cell
+//! runs the same Sweep3D workload on a fat-tree sized for `nodes` and
+//! reports the median-of-`reps` wall time and event throughput, plus the
+//! speedup over the 1-thread run of the same engine (same shard count, so
+//! results are bit-identical — only the wall clock changes).
 //!
 //! Flags: `--nodes 512,2048,8192`, `--threads 1,2,4,8`, `--reps 5`,
 //! `--quick` (CI smoke: one small size, 1–2 threads, single rep).

@@ -1,6 +1,6 @@
 //! The topology × routing × link-speed × protocol sweep behind Figs. 7–8.
 
-use rvma_motifs::{run_motif, run_motif_par, IdleNode, MotifResult};
+use rvma_motifs::{run_motif, IdleNode, MotifResult};
 use rvma_net::fabric::{FabricConfig, TopologySpec};
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::{
@@ -166,10 +166,11 @@ pub struct SweepConfig {
     pub only_routing: Option<RoutingKind>,
     /// Link speeds to sweep.
     pub speeds: Vec<u64>,
-    /// Worker threads: 1 = the sequential reference engine, >1 = the
-    /// sharded parallel engine (same results at any thread count, but the
-    /// two engines draw rng differently, so absolute makespans may differ
-    /// slightly between `1` and `>1`).
+    /// Worker threads: 1 = the sequential reference (`SimConfig::default()`,
+    /// one shard), >1 = 16 shards over that many workers (the same results
+    /// at any `T > 1`, but 16 shards fork 16 RNG streams where one shard
+    /// draws the root stream, so absolute makespans may differ slightly
+    /// between `1` and `>1`). See [`SweepConfig::sim`].
     pub threads: usize,
 }
 
@@ -190,7 +191,7 @@ impl SweepConfig {
     /// Parse figure-binary CLI flags: `--nodes N`, `--seed S`,
     /// `--family fat-tree|torus|dragonfly|hyperx`,
     /// `--routing static|adaptive`, `--speeds 100,400,2000`,
-    /// `--threads T` (parallel engine when > 1),
+    /// `--threads T` (see [`SweepConfig::sim`]),
     /// `--full-scale` (= the paper's 8,192 nodes).
     ///
     /// # Panics
@@ -237,6 +238,17 @@ impl SweepConfig {
         }
         cfg
     }
+
+    /// The engine configuration `threads` selects: the sequential reference
+    /// at 1, else 16 shards over `threads` workers with the widest window
+    /// the fabric allows (`build_motif_engine` clamps it to the lookahead).
+    pub fn sim(&self) -> SimConfig {
+        if self.threads > 1 {
+            SimConfig::new(self.threads, SimTime::MAX)
+        } else {
+            SimConfig::default()
+        }
+    }
 }
 
 /// Run the full `topology × routing × speed` matrix for a motif whose
@@ -268,14 +280,7 @@ pub fn motif_matrix(
                             Box::new(IdleNode) as Box<dyn HostLogic>
                         }
                     };
-                    if cfg.threads > 1 {
-                        // Window is clamped to the fabric lookahead inside
-                        // run_motif_par; MAX just means "as wide as legal".
-                        let sim = SimConfig::new(cfg.threads, SimTime::MAX);
-                        run_motif_par(&spec, &fcfg, ncfg, proto, cfg.seed, sim, logic)
-                    } else {
-                        run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, logic)
-                    }
+                    run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, cfg.sim(), logic)
                 };
                 let rdma = run(Protocol::Rdma);
                 let rvma = run(Protocol::Rvma);
@@ -385,6 +390,10 @@ mod cli_tests {
     fn threads_flag() {
         assert_eq!(parse(&[]).threads, 1);
         assert_eq!(parse(&["--threads", "8"]).threads, 8);
+        let seq = parse(&[]).sim();
+        assert_eq!((seq.threads, seq.shards), (1, 1));
+        let par = parse(&["--threads", "8"]).sim();
+        assert_eq!((par.threads, par.shards, par.window), (8, 16, SimTime::MAX));
     }
 
     #[test]

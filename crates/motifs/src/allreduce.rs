@@ -152,6 +152,7 @@ mod tests {
     use rvma_net::router::RoutingKind;
     use rvma_net::topology::{torus3d, TorusParams};
     use rvma_nic::{NicConfig, Protocol};
+    use rvma_sim::SimConfig;
 
     fn cfg() -> AllReduceConfig {
         AllReduceConfig {
@@ -197,6 +198,7 @@ mod tests {
                 NicConfig::default(),
                 proto,
                 1,
+                SimConfig::default(),
                 |n| Box::new(AllReduceNode::new(c, n)) as _,
             );
             assert_eq!(r.nodes_done, 8, "{proto}");
@@ -221,6 +223,7 @@ mod tests {
                 NicConfig::default(),
                 proto,
                 1,
+                SimConfig::default(),
                 |n| Box::new(AllReduceNode::new(c, n)) as _,
             )
             .makespan

@@ -14,8 +14,7 @@
 //!
 //! Clients draw keys from a private SplitMix64 stream seeded by
 //! `(cfg.seed, node)` — independent of the engine RNG, so a motif's key
-//! sequence is identical under the sequential and parallel engines and
-//! across thread counts.
+//! sequence is identical at any shard and thread count.
 
 use crate::runner::MOTIF_DONE_HIST;
 use rvma_nic::{HostLogic, RecvInfo, TermApi};
@@ -216,6 +215,7 @@ mod tests {
     use rvma_net::router::RoutingKind;
     use rvma_net::topology::star;
     use rvma_nic::{NicConfig, Protocol};
+    use rvma_sim::{ParEngine, SimConfig};
 
     #[test]
     fn zipf_cdf_is_monotone_and_skewed() {
@@ -258,6 +258,7 @@ mod tests {
             NicConfig::default(),
             protocol,
             7,
+            SimConfig::default(),
             move |n| Box::new(KvNode::new(c, n)) as _,
         )
     }
@@ -279,7 +280,7 @@ mod tests {
         };
         let spec = star(all_reads.nodes, RoutingKind::Adaptive);
         let c = all_reads;
-        let mut engine: rvma_sim::Engine<rvma_net::packet::NetEvent> = rvma_sim::Engine::new(7);
+        let mut engine = ParEngine::new(7, SimConfig::default());
         let cluster = rvma_nic::build_cluster(
             &mut engine,
             &spec,
@@ -304,7 +305,7 @@ mod tests {
             ..KvConfig::default()
         };
         let c = all_writes;
-        let mut engine: rvma_sim::Engine<rvma_net::packet::NetEvent> = rvma_sim::Engine::new(7);
+        let mut engine = ParEngine::new(7, SimConfig::default());
         rvma_nic::build_cluster(
             &mut engine,
             &spec,

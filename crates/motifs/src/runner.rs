@@ -3,7 +3,7 @@
 use rvma_net::fabric::{partition_fabric, FabricConfig, TopologySpec};
 use rvma_net::packet::NetEvent;
 use rvma_nic::{build_cluster, HostLogic, NicConfig, Protocol};
-use rvma_sim::{Engine, ParEngine, SimConfig, SimTime, StatsRegistry};
+use rvma_sim::{ParEngine, SimConfig, SimTime, StatsRegistry};
 
 /// Histogram name motif nodes record their finish time into.
 pub const MOTIF_DONE_HIST: &str = "motif.node_done_ns";
@@ -80,20 +80,21 @@ fn summarize(
     }
 }
 
-/// Run a motif on `spec` with per-node behaviour from `logic`, and collect
-/// the summary. Panics if any node fails to finish (deadlock in the motif
-/// or protocol model).
+/// Run a motif on `spec` with per-node behaviour from `logic` on an engine
+/// configured by `sim`, and collect the summary. `SimConfig::default()` is
+/// the sequential reference; results are bit-identical across `sim.threads`
+/// values for a fixed `sim.shards`. Panics if any node fails to finish
+/// (deadlock in the motif or protocol model).
 pub fn run_motif(
     spec: &TopologySpec,
     fcfg: &FabricConfig,
     ncfg: NicConfig,
     protocol: Protocol,
     seed: u64,
+    sim: SimConfig,
     logic: impl FnMut(u32) -> Box<dyn HostLogic>,
 ) -> MotifResult {
-    let mut engine: Engine<NetEvent> = Engine::new(seed);
-    let cluster = build_cluster(&mut engine, spec, fcfg, ncfg, protocol, logic);
-    let nodes = cluster.nodes() as u64;
+    let (mut engine, nodes) = build_motif_engine(spec, fcfg, ncfg, protocol, seed, sim, logic);
     let events = engine.run_to_completion();
     summarize(engine.stats(), engine.now(), events, nodes, spec, protocol)
 }
@@ -123,25 +124,6 @@ pub fn build_motif_engine(
     (engine, nodes)
 }
 
-/// Parallel counterpart of [`run_motif`]: same summary, executed on the
-/// sharded conservative-window [`ParEngine`]. Results are bit-identical
-/// across `sim.threads` values (for a fixed `sim.shards`), but differ from
-/// [`run_motif`] in RNG draws — the parallel engine forks one RNG stream
-/// per shard, the sequential engine uses a single stream.
-pub fn run_motif_par(
-    spec: &TopologySpec,
-    fcfg: &FabricConfig,
-    ncfg: NicConfig,
-    protocol: Protocol,
-    seed: u64,
-    sim: SimConfig,
-    logic: impl FnMut(u32) -> Box<dyn HostLogic>,
-) -> MotifResult {
-    let (mut engine, nodes) = build_motif_engine(spec, fcfg, ncfg, protocol, seed, sim, logic);
-    let events = engine.run_to_completion();
-    summarize(engine.stats(), engine.now(), events, nodes, spec, protocol)
-}
-
 /// A node that participates in no communication: it reports completion at
 /// t = 0. Used to pad topologies whose terminal count exceeds the motif's
 /// process grid (the spare terminals the paper's node allocations also
@@ -157,9 +139,10 @@ impl HostLogic for IdleNode {
     fn on_recv(&mut self, _msg: rvma_nic::RecvInfo, _api: &mut rvma_nic::TermApi<'_, '_>) {}
 }
 
-/// Run the same motif under both protocols and report the RDMA/RVMA
-/// makespan ratio (speedup > 1 means RVMA is faster) — the quantity the
-/// paper's Figs. 7–8 plot.
+/// Run the same motif under both protocols on the sequential reference
+/// engine (`SimConfig::default()`) and report the RDMA/RVMA makespan ratio
+/// (speedup > 1 means RVMA is faster) — the quantity the paper's
+/// Figs. 7–8 plot.
 pub fn compare_protocols(
     spec: &TopologySpec,
     fcfg: &FabricConfig,
@@ -167,8 +150,9 @@ pub fn compare_protocols(
     seed: u64,
     mut logic: impl FnMut(u32) -> Box<dyn HostLogic>,
 ) -> (MotifResult, MotifResult, f64) {
-    let rdma = run_motif(spec, fcfg, ncfg, Protocol::Rdma, seed, &mut logic);
-    let rvma = run_motif(spec, fcfg, ncfg, Protocol::Rvma, seed, &mut logic);
+    let sim = SimConfig::default();
+    let rdma = run_motif(spec, fcfg, ncfg, Protocol::Rdma, seed, sim, &mut logic);
+    let rvma = run_motif(spec, fcfg, ncfg, Protocol::Rvma, seed, sim, &mut logic);
     let speedup = rdma.makespan.as_ns_f64() / rvma.makespan.as_ns_f64();
     (rdma, rvma, speedup)
 }

@@ -7,12 +7,12 @@
 //! different heap tie-break, a changed RNG draw, a moved counter bump)
 //! fails here even when it is perfectly deterministic.
 //!
-//! The cells cover both engines and both protocols:
-//! - `ParEngine`, Sweep3D over RVMA on an adaptive fat-tree (the shape of
+//! The cells cover one shard and many, and both protocols:
+//! - 8 shards, Sweep3D over RVMA on an adaptive fat-tree (the shape of
 //!   the `sim_sweep3d` benchmark cell), at 1, 2 and 4 worker threads;
-//! - sequential `Engine`, Sweep3D over RDMA on an adaptive dragonfly
-//!   (handshakes, RTR credits, fences);
-//! - sequential `Engine`, a key-value store over RDMA (one-sided gets
+//! - the sequential reference (`SimConfig::default()`, one shard), Sweep3D
+//!   over RDMA on an adaptive dragonfly (handshakes, RTR credits, fences);
+//! - the sequential reference, a key-value store over RDMA (one-sided gets
 //!   waiting behind registration handshakes).
 //!
 //! After a deliberate model change, re-record from the failing
@@ -24,7 +24,7 @@ use rvma_net::packet::NetEvent;
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::{dragonfly, fattree, DragonflyParams, FatTreeParams};
 use rvma_nic::{build_cluster, HostLogic, NicConfig, Protocol};
-use rvma_sim::{Engine, SimConfig, SimTime, StatsRegistry};
+use rvma_sim::{ParEngine, SimConfig, SimTime, StatsRegistry};
 
 /// Everything observable about a finished run.
 #[derive(Debug, PartialEq)]
@@ -138,7 +138,7 @@ fn run_seq(
     protocol: Protocol,
     logic: impl FnMut(u32) -> Box<dyn HostLogic>,
 ) -> Pin {
-    let mut eng: Engine<NetEvent> = Engine::new(42);
+    let mut eng: ParEngine<NetEvent> = ParEngine::new(42, SimConfig::default());
     build_cluster(
         &mut eng,
         spec,

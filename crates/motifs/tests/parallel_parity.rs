@@ -190,10 +190,10 @@ fn kvstore_parity() {
     }
 }
 
-/// `run_motif_par` is deterministic across thread counts at the summary
-/// level too (the API most callers use).
+/// `run_motif` is deterministic across thread counts at the summary level
+/// too (the API most callers use).
 #[test]
-fn run_motif_par_summary_parity() {
+fn run_motif_summary_parity() {
     let cfg = IncastConfig {
         nodes: 9,
         msgs: 4,
@@ -201,7 +201,7 @@ fn run_motif_par_summary_parity() {
     };
     let spec = star(9, RoutingKind::Adaptive);
     let run = |threads| -> MotifResult {
-        rvma_motifs::run_motif_par(
+        rvma_motifs::run_motif(
             &spec,
             &FabricConfig::at_gbps(100),
             NicConfig::default(),

@@ -10,7 +10,7 @@ use crate::link::LinkParams;
 use crate::packet::NetEvent;
 use crate::router::Router;
 use crate::switch::{OutPort, Switch};
-use rvma_sim::{Bandwidth, ComponentId, SimBuilder, SimTime};
+use rvma_sim::{Bandwidth, ComponentId, ParEngine, SimTime};
 use std::sync::Arc;
 
 /// Pure description of a topology instance: wiring + routing.
@@ -140,28 +140,26 @@ pub struct Fabric {
 
 impl Fabric {
     /// Panic unless the caller added the promised terminal components.
-    pub fn assert_terminals_added(&self, engine: &impl SimBuilder<NetEvent>) {
+    pub fn assert_terminals_added(&self, engine: &ParEngine<NetEvent>) {
         let last = self.terminal_cids.last().map(|c| c.as_usize()).unwrap_or(0);
         assert!(
-            engine.registered() > last,
+            engine.component_count() > last,
             "terminal components were not added after build_fabric"
         );
     }
 }
 
-/// Instantiate the fabric's switches in `engine` — either the sequential
-/// [`rvma_sim::Engine`] or the parallel [`rvma_sim::ParEngine`], via
-/// [`SimBuilder`].
+/// Instantiate the fabric's switches in `engine`.
 ///
 /// # Panics
 /// Panics if the spec fails validation.
-pub fn build_fabric<B: SimBuilder<NetEvent>>(
-    engine: &mut B,
+pub fn build_fabric(
+    engine: &mut ParEngine<NetEvent>,
     spec: &TopologySpec,
     cfg: &FabricConfig,
 ) -> Fabric {
     spec.validate().expect("invalid topology spec");
-    let base = engine.registered();
+    let base = engine.component_count();
     let switch_cids: Vec<ComponentId> = (0..spec.switches as usize)
         .map(|i| ComponentId::from_raw(base + i))
         .collect();
@@ -195,7 +193,7 @@ pub fn build_fabric<B: SimBuilder<NetEvent>>(
                 next_free: SimTime::ZERO,
             });
         }
-        let cid = engine.register_component(Switch::new(
+        let cid = engine.add_component(Switch::new(
             s as u32,
             tb,
             tc,
@@ -247,7 +245,7 @@ mod tests {
     use crate::packet::Packet;
     use crate::router::Router;
     use crate::switch::PortView;
-    use rvma_sim::{Engine, SimRng};
+    use rvma_sim::{SimConfig, SimRng};
 
     struct Dummy;
     impl Router for Dummy {
@@ -308,7 +306,7 @@ mod tests {
 
     #[test]
     fn build_reserves_terminal_ids() {
-        let mut eng: Engine<NetEvent> = Engine::new(0);
+        let mut eng = ParEngine::new(0, SimConfig::default());
         let spec = two_switch_spec();
         let fabric = build_fabric(&mut eng, &spec, &FabricConfig::at_gbps(100));
         assert_eq!(eng.component_count(), 2); // switches only so far

@@ -19,12 +19,12 @@
 //! use rvma_net::{build_fabric, FabricConfig, RoutingKind};
 //! use rvma_net::topology::{dragonfly, DragonflyParams};
 //! use rvma_net::packet::NetEvent;
-//! use rvma_sim::Engine;
+//! use rvma_sim::{ParEngine, SimConfig};
 //!
 //! // A 72-terminal UGAL-routed dragonfly, 400 Gbps links.
 //! let spec = dragonfly(DragonflyParams { a: 4, p: 2, h: 2 }, RoutingKind::Adaptive);
 //! spec.validate().unwrap();
-//! let mut engine: Engine<NetEvent> = Engine::new(42);
+//! let mut engine: ParEngine<NetEvent> = ParEngine::new(42, SimConfig::default());
 //! let fabric = build_fabric(&mut engine, &spec, &FabricConfig::at_gbps(400));
 //! assert_eq!(fabric.switch_cids.len(), 36);
 //! assert_eq!(fabric.terminal_cids.len(), 72);

@@ -164,7 +164,7 @@ impl Component<NetEvent> for Switch {
 mod tests {
     use super::*;
     use crate::packet::{Packet, PacketHeader, PacketKind, RouteState};
-    use rvma_sim::{Engine, SimRng};
+    use rvma_sim::{ParEngine, SimConfig, SimRng};
 
     /// A terminal that records packet arrival times.
     pub struct Sink {
@@ -221,8 +221,8 @@ mod tests {
 
     /// One switch with a single terminal port to a sink; link 100 Gbps,
     /// 100 ns latency; switch latency 100 ns; xbar 150 Gbps.
-    fn one_switch() -> (Engine<NetEvent>, ComponentId, ComponentId) {
-        let mut eng = Engine::new(1);
+    fn one_switch() -> (ParEngine<NetEvent>, ComponentId, ComponentId) {
+        let mut eng = ParEngine::new(1, SimConfig::default());
         // Sink gets id 0, switch id 1; wire the switch's port 0 to the sink.
         let sink = eng.add_component(Sink { arrived: vec![] });
         let port = OutPort {

@@ -7,7 +7,7 @@ use rvma_net::fabric::{build_fabric, FabricConfig};
 use rvma_net::packet::{NetEvent, Packet, PacketHeader, PacketKind, RouteState};
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::{fattree, FatTreeParams};
-use rvma_sim::{Component, Ctx, Engine, SimTime};
+use rvma_sim::{Component, Ctx, ParEngine, SimConfig, SimTime};
 
 /// Terminal that records the arrival time of each packet.
 struct Sink {
@@ -53,7 +53,7 @@ fn pkt(id: u64, src: u32, dst: u32, bytes: u32) -> Packet {
 /// d-mod-k hashes collide on one up-port; return (finish time, queue-wait).
 fn run_burst(kind: RoutingKind) -> (SimTime, u64) {
     let spec = fattree(FatTreeParams { k: 4 }, kind);
-    let mut engine: Engine<NetEvent> = Engine::new(3);
+    let mut engine: ParEngine<NetEvent> = ParEngine::new(3, SimConfig::default());
     let fabric = build_fabric(&mut engine, &spec, &FabricConfig::at_gbps(100));
     for _ in 0..spec.terminals {
         engine.add_component(Sink {
@@ -107,7 +107,7 @@ fn wire_byte_accounting_matches_hops() {
     // A single packet from terminal 0 to terminal 15 in a k=4 fat-tree
     // crosses 5 switches; each forwards wire_bytes = payload + header.
     let spec = fattree(FatTreeParams { k: 4 }, RoutingKind::Static);
-    let mut engine: Engine<NetEvent> = Engine::new(1);
+    let mut engine: ParEngine<NetEvent> = ParEngine::new(1, SimConfig::default());
     let fabric = build_fabric(&mut engine, &spec, &FabricConfig::at_gbps(100));
     for _ in 0..spec.terminals {
         engine.add_component(Sink {

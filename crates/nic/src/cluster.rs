@@ -5,7 +5,7 @@ use crate::host::HostLogic;
 use crate::terminal::Terminal;
 use rvma_net::fabric::{build_fabric, Fabric, FabricConfig, TopologySpec};
 use rvma_net::packet::NetEvent;
-use rvma_sim::{ComponentId, SimBuilder, SimTime};
+use rvma_sim::{ComponentId, ParEngine, SimTime};
 
 /// Handle to a fully assembled simulated cluster.
 pub struct Cluster {
@@ -27,12 +27,11 @@ impl Cluster {
     }
 }
 
-/// Build the fabric and its terminals inside `engine` (sequential or
-/// parallel, via [`SimBuilder`]), and schedule every terminal's `on_start`
-/// at t = 0. `logic` is called once per node index to produce that node's
-/// application behaviour.
-pub fn build_cluster<B: SimBuilder<NetEvent>>(
-    engine: &mut B,
+/// Build the fabric and its terminals inside `engine`, and schedule every
+/// terminal's `on_start` at t = 0. `logic` is called once per node index to
+/// produce that node's application behaviour.
+pub fn build_cluster(
+    engine: &mut ParEngine<NetEvent>,
     spec: &TopologySpec,
     fcfg: &FabricConfig,
     ncfg: NicConfig,
@@ -42,7 +41,7 @@ pub fn build_cluster<B: SimBuilder<NetEvent>>(
     let fabric = build_fabric(engine, spec, fcfg);
     let ordered = spec.router.ordered();
     for t in 0..spec.terminals {
-        let cid = engine.register_component(Terminal::new(
+        let cid = engine.add_component(Terminal::new(
             t,
             ncfg,
             protocol,
@@ -55,7 +54,7 @@ pub fn build_cluster<B: SimBuilder<NetEvent>>(
     }
     fabric.assert_terminals_added(engine);
     for &cid in &fabric.terminal_cids {
-        engine.seed_event(SimTime::ZERO, cid, Terminal::START);
+        engine.schedule(SimTime::ZERO, cid, Terminal::START);
     }
     Cluster { fabric, protocol }
 }
@@ -66,7 +65,7 @@ mod tests {
     use crate::host::{RecvInfo, TermApi};
     use rvma_net::router::RoutingKind;
     use rvma_net::topology::{star, torus3d, TorusParams};
-    use rvma_sim::Engine;
+    use rvma_sim::SimConfig;
 
     struct Probe;
     impl HostLogic for Probe {
@@ -79,7 +78,7 @@ mod tests {
     #[test]
     fn every_terminal_starts_at_t_zero() {
         let spec = star(5, RoutingKind::Static);
-        let mut engine = Engine::new(0);
+        let mut engine = ParEngine::new(0, SimConfig::default());
         let cluster = build_cluster(
             &mut engine,
             &spec,
@@ -105,7 +104,7 @@ mod tests {
             },
             RoutingKind::Adaptive,
         );
-        let mut engine = Engine::new(0);
+        let mut engine = ParEngine::new(0, SimConfig::default());
         let cluster = build_cluster(
             &mut engine,
             &spec,

@@ -20,7 +20,7 @@
 //! ```
 //! use rvma_net::{FabricConfig, RoutingKind, topology::star, packet::NetEvent};
 //! use rvma_nic::{build_cluster, HostLogic, NicConfig, Protocol, RecvInfo, TermApi};
-//! use rvma_sim::Engine;
+//! use rvma_sim::{ParEngine, SimConfig};
 //!
 //! struct Ping;
 //! impl HostLogic for Ping {
@@ -33,7 +33,7 @@
 //!     }
 //! }
 //!
-//! let mut engine: Engine<NetEvent> = Engine::new(1);
+//! let mut engine: ParEngine<NetEvent> = ParEngine::new(1, SimConfig::default());
 //! build_cluster(
 //!     &mut engine,
 //!     &star(2, RoutingKind::Static),

@@ -6,7 +6,7 @@ use rvma_net::packet::NetEvent;
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::star;
 use rvma_nic::{build_cluster, HostLogic, NicConfig, Protocol, RecvInfo, TermApi};
-use rvma_sim::Engine;
+use rvma_sim::{ParEngine, SimConfig};
 
 /// Sends `count` messages of `bytes` to node 1 at start.
 struct Sender {
@@ -41,9 +41,9 @@ fn run(
     count: usize,
     bytes: u64,
     ncfg: NicConfig,
-) -> Engine<NetEvent> {
+) -> ParEngine<NetEvent> {
     let spec = star(2, kind);
-    let mut engine = Engine::new(42);
+    let mut engine = ParEngine::new(42, SimConfig::default());
     let _cluster = build_cluster(
         &mut engine,
         &spec,
@@ -62,7 +62,7 @@ fn run(
     engine
 }
 
-fn first_recv_ns(e: &Engine<NetEvent>) -> f64 {
+fn first_recv_ns(e: &ParEngine<NetEvent>) -> f64 {
     e.stats()
         .get_histogram("recv_ns")
         .expect("at least one recv")
@@ -70,7 +70,7 @@ fn first_recv_ns(e: &Engine<NetEvent>) -> f64 {
         .unwrap()
 }
 
-fn last_recv_ns(e: &Engine<NetEvent>) -> f64 {
+fn last_recv_ns(e: &ParEngine<NetEvent>) -> f64 {
     e.stats().get_histogram("recv_ns").unwrap().max().unwrap()
 }
 
@@ -285,7 +285,7 @@ fn runs_are_deterministic() {
 fn bandwidth_scaling_reduces_latency() {
     let run_at = |gbps: u64| {
         let spec = star(2, RoutingKind::Static);
-        let mut engine = Engine::new(1);
+        let mut engine = ParEngine::new(1, SimConfig::default());
         build_cluster(
             &mut engine,
             &spec,
@@ -339,9 +339,9 @@ impl HostLogic for Silent {
     fn on_recv(&mut self, _m: RecvInfo, _api: &mut TermApi<'_, '_>) {}
 }
 
-fn run_get(proto: Protocol, kind: RoutingKind, count: usize, bytes: u64) -> Engine<NetEvent> {
+fn run_get(proto: Protocol, kind: RoutingKind, count: usize, bytes: u64) -> ParEngine<NetEvent> {
     let spec = star(2, kind);
-    let mut engine = Engine::new(42);
+    let mut engine = ParEngine::new(42, SimConfig::default());
     build_cluster(
         &mut engine,
         &spec,

@@ -5,7 +5,7 @@
 use rvma_net::link::LinkParams;
 use rvma_net::packet::{NetEvent, Packet, PacketHeader, PacketKind, RouteState};
 use rvma_nic::{HostLogic, NicConfig, Protocol, RecvInfo, TermApi, Terminal};
-use rvma_sim::{Component, ComponentId, Ctx, Engine, SimTime};
+use rvma_sim::{Component, ComponentId, Ctx, ParEngine, SimConfig, SimTime};
 
 /// Absorbs anything the terminal transmits (it believes this is its switch).
 struct Blackhole;
@@ -50,9 +50,10 @@ fn pkt(
     }
 }
 
-/// Engine with: blackhole switch (component 0) + one terminal (component 1).
-fn receiver(proto: Protocol, ordered: bool) -> (Engine<NetEvent>, ComponentId) {
-    let mut engine: Engine<NetEvent> = Engine::new(1);
+/// An engine with a blackhole switch (component 0) and one terminal
+/// (component 1).
+fn receiver(proto: Protocol, ordered: bool) -> (ParEngine<NetEvent>, ComponentId) {
+    let mut engine: ParEngine<NetEvent> = ParEngine::new(1, SimConfig::default());
     let bh = engine.add_component(Blackhole);
     let term = engine.add_component(Terminal::new(
         1,

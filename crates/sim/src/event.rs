@@ -16,7 +16,7 @@
 //! A plain heap suffices because a shard never holds many pending events: a
 //! busy shard of the 2,048-node benchmark cell stays under 128.
 //!
-//! For the parallel engine each shard owns a queue constructed with
+//! Each shard of the engine owns a queue constructed with
 //! [`EventQueue::with_seq_stream`]: shard `s` of `S` draws sequence numbers
 //! `first + s`, `first + s + S`, … so shards allocate from disjoint seq
 //! classes and the global `(time, seq)` order is independent of how many
@@ -61,21 +61,10 @@ pub struct EventQueue<E> {
     scheduled_total: u64,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> EventQueue<E> {
-    /// An empty queue with the dense seq stream `0, 1, 2, …`.
-    pub fn new() -> Self {
-        Self::with_seq_stream(0, 1)
-    }
-
     /// An empty queue handing out sequence numbers `first, first + stride,
-    /// first + 2·stride, …` — used by the parallel engine to give each shard
-    /// a disjoint seq class.
+    /// first + 2·stride, …` — the engine gives each shard a disjoint seq
+    /// class this way.
     ///
     /// # Panics
     /// Panics if `stride` is zero.
@@ -178,7 +167,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         q.push(SimTime::from_ns(30), cid(0), "c");
         q.push(SimTime::from_ns(10), cid(0), "a");
         q.push(SimTime::from_ns(20), cid(0), "b");
@@ -188,7 +177,7 @@ mod tests {
 
     #[test]
     fn same_instant_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         let t = SimTime::from_ns(5);
         for i in 0..100 {
             q.push(t, cid(0), i);
@@ -199,7 +188,7 @@ mod tests {
 
     #[test]
     fn peek_time_tracks_min() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_ns(50), cid(1), ());
         q.push(SimTime::from_ns(7), cid(2), ());
@@ -210,7 +199,7 @@ mod tests {
 
     #[test]
     fn counts() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         q.push(SimTime::ZERO, cid(0), ());
         q.push(SimTime::ZERO, cid(0), ());
         assert_eq!(q.len(), 2);
@@ -233,7 +222,7 @@ mod tests {
 
     #[test]
     fn sequenced_pushes_interleave_by_seq() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         let t = SimTime::from_ns(1);
         for seq in [5u64, 1, 3] {
             q.push_sequenced(ScheduledEvent {
@@ -272,7 +261,7 @@ mod tests {
         let top_seq = (1u64 << 40) - 1;
         let max = SimTime::MAX;
         let near = SimTime::from_ps(u64::MAX - 1);
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         for (time, seq) in [
             (max, 0),
             (near, top_seq),
@@ -312,7 +301,7 @@ mod tests {
 
     #[test]
     fn sparse_far_future_events() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         q.push(SimTime::from_secs(40), cid(0), "later");
         q.push(SimTime::from_ps(3), cid(0), "soon");
         q.push(SimTime::from_secs(90), cid(0), "latest");
@@ -326,7 +315,7 @@ mod tests {
     fn interleaved_push_pop_stays_ordered() {
         // Simulation-shaped usage: pops interleaved with pushes at
         // monotonically increasing times.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         let mut reference = Vec::new();
         let mut t = 0u64;
         for i in 0..2000u64 {
@@ -352,7 +341,7 @@ mod tests {
     /// identical pop sequence for a mix of clustered and sparse times.
     #[test]
     fn matches_reference_heap() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_seq_stream(0, 1);
         let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut x = 0x243F_6A88_85A3_08D3u64; // deterministic xorshift
         let mut seq = 0u64;

@@ -7,27 +7,26 @@
 //!
 //! * [`SimTime`] — picosecond-resolution simulated time (the paper uses a
 //!   5 GHz update frequency, i.e. 200 ps ticks; picoseconds subsume that),
-//! * [`Engine`] — a generic event loop over a user-supplied event type,
+//! * [`ParEngine`] — the event loop, generic over a user-supplied event
+//!   type and configured by [`SimConfig`],
 //! * [`Component`] — the trait simulated entities (switches, NICs, hosts)
 //!   implement,
 //! * [`SimRng`] — a seeded, reproducible RNG so that a given (seed, config)
 //!   pair always yields an identical event trace,
 //! * [`stats`] — counters and histograms for measurement collection.
 //!
-//! Two engine drivers share the same [`Component`] model:
-//!
-//! * [`Engine`] — the sequential loop: one [`EventQueue`], simple borrow
-//!   semantics, the reference semantics everything else is measured against.
-//! * [`ParEngine`] — sharded conservative-window parallel execution for
-//!   full-scale runs (the paper's 8,192-node fabrics), configured by
-//!   [`SimConfig`]. Each shard has its own [`EventQueue`]; cross-shard
-//!   events wait in per-worker outboxes until the window's barrier.
-//!   Determinism survives parallelism: per-shard seq strides
-//!   and RNG streams keep results bit-identical across thread counts (see
-//!   the [`par`] module docs for the scheme).
+//! There is one engine. [`SimConfig::default()`] runs it as the sequential
+//! reference: one shard, one [`EventQueue`], one RNG stream drawn from
+//! `SimRng::new(seed)`, every event in `(time, seq)` order on the calling
+//! thread. More shards give sharded conservative-window execution for
+//! full-scale runs (the paper's 8,192-node fabrics): each shard has its own
+//! [`EventQueue`], and cross-shard events wait in per-worker outboxes until
+//! the window's barrier. Determinism survives parallelism: per-shard seq
+//! strides and RNG streams keep results bit-identical across thread counts
+//! (see the [`par`] module docs for the scheme).
 //!
 //! ```
-//! use rvma_sim::{Engine, Component, Ctx, SimTime};
+//! use rvma_sim::{Component, Ctx, ParEngine, SimConfig, SimTime};
 //!
 //! struct Ping { sent: u64 }
 //! #[derive(Debug)]
@@ -43,7 +42,7 @@
 //!     }
 //! }
 //!
-//! let mut engine = Engine::new(42);
+//! let mut engine = ParEngine::new(42, SimConfig::default());
 //! let id = engine.add_component(Ping { sent: 0 });
 //! engine.schedule(SimTime::ZERO, id, Tick);
 //! engine.run_to_completion();
@@ -62,7 +61,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Component, ComponentId, Ctx, Engine, EventSink, SimBuilder};
+pub use engine::{Component, ComponentId, Ctx};
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::FastMap;
 pub use par::{ParEngine, SimConfig};

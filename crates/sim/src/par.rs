@@ -1,4 +1,4 @@
-//! Parallel discrete-event engine: sharded conservative-window execution.
+//! The discrete-event engine: sharded conservative-window execution.
 //!
 //! [`ParEngine`] partitions components into `SimConfig::shards` logical
 //! shards, each owning its own event queue, RNG stream, stats registry, and
@@ -13,6 +13,10 @@
 //! another shard always fires at or after the current window's end, and the
 //! sink asserts it.
 //!
+//! One shard is the sequential reference: [`SimConfig::default`] runs one
+//! shard on the calling thread, whose single window spans the whole run
+//! (nothing can cross shards), so events fire in plain `(time, seq)` order.
+//!
 //! # Determinism
 //!
 //! Results are bit-identical for any worker thread count, because every
@@ -25,7 +29,8 @@
 //!   total order is independent of which thread stamped the event. Events
 //!   pop in exactly that order within a shard, so the order in which
 //!   outboxes are drained is invisible.
-//! - **RNG.** Shard `s` uses a `SimRng` forked from the root seed in shard
+//! - **RNG.** A single shard draws `SimRng::new(seed)` itself. With two or
+//!   more, shard `s` uses a `SimRng` forked from the root seed in shard
 //!   order; a component always draws from its own shard's stream.
 //! - **Stats and traces.** Collected per shard, merged in shard-id order.
 //!
@@ -33,7 +38,7 @@
 //! suite) prove this by comparing clocks, counters, histogram samples, and
 //! merged traces across 1/2/4/8 threads.
 
-use crate::engine::{Component, ComponentId, Ctx, EventSink, SimBuilder};
+use crate::engine::{Component, ComponentId, Ctx};
 use crate::event::{EventQueue, ScheduledEvent};
 use crate::rng::SimRng;
 use crate::stats::StatsRegistry;
@@ -61,23 +66,24 @@ pub struct SimConfig {
 }
 
 impl Default for SimConfig {
+    /// The sequential reference: one shard on the calling thread.
     fn default() -> Self {
         SimConfig {
             threads: 1,
-            window: SimTime::from_ns(100),
-            shards: 16,
+            window: SimTime::MAX,
+            shards: 1,
         }
     }
 }
 
 impl SimConfig {
-    /// A config running `threads` workers with window `window` and the
-    /// default shard count.
+    /// A config running `threads` workers with window `window` over 16
+    /// logical shards.
     pub fn new(threads: usize, window: SimTime) -> Self {
         SimConfig {
             threads,
             window,
-            ..SimConfig::default()
+            shards: 16,
         }
     }
 }
@@ -210,10 +216,10 @@ struct RunShared<'a, E> {
     deadline_ps: u64,
 }
 
-/// Per-shard event sink: local events go straight into the shard's queue,
-/// cross-shard events are stamped with the shard's next seq and pushed onto
-/// the worker's outbox for their destination.
-struct ShardSink<'a, E> {
+/// Per-shard event sink, held by every [`Ctx`]: local events go straight
+/// into the shard's queue, cross-shard events are stamped with the shard's
+/// next seq and pushed onto the worker's outbox for their destination.
+pub(crate) struct ShardSink<'a, E> {
     shard_id: usize,
     queue: &'a mut EventQueue<E>,
     outbox: &'a mut [Vec<ScheduledEvent<E>>],
@@ -222,8 +228,9 @@ struct ShardSink<'a, E> {
     window_end_ps: u64,
 }
 
-impl<E> EventSink<E> for ShardSink<'_, E> {
-    fn emit(&mut self, time: SimTime, target: ComponentId, payload: E) {
+impl<E> ShardSink<'_, E> {
+    /// Enqueue `payload` to fire on `target` at absolute instant `time`.
+    pub(crate) fn emit(&mut self, time: SimTime, target: ComponentId, payload: E) {
         let dest = self.shard_of[target.as_usize()];
         let seq = self.queue.alloc_seq();
         let ev = ScheduledEvent {
@@ -252,10 +259,10 @@ impl<E> EventSink<E> for ShardSink<'_, E> {
     }
 }
 
-/// The parallel simulation engine. Mirrors the [`crate::Engine`] surface
-/// (schedule / run_to_completion / run_until / stats / trace) and adds
-/// thread/window/shard configuration. See the module docs for the
-/// synchronization and determinism scheme.
+/// The simulation engine. `ParEngine::new(seed, SimConfig::default())` is
+/// the sequential reference; more shards and threads run the same model in
+/// conservative windows. See the module docs for the synchronization and
+/// determinism scheme.
 pub struct ParEngine<E> {
     seed: u64,
     cfg: SimConfig,
@@ -280,7 +287,7 @@ pub struct ParEngine<E> {
 }
 
 impl<E: Send> ParEngine<E> {
-    /// A fresh parallel engine at time zero.
+    /// A fresh engine at time zero.
     pub fn new(seed: u64, cfg: SimConfig) -> Self {
         ParEngine {
             seed,
@@ -307,6 +314,10 @@ impl<E: Send> ParEngine<E> {
     }
 
     /// Register a boxed component, returning its id.
+    ///
+    /// # Panics
+    /// Panics ("components must be registered before the first run") once
+    /// the engine has run: the first run fixes the partition.
     pub fn add_boxed(&mut self, c: Box<dyn Component<E> + Send>) -> ComponentId {
         assert!(
             !self.frozen,
@@ -417,9 +428,8 @@ impl<E: Send> ParEngine<E> {
     }
 
     /// The merged dispatch trace in global `(time, seq)` order, if tracing
-    /// was enabled. Unlike the sequential engine's trace, `seq` here is the
-    /// event's *schedule* sequence number (globally unique), not a dispatch
-    /// index.
+    /// was enabled. `seq` is the event's *schedule* sequence number
+    /// (globally unique), not a dispatch index.
     pub fn merged_trace(&self) -> Vec<TraceEntry> {
         let mut all: Vec<TraceEntry> = self
             .shards
@@ -495,12 +505,17 @@ impl<E: Send> ParEngine<E> {
         // setup events sort first among same-instant peers.
         let setup_n = self.setup.len() as u64;
         let base = setup_n.div_ceil(shards_n as u64) * shards_n as u64;
+        // One shard draws the root stream itself; more fork one each.
         let mut root = SimRng::new(self.seed);
         self.shards = (0..shards_n)
             .map(|s| Shard {
                 id: s,
                 queue: EventQueue::with_seq_stream(base + s as u64, shards_n as u64),
-                rng: root.fork(s as u64),
+                rng: if shards_n == 1 {
+                    root.clone()
+                } else {
+                    root.fork(s as u64)
+                },
                 stats: StatsRegistry::new(),
                 trace: self.trace_capacity.map(TraceRing::new),
                 components: Vec::new(),
@@ -535,7 +550,12 @@ impl<E: Send> ParEngine<E> {
             ctl: &ctl,
             shard_of: &self.shard_of,
             slot: &self.slot,
-            window_ps: self.cfg.window.as_ps(),
+            // Nothing crosses a single shard, so its window is the whole run.
+            window_ps: if self.shards.len() == 1 {
+                u64::MAX
+            } else {
+                self.cfg.window.as_ps()
+            },
             deadline_ps: deadline.as_ps(),
         };
 
@@ -711,25 +731,23 @@ fn process_window<E: Send>(
         let mut comp = shard.components[local]
             .take()
             .unwrap_or_else(|| panic!("event for unregistered/active component {:?}", ev.target));
-        {
-            let mut sink = ShardSink {
-                shard_id: shard.id,
-                queue: &mut shard.queue,
-                outbox: &mut *outbox,
-                ctl: shared.ctl,
-                shard_of: shared.shard_of,
-                window_end_ps,
-            };
-            let mut ctx = Ctx::new(
-                ev.time,
-                ev.target,
-                &mut sink,
-                &mut shard.rng,
-                &mut shard.stats,
-                &mut shard.stop,
-            );
-            comp.handle(ev.payload, &mut ctx);
-        }
+        let sink = ShardSink {
+            shard_id: shard.id,
+            queue: &mut shard.queue,
+            outbox: &mut *outbox,
+            ctl: shared.ctl,
+            shard_of: shared.shard_of,
+            window_end_ps,
+        };
+        let mut ctx = Ctx::new(
+            ev.time,
+            ev.target,
+            sink,
+            &mut shard.rng,
+            &mut shard.stats,
+            &mut shard.stop,
+        );
+        comp.handle(ev.payload, &mut ctx);
         shard.components[local] = Some(comp);
         if shard.stop {
             // Stop halts this shard's window immediately; peers finish the
@@ -739,20 +757,6 @@ fn process_window<E: Send>(
             shared.ctl.stop.store(true, Ordering::Relaxed);
             return;
         }
-    }
-}
-
-impl<E: Send> SimBuilder<E> for ParEngine<E> {
-    fn register(&mut self, c: Box<dyn Component<E> + Send>) -> ComponentId {
-        self.add_boxed(c)
-    }
-
-    fn registered(&self) -> usize {
-        self.component_count()
-    }
-
-    fn seed_event(&mut self, at: SimTime, target: ComponentId, payload: E) {
-        self.schedule(at, target, payload);
     }
 }
 
@@ -963,5 +967,172 @@ mod tests {
         let mut e: ParEngine<Token> = ParEngine::new(0, SimConfig::default());
         assert_eq!(e.run_to_completion(), 0);
         assert_eq!(e.now(), SimTime::ZERO);
+    }
+
+    // The sequential reference: `SimConfig::default()`, one shard.
+
+    #[derive(Debug, PartialEq)]
+    enum Msg {
+        Ping(u32),
+        Stop,
+    }
+
+    /// Bounces a ping to its peer every 100 ns until `max_hops`.
+    struct Echo {
+        peer: Option<ComponentId>,
+        received: Vec<u32>,
+        max_hops: u32,
+    }
+
+    impl Component<Msg> for Echo {
+        fn handle(&mut self, ev: Msg, ctx: &mut Ctx<'_, Msg>) {
+            match ev {
+                Msg::Ping(h) => {
+                    self.received.push(h);
+                    if h < self.max_hops {
+                        if let Some(p) = self.peer {
+                            ctx.schedule_in(SimTime::from_ns(100), p, Msg::Ping(h + 1));
+                        }
+                    }
+                }
+                Msg::Stop => ctx.request_stop(),
+            }
+        }
+
+        fn as_any(&self) -> Option<&dyn Any> {
+            Some(self)
+        }
+
+        fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+            Some(self)
+        }
+    }
+
+    fn echo_pair() -> (ParEngine<Msg>, ComponentId, ComponentId) {
+        let mut e = ParEngine::new(1, SimConfig::default());
+        let echo = || Echo {
+            peer: None,
+            received: vec![],
+            max_hops: 6,
+        };
+        let a = e.add_component(echo());
+        let b = e.add_component(echo());
+        // Wire peers after registration via downcast.
+        e.component_as_mut::<Echo>(a).expect("echo").peer = Some(b);
+        e.component_as_mut::<Echo>(b).expect("echo").peer = Some(a);
+        (e, a, b)
+    }
+
+    #[test]
+    fn ping_pong_advances_clock() {
+        let (mut e, a, b) = echo_pair();
+        e.schedule(SimTime::ZERO, a, Msg::Ping(0));
+        assert_eq!(e.run_to_completion(), 7); // hops 0..=6
+        assert_eq!(e.now(), SimTime::from_ns(600));
+        assert_eq!(e.component_as::<Echo>(b).unwrap().received, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn run_until_deadline_is_inclusive() {
+        let (mut e, a, _b) = echo_pair();
+        e.schedule(SimTime::ZERO, a, Msg::Ping(0));
+        e.run_until(SimTime::from_ns(250));
+        assert_eq!(e.now(), SimTime::from_ns(200));
+        assert!(e.pending_events() > 0);
+        // An event at exactly the deadline fires.
+        e.run_until(SimTime::from_ns(300));
+        assert_eq!(e.now(), SimTime::from_ns(300));
+        // Resume to completion.
+        e.run_to_completion();
+        assert_eq!(e.now(), SimTime::from_ns(600));
+    }
+
+    /// Conservation: every event ever scheduled is either fired or pending,
+    /// after a stop and after the resumed run drains the rest.
+    #[test]
+    fn stop_then_resume_conserves_events() {
+        let (mut e, a, b) = echo_pair();
+        e.schedule(SimTime::ZERO, a, Msg::Ping(0));
+        e.schedule(SimTime::from_ns(150), b, Msg::Stop);
+        e.run_to_completion();
+        // Halted on the stop: events up to t=150 fired, the rest queued.
+        assert_eq!(e.now(), SimTime::from_ns(150));
+        assert_eq!(e.events_fired(), 3);
+        assert!(e.pending_events() > 0);
+        assert_eq!(
+            e.scheduled_total(),
+            e.events_fired() + e.pending_events() as u64
+        );
+        // A later run resumes (the stop was consumed).
+        e.run_to_completion();
+        assert_eq!(e.pending_events(), 0);
+        assert_eq!(e.now(), SimTime::from_ns(600));
+        assert_eq!(e.scheduled_total(), e.events_fired());
+    }
+
+    /// Components that don't override `as_any` simply opt out of downcasts.
+    #[test]
+    fn downcast_default_opts_out() {
+        struct Opaque;
+        impl Component<Msg> for Opaque {
+            fn handle(&mut self, _ev: Msg, _ctx: &mut Ctx<'_, Msg>) {}
+        }
+        let mut e = ParEngine::new(0, SimConfig::default());
+        let id = e.add_component(Opaque);
+        assert!(e.component_as::<Opaque>(id).is_none());
+        e.run_to_completion();
+        assert!(e.component_as::<Opaque>(id).is_none());
+    }
+
+    /// Records one draw per event from its shard's stream.
+    struct Draw(Vec<u64>);
+
+    impl Component<Token> for Draw {
+        fn handle(&mut self, _ev: Token, ctx: &mut Ctx<'_, Token>) {
+            self.0.push(ctx.rng().below(u64::MAX));
+        }
+
+        fn as_any(&self) -> Option<&dyn Any> {
+            Some(self)
+        }
+    }
+
+    /// Draws of component 0 after four events on it, with `shards` shards.
+    fn draws(shards: usize) -> Vec<u64> {
+        let mut e = ParEngine::new(
+            9,
+            SimConfig {
+                shards,
+                ..SimConfig::default()
+            },
+        );
+        let a = e.add_component(Draw(vec![]));
+        e.add_component(Draw(vec![]));
+        for i in 0..4 {
+            e.schedule(SimTime::from_ns(i), a, Token { hops: 0 });
+        }
+        e.run_to_completion();
+        e.component_as::<Draw>(a).unwrap().0.clone()
+    }
+
+    /// One shard draws exactly `SimRng::new(seed)`; two shards fork.
+    #[test]
+    fn one_shard_draws_the_root_stream() {
+        let mut root = SimRng::new(9);
+        let want: Vec<u64> = (0..4).map(|_| root.below(u64::MAX)).collect();
+        assert_eq!(draws(1), want);
+        assert_ne!(draws(2), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "components must be registered before the first run")]
+    fn registering_after_the_first_run_panics() {
+        let (mut e, _a, _b) = echo_pair();
+        e.run_to_completion();
+        e.add_component(Echo {
+            peer: None,
+            received: vec![],
+            max_hops: 0,
+        });
     }
 }

@@ -120,7 +120,7 @@ impl Histogram {
     }
 }
 
-/// Named statistics owned by an [`crate::Engine`].
+/// Named statistics owned by each shard of a [`crate::ParEngine`].
 ///
 /// Names are `&'static str`: every model bumps its statistics by literal or
 /// `const` name, so the registry stores the caller's pointer and the hot

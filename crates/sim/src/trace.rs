@@ -1,9 +1,9 @@
 //! Bounded event tracing for simulation debugging.
 //!
-//! When enabled on an [`Engine`](crate::Engine), every dispatched event
-//! appends a [`TraceEntry`] to a fixed-capacity ring. The ring keeps the
-//! *most recent* events — when a simulation deadlocks or produces a wrong
-//! number, the tail of the trace is what you want.
+//! When enabled on a [`ParEngine`](crate::ParEngine), every dispatched
+//! event appends a [`TraceEntry`] to its shard's fixed-capacity ring. The
+//! ring keeps the *most recent* events — when a simulation deadlocks or
+//! produces a wrong number, the tail of the trace is what you want.
 
 use crate::engine::ComponentId;
 use crate::time::SimTime;
@@ -16,7 +16,7 @@ pub struct TraceEntry {
     pub time: SimTime,
     /// Component it was delivered to.
     pub target: ComponentId,
-    /// Global dispatch sequence number (0 = first event ever fired).
+    /// The event's schedule sequence number (globally unique).
     pub seq: u64,
 }
 

@@ -10,7 +10,7 @@ use rvma::net::topology::{
     TorusParams,
 };
 use rvma::nic::{build_cluster, HostLogic, NicConfig, Protocol, RecvInfo, TermApi};
-use rvma::sim::{Engine, SimTime};
+use rvma::sim::{ParEngine, SimConfig, SimTime};
 
 /// Random-pairs traffic: every even terminal sends to the next odd one.
 struct PairSender {
@@ -32,7 +32,7 @@ impl HostLogic for PairReceiver {
 }
 
 fn pair_traffic(spec: rvma::net::fabric::TopologySpec, proto: Protocol) -> (u64, u64) {
-    let mut engine: Engine<NetEvent> = Engine::new(5);
+    let mut engine: ParEngine<NetEvent> = ParEngine::new(5, SimConfig::default());
     build_cluster(
         &mut engine,
         &spec,
@@ -109,7 +109,7 @@ fn fabric_reserves_terminal_ids_for_cluster() {
         },
         RoutingKind::Static,
     );
-    let mut engine: Engine<NetEvent> = Engine::new(0);
+    let mut engine: ParEngine<NetEvent> = ParEngine::new(0, SimConfig::default());
     let fabric = build_fabric(&mut engine, &spec, &FabricConfig::at_gbps(100));
     assert_eq!(fabric.switch_cids.len(), 8);
     assert_eq!(fabric.terminal_cids.len(), 8);
@@ -136,6 +136,7 @@ fn motif_runner_reports_consistent_counters() {
         NicConfig::default(),
         Protocol::Rdma,
         3,
+        SimConfig::default(),
         |n| Box::new(Halo3dNode::new(motif, n)) as Box<dyn HostLogic>,
     );
     assert_eq!(r.msgs_sent, motif.total_messages());
@@ -154,7 +155,7 @@ fn motif_runner_reports_consistent_counters() {
 #[test]
 fn idle_node_completes_instantly() {
     let spec = star(4, RoutingKind::Static);
-    let mut engine: Engine<NetEvent> = Engine::new(1);
+    let mut engine: ParEngine<NetEvent> = ParEngine::new(1, SimConfig::default());
     build_cluster(
         &mut engine,
         &spec,
